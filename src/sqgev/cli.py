@@ -18,7 +18,7 @@ from pathlib import Path
 from . import checks as checks_mod
 from .bilinear import SYMBOL_REGISTRY
 from .checks import ALL_CHECKS, CheckConfig, run_check
-from .dyadic import DEFAULT_SHARPNESS, BesovParams, build_system
+from .dyadic import DEFAULT_SHARPNESS, BesovParams, default_system
 from .gevrey import GevreyParams, spectral_decay_fit, xt_norm
 from .solver import (
     BlowUpError,
@@ -195,7 +195,7 @@ def _cmd_simulate(args) -> int:
         print(f"blow-up at t={exc.time:g}; last snapshot saved", file=sys.stderr)
         return 3
     write_diagnostics(traj, out / "diagnostics.csv")
-    system = build_system(cfg.grid, cfg.sharpness)
+    system = default_system(cfg.grid, cfg.sharpness)
     _write_xt_trace(out / "xt_trace.csv", traj, gp, system)
     for t, snap in zip(traj.times, traj.snapshots):
         save_field(out / f"snapshot_t{t:.6f}.field", snap, time=t, extra=echo)
@@ -208,7 +208,7 @@ def _cmd_picard(args) -> int:
     cfg, gp = _solver_config(params)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    system = build_system(cfg.grid, cfg.sharpness)
+    system = default_system(cfg.grid, cfg.sharpness)
     try:
         levels = picard_solve(cfg)
     except BlowUpError as exc:
@@ -249,7 +249,7 @@ def _cmd_analyze(args) -> int:
     if not isinstance(field, SpectralField):
         field = forward_transform(field)
     grid = field.grid
-    system = build_system(grid, params["sharpness"])
+    system = default_system(grid, params["sharpness"])
     bp = BesovParams(1.0 + 2.0 / params["p"] - params["kappa"], params["p"], params["q"])
     rows, discarded = system.besov_report(field, bp)
     gamma_hat, _, r2, n_rings, low_signal = spectral_decay_fit(field, params["alpha"])

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .spectral import (
+    HERMITIAN_FLOOR,
+    HERMITIAN_RTOL,
     BandRangeError,
     ConfigError,
     Grid,
+    HermitianSymmetryError,
     SpectralField,
     apply_multiplier,
     inverse_transform,
@@ -173,16 +176,61 @@ class DyadicSystem:
     # -- norms -------------------------------------------------------------
 
     def block_lp_norms(self, f: SpectralField, p: float) -> np.ndarray:
-        """||Delta_j f||_{L^p} for every resolved j, in order."""
+        """||Delta_j f||_{L^p} for every resolved j, in order.
+
+        p = 2 takes the Parseval path of _block_l2_norms; any other p
+        transforms each block and takes the collocation quadrature.
+        """
+        if f.grid != self.grid:
+            raise ConfigError(f"field grid {f.grid} does not match system grid {self.grid}")
+        if not np.all(np.isfinite(f.coeffs)):
+            raise ConfigError("spectral field contains non-finite coefficients")
+        if p == 2:
+            return self._block_l2_norms(f)
         return np.array(
             [lp_norm(inverse_transform(self.delta_j(f, j)), p) for j in self.js()]
         )
+
+    @cached_property
+    def _ring_profiles(self) -> np.ndarray:
+        """phi_j on the ring radii of the grid, one row per resolved j."""
+        table = np.array([self.phi(j, self.grid.rings.radii) for j in self.js()])
+        table.flags.writeable = False
+        return table
+
+    def _block_l2_norms(self, f: SpectralField) -> np.ndarray:
+        """Parseval: ||Delta_j f||_2 = L sqrt(sum over rings of phi_j^2 E),
+        with E the ring sums of |f_hat|^2.
+
+        Each block gets the Hermitian test inverse_transform would apply to
+        it.  phi_j is radial and nonnegative, so a block's defect and scale
+        are the ring maxima of |c(k) - conj c(-k)| and of |c|, times phi_j.
+        """
+        rings = self.grid.rings
+        phi = self._ring_profiles
+        mags = np.abs(f.coeffs)
+        defect = (phi * rings.max(f.hermitian_defects())).max(axis=1)
+        scale = (phi * rings.max(mags)).max(axis=1)
+        bad = defect > np.maximum(HERMITIAN_RTOL * scale, HERMITIAN_FLOOR)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise HermitianSymmetryError(
+                f"block j={self.j_min + i} is not Hermitian-symmetric "
+                f"(defect {defect[i]:.3e})"
+            )
+        energy = rings.sum(mags**2)
+        return self.grid.box_length * np.sqrt(phi**2 @ energy)
 
     def js(self) -> range:
         return range(self.j_min, self.j_max + 1)
 
     def besov_norm(self, f: SpectralField, bp: BesovParams) -> float:
         """Homogeneous Besov norm truncated to the resolved dyadic range.
+
+        At p = 2 the block norms come from Parseval over the ring spectrum,
+        with no inverse transform; other p use the collocation quadrature of
+        each transformed block.  Non-finite coefficients raise ConfigError
+        and a non-Hermitian block raises HermitianSymmetryError.
 
         Modes outside the resolved annuli (the mean and the corner modes
         beyond Nyquist) do not contribute; a nonzero mean triggers a
@@ -216,8 +264,9 @@ class DyadicSystem:
             else:
                 cumulative = (cumulative**bp.q + term**bp.q) ** (1.0 / bp.q)
             rows.append({"j": j, "weighted_block_norm": term, "cumulative": cumulative})
-        coverage = self.partition_sum(self.grid.k_mag)
-        energy = np.abs(f.coeffs) ** 2
+        rings = self.grid.rings
+        coverage = self.partition_sum(rings.radii)
+        energy = rings.sum(np.abs(f.coeffs) ** 2)
         total = float(energy.sum())
         discarded = float(energy[coverage < 1e-12].sum()) / total if total > 0 else 0.0
         return rows, discarded

@@ -3,7 +3,6 @@ time-weighted Gevrey-Besov norms and analyticity-radius estimation."""
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -180,31 +179,25 @@ def xt_norm(
 def spectral_decay_fit(theta: SpectralField, alpha: float):
     """Least-squares fit of -log(ring-averaged |theta_hat|) against |k|^alpha.
 
-    Rings group lattice modes of identical |k| (equal integer |m|^2).  The
-    fit covers the upper half (in radius) of the populated spectrum, capped
+    Rings group lattice modes of identical |k| (equal integer |m|^2); the
+    ring averages come from one pass over the grid's ring index.  The fit
+    covers the upper half (in radius) of the populated spectrum, capped
     at the Nyquist disk, so band-limited fields (dealiased runs, say) are
     fitted over their own resolved range.  Returns
     (gamma_hat, intercept, r_squared, n_rings, low_signal).
     """
     grid = theta.grid
-    m2 = (grid.k_mag / grid.k_min) ** 2
-    m2 = np.rint(m2).astype(np.int64)
+    rings = grid.rings
     nyq2 = (grid.n // 2) ** 2
     mags = np.abs(theta.coeffs)
-    populated = (mags > 0) & (m2 > 0) & (m2 <= nyq2)
+    populated = (rings.sum(mags > 0) > 0) & (rings.m2 > 0) & (rings.m2 <= nyq2)
     if not populated.any():
         return 0.0, 0.0, 0.0, 0, True
-    top2 = int(m2[populated].max())
-    fit_zone = (m2 > top2 // 4) & (m2 <= top2)
+    top2 = int(rings.m2[populated].max())
+    fit_zone = (rings.m2 > top2 // 4) & (rings.m2 <= top2)
 
-    radii = []
-    means = []
-    for ring in np.unique(m2[fit_zone]):
-        sel = m2 == ring
-        radii.append(grid.k_min * math.sqrt(ring))
-        means.append(float(mags[sel].mean()))
-    radii = np.asarray(radii)
-    means = np.asarray(means)
+    radii = rings.radii[fit_zone]
+    means = rings.sum(mags)[fit_zone] / rings.counts[fit_zone]
     keep = means > 0
     if keep.sum() < 3:
         return 0.0, 0.0, 0.0, int(keep.sum()), True

@@ -217,24 +217,25 @@ def initial_field(config: SolverConfig, system: DyadicSystem | None = None) -> S
 # -- nonlinear term and stepping ------------------------------------------
 
 
-def _velocity_arrays(theta_hat: np.ndarray, grid: Grid):
-    kx, ky = grid.kx, grid.ky
+def _collocation_velocity(theta_hat: np.ndarray, grid: Grid):
+    """Values (u1, u2) = (-R2 theta, R1 theta) of the velocity on the grid points."""
+    n2 = grid.n * grid.n
     kmag = grid.k_mag
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(kmag > 0, 1.0 / np.where(kmag > 0, kmag, 1.0), 0.0)
-    u1_hat = 1j * ky * inv * theta_hat   # -R2 theta
-    u2_hat = -1j * kx * inv * theta_hat  # R1 theta
-    return u1_hat, u2_hat
+    u1_hat = 1j * grid.ky * inv * theta_hat
+    u2_hat = -1j * grid.kx * inv * theta_hat
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.fft.ifft2(u1_hat * n2).real, np.fft.ifft2(u2_hat * n2).real
 
 
-def _advect(theta_hat: np.ndarray, u1_hat: np.ndarray, u2_hat: np.ndarray, grid: Grid, mask: np.ndarray):
-    """Spectral coefficients of u . grad theta, dealiased; also max |u|."""
+def _advect(theta_hat: np.ndarray, u1: np.ndarray, u2: np.ndarray, grid: Grid, mask: np.ndarray):
+    """Spectral coefficients of u . grad theta for the collocation velocity
+    (u1, u2), dealiased; also max |u|."""
     n2 = grid.n * grid.n
     # blow-up shows up as NaN/Inf here and is detected by the caller, so the
     # intermediate arithmetic must not warn
     with np.errstate(invalid="ignore", over="ignore"):
-        u1 = np.fft.ifft2(u1_hat * n2).real
-        u2 = np.fft.ifft2(u2_hat * n2).real
         tx = np.fft.ifft2(1j * grid.kx * theta_hat * n2).real
         ty = np.fft.ifft2(1j * grid.ky * theta_hat * n2).real
         product = u1 * tx + u2 * ty
@@ -247,8 +248,8 @@ def nonlinear_term(theta: SpectralField, dealias: str = "two-thirds") -> Spectra
     """u . grad theta for u the Riesz velocity of theta (advection form)."""
     grid = theta.grid
     mask = dealias_mask(grid, dealias)
-    u1_hat, u2_hat = _velocity_arrays(theta.coeffs, grid)
-    adv_hat, _ = _advect(theta.coeffs, u1_hat, u2_hat, grid, mask)
+    u1, u2 = _collocation_velocity(theta.coeffs, grid)
+    adv_hat, _ = _advect(theta.coeffs, u1, u2, grid, mask)
     if not np.all(np.isfinite(adv_hat)):
         raise BlowUpError("overflow while forming the advection term", 0.0, None)
     return SpectralField(grid, adv_hat)
@@ -261,22 +262,16 @@ def _heat_factor(grid: Grid, dt: float, kappa: float) -> np.ndarray:
 def _heun_step(theta_hat, grid, dt, efactor, mask, frozen=None, frozen_next=None):
     """One integrating-factor Heun step; returns (new_theta_hat, umax).
 
-    With frozen velocities (Picard mode), `frozen` supplies (u1_hat, u2_hat)
-    at the current time and `frozen_next` at the next; otherwise velocity is
-    recomputed from the advected state itself.
+    With frozen velocities (Picard mode), `frozen` supplies the collocation
+    velocity (u1, u2) at the current time and `frozen_next` at the next;
+    otherwise velocity is recomputed from the advected state itself.
     """
-    if frozen is None:
-        vel = _velocity_arrays(theta_hat, grid)
-    else:
-        vel = frozen
-    adv1, umax = _advect(theta_hat, vel[0], vel[1], grid, mask)
+    vel = _collocation_velocity(theta_hat, grid) if frozen is None else frozen
+    adv1, umax = _advect(theta_hat, *vel, grid, mask)
     n1 = -adv1
     predictor = efactor * (theta_hat + dt * n1)
-    if frozen is None:
-        vel2 = _velocity_arrays(predictor, grid)
-    else:
-        vel2 = frozen_next
-    adv2, _ = _advect(predictor, vel2[0], vel2[1], grid, mask)
+    vel2 = _collocation_velocity(predictor, grid) if frozen is None else frozen_next
+    adv2, _ = _advect(predictor, *vel2, grid, mask)
     n2 = -adv2
     new = efactor * theta_hat + 0.5 * dt * (efactor * n1 + n2)
     return new, umax
@@ -318,9 +313,15 @@ def _diagnostics_row(t, theta_hat, grid, config, system):
 
 
 def _record_steps(config: SolverConfig) -> tuple[int, list[int]]:
-    n_steps = int(round(config.t_end / config.dt))
+    ratio = config.t_end / config.dt
+    n_steps = int(round(ratio))
     if n_steps < 1:
         raise ConfigError("t_end shorter than one time step")
+    if abs(ratio - n_steps) > 1e-9 * ratio:
+        raise ConfigError(
+            f"t_end={config.t_end:g} is not a whole number of steps dt={config.dt:g} "
+            f"(t_end/dt = {ratio:.12g})"
+        )
     marks = list(range(0, n_steps + 1, config.record_every))
     if marks[-1] != n_steps:
         marks.append(n_steps)
@@ -393,17 +394,20 @@ def picard_solve(config: SolverConfig) -> list[Trajectory]:
     snaps = [[SpectralField(grid, theta0)] for _ in range(depth + 1)]
     diags = [[_diagnostics_row(0.0, theta0, grid, config, system)] for _ in range(depth + 1)]
 
+    # collocation velocity of every level below the top at the current time;
+    # a step's end-time velocity is the next step's start-time velocity
+    vel = [_collocation_velocity(prev[lvl], grid) for lvl in range(depth)]
     for k in range(1, n_steps + 1):
         t = k * config.dt
         nxt = [None] * (depth + 1)
         nxt[0] = efactor * prev[0]
         for lvl in range(1, depth + 1):
-            frozen = _velocity_arrays(prev[lvl - 1], grid)
-            frozen_next = _velocity_arrays(nxt[lvl - 1], grid)
+            vel_end = _collocation_velocity(nxt[lvl - 1], grid)
             nxt[lvl], _ = _heun_step(
                 prev[lvl], grid, config.dt, efactor, mask,
-                frozen=frozen, frozen_next=frozen_next,
+                frozen=vel[lvl - 1], frozen_next=vel_end,
             )
+            vel[lvl - 1] = vel_end
         for lvl in range(depth + 1):
             if not np.all(np.isfinite(nxt[lvl])):
                 partial = Trajectory(

@@ -15,11 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+# A spectrum counts as Hermitian when max |c(k) - conj c(-k)| is at most
+# max(HERMITIAN_RTOL * max |c|, HERMITIAN_FLOOR).  The absolute floor keeps
+# all-roundoff fields (an annihilated block, say) from failing the relative
+# test on junk.
+HERMITIAN_RTOL = 1e-9
+HERMITIAN_FLOOR = 1e-13
 
 
 class ConfigError(ValueError):
@@ -96,6 +103,11 @@ class Grid:
         return idx
 
     @property
+    def rings(self) -> "RingIndex":
+        """Read-only ring index of the lattice, shared by all equal grids."""
+        return _ring_index(self)
+
+    @property
     def spacing(self) -> float:
         return self.box_length / self.n
 
@@ -127,6 +139,47 @@ class Grid:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+@dataclass(frozen=True, eq=False)
+class RingIndex:
+    """Lattice modes grouped into rings of equal integer |m|^2.
+
+    ids: ring id of every mode, int32, shape (n, n), fft layout;
+    m2: the integer |m|^2 of each ring, ascending;
+    radii: the physical radius k_min * sqrt(m2) of each ring;
+    counts: the number of modes on each ring.
+    """
+
+    ids: np.ndarray
+    m2: np.ndarray
+    radii: np.ndarray
+    counts: np.ndarray
+
+    def sum(self, values) -> np.ndarray:
+        """Sum of a per-mode array over each ring."""
+        return np.bincount(self.ids.ravel(), weights=np.ravel(values), minlength=self.m2.size)
+
+    def max(self, values) -> np.ndarray:
+        """Max of a nonnegative per-mode array over each ring."""
+        out = np.zeros(self.m2.size)
+        np.maximum.at(out, self.ids.ravel(), np.ravel(values))
+        return out
+
+
+@lru_cache(maxsize=16)
+def _ring_index(grid: Grid) -> RingIndex:
+    m2 = grid.freqs[:, None] ** 2 + grid.freqs[None, :] ** 2
+    present = np.zeros(int(m2.max()) + 1, dtype=bool)
+    present[m2.ravel()] = True
+    ring_m2 = np.flatnonzero(present)
+    ids = (np.cumsum(present, dtype=np.int32) - 1)[m2]
+    return RingIndex(
+        ids=_freeze(ids),
+        m2=_freeze(ring_m2),
+        radii=_freeze(grid.k_min * np.sqrt(ring_m2)),
+        counts=_freeze(np.bincount(ids.ravel(), minlength=ring_m2.size)),
+    )
 
 
 @dataclass(frozen=True)
@@ -187,17 +240,19 @@ class SpectralField:
     def __neg__(self) -> "SpectralField":
         return SpectralField(self.grid, -self.coeffs)
 
-    def hermitian_defect(self) -> float:
-        """Max deviation from coeffs(-k) = conj(coeffs(k))."""
+    def hermitian_defects(self) -> np.ndarray:
+        """Per-mode deviation |coeffs(k) - conj(coeffs(-k))|."""
         idx = self.grid._neg_index
         mirrored = np.conj(self.coeffs[np.ix_(idx, idx)])
-        return float(np.max(np.abs(self.coeffs - mirrored)))
+        return np.abs(self.coeffs - mirrored)
 
-    def is_hermitian(self, rtol: float = 1e-9) -> bool:
-        # absolute floor keeps all-roundoff fields (an annihilated block,
-        # say) from failing the relative test on junk
+    def hermitian_defect(self) -> float:
+        """Max deviation from coeffs(-k) = conj(coeffs(k))."""
+        return float(np.max(self.hermitian_defects()))
+
+    def is_hermitian(self, rtol: float = HERMITIAN_RTOL) -> bool:
         scale = float(np.max(np.abs(self.coeffs)))
-        return self.hermitian_defect() <= max(rtol * scale, 1e-13)
+        return self.hermitian_defect() <= max(rtol * scale, HERMITIAN_FLOOR)
 
     def mean_value(self) -> complex:
         """Value of the zero mode (the mean of the underlying field)."""
@@ -225,7 +280,7 @@ def forward_transform(f: RealField) -> SpectralField:
     return SpectralField(f.grid, coeffs)
 
 
-def inverse_transform(F: SpectralField, rtol: float = 1e-9) -> RealField:
+def inverse_transform(F: SpectralField, rtol: float = HERMITIAN_RTOL) -> RealField:
     """Exact inverse of forward_transform; input must be Hermitian-symmetric."""
     if not F.is_hermitian(rtol):
         raise HermitianSymmetryError(

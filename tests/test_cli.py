@@ -102,6 +102,14 @@ class TestSimulateVerb:
         assert code == 3
         assert (out / "last_snapshot.field").exists()
 
+    def test_t_end_off_the_step_lattice_exits_2(self, tmp_path, capsys):
+        code = main(
+            ["simulate", "-o", str(tmp_path / "run"), "--set", "n=16",
+             "--set", "dt=0.4", "--set", "t_end=1.0"]
+        )
+        assert code == 2
+        assert "whole number of steps" in capsys.readouterr().err
+
 
 class TestPicardVerb:
     def test_writes_convergence_and_levels(self, tmp_path):

@@ -13,10 +13,12 @@ from sqgev.dyadic import (
     phi0,
     psi0,
 )
+from sqgev.solver import InitialData, SolverConfig, initial_field
 from sqgev.spectral import (
     BandRangeError,
     ConfigError,
     Grid,
+    HermitianSymmetryError,
     RealField,
     SpectralField,
     forward_transform,
@@ -27,6 +29,27 @@ from sqgev.spectral import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def block_l2_quadrature(system, f):
+    """Block norms the long way: transform each block, collocation L^2."""
+    return np.array([lp_norm(inverse_transform(system.delta_j(f, j)), 2.0) for j in system.js()])
+
+
+def hermitian_noise(grid, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
+    c = hermitian_symmetrize(grid, raw)
+    c[0, 0] = 0.0
+    return SpectralField(grid, c)
+
+
+def parseval_fields(grid):
+    yield hermitian_noise(grid, 21)
+    yield random_band_limited(grid, 2, seed=22)
+    for profile in ("random-band", "gaussian-pair", "single-ring"):
+        config = SolverConfig(grid=grid, initial_data=InitialData(profile, amplitude=0.3, seed=23))
+        yield initial_field(config)
 
 
 class TestProfiles:
@@ -255,6 +278,70 @@ class TestBesovNorm:
         with pytest.warns(HomogeneityWarning):
             norm = system.besov_norm(SpectralField(grid, c), BesovParams(0.0))
         assert final == pytest.approx(norm, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_parseval_blocks_match_quadrature(self, n):
+        grid = Grid(n)
+        system = build_system(grid)
+        for f in parseval_fields(grid):
+            want = block_l2_quadrature(system, f)
+            # a block at the roundoff floor of the field (the far tail of the
+            # gaussian pair) is junk whose imaginary part the quadrature
+            # drops, so blocks are held to 1e-12 of the largest one
+            floor = 1e-12 * want.max()
+            np.testing.assert_allclose(system.block_lp_norms(f, 2.0), want, rtol=1e-12, atol=floor)
+            for bp in (BesovParams(0.7, 2.0, 2.0), BesovParams(-0.3, 2.0, 1.0),
+                       BesovParams(1.2, 2.0, np.inf)):
+                terms = 2.0 ** (bp.s * np.arange(system.j_min, system.j_max + 1)) * want
+                expected = np.max(terms) if np.isinf(bp.q) else np.sum(terms**bp.q) ** (1 / bp.q)
+                assert system.besov_norm(f, bp) == pytest.approx(expected, rel=1e-12, abs=0.0)
+                rows, _ = system.besov_report(f, bp)
+                got = [row["weighted_block_norm"] for row in rows]
+                np.testing.assert_allclose(got, terms, rtol=1e-12, atol=1e-12 * terms.max())
+                assert rows[-1]["cumulative"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("size", [1e-6, 1e-8, 1e-10, 1e-12, 1e-16])
+    @pytest.mark.parametrize("mode", [(3, 1), (9, 2), (0, 20)])
+    def test_hermitian_rule_matches_transformed_blocks(self, size, mode):
+        # the p = 2 path raises exactly when inverse_transform would reject
+        # some block of the quadrature path
+        grid = Grid(64)
+        system = build_system(grid)
+        f = hermitian_noise(grid, 24)
+        c = f.coeffs.copy()
+        c[mode] += size * np.max(np.abs(c)) * (1.0 + 1.0j)
+        g = SpectralField(grid, c)
+        slow_rejects = any(not system.delta_j(g, j).is_hermitian() for j in system.js())
+        if slow_rejects:
+            with pytest.raises(HermitianSymmetryError):
+                system.besov_norm(g, BesovParams(0.5))
+        else:
+            system.besov_norm(g, BesovParams(0.5))
+        assert slow_rejects == (size >= 1e-8)
+
+    def test_non_hermitian_field_raises(self):
+        grid = Grid(64)
+        system = build_system(grid)
+        c = random_band_limited(grid, 2, seed=25).coeffs.copy()
+        c[2, 3] += 0.5
+        for p in (2.0, 4.0):
+            with pytest.raises(HermitianSymmetryError):
+                system.besov_norm(SpectralField(grid, c), BesovParams(0.5, p))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_raises(self, bad):
+        grid = Grid(64)
+        system = build_system(grid)
+        c = random_band_limited(grid, 2, seed=26).coeffs.copy()
+        c[2, 3] = bad
+        for p in (2.0, 4.0):
+            with pytest.raises(ConfigError):
+                system.besov_norm(SpectralField(grid, c), BesovParams(0.5, p))
+
+    def test_field_on_other_grid_raises(self):
+        system = build_system(Grid(64))
+        with pytest.raises(ConfigError):
+            system.besov_norm(random_band_limited(Grid(32), 2, seed=27), BesovParams(0.5))
 
     def test_rejects_bad_indices(self):
         with pytest.raises(ConfigError):

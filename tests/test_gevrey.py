@@ -21,6 +21,7 @@ from sqgev.gevrey import (
     spectral_decay_fit,
     xt_norm,
 )
+from sqgev.solver import InitialData, SolverConfig, initial_field
 from sqgev.spectral import (
     ConfigError,
     Grid,
@@ -31,6 +32,35 @@ from sqgev.spectral import (
     inverse_transform,
     random_band_limited,
 )
+
+
+def decay_fit_loop(theta, alpha):
+    """Per-ring loop form of spectral_decay_fit: a full-grid mask and mean per
+    ring, kept as the reference for the ring-index implementation."""
+    grid = theta.grid
+    m2 = np.rint((grid.k_mag / grid.k_min) ** 2).astype(np.int64)
+    nyq2 = (grid.n // 2) ** 2
+    mags = np.abs(theta.coeffs)
+    populated = (mags > 0) & (m2 > 0) & (m2 <= nyq2)
+    if not populated.any():
+        return 0.0, 0.0, 0.0, 0, True
+    top2 = int(m2[populated].max())
+    fit_zone = (m2 > top2 // 4) & (m2 <= top2)
+    radii, means = [], []
+    for ring in np.unique(m2[fit_zone]):
+        radii.append(grid.k_min * math.sqrt(ring))
+        means.append(float(mags[m2 == ring].mean()))
+    radii, means = np.asarray(radii), np.asarray(means)
+    keep = means > 0
+    if keep.sum() < 3:
+        return 0.0, 0.0, 0.0, int(keep.sum()), True
+    x = radii[keep] ** alpha
+    y = -np.log(means[keep])
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r_squared = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), float(intercept), r_squared, int(keep.sum()), False
 
 
 def plane_wave(grid, axis=0, mode=1, kind="cos"):
@@ -279,3 +309,19 @@ class TestRadiusEstimate:
         coeffs[1, 0] = coeffs[-1, 0] = 0.5  # all energy below the fit range
         *_, low_signal = spectral_decay_fit(SpectralField(grid, coeffs), 0.5)
         assert low_signal
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("profile", ["random-band", "gaussian-pair", "single-ring"])
+    @pytest.mark.parametrize("smoothing", [0.0, 0.5])
+    def test_fit_matches_per_ring_loop(self, n, profile, smoothing):
+        grid = Grid(n)
+        config = SolverConfig(
+            grid=grid, initial_data=InitialData(profile, amplitude=0.3, seed=5, ring_j=2)
+        )
+        theta = heat_semigroup(initial_field(config), smoothing, 0.8)
+        alpha = 0.4
+        got = spectral_decay_fit(theta, alpha)
+        want = decay_fit_loop(theta, alpha)
+        assert got[:3] == pytest.approx(want[:3], rel=1e-12, abs=0.0)
+        assert got[3:] == want[3:]
+        assert not got[4]

@@ -8,6 +8,9 @@ import pytest
 from sqgev.dyadic import build_system
 from sqgev.gevrey import heat_semigroup
 from sqgev.solver import (
+    _collocation_velocity,
+    _heat_factor,
+    _heun_step,
     BlowUpError,
     InitialData,
     SolverConfig,
@@ -243,7 +246,44 @@ class TestSolve:
             assert abs(snap.mean_value()) <= 1e-12
 
 
+class TestRecordSteps:
+    def test_t_end_off_the_step_lattice_raises(self):
+        # 1.0 / 0.4 = 2.5 steps: the run used to stop silently at t = 0.8
+        cfg = cosine_config(n=16, dt=0.4, t_end=1.0)
+        for run in (solve, picard_solve):
+            with pytest.raises(ConfigError, match="whole number of steps"):
+                run(cfg)
+
+    def test_decimal_multiples_accepted(self):
+        # 0.03 / 0.01 = 2.9999999999999996 in binary floating point
+        run = solve(cosine_config(n=16, dt=0.01, t_end=0.03))
+        assert len(run.times) == 4
+        assert run.times[-1] == pytest.approx(0.03)
+
+
 class TestPicard:
+    def test_frozen_velocity_follows_the_level_below(self):
+        # level l is advected by the velocity of level l - 1 at both ends of
+        # every step, bit for bit
+        cfg = cosine_config(
+            n=32, picard_depth=2, record_every=1,
+            initial_data=InitialData("random-band", amplitude=0.05, seed=3),
+        )
+        levels = picard_solve(cfg)
+        grid = cfg.grid
+        efactor = _heat_factor(grid, cfg.dt, cfg.kappa)
+        mask = dealias_mask(grid, cfg.dealias)
+        for lvl in (1, 2):
+            below = [snap.coeffs for snap in levels[lvl - 1].snapshots]
+            theta = levels[lvl].snapshots[0].coeffs
+            for k in range(len(below) - 1):
+                theta, _ = _heun_step(
+                    theta, grid, cfg.dt, efactor, mask,
+                    frozen=_collocation_velocity(below[k], grid),
+                    frozen_next=_collocation_velocity(below[k + 1], grid),
+                )
+                assert np.array_equal(theta, levels[lvl].snapshots[k + 1].coeffs)
+
     def test_depth_zero_is_heat_flow(self):
         cfg = cosine_config(n=32, picard_depth=0, record_every=2)
         levels = picard_solve(cfg)

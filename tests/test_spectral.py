@@ -53,6 +53,24 @@ class TestGrid:
             if m != -grid.n // 2:
                 assert -m in f
 
+    @pytest.mark.parametrize("box_length", [TWO_PI, 3.0])
+    def test_ring_index(self, box_length):
+        grid = Grid(32, box_length)
+        rings = grid.rings
+        assert rings.ids.dtype == np.int32 and rings.ids.shape == (32, 32)
+        assert not rings.ids.flags.writeable
+        m2 = grid.freqs[:, None] ** 2 + grid.freqs[None, :] ** 2
+        assert np.array_equal(rings.m2[rings.ids], m2)
+        assert np.all(np.diff(rings.m2) > 0)
+        assert rings.counts.sum() == 32 * 32
+        np.testing.assert_allclose(rings.radii[rings.ids], grid.k_mag, rtol=1e-15)
+        ones = np.ones((32, 32))
+        assert np.array_equal(rings.sum(ones), rings.counts)
+        assert np.array_equal(rings.max(grid.k_mag), np.max(
+            [np.where(rings.ids == i, grid.k_mag, 0.0) for i in range(rings.m2.size)], axis=(1, 2)
+        ))
+        assert Grid(32, box_length).rings is rings
+
     @pytest.mark.parametrize("n", [7, 12, 4, 0])
     def test_rejects_bad_sizes(self, n):
         with pytest.raises(ConfigError):
