@@ -32,7 +32,8 @@ from .spectral import (
     SpectralField,
     _lp_quadrature,
     band_mask,
-    hermitian_symmetrize,
+    box_mask,
+    hermitian_noise,
     inverse_transform,
 )
 
@@ -199,16 +200,10 @@ class MarcinkiewiczReport:
 
 
 def _multi_indices(max_order: int):
-    singles = []
-    for total in range(max_order + 1):
-        for a in range(total + 1):
-            singles.append((a, total - a))
-    out = []
-    for b1 in singles:
-        for b2 in singles:
-            if sum(b1) + sum(b2) <= max_order:
-                out.append((b1, b2))
-    return out
+    """Pairs (b1, b2) of 2D multi-indices with |b1| + |b2| <= max_order,
+    ordered by |b1|, then b1, then |b2|, then b2."""
+    singles = [(a, total - a) for total in range(max_order + 1) for a in range(total + 1)]
+    return [(b1, b2) for b1 in singles for b2 in singles if sum(b1) + sum(b2) <= max_order]
 
 
 def _fd_derivative(m, xi, eta, b1, b2, rel_step):
@@ -270,19 +265,11 @@ def admissible_exponents(p: float, q: float) -> bool:
     return 1 < p < math.inf and 1 <= q <= math.inf
 
 
-def _component_box_mask(grid: Grid, max_component: int) -> np.ndarray:
-    absf = np.abs(grid.freqs)
-    return (absf[:, None] <= max_component) & (absf[None, :] <= max_component)
-
-
 def _masked_noise(grid: Grid, mask: np.ndarray, rng) -> SpectralField | None:
     if not mask.any():
         return None
-    raw = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
-    coeffs = hermitian_symmetrize(grid, raw * mask) * mask
-    if not np.any(coeffs):
-        return None
-    return SpectralField(grid, coeffs)
+    noise = hermitian_noise(grid, mask, rng)
+    return noise if np.any(noise.coeffs) else None
 
 
 def _normalized(field: SpectralField, p: float) -> SpectralField | None:
@@ -363,8 +350,7 @@ def estimate_operator_norm(
                 f"support hint {m.support_hint} has no lattice modes on n={grid.n}"
             )
     else:
-        admissible = _component_box_mask(grid, grid.n // 4 - 1)
-        admissible[0, 0] = False
+        admissible = box_mask(grid, grid.n // 4 - 1)
         g_mask = admissible
 
     bands = []

@@ -15,14 +15,16 @@ import json
 import math
 import platform
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .bilinear import _fd_derivative, gevrey_commutator
+from .bilinear import _fd_derivative, _multi_indices, _r_alpha_sigma, gevrey_commutator
 from .dyadic import DEFAULT_SHARPNESS, BesovParams, build_system
 from .gevrey import (
     GevreyOverflowError,
     GevreyParams,
+    fit_line,
     fractional_laplacian,
     gevrey_multiply,
     heat_semigroup,
@@ -35,11 +37,13 @@ from .spectral import (
     RealField,
     SpectralField,
     _lp_quadrature,
+    box_mask,
     forward_transform,
-    hermitian_symmetrize,
+    hermitian_noise,
     inverse_transform,
     lp_norm,
     random_band_limited,
+    random_phases,
 )
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
@@ -166,17 +170,6 @@ def _report(cfg, trials, fits, verdict, notes=()):
     )
 
 
-def _fit_line(x, y):
-    """Least squares line fit with R^2."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss if ss > 0 else 1.0
-    return float(slope), float(intercept), float(r2)
-
-
 def _signed_power(values: np.ndarray, exponent: float) -> np.ndarray:
     """Signed power |v|^(e-1) v: odd, and equal to v itself at e = 1."""
     return np.sign(values) * np.abs(values) ** exponent
@@ -250,17 +243,10 @@ def check_bernstein(cfg: CheckConfig) -> InequalityReport:
 # ---------------------------------------------------------------------------
 
 
-def _smooth_noise(grid, seed, max_component=None):
+def _smooth_noise(grid, seed):
     """Band-limited random field with mildly decaying spectrum, no Nyquist."""
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
-    cutoff = max_component if max_component is not None else grid.n // 3
-    absf = np.abs(grid.freqs)
-    mask = (absf[:, None] <= cutoff) & (absf[None, :] <= cutoff)
-    mask[0, 0] = False
     shape = np.exp(-0.5 * (grid.k_mag / (0.5 * grid.k_nyquist)) ** 2)
-    coeffs = hermitian_symmetrize(grid, raw * mask * shape) * mask
-    return SpectralField(grid, coeffs)
+    return hermitian_noise(grid, box_mask(grid, grid.n // 3), np.random.default_rng(seed), shape)
 
 
 def check_positivity(cfg: CheckConfig) -> InequalityReport:
@@ -467,24 +453,8 @@ def check_concavity(cfg: CheckConfig) -> InequalityReport:
 
 
 def _r_alpha_sigma_fn(alpha, sigma):
-    def fn(xi, eta):
-        return (
-            np.linalg.norm(xi + sigma * eta, axis=-1) ** alpha
-            - np.linalg.norm(xi, axis=-1) ** alpha
-            - np.linalg.norm(eta, axis=-1) ** alpha
-        )
-
-    return fn
-
-
-def _order_indices(max_order):
-    singles = [(a, t - a) for t in range(max_order + 1) for a in range(t + 1)]
-    return [
-        (b1, b2)
-        for b1 in singles
-        for b2 in singles
-        if 0 < sum(b1) + sum(b2) <= max_order or (sum(b1) == sum(b2) == 0)
-    ]
+    """R_{alpha,sigma} as a function of (xi, eta) alone."""
+    return partial(_r_alpha_sigma, alpha=alpha, sigma=sigma)
 
 
 def check_r_derivatives(cfg: CheckConfig) -> InequalityReport:
@@ -519,7 +489,7 @@ def check_r_derivatives(cfg: CheckConfig) -> InequalityReport:
                     eta = np.tile(eta_pts, (xi_pts.shape[0], 1))
                     xm = np.linalg.norm(xi, axis=-1)
                     em = np.linalg.norm(eta, axis=-1)
-                    for b1, b2 in _order_indices(cfg.max_order):
+                    for b1, b2 in _multi_indices(cfg.max_order):
                         deriv = _fd_derivative(fn, xi, eta, b1, b2, 1e-3)
                         weighted = (
                             np.abs(deriv) * xm ** sum(b1) * em ** sum(b2)
@@ -576,10 +546,7 @@ def _prescribed_profile_field(grid, exponent, p, seed, extra_damping=0.0, alpha=
     regardless of lattice ring granularity.  Optional Gevrey damping
     multiplies in exp(-damping |k|^alpha).
     """
-    rng = np.random.default_rng(seed)
-    raw = rng.uniform(-math.pi, math.pi, (grid.n, grid.n))
-    idx = grid._neg_index
-    phase = np.exp(1j * 0.5 * (raw - raw[np.ix_(idx, idx)]))
+    phase = random_phases(grid, np.random.default_rng(seed))
     kmag = grid.k_mag
     j_top = int(math.floor(math.log2(grid.k_nyquist)))
     coeffs = np.zeros((grid.n, grid.n), dtype=complex)
@@ -641,7 +608,7 @@ def check_commutator_decay(cfg: CheckConfig) -> InequalityReport:
                 notes.append(f"{mode} s={s:g} t={t:g} p={p:g}: all-zero norms, fit skipped")
                 continue
             means = [float(np.mean(logs[j])) for j in js]
-            slope, _, r2 = _fit_line(js, means)
+            slope, _, r2 = fit_line(js, means)
             cap = -decay_target + cfg.slope_slack
             if mode == "gevrey":
                 cap += alpha - delta
@@ -797,7 +764,7 @@ def check_wellposedness(cfg: CheckConfig) -> InequalityReport:
     nondecreasing = all(b >= a * (1 - 1e-9) for (_, a), (_, b) in zip(radii, radii[1:]))
     fits["radius_nondecreasing"] = bool(nondecreasing)
     if len(usable) >= 3:
-        slope, _, r2 = _fit_line(
+        slope, _, r2 = fit_line(
             [math.log(t) for t, _ in usable], [math.log(r) for _, r in usable]
         )
         fits["radius_loglog_slope"] = slope

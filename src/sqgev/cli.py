@@ -19,7 +19,7 @@ from . import checks as checks_mod
 from .bilinear import SYMBOL_REGISTRY
 from .checks import ALL_CHECKS, CheckConfig, run_check
 from .dyadic import DEFAULT_SHARPNESS, BesovParams, default_system
-from .gevrey import GevreyParams, spectral_decay_fit, xt_norm
+from .gevrey import GevreyParams, fit_radius, spectral_decay_fit, xt_norm
 from .solver import (
     BlowUpError,
     InitialData,
@@ -252,8 +252,9 @@ def _cmd_analyze(args) -> int:
     system = default_system(grid, params["sharpness"])
     bp = BesovParams(1.0 + 2.0 / params["p"] - params["kappa"], params["p"], params["q"])
     rows, discarded = system.besov_report(field, bp)
-    gamma_hat, _, r2, n_rings, low_signal = spectral_decay_fit(field, params["alpha"])
-    radius = max(gamma_hat, 0.0) if not low_signal else 0.0
+    fit = spectral_decay_fit(field, params["alpha"])
+    _, _, r2, n_rings, _ = fit
+    radius = fit_radius(fit)
     report_path = out / "analysis.csv"
     with open(report_path, "w", newline="") as fh:
         fh.write(f"# snapshot={args.snapshot}\n")

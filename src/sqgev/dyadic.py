@@ -183,8 +183,6 @@ class DyadicSystem:
         """
         if f.grid != self.grid:
             raise ConfigError(f"field grid {f.grid} does not match system grid {self.grid}")
-        if not np.all(np.isfinite(f.coeffs)):
-            raise ConfigError("spectral field contains non-finite coefficients")
         if p == 2:
             return self._block_l2_norms(f)
         return np.array(
@@ -229,8 +227,8 @@ class DyadicSystem:
 
         At p = 2 the block norms come from Parseval over the ring spectrum,
         with no inverse transform; other p use the collocation quadrature of
-        each transformed block.  Non-finite coefficients raise ConfigError
-        and a non-Hermitian block raises HermitianSymmetryError.
+        each transformed block.  A non-Hermitian block raises
+        HermitianSymmetryError.
 
         Modes outside the resolved annuli (the mean and the corner modes
         beyond Nyquist) do not contribute; a nonzero mean triggers a

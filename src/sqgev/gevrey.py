@@ -202,25 +202,35 @@ def spectral_decay_fit(theta: SpectralField, alpha: float):
     if keep.sum() < 3:
         return 0.0, 0.0, 0.0, int(keep.sum()), True
 
-    x = radii[keep] ** alpha
-    y = -np.log(means[keep])
+    slope, intercept, r_squared = fit_line(radii[keep] ** alpha, -np.log(means[keep]))
+    return slope, intercept, r_squared, int(keep.sum()), False
+
+
+def fit_line(x, y):
+    """Least-squares line through (x, y): (slope, intercept, R^2)."""
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r_squared, int(keep.sum()), False
+    return float(slope), float(intercept), float(r_squared)
+
+
+def fit_radius(fit) -> float:
+    """Gevrey radius read off a spectral_decay_fit result: 0 on low signal,
+    else the fitted slope clamped at 0."""
+    gamma_hat, *_, low_signal = fit
+    return 0.0 if low_signal else max(gamma_hat, 0.0)
 
 
 def analyticity_radius_estimate(theta: SpectralField, alpha: float) -> float:
-    """Spectral-decay estimate of the Gevrey radius, clamped at zero."""
-    if not np.any(theta.coeffs):
-        warnings.warn("analyticity radius: field is zero (low signal)", stacklevel=2)
-        return 0.0
-    gamma_hat, _, _, _, low_signal = spectral_decay_fit(theta, alpha)
-    if low_signal:
+    """Spectral-decay estimate of the Gevrey radius, clamped at zero; warns
+    when the spectrum is too weak to fit (a zero field, say)."""
+    fit = spectral_decay_fit(theta, alpha)
+    if fit[-1]:  # low signal
         warnings.warn(
             "analyticity radius: spectrum numerically zero on the fit range",
             stacklevel=2,
         )
-        return 0.0
-    return max(gamma_hat, 0.0)
+    return fit_radius(fit)

@@ -9,29 +9,40 @@ advanced explicitly at second order.  The convention is
 
 with the quadratic term formed pseudo-spectrally (pointwise product in
 physical space) and dealiased by the two-thirds rule by default.
+
+The solution and its Picard iterates obey the same equation and differ only
+in where the advecting velocity comes from, so one loop (_march) advances a
+list of levels through the same time steps.  Each level names its velocity
+source: none (pure heat flow), its own velocity (the solution), or the
+velocity of the level below, frozen at both ends of each step (the Picard
+iterates).  `solve` is the one-level call and `picard_solve` the call with
+heat flow at level 0 and level l advected by level l - 1.  The loop records
+diagnostics, notes the first CFL excess of each level, and raises
+BlowUpError carrying the partial trajectory of the first non-finite level.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dyadic import DEFAULT_SHARPNESS, BesovParams, DyadicSystem, default_system
-from .gevrey import spectral_decay_fit
+from .gevrey import fit_radius, spectral_decay_fit
 from .spectral import (
     ConfigError,
     Grid,
     RealField,
     SpectralField,
+    box_mask,
     forward_transform,
     inverse_transform,
     load_field,
     lp_norm,
     random_band_limited,
+    random_phases,
 )
 
 ADVECTION_CONVENTION = "dtheta/dt + u.grad(theta) + Lambda^kappa theta = 0"
@@ -118,6 +129,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Recorded run of one level.  meta holds the advection convention, the
+    level (0 for `solve`) and the CFL notes."""
+
     config: SolverConfig
     times: tuple
     snapshots: tuple
@@ -133,16 +147,9 @@ class Trajectory:
 
 
 def dealias_mask(grid: Grid, rule: str) -> np.ndarray:
-    """Keep-mask for the quadratic term; always kills the mean mode."""
-    if rule == "none":
-        mask = np.ones((grid.n, grid.n), dtype=bool)
-    else:
-        cutoff = grid.n / 3.0
-        absf = np.abs(grid.freqs)
-        mask = (absf[:, None] < cutoff) & (absf[None, :] < cutoff)
-    mask = mask.copy()
-    mask[0, 0] = False
-    return mask
+    """Keep-mask for the quadratic term; always kills the mean mode.  The
+    two-thirds rule keeps integer components below n/3."""
+    return box_mask(grid, grid.n // 2 if rule == "none" else grid.n // 3)
 
 
 # -- initial data --------------------------------------------------------
@@ -159,21 +166,6 @@ def _gaussian_pair_values(grid: Grid) -> np.ndarray:
         dy = (x2 - 0.5 * L + 0.5 * L) % L - 0.5 * L
         out += sign * np.exp(-(dx**2 + dy**2) / (2.0 * width**2))
     return out - out.mean()
-
-
-def _flat_modulus_band(grid: Grid, seed: int) -> np.ndarray:
-    """Hermitian coefficients of unit modulus with random phases, filling the
-    two-thirds dealiasing box (so the spectrum survives a dealiased run and
-    the radius diagnostics see a flat baseline)."""
-    rng = np.random.default_rng(seed)
-    raw = rng.uniform(-math.pi, math.pi, (grid.n, grid.n))
-    idx = grid._neg_index
-    phase = 0.5 * (raw - raw[np.ix_(idx, idx)])  # antisymmetric
-    cutoff = grid.n / 3.0
-    absf = np.abs(grid.freqs)
-    mask = (absf[:, None] < cutoff) & (absf[None, :] < cutoff)
-    mask[0, 0] = False
-    return np.exp(1j * phase) * mask
 
 
 def initial_field(config: SolverConfig, system: DyadicSystem | None = None) -> SpectralField:
@@ -196,7 +188,10 @@ def initial_field(config: SolverConfig, system: DyadicSystem | None = None) -> S
     elif init.profile == "gaussian-pair":
         coeffs = forward_transform(RealField(grid, _gaussian_pair_values(grid))).coeffs.copy()
     elif init.profile == "random-band":
-        coeffs = _flat_modulus_band(grid, init.seed)
+        # unit modulus filling the two-thirds box, so the spectrum survives a
+        # dealiased run and the radius diagnostics see a flat baseline
+        rng = np.random.default_rng(init.seed)
+        coeffs = random_phases(grid, rng) * dealias_mask(grid, "two-thirds")
     elif init.profile == "single-ring":
         coeffs = random_band_limited(grid, init.ring_j, init.seed).coeffs.copy()
     else:  # unreachable; InitialData validates
@@ -277,42 +272,42 @@ def _heun_step(theta_hat, grid, dt, efactor, mask, frozen=None, frozen_next=None
     return new, umax
 
 
+def _guard(new, umax, dt, kmax, t, notes, partial):
+    """Check a step ending at time t.  While `notes` is empty, an advective
+    CFL number dt * max|k| * max|u| above 1 is warned about and appended to
+    it; a non-finite coefficient raises BlowUpError carrying partial()."""
+    if not notes and dt * kmax * umax > 1.0:
+        notes.append(
+            f"advective CFL heuristic exceeded at t={t:g}: "
+            f"dt*max|k|*max|u| = {dt * kmax * umax:.2f}"
+        )
+        warnings.warn(notes[-1], StabilityWarning, stacklevel=3)
+    if not np.all(np.isfinite(new)):
+        raise BlowUpError(f"blow-up at t={t:g}", t, partial())
+
+
 def step(theta: SpectralField, dt: float, config: SolverConfig) -> SpectralField:
     """Advance one step; exact heat flow when the advection term vanishes."""
     grid = theta.grid
     efactor = _heat_factor(grid, dt, config.kappa)
-    mask = dealias_mask(grid, config.dealias)
-    new, umax = _heun_step(theta.coeffs, grid, dt, efactor, mask)
-    kmax = float(np.max(grid.k_mag))
-    if dt * kmax * umax > 1.0:
-        warnings.warn(
-            f"advective CFL heuristic exceeded: dt*max|k|*max|u| = {dt * kmax * umax:.2f}",
-            StabilityWarning,
-            stacklevel=2,
-        )
-    if not np.all(np.isfinite(new)):
-        raise BlowUpError("non-finite coefficients after one step", dt, None)
+    new, umax = _heun_step(theta.coeffs, grid, dt, efactor, dealias_mask(grid, config.dealias))
+    _guard(new, umax, dt, float(np.max(grid.k_mag)), dt, [], lambda: None)
     return SpectralField(grid, new)
 
 
-def _diagnostics_row(t, theta_hat, grid, config, system):
-    fld = SpectralField(grid, theta_hat)
-    phys = inverse_transform(fld)
-    if np.any(theta_hat):
-        gamma_hat, *_, low_signal = spectral_decay_fit(fld, config.alpha)
-        radius = 0.0 if low_signal else max(gamma_hat, 0.0)
-    else:
-        radius = 0.0
+def _diagnostics_row(t, fld, config, system):
     return {
         "t": t,
         "l2": fld.l2_norm(),
-        "lp": lp_norm(phys, config.p),
+        "lp": lp_norm(inverse_transform(fld), config.p),
         "besov": system.besov_norm(fld, config.besov_params()),
-        "radius": radius,
+        "radius": fit_radius(spectral_decay_fit(fld, config.alpha)),
     }
 
 
-def _record_steps(config: SolverConfig) -> tuple[int, list[int]]:
+def _record_steps(config: SolverConfig) -> tuple[int, set[int]]:
+    """Step count and the set of recorded step indices (0 and the last
+    always included)."""
     ratio = config.t_end / config.dt
     n_steps = int(round(ratio))
     if n_steps < 1:
@@ -322,52 +317,67 @@ def _record_steps(config: SolverConfig) -> tuple[int, list[int]]:
             f"t_end={config.t_end:g} is not a whole number of steps dt={config.dt:g} "
             f"(t_end/dt = {ratio:.12g})"
         )
-    marks = list(range(0, n_steps + 1, config.record_every))
-    if marks[-1] != n_steps:
-        marks.append(n_steps)
-    return n_steps, marks
+    return n_steps, set(range(0, n_steps + 1, config.record_every)) | {n_steps}
 
 
-def solve(config: SolverConfig) -> Trajectory:
-    """Integrate SQG to t_end; raises BlowUpError carrying the partial run."""
-    grid = config.grid
+def _march(config: SolverConfig, sources: list) -> list[Trajectory]:
+    """Advance levels 0..len(sources)-1 from the configured initial data.
+
+    sources[l] is the level whose velocity advects level l: None for pure
+    heat flow, l itself for the self-advected solution, or a lower level
+    (advecting no other level), whose velocity is frozen at both ends of
+    each step.  A step's end-time velocity is reused as the next step's
+    start-time velocity.
+    """
+    grid, dt = config.grid, config.dt
     system = default_system(grid, config.sharpness)
-    theta = initial_field(config, system).coeffs.copy()
-    efactor = _heat_factor(grid, config.dt, config.kappa)
+    efactor = _heat_factor(grid, dt, config.kappa)
     mask = dealias_mask(grid, config.dealias)
     kmax = float(np.max(grid.k_mag))
     n_steps, marks = _record_steps(config)
 
-    times, snaps, diags = [], [], []
-    meta = {"convention": ADVECTION_CONVENTION, "warnings": []}
+    levels = range(len(sources))
+    theta = [initial_field(config, system).coeffs] * len(levels)
+    vel = {src: _collocation_velocity(theta[src], grid)
+           for lvl, src in enumerate(sources) if src not in (None, lvl)}
+    times, snaps, diags = ([[] for _ in levels] for _ in range(3))
+    metas = [{"convention": ADVECTION_CONVENTION, "level": lvl, "warnings": []} for lvl in levels]
 
-    def record(k, th):
-        t = k * config.dt
-        times.append(t)
-        snaps.append(SpectralField(grid, th))
-        diags.append(_diagnostics_row(t, th, grid, config, system))
+    def record(k):
+        for lvl in levels:
+            snap = SpectralField(grid, theta[lvl])
+            times[lvl].append(k * dt)
+            snaps[lvl].append(snap)
+            diags[lvl].append(_diagnostics_row(k * dt, snap, config, system))
 
-    record(0, theta)
-    cfl_flagged = False
+    def trajectory(lvl):
+        return Trajectory(
+            config, tuple(times[lvl]), tuple(snaps[lvl]), tuple(diags[lvl]), metas[lvl]
+        )
+
+    record(0)
     for k in range(1, n_steps + 1):
-        theta, umax = _heun_step(theta, grid, config.dt, efactor, mask)
-        if not cfl_flagged and config.dt * kmax * umax > 1.0:
-            note = (
-                f"advective CFL heuristic exceeded at t={k * config.dt:g}: "
-                f"dt*max|k|*max|u| = {config.dt * kmax * umax:.2f}"
-            )
-            meta["warnings"].append(note)
-            warnings.warn(note, StabilityWarning, stacklevel=2)
-            cfl_flagged = True
-        if not np.all(np.isfinite(theta)):
-            partial = Trajectory(config, tuple(times), tuple(snaps), tuple(diags), meta)
-            raise BlowUpError(
-                f"blow-up at t={k * config.dt:g}", k * config.dt, partial
-            )
-        if k in marks or k == n_steps:
-            record(k, theta)
+        for lvl, src in enumerate(sources):
+            if src is None:
+                new, umax = efactor * theta[lvl], 0.0
+            elif src == lvl:
+                new, umax = _heun_step(theta[lvl], grid, dt, efactor, mask)
+            else:
+                vel_end = _collocation_velocity(theta[src], grid)
+                new, umax = _heun_step(
+                    theta[lvl], grid, dt, efactor, mask, frozen=vel[src], frozen_next=vel_end
+                )
+                vel[src] = vel_end
+            _guard(new, umax, dt, kmax, k * dt, metas[lvl]["warnings"], lambda: trajectory(lvl))
+            theta[lvl] = new
+        if k in marks:
+            record(k)
+    return [trajectory(lvl) for lvl in levels]
 
-    return Trajectory(config, tuple(times), tuple(snaps), tuple(diags), meta)
+
+def solve(config: SolverConfig) -> Trajectory:
+    """Integrate SQG to t_end; raises BlowUpError carrying the partial run."""
+    return _march(config, [0])[0]
 
 
 def picard_solve(config: SolverConfig) -> list[Trajectory]:
@@ -379,59 +389,7 @@ def picard_solve(config: SolverConfig) -> list[Trajectory]:
     needs the full history of the previous one.  Returns trajectories for
     levels 0..picard_depth.
     """
-    if config.picard_depth < 0:
-        raise ConfigError("picard_depth must be >= 0")
-    grid = config.grid
-    system = default_system(grid, config.sharpness)
-    depth = config.picard_depth
-    theta0 = initial_field(config, system).coeffs.copy()
-    efactor = _heat_factor(grid, config.dt, config.kappa)
-    mask = dealias_mask(grid, config.dealias)
-    n_steps, marks = _record_steps(config)
-
-    prev = [theta0.copy() for _ in range(depth + 1)]
-    times = [[0.0] for _ in range(depth + 1)]
-    snaps = [[SpectralField(grid, theta0)] for _ in range(depth + 1)]
-    diags = [[_diagnostics_row(0.0, theta0, grid, config, system)] for _ in range(depth + 1)]
-
-    # collocation velocity of every level below the top at the current time;
-    # a step's end-time velocity is the next step's start-time velocity
-    vel = [_collocation_velocity(prev[lvl], grid) for lvl in range(depth)]
-    for k in range(1, n_steps + 1):
-        t = k * config.dt
-        nxt = [None] * (depth + 1)
-        nxt[0] = efactor * prev[0]
-        for lvl in range(1, depth + 1):
-            vel_end = _collocation_velocity(nxt[lvl - 1], grid)
-            nxt[lvl], _ = _heun_step(
-                prev[lvl], grid, config.dt, efactor, mask,
-                frozen=vel[lvl - 1], frozen_next=vel_end,
-            )
-            vel[lvl - 1] = vel_end
-        for lvl in range(depth + 1):
-            if not np.all(np.isfinite(nxt[lvl])):
-                partial = Trajectory(
-                    config, tuple(times[lvl]), tuple(snaps[lvl]), tuple(diags[lvl]),
-                    {"convention": ADVECTION_CONVENTION, "level": lvl},
-                )
-                raise BlowUpError(f"Picard level {lvl} blow-up at t={t:g}", t, partial)
-        if k in marks or k == n_steps:
-            for lvl in range(depth + 1):
-                times[lvl].append(t)
-                snaps[lvl].append(SpectralField(grid, nxt[lvl]))
-                diags[lvl].append(_diagnostics_row(t, nxt[lvl], grid, config, system))
-        prev = nxt
-
-    return [
-        Trajectory(
-            config,
-            tuple(times[lvl]),
-            tuple(snaps[lvl]),
-            tuple(diags[lvl]),
-            {"convention": ADVECTION_CONVENTION, "level": lvl},
-        )
-        for lvl in range(depth + 1)
-    ]
+    return _march(config, [None, *range(config.picard_depth)])
 
 
 # -- run artifacts ---------------------------------------------------------

@@ -224,6 +224,8 @@ class SpectralField:
             raise ConfigError(
                 f"coefficient shape {c.shape} does not match grid {(self.grid.n, self.grid.n)}"
             )
+        if not np.all(np.isfinite(c)):
+            raise ConfigError("spectral field contains non-finite coefficients")
         object.__setattr__(self, "coeffs", _freeze(c.copy()))
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
@@ -341,10 +343,37 @@ def band_mask(grid: Grid, lo: float, hi: float) -> np.ndarray:
     return (kmag >= lo) & (kmag <= hi) & (kmag <= grid.k_nyquist) & (kmag > 0)
 
 
+def box_mask(grid: Grid, max_component: int) -> np.ndarray:
+    """Modes whose integer frequency components are all at most
+    max_component in absolute value, the mean mode excluded."""
+    absf = np.abs(grid.freqs)
+    mask = (absf[:, None] <= max_component) & (absf[None, :] <= max_component)
+    mask[0, 0] = False
+    return mask
+
+
 def hermitian_symmetrize(grid: Grid, raw: np.ndarray) -> np.ndarray:
     """Project a complex array onto the Hermitian-symmetric subspace."""
     idx = grid._neg_index
     return 0.5 * (raw + np.conj(raw[np.ix_(idx, idx)]))
+
+
+def hermitian_noise(grid: Grid, mask: np.ndarray, rng, profile=1.0) -> SpectralField:
+    """Random Hermitian field: complex Gaussian coefficients times a radial
+    ``profile`` (an array or a scalar), symmetrized and restricted to ``mask``.
+
+    Draws the real parts, then the imaginary parts, of a full n-by-n array.
+    """
+    raw = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
+    return SpectralField(grid, hermitian_symmetrize(grid, raw * mask * profile) * mask)
+
+
+def random_phases(grid: Grid, rng) -> np.ndarray:
+    """Hermitian unit-modulus coefficients exp(i phase), with the phase the
+    antisymmetric part of a uniform draw on [-pi, pi)."""
+    raw = rng.uniform(-math.pi, math.pi, (grid.n, grid.n))
+    idx = grid._neg_index
+    return np.exp(1j * (0.5 * (raw - raw[np.ix_(idx, idx)])))
 
 
 def random_band_limited(grid: Grid, j: int, seed: int) -> SpectralField:
@@ -359,12 +388,7 @@ def random_band_limited(grid: Grid, j: int, seed: int) -> SpectralField:
             f"dyadic annulus j={j} contains no lattice point on an "
             f"n={grid.n}, L={grid.box_length:g} grid"
         )
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal(
-        (grid.n, grid.n)
-    )
-    coeffs = hermitian_symmetrize(grid, raw * mask) * mask
-    return SpectralField(grid, coeffs)
+    return hermitian_noise(grid, mask, np.random.default_rng(seed))
 
 
 # --- field snapshot files ------------------------------------------------

@@ -24,9 +24,9 @@ from sqgev.solver import InitialData, SolverConfig, solve
 from sqgev.spectral import (
     Grid,
     RealField,
-    SpectralField,
+    box_mask,
     forward_transform,
-    hermitian_symmetrize,
+    hermitian_noise,
     inverse_transform,
     lp_norm,
     save_field,
@@ -39,12 +39,7 @@ def _report(label: str, ok: bool, detail: str) -> None:
 
 
 def box_noise(grid, max_component, seed):
-    rng = np.random.default_rng(seed)
-    absf = np.abs(grid.freqs)
-    mask = (absf[:, None] <= max_component) & (absf[None, :] <= max_component)
-    mask[0, 0] = False
-    raw = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
-    return SpectralField(grid, hermitian_symmetrize(grid, raw * mask) * mask)
+    return hermitian_noise(grid, box_mask(grid, max_component), np.random.default_rng(seed))
 
 
 class TestAcceptance:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sqgev.bilinear import (
+    _multi_indices,
     BilinearSymbol,
     CostGuardError,
     MarcinkiewiczReport,
@@ -36,7 +37,9 @@ from sqgev.spectral import (
     Grid,
     RealField,
     SpectralField,
+    box_mask,
     forward_transform,
+    hermitian_noise,
     hermitian_symmetrize,
     inverse_transform,
     random_band_limited,
@@ -45,12 +48,7 @@ from sqgev.spectral import (
 
 def box_limited_noise(grid, max_component, seed):
     """Hermitian noise with |integer frequency components| <= max_component."""
-    rng = np.random.default_rng(seed)
-    absf = np.abs(grid.freqs)
-    mask = (absf[:, None] <= max_component) & (absf[None, :] <= max_component)
-    mask[0, 0] = False
-    raw = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
-    return SpectralField(grid, hermitian_symmetrize(grid, raw * mask) * mask)
+    return hermitian_noise(grid, box_mask(grid, max_component), np.random.default_rng(seed))
 
 
 def naive_double_sum(m, f, g):
@@ -233,6 +231,19 @@ class TestMarcinkiewicz:
             if sum(b1) + sum(b2) >= 1:
                 assert val == pytest.approx(0.0, abs=1e-12)
         assert report.entries[((0, 0), (0, 0))] == pytest.approx(1.0)
+
+    def test_multi_index_enumeration(self):
+        # the same pairs, in the same order, as the enumeration written out
+        # with the zero pair listed separately
+        for max_order in range(-1, 5):
+            singles = [(a, t - a) for t in range(max_order + 1) for a in range(t + 1)]
+            expected = [
+                (b1, b2)
+                for b1 in singles
+                for b2 in singles
+                if 0 < sum(b1) + sum(b2) <= max_order or sum(b1) == sum(b2) == 0
+            ]
+            assert _multi_indices(max_order) == expected
 
     def test_riesz_component_matches_analytic_gradient(self):
         # m = xi_1/|xi|: d/d xi_1 = 1/|xi| - xi_1^2/|xi|^3

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from sqgev.checks import (
-    _fit_line,
     _prescribed_profile_field,
     _r_alpha_sigma_fn,
     _signed_power,
@@ -16,6 +15,7 @@ from sqgev.checks import (
     run_check,
 )
 from sqgev.dyadic import build_system
+from sqgev.gevrey import fit_line as _fit_line
 from sqgev.gevrey import fractional_laplacian, gevrey_multiply, heat_semigroup
 from sqgev.spectral import (
     ConfigError,

@@ -209,6 +209,23 @@ class TestSolve:
         cfg = cosine_config(initial_data=InitialData("zero"))
         traj = solve(cfg)
         assert all(row["l2"] == 0.0 for row in traj.diagnostics)
+        assert all(row["radius"] == 0.0 for row in traj.diagnostics)
+
+    def test_matches_plain_heun_loop(self):
+        # the shared stepping loop adds nothing to the Heun step, bit for bit
+        cfg = cosine_config(
+            n=32, record_every=1, initial_data=InitialData("random-band", amplitude=0.5, seed=2)
+        )
+        traj = solve(cfg)
+        assert traj.meta["level"] == 0 and traj.meta["warnings"] == []
+        grid = cfg.grid
+        efactor = _heat_factor(grid, cfg.dt, cfg.kappa)
+        mask = dealias_mask(grid, cfg.dealias)
+        theta = initial_field(cfg).coeffs
+        assert np.array_equal(theta, traj.snapshots[0].coeffs)
+        for snap in traj.snapshots[1:]:
+            theta, _ = _heun_step(theta, grid, cfg.dt, efactor, mask)
+            assert np.array_equal(theta, snap.coeffs)
 
     def test_huge_dt_warns(self):
         cfg = cosine_config(
@@ -283,6 +300,20 @@ class TestPicard:
                     frozen_next=_collocation_velocity(below[k + 1], grid),
                 )
                 assert np.array_equal(theta, levels[lvl].snapshots[k + 1].coeffs)
+
+    def test_past_cfl_warns_and_blowup_carries_partial_trajectory(self):
+        cfg = cosine_config(
+            n=32, picard_depth=2, dt=0.5, t_end=50.0, record_every=1000,
+            initial_data=InitialData("random-band", amplitude=1e4, seed=7),
+        )
+        with pytest.warns(StabilityWarning):
+            with pytest.raises(BlowUpError) as err:
+                picard_solve(cfg)
+        partial = err.value.trajectory
+        assert isinstance(partial, Trajectory)
+        assert err.value.time > 0
+        assert partial.times[-1] < err.value.time
+        assert partial.meta["warnings"]
 
     def test_depth_zero_is_heat_flow(self):
         cfg = cosine_config(n=32, picard_depth=0, record_every=2)

@@ -16,11 +16,14 @@ from sqgev.spectral import (
     RealField,
     SpectralField,
     apply_multiplier,
+    band_mask,
     forward_transform,
+    hermitian_symmetrize,
     inverse_transform,
     load_field,
     lp_norm,
     random_band_limited,
+    random_phases,
     save_field,
 )
 
@@ -125,6 +128,14 @@ class TestTransforms:
         v[3, 3] = np.nan
         with pytest.raises(ConfigError):
             RealField(grid, v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_spectral_field(self, bad):
+        c = np.zeros((8, 8), dtype=complex)
+        c[1, 2] = bad
+        for coeffs in (c, np.full((8, 8), complex(0.0, bad))):
+            with pytest.raises(ConfigError):
+                SpectralField(Grid(8), coeffs)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -265,6 +276,24 @@ class TestRandomBandLimited:
         F1 = random_band_limited(grid, 3, seed=1)
         F2 = random_band_limited(grid, 3, seed=2)
         assert np.max(np.abs(F1.coeffs - F2.coeffs)) > 0
+
+    def test_draw_order(self):
+        # real parts, then imaginary parts, of one full n-by-n draw
+        grid = Grid(32)
+        rng = np.random.default_rng(5)
+        raw = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+        mask = band_mask(grid, 2.0, 8.0)
+        expected = hermitian_symmetrize(grid, raw * mask) * mask
+        assert np.array_equal(random_band_limited(grid, 2, seed=5).coeffs, expected)
+
+    def test_random_phases_draw_order(self):
+        grid = Grid(32)
+        raw = np.random.default_rng(5).uniform(-math.pi, math.pi, (32, 32))
+        idx = (-np.arange(32)) % 32
+        expected = np.exp(1j * 0.5 * (raw - raw[np.ix_(idx, idx)]))
+        phases = random_phases(grid, np.random.default_rng(5))
+        assert np.array_equal(phases, expected)
+        assert SpectralField(grid, phases).hermitian_defect() == 0.0
 
 
 class TestSnapshotFiles:
