@@ -51,6 +51,6 @@ from .bilinear import (
     registered_symbol,
     rotation_dual,
 )
-from .checks import ALL_CHECKS, CheckConfig, InequalityReport, run_check
+from .checks import ALL_CHECKS, InequalityReport, run_check
 
 __version__ = "0.1.0"

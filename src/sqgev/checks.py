@@ -7,14 +7,21 @@ the fitted constant exists, is finite, and is uniform (within the stated
 spread) over the swept parameter that the estimate's constant must not
 depend on.  A regression with R^2 < 0.9 can never pass; it is flagged
 inconclusive instead.
+
+Each check_* takes its parameters as keyword arguments, whose defaults are
+the check's configuration, and returns (trials, fits, verdict, notes);
+run_check overlays the overrides on those defaults and builds the report.
+Tolerances: slope_slack in log2 units, constant_cap for parameter-uniform
+ratio caps, min_r_squared for regressions.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import platform
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -32,6 +39,7 @@ from .gevrey import (
 )
 from .solver import BlowUpError, InitialData, SolverConfig, picard_solve, solve
 from .spectral import (
+    TWO_PI,
     ConfigError,
     Grid,
     RealField,
@@ -47,57 +55,6 @@ from .spectral import (
 )
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
-
-
-@dataclass(frozen=True)
-class CheckConfig:
-    """Shared configuration for all checks; each check documents the fields
-    it reads.  Tolerances: slope_slack in log2 units, constant_cap for
-    parameter-uniform ratio caps, min_r_squared for regressions."""
-
-    check_id: str = ""
-    n: int = 128
-    ns: tuple = ()
-    box_length: float = 2.0 * math.pi
-    j_lo: int = 1
-    j_hi: int = 5
-    trials: int = 100
-    seed: int = 0
-    sharpness: float = DEFAULT_SHARPNESS
-    # exponent sweeps
-    p_set: tuple = (2.0, 4.0)
-    s_set: tuple = (0.25, 0.5, 1.0)
-    kappa_set: tuple = (0.5, 0.8)
-    gamma_set: tuple = (0.01, 0.1, 0.5)
-    alpha: float = 0.3
-    kappa: float = 0.8
-    delta: float = 0.1
-    beta: float = 0.3
-    lam: float = 0.5
-    t_grid: tuple = tuple(float(t) for t in np.logspace(-2, 0, 5))
-    # concavity / R-derivative sweeps
-    alpha_set: tuple = (0.3, 0.5, 0.9)
-    c_set: tuple = (0.5, 1.0, 2.0)
-    sigma_set: tuple = (0.0, 0.5, 1.0)
-    gap_set: tuple = (3, 4, 5, 6, 7)
-    max_order: int = 2
-    # commutator-decay exponent triples (s, t, p)
-    st_sets: tuple = ((1.2, 0.3, 2.0), (1.3, 0.5, 4.0))
-    commutator_gamma: float = 0.05
-    commutator_alpha: float = 0.6
-    field_damping: float = 0.25  # gamma' of the G_{-gamma'} test-field smoothing
-    # well-posedness
-    amplitudes: tuple = (0.01, 0.1, 1.0)
-    p: float = 2.0
-    q: float = 2.0
-    dt: float = 0.01
-    t_end: float = 1.0
-    record_every: int = 10
-    picard_depth: int = 6
-    # tolerances
-    slope_slack: float = 0.2
-    constant_cap: float = 50.0
-    min_r_squared: float = 0.9
 
 
 @dataclass
@@ -152,24 +109,6 @@ def _environment() -> dict:
     }
 
 
-def _echo(cfg: CheckConfig) -> dict:
-    d = asdict(cfg)
-    d = {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
-    return d
-
-
-def _report(cfg, trials, fits, verdict, notes=()):
-    return InequalityReport(
-        check_id=cfg.check_id,
-        config=_echo(cfg),
-        trials=trials,
-        fits=fits,
-        verdict=verdict,
-        notes=list(notes),
-        environment=_environment(),
-    )
-
-
 def _signed_power(values: np.ndarray, exponent: float) -> np.ndarray:
     """Signed power |v|^(e-1) v: odd, and equal to v itself at e = 1."""
     return np.sign(values) * np.abs(values) ** exponent
@@ -189,25 +128,28 @@ def _lp_of(field: SpectralField, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_bernstein(cfg: CheckConfig) -> InequalityReport:
+def check_bernstein(
+    *, n=128, box_length=TWO_PI, sharpness=DEFAULT_SHARPNESS, j_lo=1, j_hi=5,
+    trials=500, seed=0, s_set=(0.25, 0.5, 1.0), p_set=(2.0, 4.0, 8.0),
+):
     """Two-sided block norm equivalences: the fractional-derivative sandwich
     ratio and its |f|^(p/2) variant must be j-uniform within 2^(2|s|)*1.1."""
-    grid = Grid(cfg.n, cfg.box_length)
-    system = build_system(grid, cfg.sharpness)
-    if cfg.j_hi > system.j_max:
+    grid = Grid(n, box_length)
+    system = build_system(grid, sharpness)
+    if j_hi > system.j_max:
         raise ConfigError(
-            f"dyadic range up to {cfg.j_hi} not resolved on n={cfg.n} "
+            f"dyadic range up to {j_hi} not resolved on n={n} "
             f"(max {system.j_max})"
         )
-    js = list(range(cfg.j_lo, cfg.j_hi + 1))
+    js = list(range(j_lo, j_hi + 1))
     rows = []
-    for trial in range(cfg.trials):
+    for trial in range(trials):
         j = js[trial % len(js)]
-        f = _shaped_band_field(grid, system, j, cfg.seed + trial)
+        f = _shaped_band_field(grid, system, j, seed + trial)
         phys = inverse_transform(f)
-        for s in cfg.s_set:
+        for s in s_set:
             lam_s = fractional_laplacian(f, s)
-            for p in cfg.p_set:
+            for p in p_set:
                 base = lp_norm(phys, p)
                 if base == 0.0:
                     continue
@@ -224,9 +166,9 @@ def check_bernstein(cfg: CheckConfig) -> InequalityReport:
     fits = {}
     verdict = PASS
     worst_spread = 0.0
-    for s in cfg.s_set:
+    for s in s_set:
         cap = 2.0 ** (2.0 * abs(s)) * 1.1
-        for p in cfg.p_set:
+        for p in p_set:
             for key in ("ratio", "gen_ratio"):
                 vals = [r[key] for r in rows if r["s"] == s and r["p"] == p]
                 spread = max(vals) / min(vals)
@@ -235,7 +177,7 @@ def check_bernstein(cfg: CheckConfig) -> InequalityReport:
                 if spread > cap:
                     verdict = FAIL
     fits["spread"] = worst_spread  # worst spread as a fraction of its cap
-    return _report(cfg, rows, fits, verdict)
+    return rows, fits, verdict, []
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +191,18 @@ def _smooth_noise(grid, seed):
     return hermitian_noise(grid, box_mask(grid, grid.n // 3), np.random.default_rng(seed), shape)
 
 
-def check_positivity(cfg: CheckConfig) -> InequalityReport:
+def check_positivity(
+    *, n=64, box_length=TWO_PI, trials=200, seed=0,
+    s_set=(0.25, 0.5, 0.9), p_set=(2.0, 4.0, 6.0),
+):
     """int Lambda^s f |f|^(p-2) f dx >= (2/p) || Lambda^(s/2) f^(p/2) ||_2^2
     with the signed power; exact equality at p = 2."""
-    grid = Grid(cfg.n, cfg.box_length)
-    p_set = cfg.p_set if cfg.p_set != CheckConfig.p_set else (2.0, 4.0, 6.0)
-    s_set = cfg.s_set if cfg.s_set != CheckConfig.s_set else (0.25, 0.5, 0.9)
+    grid = Grid(n, box_length)
     rows = []
     verdict = PASS
     worst = math.inf
-    for trial in range(cfg.trials):
-        f = _smooth_noise(grid, cfg.seed + trial)
+    for trial in range(trials):
+        f = _smooth_noise(grid, seed + trial)
         phys = inverse_transform(f)
         for s in s_set:
             lam_f = inverse_transform(fractional_laplacian(f, s))
@@ -281,7 +224,7 @@ def check_positivity(cfg: CheckConfig) -> InequalityReport:
                 if p == 2.0 and abs(diff) > 1e-12 * scale:
                     verdict = FAIL
     fits = {"max_ratio": worst}  # most negative normalized difference
-    return _report(cfg, rows, fits, verdict)
+    return rows, fits, verdict, []
 
 
 # ---------------------------------------------------------------------------
@@ -289,27 +232,31 @@ def check_positivity(cfg: CheckConfig) -> InequalityReport:
 # ---------------------------------------------------------------------------
 
 
-def check_heat_kernel(cfg: CheckConfig) -> InequalityReport:
+def check_heat_kernel(
+    *, n=128, box_length=TWO_PI, sharpness=DEFAULT_SHARPNESS, j_lo=1, j_hi=5,
+    trials=100, seed=0, kappa_set=(0.5, 0.8), p_set=(2.0, 4.0),
+    t_grid=tuple(float(t) for t in np.logspace(-2, 0, 5)),
+):
     """Measured block decay rates r = -log(norm ratio)/t must straddle
     2^(kappa j) with a j,t,p-uniform spread at most 2^kappa * 1.1."""
-    grid = Grid(cfg.n, cfg.box_length)
-    system = build_system(grid, cfg.sharpness)
-    js = list(range(cfg.j_lo, cfg.j_hi + 1))
+    grid = Grid(n, box_length)
+    system = build_system(grid, sharpness)
+    js = list(range(j_lo, j_hi + 1))
     rows = []
     skipped = 0
     fits = {}
     verdict = PASS
-    for kappa in cfg.kappa_set:
+    for kappa in kappa_set:
         scaled = []
-        for trial in range(cfg.trials):
+        for trial in range(trials):
             j = js[trial % len(js)]
-            f = _shaped_band_field(grid, system, j, cfg.seed + trial)
-            for p in cfg.p_set:
+            f = _shaped_band_field(grid, system, j, seed + trial)
+            for p in p_set:
                 base = _lp_of(f, p)
                 if base == 0.0:
                     skipped += 1
                     continue
-                for t in cfg.t_grid:
+                for t in t_grid:
                     decayed = heat_semigroup(f, t, kappa)
                     rate = -math.log(_lp_of(decayed, p) / base) / t
                     value = rate / 2.0 ** (kappa * j)
@@ -323,9 +270,9 @@ def check_heat_kernel(cfg: CheckConfig) -> InequalityReport:
         fits[f"spread_kappa{kappa:g}"] = c1 / c2
         if not (c2 > 0 and math.isfinite(c1) and c1 / c2 <= 2.0**kappa * 1.1):
             verdict = FAIL
-    fits["spread"] = max(fits[f"spread_kappa{k:g}"] for k in cfg.kappa_set)
+    fits["spread"] = max(fits[f"spread_kappa{k:g}"] for k in kappa_set)
     notes = [f"{skipped} zero-norm trials skipped"] if skipped else []
-    return _report(cfg, rows, fits, verdict, notes)
+    return rows, fits, verdict, notes
 
 
 # ---------------------------------------------------------------------------
@@ -333,30 +280,34 @@ def check_heat_kernel(cfg: CheckConfig) -> InequalityReport:
 # ---------------------------------------------------------------------------
 
 
-def check_lin_gevrey(cfg: CheckConfig) -> InequalityReport:
+def check_lin_gevrey(
+    *, n=128, box_length=TWO_PI, sharpness=DEFAULT_SHARPNESS, j_lo=0, j_hi=4,
+    trials=60, seed=0, alpha=0.3, kappa=0.8, gamma_set=(0.01, 0.1, 0.5),
+    p_set=(2.0, 4.0), constant_cap=50.0,
+):
     """||G Lambda^alpha block|| over its two-term majorant, uniformly capped
     over the (j, gamma) sweep; prefactor gamma^((kappa-alpha)/alpha)."""
-    if not 0 < cfg.alpha < cfg.kappa:
-        raise ConfigError(f"need 0 < alpha < kappa, got {cfg.alpha}, {cfg.kappa}")
-    grid = Grid(cfg.n, cfg.box_length)
-    system = build_system(grid, cfg.sharpness)
-    js = list(range(cfg.j_lo, cfg.j_hi + 1))
-    exponent = (cfg.kappa - cfg.alpha) / cfg.alpha
+    if not 0 < alpha < kappa:
+        raise ConfigError(f"need 0 < alpha < kappa, got {alpha}, {kappa}")
+    grid = Grid(n, box_length)
+    system = build_system(grid, sharpness)
+    js = list(range(j_lo, j_hi + 1))
+    exponent = (kappa - alpha) / alpha
     rows = []
     skipped = 0
-    for trial in range(cfg.trials):
+    for trial in range(trials):
         j = js[trial % len(js)]
-        f = _shaped_band_field(grid, system, j, cfg.seed + trial)
-        lam_a = fractional_laplacian(f, cfg.alpha)
-        lam_k = fractional_laplacian(f, cfg.kappa)
-        for gamma in cfg.gamma_set:
+        f = _shaped_band_field(grid, system, j, seed + trial)
+        lam_a = fractional_laplacian(f, alpha)
+        lam_k = fractional_laplacian(f, kappa)
+        for gamma in gamma_set:
             try:
-                left_f = gevrey_multiply(lam_a, gamma, cfg.alpha)
-                right_f = gevrey_multiply(lam_k, gamma, cfg.alpha)
+                left_f = gevrey_multiply(lam_a, gamma, alpha)
+                right_f = gevrey_multiply(lam_k, gamma, alpha)
             except GevreyOverflowError:
                 skipped += 1
                 continue
-            for p in cfg.p_set:
+            for p in p_set:
                 denom = _lp_of(lam_a, p) + gamma**exponent * _lp_of(right_f, p)
                 if denom == 0.0:
                     skipped += 1
@@ -366,13 +317,13 @@ def check_lin_gevrey(cfg: CheckConfig) -> InequalityReport:
     ratios = [r["ratio"] for r in rows]
     per_gamma = {
         f"max_ratio_gamma{g:g}": max(r["ratio"] for r in rows if r["gamma"] == g)
-        for g in cfg.gamma_set
+        for g in gamma_set
         if any(r["gamma"] == g for r in rows)
     }
     fits = {"max_ratio": max(ratios), "prefactor_exponent": exponent, **per_gamma}
-    verdict = PASS if max(ratios) <= cfg.constant_cap else FAIL
+    verdict = PASS if max(ratios) <= constant_cap else FAIL
     notes = [f"{skipped} overflow/degenerate trials skipped"] if skipped else []
-    return _report(cfg, rows, fits, verdict, notes)
+    return rows, fits, verdict, notes
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +331,15 @@ def check_lin_gevrey(cfg: CheckConfig) -> InequalityReport:
 # ---------------------------------------------------------------------------
 
 
-def check_concavity(cfg: CheckConfig) -> InequalityReport:
+def check_concavity(*, seed=0, alpha_set=(0.3, 0.5, 0.9), c_set=(0.5, 1.0, 2.0)):
     """Brute-force minimum of (|xi|^a + |eta|^a - |xi+eta|^a)/|eta|^a over
     |xi|/|eta| >= c, plus the 1D reduction g(x) = |x|^a + 1 - |x+1|^a."""
     rows = []
     fits = {}
     verdict = PASS
-    rng = np.random.default_rng(cfg.seed)
-    for alpha in cfg.alpha_set:
-        for c in cfg.c_set:
+    rng = np.random.default_rng(seed)
+    for alpha in alpha_set:
+        for c in c_set:
             radii = np.geomspace(c, c * 2.0**10, 400)
             angles = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
             R, A = np.meshgrid(radii, angles, indexing="ij")
@@ -444,7 +395,7 @@ def check_concavity(cfg: CheckConfig) -> InequalityReport:
         verdict = FAIL
 
     fits["epsilon_min"] = min(r["epsilon_2d"] for r in rows)
-    return _report(cfg, rows, fits, verdict)
+    return rows, fits, verdict, []
 
 
 # ---------------------------------------------------------------------------
@@ -457,19 +408,24 @@ def _r_alpha_sigma_fn(alpha, sigma):
     return partial(_r_alpha_sigma, alpha=alpha, sigma=sigma)
 
 
-def check_r_derivatives(cfg: CheckConfig) -> InequalityReport:
+def check_r_derivatives(
+    *, alpha_set=(0.3, 0.5, 0.9), sigma_set=(0.0, 0.5, 1.0), gap_set=(3, 4, 5, 6, 7),
+    max_order=2, constant_cap=50.0,
+):
     """Weighted maxima |d^b1_xi d^b2_eta R_{alpha,sigma}| |xi|^|b1| |eta|^|b2|
-    / 2^(l alpha) uniform over the frequency-separated probe family."""
-    alpha_set = tuple(a for a in cfg.alpha_set if a < 1.0) or (0.3, 0.7)
+    / 2^(l alpha) uniform over the frequency-separated probe family; the
+    bound is stated for 0 < alpha < 1."""
+    if not all(0 < a < 1 for a in alpha_set):
+        raise ConfigError(f"R_alpha,sigma bounds need 0 < alpha < 1, got alpha_set={alpha_set}")
     rows = []
     worst = 0.0
     n_ang = 6
     angles = (np.arange(n_ang) + 0.29) * 2.0 * math.pi / n_ang
     for alpha in alpha_set:
-        for sigma in cfg.sigma_set:
+        for sigma in sigma_set:
             fn = _r_alpha_sigma_fn(alpha, sigma)
             for l in (0, 1):
-                for gap in cfg.gap_set:
+                for gap in gap_set:
                     k = l + gap
                     xi_pts = np.array(
                         [
@@ -489,7 +445,7 @@ def check_r_derivatives(cfg: CheckConfig) -> InequalityReport:
                     eta = np.tile(eta_pts, (xi_pts.shape[0], 1))
                     xm = np.linalg.norm(xi, axis=-1)
                     em = np.linalg.norm(eta, axis=-1)
-                    for b1, b2 in _multi_indices(cfg.max_order):
+                    for b1, b2 in _multi_indices(max_order):
                         deriv = _fd_derivative(fn, xi, eta, b1, b2, 1e-3)
                         weighted = (
                             np.abs(deriv) * xm ** sum(b1) * em ** sum(b2)
@@ -509,8 +465,8 @@ def check_r_derivatives(cfg: CheckConfig) -> InequalityReport:
                         )
                         worst = max(worst, value)
     fits = {"max_ratio": worst}
-    verdict = PASS if worst <= cfg.constant_cap and math.isfinite(worst) else FAIL
-    return _report(cfg, rows, fits, verdict)
+    verdict = PASS if worst <= constant_cap and math.isfinite(worst) else FAIL
+    return rows, fits, verdict, []
 
 
 # ---------------------------------------------------------------------------
@@ -563,38 +519,45 @@ def _prescribed_profile_field(grid, exponent, p, seed, extra_damping=0.0, alpha=
     return SpectralField(grid, coeffs)
 
 
-def check_commutator_decay(cfg: CheckConfig) -> InequalityReport:
+def check_commutator_decay(
+    *, n=128, box_length=TWO_PI, sharpness=DEFAULT_SHARPNESS, j_lo=1, j_hi=5,
+    trials=50, seed=0, st_sets=((1.2, 0.3, 2.0), (1.3, 0.5, 4.0)),
+    commutator_gamma=0.05, commutator_alpha=0.6, delta=0.1, field_damping=0.25,
+    slope_slack=0.2, min_r_squared=0.9,
+):
     """log2 || [G_gamma Delta_j, f] g ||_p regressed against j: the slope must
-    not exceed -(s+t-2/p) (+ (alpha-delta) in Gevrey mode) plus slack."""
-    grid = Grid(cfg.n, cfg.box_length)
-    system = build_system(grid, cfg.sharpness)
-    js = list(range(cfg.j_lo, min(cfg.j_hi, system.j_max) + 1))
-    gamma, alpha, delta = cfg.commutator_gamma, cfg.commutator_alpha, cfg.delta
-    if not cfg.field_damping > gamma:
+    not exceed -(s+t-2/p) (+ (alpha-delta) in Gevrey mode) plus slack.
+    st_sets holds the exponent triples (s, t, p); field_damping is the
+    gamma' of the G_{-gamma'} test-field smoothing."""
+    grid = Grid(n, box_length)
+    system = build_system(grid, sharpness)
+    js = list(range(j_lo, min(j_hi, system.j_max) + 1))
+    gamma, alpha = commutator_gamma, commutator_alpha
+    if not field_damping > gamma:
         raise ConfigError(
-            f"test fields need damping gamma' > gamma: {cfg.field_damping} vs {gamma}"
+            f"test fields need damping gamma' > gamma: {field_damping} vs {gamma}"
         )
     rows = []
     fits = {}
     notes = []
     verdict = PASS
-    for s, t, p in cfg.st_sets:
+    for s, t, p in st_sets:
         notes.extend(_hypotheses(s, t, p, delta))
         decay_target = s + t - 2.0 / p
         for mode, gma, damping in (
-            ("classical", 0.0, cfg.field_damping),
-            ("gevrey", gamma, cfg.field_damping),
+            ("classical", 0.0, field_damping),
+            ("gevrey", gamma, field_damping),
         ):
             logs = {j: [] for j in js}
-            for trial in range(cfg.trials):
+            for trial in range(trials):
                 f = _prescribed_profile_field(
-                    grid, s, p, cfg.seed + 17 * trial, damping, alpha
+                    grid, s, p, seed + 17 * trial, damping, alpha
                 )
                 g = _prescribed_profile_field(
-                    grid, t, p, cfg.seed + 17 * trial + 5, damping, alpha
+                    grid, t, p, seed + 17 * trial + 5, damping, alpha
                 )
                 for j in js:
-                    norm = lp_norm(gevrey_commutator(f, g, j, gma, alpha, cfg.sharpness), p)
+                    norm = lp_norm(gevrey_commutator(f, g, j, gma, alpha, sharpness), p)
                     if norm == 0.0:
                         # degenerate trial (a constant operand, say): nothing
                         # to regress against
@@ -609,25 +572,25 @@ def check_commutator_decay(cfg: CheckConfig) -> InequalityReport:
                 continue
             means = [float(np.mean(logs[j])) for j in js]
             slope, _, r2 = fit_line(js, means)
-            cap = -decay_target + cfg.slope_slack
+            cap = -decay_target + slope_slack
             if mode == "gevrey":
                 cap += alpha - delta
             tag = f"{mode}_s{s:g}_t{t:g}_p{p:g}"
             fits[f"slope_{tag}"] = slope
             fits[f"cap_{tag}"] = cap
             fits[f"r2_{tag}"] = r2
-            if r2 < cfg.min_r_squared:
+            if r2 < min_r_squared:
                 verdict = INCONCLUSIVE if verdict == PASS else verdict
-                notes.append(f"{tag}: regression R^2 = {r2:.3f} < {cfg.min_r_squared}")
+                notes.append(f"{tag}: regression R^2 = {r2:.3f} < {min_r_squared}")
             elif slope > cap:
                 verdict = FAIL
 
         # continuity of the Gevrey weight at gamma -> 0
-        f = _prescribed_profile_field(grid, s, p, cfg.seed + 1)
-        g = _prescribed_profile_field(grid, t, p, cfg.seed + 6)
+        f = _prescribed_profile_field(grid, s, p, seed + 1)
+        g = _prescribed_profile_field(grid, t, p, seed + 6)
         j_mid = js[len(js) // 2]
-        n0 = lp_norm(gevrey_commutator(f, g, j_mid, 0.0, alpha, cfg.sharpness), p)
-        n_eps = lp_norm(gevrey_commutator(f, g, j_mid, 1e-4, alpha, cfg.sharpness), p)
+        n0 = lp_norm(gevrey_commutator(f, g, j_mid, 0.0, alpha, sharpness), p)
+        n_eps = lp_norm(gevrey_commutator(f, g, j_mid, 1e-4, alpha, sharpness), p)
         drift = abs(n_eps - n0) / n0
         fits[f"gamma_continuity_s{s:g}_t{t:g}_p{p:g}"] = drift
         if drift > 0.01:
@@ -637,7 +600,7 @@ def check_commutator_decay(cfg: CheckConfig) -> InequalityReport:
     if slope_keys:
         fits["worst_slope"] = max(fits[k] - fits["cap_" + k[len("slope_"):]] for k in slope_keys)
         fits["r_squared"] = min(v for k, v in fits.items() if k.startswith("r2_"))
-    return _report(cfg, rows, fits, verdict, notes)
+    return rows, fits, verdict, notes
 
 
 # ---------------------------------------------------------------------------
@@ -651,13 +614,18 @@ def _xt_of_trajectory(traj, gp, bp, system):
     return sup
 
 
-def check_wellposedness(cfg: CheckConfig) -> InequalityReport:
+def check_wellposedness(
+    *, n=128, box_length=TWO_PI, sharpness=DEFAULT_SHARPNESS, seed=0,
+    alpha=0.4, kappa=0.8, lam=0.5, beta=0.3, amplitudes=(0.01, 0.1, 1.0),
+    p=2.0, q=2.0, dt=0.01, t_end=1.0, record_every=10, picard_depth=6,
+    constant_cap=50.0, min_r_squared=0.9,
+):
     """Small-data bounds for the approximation scheme: uniform X_T control,
     vanishing heat-flow X_T as T -> 0, contraction of successive iterates,
     amplitude-linearity, and the Gevrey-radius growth exponent."""
-    grid = Grid(cfg.n, cfg.box_length)
-    system = build_system(grid, cfg.sharpness)
-    gp = GevreyParams(alpha=cfg.alpha, kappa=cfg.kappa, lam=cfg.lam, beta=cfg.beta)
+    grid = Grid(n, box_length)
+    system = build_system(grid, sharpness)
+    gp = GevreyParams(alpha=alpha, kappa=kappa, lam=lam, beta=beta)
     rows = []
     fits = {}
     notes = [
@@ -669,21 +637,21 @@ def check_wellposedness(cfg: CheckConfig) -> InequalityReport:
     def run_cfg(amplitude, depth=0):
         return SolverConfig(
             grid=grid,
-            kappa=cfg.kappa,
-            dt=cfg.dt,
-            t_end=cfg.t_end,
+            kappa=kappa,
+            dt=dt,
+            t_end=t_end,
             picard_depth=depth,
-            initial_data=InitialData("random-band", amplitude, seed=cfg.seed),
-            record_every=cfg.record_every,
-            p=cfg.p,
-            q=cfg.q,
+            initial_data=InitialData("random-band", amplitude, seed=seed),
+            record_every=record_every,
+            p=p,
+            q=q,
             alpha=gp.alpha,
-            sharpness=cfg.sharpness,
+            sharpness=sharpness,
         )
 
-    base = run_cfg(cfg.amplitudes[1], cfg.picard_depth)
+    base = run_cfg(amplitudes[1], picard_depth)
     bp_sigma = base.besov_params()
-    bp_lift = BesovParams(base.sigma + cfg.beta, cfg.p, cfg.q)
+    bp_lift = BesovParams(base.sigma + beta, p, q)
 
     # (a) + contraction: Picard iterates at the middle amplitude
     levels = picard_solve(base)
@@ -694,7 +662,7 @@ def check_wellposedness(cfg: CheckConfig) -> InequalityReport:
         xt_ratios.append(sup / theta0_norm)
         rows.append({"kind": "xt_ratio", "level": lvl, "value": xt_ratios[-1]})
     fits["max_xt_ratio"] = max(xt_ratios)
-    if not (math.isfinite(max(xt_ratios)) and max(xt_ratios) <= cfg.constant_cap):
+    if not (math.isfinite(max(xt_ratios)) and max(xt_ratios) <= constant_cap):
         verdict = FAIL
 
     gaps = []
@@ -716,8 +684,8 @@ def check_wellposedness(cfg: CheckConfig) -> InequalityReport:
     # so the trajectory is sampled on a geometric grid reaching down to
     # horizons far below the solver step
     theta0 = levels[0].snapshots[0]
-    heat_ts = [cfg.t_end * 2.0**-i for i in range(12)]
-    heat_samples = [(t, heat_semigroup(theta0, t, cfg.kappa)) for t in heat_ts]
+    heat_ts = [t_end * 2.0**-i for i in range(12)]
+    heat_samples = [(t, heat_semigroup(theta0, t, kappa)) for t in heat_ts]
     sups = []
     for i in range(len(heat_ts)):
         sup, _ = xt_norm(heat_samples[i:], gp, bp_lift, system)
@@ -732,13 +700,13 @@ def check_wellposedness(cfg: CheckConfig) -> InequalityReport:
 
     # (c) amplitude sweep: linear-regime ratio stability, blow-up is fatal
     sweep_ratios = []
-    for amplitude in cfg.amplitudes:
+    for amplitude in amplitudes:
         try:
             traj = solve(run_cfg(amplitude))
         except BlowUpError as exc:
             rows.append({"kind": "sweep", "amplitude": amplitude, "value": None})
             notes.append(f"blow-up at amplitude {amplitude:g}, t={exc.time:g}")
-            if amplitude == min(cfg.amplitudes):
+            if amplitude == min(amplitudes):
                 verdict = FAIL
             continue
         sup = _xt_of_trajectory(traj, gp, bp_lift, system)
@@ -755,7 +723,7 @@ def check_wellposedness(cfg: CheckConfig) -> InequalityReport:
         verdict = FAIL
 
     # Gevrey radius growth on the smallest-amplitude run
-    small = solve(run_cfg(min(cfg.amplitudes)))
+    small = solve(run_cfg(min(amplitudes)))
     radii = [(row["t"], row["radius"]) for row in small.diagnostics if row["t"] > 0]
     first_decade = [(t, r) for t, r in radii if t <= radii[0][0] * 10.0 + 1e-12]
     usable = [(t, r) for t, r in first_decade if r > 0]
@@ -769,11 +737,11 @@ def check_wellposedness(cfg: CheckConfig) -> InequalityReport:
         )
         fits["radius_loglog_slope"] = slope
         fits["r_squared"] = r2
-        target = 0.8 * gp.alpha / cfg.kappa
+        target = 0.8 * gp.alpha / kappa
         fits["radius_slope_target"] = target
-        if r2 < cfg.min_r_squared:
+        if r2 < min_r_squared:
             verdict = INCONCLUSIVE if verdict == PASS else verdict
-            notes.append(f"radius regression R^2 = {r2:.3f} < {cfg.min_r_squared}")
+            notes.append(f"radius regression R^2 = {r2:.3f} < {min_r_squared}")
         elif slope < target:
             verdict = FAIL
     else:
@@ -782,7 +750,7 @@ def check_wellposedness(cfg: CheckConfig) -> InequalityReport:
     if not nondecreasing:
         verdict = FAIL
 
-    return _report(cfg, rows, fits, verdict, notes)
+    return rows, fits, verdict, notes
 
 
 # ---------------------------------------------------------------------------
@@ -800,27 +768,24 @@ ALL_CHECKS = {
     "wellposedness": check_wellposedness,
 }
 
-# per-check defaults where the global CheckConfig defaults do not fit
-CHECK_PRESETS = {
-    "bernstein": dict(n=128, trials=500, p_set=(2.0, 4.0, 8.0), s_set=(0.25, 0.5, 1.0)),
-    "positivity": dict(n=64, trials=200, p_set=(2.0, 4.0, 6.0), s_set=(0.25, 0.5, 0.9)),
-    "heat-kernel": dict(n=128, trials=100, p_set=(2.0, 4.0), kappa_set=(0.5, 0.8)),
-    "lin-gevrey": dict(n=128, trials=60, j_lo=0, j_hi=4, alpha=0.3, kappa=0.8),
-    "concavity": dict(),
-    "r-derivatives": dict(),
-    "commutator-decay": dict(n=128, trials=50),
-    "wellposedness": dict(n=128, kappa=0.8, alpha=0.4, beta=0.3, p=2.0),
-}
 
-
-def make_config(check_id: str, **overrides) -> CheckConfig:
+def check_defaults(check_id: str) -> dict:
+    """The parameters a check takes, with their defaults."""
     if check_id not in ALL_CHECKS:
         raise ConfigError(f"unknown check {check_id!r}; known: {sorted(ALL_CHECKS)}")
-    params = dict(CHECK_PRESETS.get(check_id, {}))
-    params.update(overrides)
-    return CheckConfig(check_id=check_id, **params)
+    params = inspect.signature(ALL_CHECKS[check_id]).parameters
+    return {name: param.default for name, param in params.items()}
 
 
 def run_check(check_id: str, **overrides) -> InequalityReport:
-    cfg = make_config(check_id, **overrides)
-    return ALL_CHECKS[check_id](cfg)
+    """Run one check with its defaults overlaid by overrides; the report's
+    config holds every parameter the check took."""
+    config = check_defaults(check_id)
+    unknown = sorted(set(overrides) - set(config))
+    if unknown:
+        raise ConfigError(
+            f"check {check_id!r} takes no {', '.join(unknown)}; it takes {', '.join(config)}"
+        )
+    config.update(overrides)
+    trials, fits, verdict, notes = ALL_CHECKS[check_id](**config)
+    return InequalityReport(check_id, config, trials, fits, verdict, notes, _environment())

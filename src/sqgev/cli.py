@@ -1,8 +1,10 @@
 """Command-line harness: simulate, picard, analyze, verify, symbols.
 
-Configuration is flat key=value text; command-line --set overrides win over
-the file, and environment variables prefixed SQGEV_ win over both.  Exit
-codes: 0 success, 2 usage/config error, 3 numerical blow-up, 4 check failure.
+Configuration is flat key=value text.  Precedence: defaults, then the
+--config file, then SQGEV_<KEY> environment variables, then --set overrides.
+The run keys come from the fields of the solver config dataclasses, the
+verify keys from the keyword defaults of the checks.  Exit codes: 0
+success, 2 usage/config error, 3 numerical blow-up, 4 check failure.
 """
 
 from __future__ import annotations
@@ -10,71 +12,35 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
-import math
 import os
 import sys
 from pathlib import Path
 
 from . import checks as checks_mod
 from .bilinear import SYMBOL_REGISTRY
-from .checks import ALL_CHECKS, CheckConfig, run_check
-from .dyadic import DEFAULT_SHARPNESS, BesovParams, default_system
+from .checks import ALL_CHECKS, check_defaults, run_check
+from .dyadic import BesovParams, default_system
 from .gevrey import GevreyParams, fit_radius, spectral_decay_fit, xt_norm
 from .solver import (
     BlowUpError,
-    InitialData,
     SolverConfig,
     Trajectory,
     config_echo,
+    config_from_flat,
+    flat_config,
     picard_solve,
     solve,
     write_diagnostics,
 )
-from .spectral import ConfigError, Grid, SpectralField, forward_transform, load_field, save_field
+from .spectral import ConfigError, SpectralField, forward_transform, load_field, save_field
 
 ENV_PREFIX = "SQGEV_"
 
-RUN_KEYS = {
-    "n": int,
-    "box_length": float,
-    "kappa": float,
-    "dt": float,
-    "t_end": float,
-    "dealias": str,
-    "picard_depth": int,
-    "record_every": int,
-    "initial_data": str,
-    "amplitude": float,
-    "init_seed": int,
-    "ring_j": int,
-    "p": float,
-    "q": float,
-    "alpha": float,
-    "beta": float,
-    "lam": float,
-    "sharpness": float,
-}
-
-RUN_DEFAULTS = {
-    "n": 128,
-    "box_length": 2.0 * math.pi,
-    "kappa": 0.8,
-    "dt": 0.01,
-    "t_end": 1.0,
-    "dealias": "two-thirds",
-    "picard_depth": 4,
-    "record_every": 10,
-    "initial_data": "random-band",
-    "amplitude": 0.1,
-    "init_seed": 0,
-    "ring_j": 2,
-    "p": 2.0,
-    "q": 2.0,
-    "alpha": 0.4,
-    "beta": 0.3,
-    "lam": 0.5,
-    "sharpness": DEFAULT_SHARPNESS,
-}
+# The run keys with their defaults and types, all taken from the config
+# dataclasses: SolverConfig, then the X_T trace parameters of GevreyParams.
+RUN_DEFAULTS = flat_config(SolverConfig())
+RUN_DEFAULTS.update(flat_config(config_from_flat(GevreyParams, RUN_DEFAULTS)))
+RUN_KEYS = {key: type(value) for key, value in RUN_DEFAULTS.items()}
 
 
 class UsageError(ValueError):
@@ -94,12 +60,6 @@ def _coerce(key: str, raw: str, keys: dict):
         raise UsageError(f"unknown key {key!r}; valid keys: {', '.join(sorted(keys))}")
     target = keys[key]
     try:
-        if target is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         return target(raw)
     except ValueError as exc:
         raise UsageError(f"key {key!r} expects {target.__name__}, got {raw!r}") from exc
@@ -132,32 +92,21 @@ def parse_config(path: str | None, overrides: list[str], keys: dict, defaults: d
     return merged
 
 
-def _solver_config(params: dict) -> tuple[SolverConfig, GevreyParams]:
-    grid = Grid(params["n"], params["box_length"])
-    initial = InitialData(
-        profile=params["initial_data"],
-        amplitude=params["amplitude"],
-        seed=params["init_seed"],
-        ring_j=params["ring_j"],
-    )
-    cfg = SolverConfig(
-        grid=grid,
-        kappa=params["kappa"],
-        dt=params["dt"],
-        t_end=params["t_end"],
-        dealias=params["dealias"],
-        picard_depth=params["picard_depth"],
-        initial_data=initial,
-        record_every=params["record_every"],
-        p=params["p"],
-        q=params["q"],
-        alpha=params["alpha"],
-        sharpness=params["sharpness"],
-    )
-    gp = GevreyParams(
-        alpha=params["alpha"], kappa=params["kappa"], lam=params["lam"], beta=params["beta"]
-    )
-    return cfg, gp
+def _field_echo(cfg: SolverConfig) -> dict:
+    return {f"config_{k}": v for k, v in config_echo(cfg).items()}
+
+
+def _save_blowup(out: Path, exc: BlowUpError, suffix: str = "") -> None:
+    """Last valid snapshot and diagnostics of the level that blew up."""
+    traj = exc.trajectory
+    if traj.snapshots:
+        save_field(
+            out / f"last_snapshot{suffix}.field",
+            traj.snapshots[-1],
+            time=traj.times[-1],
+            extra=_field_echo(traj.config),
+        )
+        write_diagnostics(traj, out / f"diagnostics{suffix}.csv")
 
 
 def _write_xt_trace(path, traj: Trajectory, gp: GevreyParams, system) -> None:
@@ -177,26 +126,20 @@ def _write_xt_trace(path, traj: Trajectory, gp: GevreyParams, system) -> None:
 
 def _cmd_simulate(args) -> int:
     params = parse_config(args.config, args.set, RUN_KEYS, RUN_DEFAULTS)
-    cfg, gp = _solver_config(params)
+    cfg = config_from_flat(SolverConfig, params)
+    gp = config_from_flat(GevreyParams, params)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    echo = {f"config_{k}": v for k, v in config_echo(cfg).items()}
     try:
         traj = solve(cfg)
     except BlowUpError as exc:
-        if exc.trajectory is not None and exc.trajectory.snapshots:
-            save_field(
-                out / "last_snapshot.field",
-                exc.trajectory.snapshots[-1],
-                time=exc.trajectory.times[-1],
-                extra=echo,
-            )
-            write_diagnostics(exc.trajectory, out / "diagnostics.csv")
+        _save_blowup(out, exc)
         print(f"blow-up at t={exc.time:g}; last snapshot saved", file=sys.stderr)
         return 3
     write_diagnostics(traj, out / "diagnostics.csv")
     system = default_system(cfg.grid, cfg.sharpness)
     _write_xt_trace(out / "xt_trace.csv", traj, gp, system)
+    echo = _field_echo(cfg)
     for t, snap in zip(traj.times, traj.snapshots):
         save_field(out / f"snapshot_t{t:.6f}.field", snap, time=t, extra=echo)
     print(f"run complete: t_end={traj.times[-1]:g}, {len(traj.snapshots)} snapshots -> {out}")
@@ -205,14 +148,20 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_picard(args) -> int:
     params = parse_config(args.config, args.set, RUN_KEYS, RUN_DEFAULTS)
-    cfg, gp = _solver_config(params)
+    cfg = config_from_flat(SolverConfig, params)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     system = default_system(cfg.grid, cfg.sharpness)
     try:
         levels = picard_solve(cfg)
     except BlowUpError as exc:
-        print(f"blow-up at t={exc.time:g} during Picard iteration", file=sys.stderr)
+        level = exc.trajectory.meta["level"]
+        _save_blowup(out, exc, f"_level{level}")
+        print(
+            f"blow-up at t={exc.time:g} during Picard iteration (level {level}); "
+            "last snapshot saved",
+            file=sys.stderr,
+        )
         return 3
     bp = cfg.besov_params()
     rows = []
@@ -229,13 +178,11 @@ def _cmd_picard(args) -> int:
         writer.writerow(["level", "sup_besov_gap_to_next"])
         for lvl, gap in rows:
             writer.writerow([lvl, repr(gap)])
+    echo = _field_echo(cfg)
     for lvl, traj in enumerate(levels):
         write_diagnostics(traj, out / f"diagnostics_level{lvl}.csv")
         save_field(
-            out / f"final_level{lvl}.field",
-            traj.snapshots[-1],
-            time=traj.times[-1],
-            extra={f"config_{k}": v for k, v in config_echo(cfg).items()},
+            out / f"final_level{lvl}.field", traj.snapshots[-1], time=traj.times[-1], extra=echo
         )
     print(f"picard complete: {len(levels)} levels -> {out}")
     return 0
@@ -278,23 +225,12 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _check_keys() -> dict:
-    int_tuples = {"gap_set", "ns"}
-    skip = {"check_id", "st_sets"}  # nested tuples stay code-side
-    keys = {}
-    for name, fld in CheckConfig.__dataclass_fields__.items():
-        if name in skip:
-            continue
-        typ = fld.type if isinstance(fld.type, type) else str(fld.type)
-        if typ in (int, "int"):
-            keys[name] = int
-        elif typ in (float, "float"):
-            keys[name] = float
-        elif typ in (str, "str"):
-            keys[name] = str
-        elif typ in (tuple, "tuple"):
-            keys[name] = int_tuple if name in int_tuples else float_tuple
-    return keys
+def _key_type(default):
+    """Parser of a verify key, from its default; None for nested tuples,
+    which stay code-side."""
+    if not isinstance(default, tuple):
+        return type(default)
+    return {int: int_tuple, float: float_tuple}.get(type(default[0]))
 
 
 def _cmd_verify(args) -> int:
@@ -302,14 +238,26 @@ def _cmd_verify(args) -> int:
     for cid in ids:
         if cid not in ALL_CHECKS:
             raise UsageError(f"unknown check {cid!r}; known: {', '.join(sorted(ALL_CHECKS))}")
-    keys = _check_keys()
+    takes = {cid: check_defaults(cid) for cid in ALL_CHECKS}
+    keys = {
+        key: _key_type(default)
+        for params in takes.values()
+        for key, default in params.items()
+        if _key_type(default)
+    }
     overrides = parse_config(args.config, args.set, keys, {})
+    untaken = {item.partition("=")[0].strip() for item in args.set}
+    untaken -= {key for cid in ids for key in takes[cid]}
+    if untaken:
+        raise UsageError(
+            f"no selected check takes {', '.join(sorted(untaken))}; checks: {', '.join(ids)}"
+        )
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
     failed = False
     for cid in ids:
-        report = run_check(cid, **overrides)
+        report = run_check(cid, **{k: v for k, v in overrides.items() if k in takes[cid]})
         report.write(out / f"{cid}.json")
         summary.append(
             (cid, report.verdict, report.key_constant(), report.residual())

@@ -37,9 +37,9 @@ class GevreyParams:
 
     alpha: float
     kappa: float
-    lam: float = 1.0
+    lam: float = 0.5
     gamma: float = 0.0
-    beta: float = 0.0
+    beta: float = 0.3
 
     def __post_init__(self):
         if not (0.0 < self.alpha < self.kappa <= 1.0):

@@ -18,14 +18,15 @@ velocity of the level below, frozen at both ends of each step (the Picard
 iterates).  `solve` is the one-level call and `picard_solve` the call with
 heat flow at level 0 and level l advected by level l - 1.  The loop records
 diagnostics, notes the first CFL excess of each level, and raises
-BlowUpError carrying the partial trajectory of the first non-finite level.
+BlowUpError carrying the partial trajectory of the first level that turns
+non-finite or whose recorded field fails the Hermitian check.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .gevrey import fit_radius, spectral_decay_fit
 from .spectral import (
     ConfigError,
     Grid,
+    HermitianSymmetryError,
     RealField,
     SpectralField,
     box_mask,
@@ -65,7 +67,8 @@ class StabilityWarning(UserWarning):
 
 @dataclass(frozen=True)
 class InitialData:
-    """Named analytic profile (plus amplitude/seed) or a snapshot file.
+    """Named analytic profile (plus amplitude/seed) or a snapshot file
+    given as profile "file:<path>".
 
     The amplitude is the prescribed homogeneous Besov norm at the critical
     regularity sigma = 1 + 2/p - kappa of the run.
@@ -75,7 +78,6 @@ class InitialData:
     amplitude: float = 0.1
     seed: int = 0
     ring_j: int = 2
-    path: str | None = None
 
     def __post_init__(self):
         if self.profile not in PROFILES and not self.profile.startswith("file"):
@@ -89,20 +91,23 @@ class InitialData:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    grid: Grid
+    """A run.  These defaults are the defaults of the command line too; the
+    field order is the order of the config echo."""
+
+    grid: Grid = Grid(128)
     kappa: float = 0.8
     dt: float = 1e-2
     t_end: float = 1.0
     dealias: str = "two-thirds"
-    picard_depth: int = 0
-    initial_data: InitialData = field(default_factory=InitialData)
-    record_every: int = 1
+    picard_depth: int = 4
+    record_every: int = 10
     # diagnostics: L^p / Besov indices and the Gevrey exponent of the
     # radius estimate
     p: float = 2.0
     q: float = 2.0
     alpha: float = 0.4
     sharpness: float = DEFAULT_SHARPNESS
+    initial_data: InitialData = InitialData()
 
     def __post_init__(self):
         if not (0.0 < self.kappa <= 2.0):
@@ -174,8 +179,7 @@ def initial_field(config: SolverConfig, system: DyadicSystem | None = None) -> S
     system = system or default_system(grid, config.sharpness)
     init = config.initial_data
     if init.profile.startswith("file"):
-        path = init.path or init.profile.partition(":")[2]
-        loaded, _ = load_field(path)
+        loaded, _ = load_field(init.profile.partition(":")[2])
         if isinstance(loaded, RealField):
             loaded = forward_transform(loaded)
         if loaded.grid != grid:
@@ -344,11 +348,18 @@ def _march(config: SolverConfig, sources: list) -> list[Trajectory]:
     metas = [{"convention": ADVECTION_CONVENTION, "level": lvl, "warnings": []} for lvl in levels]
 
     def record(k):
+        t = k * dt
         for lvl in levels:
             snap = SpectralField(grid, theta[lvl])
-            times[lvl].append(k * dt)
+            try:
+                row = _diagnostics_row(t, snap, config, system)
+            except HermitianSymmetryError as exc:
+                # an unstable mode can amplify the round-off Hermitian defect
+                # while every coefficient is still finite
+                raise BlowUpError(f"blow-up at t={t:g}: {exc}", t, trajectory(lvl)) from exc
+            times[lvl].append(t)
             snaps[lvl].append(snap)
-            diags[lvl].append(_diagnostics_row(k * dt, snap, config, system))
+            diags[lvl].append(row)
 
     def trajectory(lvl):
         return Trajectory(
@@ -395,27 +406,40 @@ def picard_solve(config: SolverConfig) -> list[Trajectory]:
 # -- run artifacts ---------------------------------------------------------
 
 
+# Run keys: one per leaf field of SolverConfig and GevreyParams, nested
+# dataclasses flattened in field order and keys named after their fields,
+# except these (None: not a key, as no run reads GevreyParams.gamma).
+KEY_SPELLINGS = {"profile": "initial_data", "seed": "init_seed", "gamma": None}
+
+
+def flat_config(config) -> dict:
+    """{run key: value} over the leaf fields of a config dataclass."""
+    flat = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        key = KEY_SPELLINGS.get(f.name, f.name)
+        if is_dataclass(value):
+            flat.update(flat_config(value))
+        elif key is not None:
+            flat[key] = value
+    return flat
+
+
+def config_from_flat(cls, params: dict):
+    """Build the config dataclass cls from run keys, the inverse of
+    flat_config; a field whose key is absent keeps its default."""
+    kwargs = {}
+    for f in fields(cls):
+        key = KEY_SPELLINGS.get(f.name, f.name)
+        if is_dataclass(f.default):
+            kwargs[f.name] = config_from_flat(type(f.default), {**flat_config(f.default), **params})
+        elif key in params:
+            kwargs[f.name] = params[key]
+    return cls(**kwargs)
+
+
 def config_echo(config: SolverConfig) -> dict:
-    init = config.initial_data
-    return {
-        "n": config.grid.n,
-        "box_length": config.grid.box_length,
-        "kappa": config.kappa,
-        "dt": config.dt,
-        "t_end": config.t_end,
-        "dealias": config.dealias,
-        "picard_depth": config.picard_depth,
-        "record_every": config.record_every,
-        "p": config.p,
-        "q": config.q,
-        "alpha": config.alpha,
-        "sharpness": config.sharpness,
-        "initial_data": init.profile,
-        "amplitude": init.amplitude,
-        "init_seed": init.seed,
-        "ring_j": init.ring_j,
-        "convention": ADVECTION_CONVENTION,
-    }
+    return {**flat_config(config), "convention": ADVECTION_CONVENTION}
 
 
 def write_diagnostics(trajectory: Trajectory, path) -> None:

@@ -11,7 +11,6 @@ from sqgev.checks import (
     _prescribed_profile_field,
     _r_alpha_sigma_fn,
     _signed_power,
-    make_config,
     run_check,
 )
 from sqgev.dyadic import build_system
@@ -220,7 +219,22 @@ class TestHypothesisGate:
 
     def test_unknown_check_id(self):
         with pytest.raises(ConfigError):
-            make_config("nonsense")
+            run_check("nonsense")
+
+
+class TestParameters:
+    def test_positivity_runs_the_given_exponents(self):
+        rep = run_check("positivity", n=16, trials=1, p_set=(2.0, 4.0))
+        assert {row["p"] for row in rep.trials} == {2.0, 4.0}
+        assert rep.config["p_set"] == (2.0, 4.0)
+
+    def test_r_derivatives_rejects_alpha_outside_the_bound(self):
+        with pytest.raises(ConfigError, match="alpha"):
+            run_check("r-derivatives", alpha_set=(1.5,))
+
+    def test_key_the_check_does_not_take(self):
+        with pytest.raises(ConfigError, match="dt"):
+            run_check("concavity", dt=99.0)
 
 
 class TestReports:

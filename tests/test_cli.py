@@ -67,6 +67,34 @@ class TestParseConfig:
         assert float_tuple("2,4,8") == (2.0, 4.0, 8.0)
 
 
+def echoed(path):
+    """The '# key=value' header lines of an artifact."""
+    lines = path.read_text().splitlines()
+    return dict(l[2:].split("=", 1) for l in lines if l.startswith("# ") and "=" in l)
+
+
+class TestRunKeys:
+    def test_every_run_key_round_trips(self, tmp_path):
+        values = dict(
+            n=32, box_length=3.0, kappa=0.9, dt=0.02, t_end=0.08, dealias="none",
+            picard_depth=2, record_every=2, p=4.0, q=1.0, alpha=0.3, sharpness=10.0,
+            initial_data="gaussian-pair", amplitude=0.05, init_seed=3, ring_j=3,
+            lam=0.7, beta=0.2,
+        )
+        assert set(values) == set(RUN_KEYS)
+        assert all(value != RUN_DEFAULTS[key] for key, value in values.items())
+        sets = [arg for key, value in values.items() for arg in ("--set", f"{key}={value}")]
+        run = tmp_path / "run"
+        assert main(["simulate", "-o", str(run), *sets]) == 0
+        snapshot = next(run.glob("snapshot_*.field"))
+        assert main(["analyze", str(snapshot), "-o", str(tmp_path / "ana"), *sets]) == 0
+        config = echoed(run / "diagnostics.csv")
+        analysis = echoed(tmp_path / "ana" / "analysis.csv")
+        for key, value in values.items():
+            raw = analysis[key] if key in ("lam", "beta") else config[key]
+            assert RUN_KEYS[key](raw) == value
+
+
 class TestSimulateVerb:
     def test_zero_initial_data_exits_clean(self, tmp_path):
         out = tmp_path / "run"
@@ -123,6 +151,39 @@ class TestPicardVerb:
         assert "sup_besov_gap_to_next" in conv
         assert (out / "diagnostics_level2.csv").exists()
 
+    @pytest.mark.parametrize("kappa", ["0.5", "1.5"])
+    def test_kappa_outside_the_x_t_range_runs(self, tmp_path, kappa):
+        # only simulate writes the X_T trace, so only simulate needs
+        # 0 <= beta < kappa/2 and kappa <= 1
+        code = main(
+            ["picard", "-o", str(tmp_path / "pic"), "--set", "n=16", "--set", "t_end=0.02",
+             "--set", f"kappa={kappa}"]
+        )
+        assert code == 0
+
+    def test_blowup_exits_3_and_saves_the_failing_level(self, tmp_path):
+        out = tmp_path / "boom"
+        with pytest.warns(UserWarning):
+            code = main(
+                ["picard", "-o", str(out), "--set", "n=32", "--set", "dt=0.5",
+                 "--set", "t_end=50", "--set", "amplitude=10000", "--set", "picard_depth=2",
+                 "--set", "record_every=1000"]
+            )
+        assert code == 3
+        files = sorted(p.name for p in out.iterdir())
+        assert files == ["diagnostics_level2.csv", "last_snapshot_level2.field"]
+        assert "# picard_depth=2" in (out / "diagnostics_level2.csv").read_text()
+
+    def test_hermitian_defect_in_diagnostics_exits_3(self, tmp_path):
+        with pytest.warns(UserWarning):
+            code = main(
+                ["picard", "-o", str(tmp_path / "boom"), "--set", "n=32", "--set", "dt=0.5",
+                 "--set", "t_end=50", "--set", "amplitude=100000", "--set", "picard_depth=1",
+                 "--set", "record_every=1", "--set", "init_seed=7"]
+            )
+        assert code == 3
+        assert (tmp_path / "boom" / "last_snapshot_level1.field").exists()
+
 
 class TestAnalyzeVerb:
     def test_heat_flow_snapshot_radius(self, tmp_path):
@@ -172,6 +233,25 @@ class TestVerifyVerb:
         report = json.loads((out / "positivity.json").read_text())
         assert report["config"]["n"] == 32
         assert report["config"]["trials"] == 5
+
+    def test_key_no_selected_check_takes_exits_2(self, tmp_path, capsys):
+        code = main(
+            ["verify", "--check", "concavity", "-o", str(tmp_path / "v"), "--set", "dt=99"]
+        )
+        assert code == 2
+        assert "dt" in capsys.readouterr().err
+
+    def test_key_goes_to_each_selected_check_that_takes_it(self, tmp_path):
+        out = tmp_path / "v"
+        code = main(
+            ["verify", "--check", "concavity", "--check", "positivity", "-o", str(out),
+             "--set", "n=16", "--set", "trials=2", "--set", "seed=3"]
+        )
+        assert code == 0
+        concavity = json.loads((out / "concavity.json").read_text())["config"]
+        positivity = json.loads((out / "positivity.json").read_text())["config"]
+        assert concavity == {"seed": 3, "alpha_set": [0.3, 0.5, 0.9], "c_set": [0.5, 1.0, 2.0]}
+        assert (positivity["n"], positivity["trials"], positivity["seed"]) == (16, 2, 3)
 
 
 class TestSymbolsVerb:

@@ -28,6 +28,7 @@ from sqgev.solver import (
 from sqgev.spectral import (
     ConfigError,
     Grid,
+    HermitianSymmetryError,
     RealField,
     SpectralField,
     forward_transform,
@@ -273,7 +274,7 @@ class TestRecordSteps:
 
     def test_decimal_multiples_accepted(self):
         # 0.03 / 0.01 = 2.9999999999999996 in binary floating point
-        run = solve(cosine_config(n=16, dt=0.01, t_end=0.03))
+        run = solve(cosine_config(n=16, dt=0.01, t_end=0.03, record_every=1))
         assert len(run.times) == 4
         assert run.times[-1] == pytest.approx(0.03)
 
@@ -314,6 +315,22 @@ class TestPicard:
         assert err.value.time > 0
         assert partial.times[-1] < err.value.time
         assert partial.meta["warnings"]
+
+    def test_hermitian_defect_in_diagnostics_is_a_blowup(self):
+        # the unstable mode amplifies the round-off Hermitian defect past the
+        # Besov norm's tolerance while every coefficient is still finite
+        cfg = cosine_config(
+            n=32, picard_depth=1, dt=0.5, t_end=50.0, record_every=1,
+            initial_data=InitialData("random-band", amplitude=1e5, seed=7),
+        )
+        with pytest.warns(StabilityWarning):
+            with pytest.raises(BlowUpError) as err:
+                picard_solve(cfg)
+        assert isinstance(err.value.__cause__, HermitianSymmetryError)
+        partial = err.value.trajectory
+        assert partial.meta["level"] == 1
+        assert partial.times[-1] < err.value.time
+        assert len(partial.times) == len(partial.snapshots) == len(partial.diagnostics)
 
     def test_depth_zero_is_heat_flow(self):
         cfg = cosine_config(n=32, picard_depth=0, record_every=2)
