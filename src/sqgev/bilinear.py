@@ -28,6 +28,7 @@ from .spectral import (
     BandRangeError,
     ConfigError,
     Grid,
+    HermitianSymmetryError,
     RealField,
     SpectralField,
     _lp_quadrature,
@@ -210,22 +211,22 @@ def _fd_derivative(m, xi, eta, b1, b2, rel_step):
     """Nested central differences; steps scale with each argument's radius."""
     for comp in range(2):
         if b1[comp] > 0:
-            h = rel_step * np.linalg.norm(xi, axis=-1, keepdims=True)
+            h = rel_step * _norm(xi)
             e = np.zeros_like(xi)
             e[..., comp] = 1.0
             lower = tuple(b1[c] - (c == comp) for c in range(2))
-            hi = _fd_derivative(m, xi + h * e, eta, lower, b2, rel_step)
-            lo = _fd_derivative(m, xi - h * e, eta, lower, b2, rel_step)
-            return (hi - lo) / (2.0 * h[..., 0])
+            hi = _fd_derivative(m, xi + h[..., None] * e, eta, lower, b2, rel_step)
+            lo = _fd_derivative(m, xi - h[..., None] * e, eta, lower, b2, rel_step)
+            return (hi - lo) / (2.0 * h)
     for comp in range(2):
         if b2[comp] > 0:
-            h = rel_step * np.linalg.norm(eta, axis=-1, keepdims=True)
+            h = rel_step * _norm(eta)
             e = np.zeros_like(eta)
             e[..., comp] = 1.0
             lower = tuple(b2[c] - (c == comp) for c in range(2))
-            hi = _fd_derivative(m, xi, eta + h * e, b1, lower, rel_step)
-            lo = _fd_derivative(m, xi, eta - h * e, b1, lower, rel_step)
-            return (hi - lo) / (2.0 * h[..., 0])
+            hi = _fd_derivative(m, xi, eta + h[..., None] * e, b1, lower, rel_step)
+            lo = _fd_derivative(m, xi, eta - h[..., None] * e, b1, lower, rel_step)
+            return (hi - lo) / (2.0 * h)
     return m(xi, eta)
 
 
@@ -397,33 +398,53 @@ def estimate_operator_norm(
 
 
 def padded_product(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Pointwise product via a 2x zero-padded grid, truncated back to the
-    original lattice: exact convolution with out-of-lattice modes dropped.
+    """Pointwise product of two real fields on a 3/2-padded grid, truncated
+    back to the original lattice: exact convolution with out-of-lattice
+    modes dropped.
+
+    Orszag's 3/2 rule: on M = 3n/2 points a sum frequency |s| <= n wraps
+    to at most n - M = -n/2, which the truncation drops, so every kept mode
+    is exact.  Both operands must be Hermitian-symmetric (real fields):
+    the transforms are real (irfft2/rfft2), which read only the k2 >= 0
+    half-plane, so a complex input raises HermitianSymmetryError instead of
+    being silently symmetrized; the k2 < 0 columns of the result are
+    rebuilt from Hermitian symmetry.
 
     Truncation is symmetric (the Nyquist row/column of the output is
     dropped too), matching apply_bilinear and keeping real inputs real.
     """
     if f.grid != g.grid:
         raise ConfigError("product operands must share a grid")
+    for operand in (f, g):
+        if not operand.is_hermitian():
+            raise HermitianSymmetryError(
+                f"padded_product needs real fields; operand Hermitian defect "
+                f"{operand.hermitian_defect():.3e}"
+            )
     grid = f.grid
-    n, big = grid.n, 2 * grid.n
+    n, big = grid.n, 3 * grid.n // 2
     half = n // 2
-    slot = np.ix_(grid.freqs % big, grid.freqs % big)
+    rows = grid.freqs % big
 
     def lift(c):
-        wide = np.zeros((big, big), dtype=np.complex128)
-        wide[slot] = c
-        # the small-lattice Nyquist row is cosine content: split it between
-        # +-n/2 on the big lattice so real fields lift to real fields
-        wide[3 * half, :] *= 0.5
-        wide[half, :] = wide[3 * half, :]
-        wide[:, 3 * half] *= 0.5
-        wide[:, half] = wide[:, 3 * half]
-        return np.fft.ifft2(wide * big * big)
+        # k2 >= 0 half-plane of the big lattice; the small-lattice Nyquist
+        # column (-n/2) lands on +n/2, its mirror lying in the omitted half
+        wide = np.zeros((big, big // 2 + 1), dtype=np.complex128)
+        wide[rows, : half + 1] = c[:, : half + 1]
+        # the small-lattice Nyquist row and column are cosine content: split
+        # them between +-n/2 on the big lattice so real fields lift to real
+        # fields
+        wide[big - half, :] *= 0.5
+        wide[half, :] = wide[big - half, :]
+        wide[:, half] *= 0.5
+        return np.fft.irfft2(wide * big * big, s=(big, big))
 
     prod = lift(f.coeffs) * lift(g.coeffs)
-    wide_hat = np.fft.fft2(prod) / (big * big)
-    out = wide_hat[slot]
+    wide_hat = np.fft.rfft2(prod) / (big * big)
+    out = np.empty((n, n), dtype=np.complex128)
+    out[:, :half] = wide_hat[rows, :half]
+    # f_hat(k1, -k2) = conj f_hat(-k1, k2)
+    out[:, half + 1 :] = np.conj(wide_hat[(-grid.freqs) % big, half - 1 : 0 : -1])
     out[half, :] = 0.0
     out[:, half] = 0.0
     return SpectralField(grid, out)
@@ -478,7 +499,9 @@ def commutator_symbol(
 
 
 def _norm(v):
-    return np.linalg.norm(v, axis=-1)
+    """Euclidean norm over the last axis of (..., 2) arrays; bit-identical
+    to np.linalg.norm(v, axis=-1) without its strided reduction."""
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
 
 
 def _r_alpha_sigma(xi, eta, alpha, sigma):

@@ -338,13 +338,14 @@ def check_concavity(*, seed=0, alpha_set=(0.3, 0.5, 0.9), c_set=(0.5, 1.0, 2.0))
     fits = {}
     verdict = PASS
     rng = np.random.default_rng(seed)
+    angles = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+    cos, sin = np.cos(angles), np.sin(angles)
     for alpha in alpha_set:
         for c in c_set:
             radii = np.geomspace(c, c * 2.0**10, 400)
-            angles = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-            R, A = np.meshgrid(radii, angles, indexing="ij")
+            R = radii[:, None]
             # eta = e1, xi = R (cos A, sin A): normalized defect
-            shifted = np.hypot(R * np.cos(A) + 1.0, R * np.sin(A))
+            shifted = np.hypot(R * cos + 1.0, R * sin)
             f_norm = R**alpha + 1.0 - shifted**alpha
             eps_2d = float(f_norm.min())
 
@@ -417,53 +418,46 @@ def check_r_derivatives(
     bound is stated for 0 < alpha < 1."""
     if not all(0 < a < 1 for a in alpha_set):
         raise ConfigError(f"R_alpha,sigma bounds need 0 < alpha < 1, got alpha_set={alpha_set}")
+    families = [(l, l + gap) for l in (0, 1) for gap in gap_set]
+    angles = (np.arange(6) + 0.29) * 2.0 * math.pi / 6
+
+    def circle(e):
+        radii = (2.0 ** (e - 0.5), 2.0**e, 2.0 ** (e + 0.5))
+        return np.array([[r * math.cos(a), r * math.sin(a)] for r in radii for a in angles])
+
+    # the probe pairs of every (l, k) family in one array, family-major; a
+    # circle holds 3 radii x 6 angles = 18 points
+    xi = np.concatenate([np.repeat(circle(k), 18, axis=0) for _, k in families])
+    eta = np.concatenate([np.tile(circle(l), (18, 1)) for l, _ in families])
+    xm = np.linalg.norm(xi, axis=-1)
+    em = np.linalg.norm(eta, axis=-1)
+    indices = _multi_indices(max_order)
     rows = []
     worst = 0.0
-    n_ang = 6
-    angles = (np.arange(n_ang) + 0.29) * 2.0 * math.pi / n_ang
     for alpha in alpha_set:
+        scale = np.repeat([2.0 ** (l * alpha) for l, _ in families], 18 * 18)
         for sigma in sigma_set:
             fn = _r_alpha_sigma_fn(alpha, sigma)
-            for l in (0, 1):
-                for gap in gap_set:
-                    k = l + gap
-                    xi_pts = np.array(
-                        [
-                            [r * math.cos(a), r * math.sin(a)]
-                            for r in (2.0 ** (k - 0.5), 2.0**k, 2.0 ** (k + 0.5))
-                            for a in angles
-                        ]
+            maxima = []
+            for b1, b2 in indices:
+                deriv = _fd_derivative(fn, xi, eta, b1, b2, 1e-3)
+                weighted = np.abs(deriv) * xm ** sum(b1) * em ** sum(b2) / scale
+                maxima.append(weighted.reshape(len(families), -1).max(axis=1))
+            for f, (l, k) in enumerate(families):
+                for (b1, b2), family_max in zip(indices, maxima):
+                    value = float(family_max[f])
+                    rows.append(
+                        {
+                            "alpha": alpha,
+                            "sigma": sigma,
+                            "l": l,
+                            "k": k,
+                            "b1": list(b1),
+                            "b2": list(b2),
+                            "weighted_max": value,
+                        }
                     )
-                    eta_pts = np.array(
-                        [
-                            [r * math.cos(a), r * math.sin(a)]
-                            for r in (2.0 ** (l - 0.5), 2.0**l, 2.0 ** (l + 0.5))
-                            for a in angles
-                        ]
-                    )
-                    xi = np.repeat(xi_pts, eta_pts.shape[0], axis=0)
-                    eta = np.tile(eta_pts, (xi_pts.shape[0], 1))
-                    xm = np.linalg.norm(xi, axis=-1)
-                    em = np.linalg.norm(eta, axis=-1)
-                    for b1, b2 in _multi_indices(max_order):
-                        deriv = _fd_derivative(fn, xi, eta, b1, b2, 1e-3)
-                        weighted = (
-                            np.abs(deriv) * xm ** sum(b1) * em ** sum(b2)
-                            / 2.0 ** (l * alpha)
-                        )
-                        value = float(np.max(weighted))
-                        rows.append(
-                            {
-                                "alpha": alpha,
-                                "sigma": sigma,
-                                "l": l,
-                                "k": k,
-                                "b1": list(b1),
-                                "b2": list(b2),
-                                "weighted_max": value,
-                            }
-                        )
-                        worst = max(worst, value)
+                    worst = max(worst, value)
     fits = {"max_ratio": worst}
     verdict = PASS if worst <= constant_cap and math.isfinite(worst) else FAIL
     return rows, fits, verdict, []

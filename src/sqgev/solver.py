@@ -19,7 +19,8 @@ iterates).  `solve` is the one-level call and `picard_solve` the call with
 heat flow at level 0 and level l advected by level l - 1.  The loop records
 diagnostics, notes the first CFL excess of each level, and raises
 BlowUpError carrying the partial trajectory of the first level that turns
-non-finite or whose recorded field fails the Hermitian check.
+non-finite, or whose recorded field fails the Hermitian check or has a
+non-finite norm.
 """
 
 from __future__ import annotations
@@ -357,6 +358,12 @@ def _march(config: SolverConfig, sources: list) -> list[Trajectory]:
                 # an unstable mode can amplify the round-off Hermitian defect
                 # while every coefficient is still finite
                 raise BlowUpError(f"blow-up at t={t:g}: {exc}", t, trajectory(lvl)) from exc
+            bad = [key for key in ("l2", "lp", "besov") if not np.isfinite(row[key])]
+            if bad:
+                # huge but finite coefficients overflow when squared
+                raise BlowUpError(
+                    f"blow-up at t={t:g}: non-finite {', '.join(bad)}", t, trajectory(lvl)
+                )
             times[lvl].append(t)
             snaps[lvl].append(snap)
             diags[lvl].append(row)

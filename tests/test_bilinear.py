@@ -35,6 +35,7 @@ from sqgev.gevrey import riesz_transform
 from sqgev.spectral import (
     ConfigError,
     Grid,
+    HermitianSymmetryError,
     RealField,
     SpectralField,
     box_mask,
@@ -325,6 +326,69 @@ class TestOperatorNormEstimate:
         for lam in (0.25, 4.0):
             other = estimate_operator_norm(dilate(m, lam), grid, 2, 2, trials=6, seed=2)
             assert abs(other - base) <= 0.10 * base
+
+
+def padded_product_2x(f, g):
+    """Reference product: complex transforms on a 2x-padded grid, the whole
+    lattice transformed (no Hermitian assumption)."""
+    grid = f.grid
+    n, big = grid.n, 2 * grid.n
+    half = n // 2
+    slot = np.ix_(grid.freqs % big, grid.freqs % big)
+
+    def lift(c):
+        wide = np.zeros((big, big), dtype=np.complex128)
+        wide[slot] = c
+        wide[3 * half, :] *= 0.5
+        wide[half, :] = wide[3 * half, :]
+        wide[:, 3 * half] *= 0.5
+        wide[:, half] = wide[:, 3 * half]
+        return np.fft.ifft2(wide * big * big)
+
+    prod = lift(f.coeffs) * lift(g.coeffs)
+    out = (np.fft.fft2(prod) / (big * big))[slot]
+    out[half, :] = 0.0
+    out[:, half] = 0.0
+    return out
+
+
+def white_noise(grid, seed):
+    """Transform of grid-point noise: every mode occupied, Nyquist included."""
+    values = np.random.default_rng(seed).standard_normal((grid.n, grid.n))
+    return forward_transform(RealField(grid, values))
+
+
+class TestPaddedProduct:
+    @pytest.mark.parametrize("n", [8, 16, 32, 128])
+    @pytest.mark.parametrize("kind", ["band-limited", "white-noise", "riesz"])
+    def test_matches_the_2x_complex_product(self, n, kind):
+        grid = Grid(n)
+        if kind == "white-noise":
+            f, g = white_noise(grid, 1), white_noise(grid, 2)
+            assert np.any(f.coeffs[n // 2]) and np.any(g.coeffs[:, n // 2])
+        else:
+            f = box_limited_noise(grid, n // 4, seed=3)
+            g = box_limited_noise(grid, n // 4, seed=4)
+            if kind == "riesz":
+                f, g = riesz_transform(f, 1), riesz_transform(g, 2)
+        got = padded_product(f, g)
+        want = padded_product_2x(f, g)
+        assert np.max(np.abs(got.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
+        assert got.is_hermitian()
+
+    def test_complex_input_raises(self):
+        grid = Grid(16)
+        rng = np.random.default_rng(5)
+        f = box_limited_noise(grid, 4, seed=6)
+        z = SpectralField(grid, rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+        with pytest.raises(HermitianSymmetryError):
+            padded_product(z, f)
+        with pytest.raises(HermitianSymmetryError):
+            padded_product(f, z)
+
+    def test_grid_mismatch(self):
+        with pytest.raises(ConfigError):
+            padded_product(box_limited_noise(Grid(16), 4, 0), box_limited_noise(Grid(32), 4, 0))
 
 
 class TestGevreyCommutator:

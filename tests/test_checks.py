@@ -7,10 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from sqgev.bilinear import _fd_derivative, _multi_indices, _norm
 from sqgev.checks import (
     _prescribed_profile_field,
     _r_alpha_sigma_fn,
     _signed_power,
+    check_concavity,
+    check_r_derivatives,
     run_check,
 )
 from sqgev.dyadic import build_system
@@ -235,6 +238,79 @@ class TestParameters:
     def test_key_the_check_does_not_take(self):
         with pytest.raises(ConfigError, match="dt"):
             run_check("concavity", dt=99.0)
+
+
+def r_derivative_rows_loop(alpha_set, sigma_set, gap_set, max_order):
+    """Reference rows of check_r_derivatives: one probe family at a time."""
+    rows = []
+    angles = (np.arange(6) + 0.29) * 2.0 * math.pi / 6
+    for alpha in alpha_set:
+        for sigma in sigma_set:
+            fn = _r_alpha_sigma_fn(alpha, sigma)
+            for l in (0, 1):
+                for gap in gap_set:
+                    k = l + gap
+                    xi_pts = np.array(
+                        [[r * math.cos(a), r * math.sin(a)]
+                         for r in (2.0 ** (k - 0.5), 2.0**k, 2.0 ** (k + 0.5)) for a in angles]
+                    )
+                    eta_pts = np.array(
+                        [[r * math.cos(a), r * math.sin(a)]
+                         for r in (2.0 ** (l - 0.5), 2.0**l, 2.0 ** (l + 0.5)) for a in angles]
+                    )
+                    xi = np.repeat(xi_pts, eta_pts.shape[0], axis=0)
+                    eta = np.tile(eta_pts, (xi_pts.shape[0], 1))
+                    xm = np.linalg.norm(xi, axis=-1)
+                    em = np.linalg.norm(eta, axis=-1)
+                    for b1, b2 in _multi_indices(max_order):
+                        deriv = _fd_derivative(fn, xi, eta, b1, b2, 1e-3)
+                        weighted = (
+                            np.abs(deriv) * xm ** sum(b1) * em ** sum(b2) / 2.0 ** (l * alpha)
+                        )
+                        rows.append(
+                            {"alpha": alpha, "sigma": sigma, "l": l, "k": k, "b1": list(b1),
+                             "b2": list(b2), "weighted_max": float(np.max(weighted))}
+                        )
+    return rows
+
+
+def concavity_eps_2d_loop(alpha, c):
+    """Reference 2-D minimum of the concavity check on the full meshgrid."""
+    radii = np.geomspace(c, c * 2.0**10, 400)
+    angles = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+    R, A = np.meshgrid(radii, angles, indexing="ij")
+    shifted = np.hypot(R * np.cos(A) + 1.0, R * np.sin(A))
+    return float((R**alpha + 1.0 - shifted**alpha).min())
+
+
+class TestVectorizedScans:
+    """The stacked scans against their one-family-at-a-time forms, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [{}, {"alpha_set": (0.2,), "gap_set": (3,), "max_order": 3}],
+    )
+    def test_r_derivative_rows(self, params):
+        args = {**dict(alpha_set=(0.3, 0.5, 0.9), sigma_set=(0.0, 0.5, 1.0),
+                       gap_set=(3, 4, 5, 6, 7), max_order=2), **params}
+        rows, fits, _, _ = check_r_derivatives(**params)
+        want = r_derivative_rows_loop(**args)
+        assert rows == want
+        assert fits["max_ratio"] == max(row["weighted_max"] for row in want)
+
+    @pytest.mark.parametrize("params", [{}, {"alpha_set": (0.2,), "c_set": (3.0,)}])
+    def test_concavity_minimum(self, params):
+        rows = check_concavity(**params)[0]
+        assert rows
+        for row in rows:
+            assert row["epsilon_2d"] == concavity_eps_2d_loop(row["alpha"], row["c"])
+
+    def test_norm_is_bit_identical_to_linalg_norm(self):
+        rng = np.random.default_rng(11)
+        v = rng.standard_normal((4000, 2)) * 10.0 ** rng.uniform(-8, 8, (4000, 2))
+        assert np.array_equal(_norm(v), np.linalg.norm(v, axis=-1))
+        v3 = v.reshape(20, 200, 2)
+        assert np.array_equal(_norm(v3), np.linalg.norm(v3, axis=-1))
 
 
 class TestReports:

@@ -174,6 +174,19 @@ class TestPicardVerb:
         assert files == ["diagnostics_level2.csv", "last_snapshot_level2.field"]
         assert "# picard_depth=2" in (out / "diagnostics_level2.csv").read_text()
 
+    def test_non_finite_diagnostics_exit_3_and_stay_out_of_the_csv(self, tmp_path):
+        out = tmp_path / "boom"
+        with pytest.warns(UserWarning):
+            code = main(
+                ["picard", "-o", str(out), "--set", "n=32", "--set", "dt=0.5",
+                 "--set", "t_end=50", "--set", "amplitude=10000", "--set", "picard_depth=2",
+                 "--set", "record_every=1", "--set", "init_seed=7"]
+            )
+        assert code == 3
+        (csv_path,) = out.glob("diagnostics_level*.csv")
+        text = csv_path.read_text().lower()
+        assert "inf" not in text and "nan" not in text
+
     def test_hermitian_defect_in_diagnostics_exits_3(self, tmp_path):
         with pytest.warns(UserWarning):
             code = main(

@@ -316,6 +316,22 @@ class TestPicard:
         assert partial.times[-1] < err.value.time
         assert partial.meta["warnings"]
 
+    def test_non_finite_diagnostics_are_a_blowup(self):
+        # huge but finite coefficients overflow the norms (l2 = inf, besov =
+        # nan) several records before a coefficient turns non-finite
+        cfg = cosine_config(
+            n=32, picard_depth=2, dt=0.5, t_end=50.0, record_every=1,
+            initial_data=InitialData("random-band", amplitude=1e4, seed=7),
+        )
+        with pytest.warns(StabilityWarning):
+            with pytest.raises(BlowUpError) as err:
+                picard_solve(cfg)
+        partial = err.value.trajectory
+        assert partial.times[-1] < err.value.time
+        assert len(partial.times) == len(partial.snapshots) == len(partial.diagnostics)
+        for row in partial.diagnostics:
+            assert all(np.isfinite(value) for value in row.values())
+
     def test_hermitian_defect_in_diagnostics_is_a_blowup(self):
         # the unstable mode amplifies the round-off Hermitian defect past the
         # Besov norm's tolerance while every coefficient is still finite
