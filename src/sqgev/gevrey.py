@@ -30,7 +30,7 @@ class GevreyOverflowError(FloatingPointError):
 class GevreyParams:
     """Parameters of the time-weighted Gevrey-Besov norm.
 
-    alpha: Gevrey exponent, gamma: fixed radius, lam: radius growth rate in
+    alpha: Gevrey exponent, lam: radius growth rate in
     gamma(t) = lam * t^(alpha/kappa), kappa: dissipation order, beta: time
     weight exponent in t^(beta/kappa).
     """
@@ -38,7 +38,6 @@ class GevreyParams:
     alpha: float
     kappa: float
     lam: float = 0.5
-    gamma: float = 0.0
     beta: float = 0.3
 
     def __post_init__(self):
@@ -50,8 +49,6 @@ class GevreyParams:
             raise ConfigError(f"need 0 <= beta < kappa/2, got beta={self.beta}, kappa={self.kappa}")
         if self.lam < 0:
             raise ConfigError(f"radius growth rate must be nonnegative, got {self.lam}")
-        if self.gamma < 0:
-            raise ConfigError(f"gamma must be nonnegative, got {self.gamma}")
 
     def radius_at(self, t: float) -> float:
         return self.lam * t ** (self.alpha / self.kappa)

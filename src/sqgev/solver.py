@@ -10,6 +10,14 @@ advanced explicitly at second order.  The convention is
 with the quadratic term formed pseudo-spectrally (pointwise product in
 physical space) and dealiased by the two-thirds rule by default.
 
+The state is a full n-by-n spectrum, but the stepping kernels use real
+transforms only: the two velocity components are one batched irfft2 of a
+(2, n, n//2+1) half spectrum, the two gradient components another, and the
+product comes back through one rfft2, its k2 < 0 columns rebuilt from
+Hermitian symmetry.  Nyquist convention: each odd symbol (i kx, i ky and
+the Riesz pair) is 0 where its own component is the Nyquist frequency n/2,
+the value the real part of a complex inverse transform gives it there.
+
 The solution and its Picard iterates obey the same equation and differ only
 in where the advecting velocity comes from, so one loop (_march) advances a
 list of levels through the same time steps.  Each level names its velocity
@@ -28,6 +36,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, fields, is_dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +48,7 @@ from .spectral import (
     HermitianSymmetryError,
     RealField,
     SpectralField,
+    _freeze,
     box_mask,
     forward_transform,
     inverse_transform,
@@ -217,30 +227,58 @@ def initial_field(config: SolverConfig, system: DyadicSystem | None = None) -> S
 # -- nonlinear term and stepping ------------------------------------------
 
 
-def _collocation_velocity(theta_hat: np.ndarray, grid: Grid):
-    """Values (u1, u2) = (-R2 theta, R1 theta) of the velocity on the grid points."""
-    n2 = grid.n * grid.n
-    kmag = grid.k_mag
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(kmag > 0, 1.0 / np.where(kmag > 0, kmag, 1.0), 0.0)
-    u1_hat = 1j * grid.ky * inv * theta_hat
-    u2_hat = -1j * grid.kx * inv * theta_hat
+@lru_cache(maxsize=16)
+def _half_plane(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only odd symbols i kx (an (n, 1) column) and i ky (a (1, n//2+1)
+    row), and 1/|k| (0 at k = 0), on the k2 >= 0 half plane.
+
+    Each odd symbol is 0 at its own Nyquist frequency (i kx on row n/2, i ky
+    on column n/2): there it maps a Hermitian spectrum to an anti-Hermitian
+    one, whose real field is 0, while irfft2 reads the half plane as
+    Hermitian.
+    """
+    n, h = grid.n, grid.n // 2 + 1
+    ikx = 1j * grid.kx[:, :1]
+    iky = 1j * grid.ky[:1, :h]
+    ikx[n // 2] = 0.0
+    iky[0, n // 2] = 0.0
+    kmag = grid.k_mag[:, :h]
+    inv = np.divide(1.0, kmag, out=np.zeros(kmag.shape), where=kmag > 0)
+    return _freeze(ikx), _freeze(iky), _freeze(inv)
+
+
+def _real_pair(half: np.ndarray, first: np.ndarray, second: np.ndarray, n: int) -> np.ndarray:
+    """Grid values of the two fields with half spectra half * first and
+    half * second, from one batched irfft2; a (2, n, n) stack."""
+    stack = np.empty((2, *half.shape), dtype=np.complex128)
+    np.multiply(half, first, out=stack[0])
+    np.multiply(half, second, out=stack[1])
+    return np.fft.irfft2(stack, s=(n, n), norm="forward")
+
+
+def _collocation_velocity(theta_hat: np.ndarray, grid: Grid) -> np.ndarray:
+    """Values (u1, u2) = (-R2 theta, R1 theta) of the velocity on the grid
+    points, as a (2, n, n) stack."""
+    ikx, iky, inv = _half_plane(grid)
     with np.errstate(invalid="ignore", over="ignore"):
-        return np.fft.ifft2(u1_hat * n2).real, np.fft.ifft2(u2_hat * n2).real
+        return _real_pair(theta_hat[:, : grid.n // 2 + 1] * inv, iky, -ikx, grid.n)
 
 
 def _advect(theta_hat: np.ndarray, u1: np.ndarray, u2: np.ndarray, grid: Grid, mask: np.ndarray):
     """Spectral coefficients of u . grad theta for the collocation velocity
     (u1, u2), dealiased; also max |u|."""
-    n2 = grid.n * grid.n
+    n, h = grid.n, grid.n // 2 + 1
+    ikx, iky, _ = _half_plane(grid)
     # blow-up shows up as NaN/Inf here and is detected by the caller, so the
     # intermediate arithmetic must not warn
     with np.errstate(invalid="ignore", over="ignore"):
-        tx = np.fft.ifft2(1j * grid.kx * theta_hat * n2).real
-        ty = np.fft.ifft2(1j * grid.ky * theta_hat * n2).real
-        product = u1 * tx + u2 * ty
-        adv_hat = np.fft.fft2(product) / n2 * mask
+        tx, ty = _real_pair(theta_hat[:, :h], ikx, iky, n)
+        half = np.fft.rfft2(u1 * tx + u2 * ty, norm="forward") * mask[:, :h]
         umax = max(np.max(np.abs(u1)), np.max(np.abs(u2)))
+    adv_hat = np.empty((n, n), dtype=np.complex128)
+    adv_hat[:, :h] = half
+    # f_hat(k1, -k2) = conj f_hat(-k1, k2)
+    adv_hat[:, h:] = np.conj(half[grid._neg_index, h - 2 : 0 : -1])
     return adv_hat, umax
 
 
@@ -415,8 +453,8 @@ def picard_solve(config: SolverConfig) -> list[Trajectory]:
 
 # Run keys: one per leaf field of SolverConfig and GevreyParams, nested
 # dataclasses flattened in field order and keys named after their fields,
-# except these (None: not a key, as no run reads GevreyParams.gamma).
-KEY_SPELLINGS = {"profile": "initial_data", "seed": "init_seed", "gamma": None}
+# except these.
+KEY_SPELLINGS = {"profile": "initial_data", "seed": "init_seed"}
 
 
 def flat_config(config) -> dict:
@@ -427,7 +465,7 @@ def flat_config(config) -> dict:
         key = KEY_SPELLINGS.get(f.name, f.name)
         if is_dataclass(value):
             flat.update(flat_config(value))
-        elif key is not None:
+        else:
             flat[key] = value
     return flat
 

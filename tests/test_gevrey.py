@@ -218,7 +218,6 @@ class TestGevreyParams:
             dict(alpha=0.4, kappa=1.2),  # kappa > 1
             dict(alpha=0.4, kappa=0.8, beta=0.5),  # beta >= kappa/2
             dict(alpha=0.4, kappa=0.8, lam=-1.0),
-            dict(alpha=0.4, kappa=0.8, gamma=-0.1),
         ],
     )
     def test_invalid(self, kwargs):

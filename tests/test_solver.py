@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqgev.dyadic import build_system
 from sqgev.gevrey import heat_semigroup
 from sqgev.solver import (
+    _advect,
     _collocation_velocity,
     _heat_factor,
     _heun_step,
@@ -31,7 +34,9 @@ from sqgev.spectral import (
     HermitianSymmetryError,
     RealField,
     SpectralField,
+    box_mask,
     forward_transform,
+    hermitian_noise,
     random_band_limited,
     save_field,
 )
@@ -48,6 +53,33 @@ def cosine_config(n=32, **kw):
     )
     defaults.update(kw)
     return SolverConfig(**defaults)
+
+
+# Complex-transform stepping kernels, one field per transform, kept as
+# oracles for the real-transform kernels of the solver.
+def collocation_velocity_complex(theta_hat, grid):
+    n2 = grid.n * grid.n
+    kmag = grid.k_mag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(kmag > 0, 1.0 / np.where(kmag > 0, kmag, 1.0), 0.0)
+    u1_hat = 1j * grid.ky * inv * theta_hat
+    u2_hat = -1j * grid.kx * inv * theta_hat
+    return np.fft.ifft2(u1_hat * n2).real, np.fft.ifft2(u2_hat * n2).real
+
+
+def advect_complex(theta_hat, u1, u2, grid, mask):
+    n2 = grid.n * grid.n
+    tx = np.fft.ifft2(1j * grid.kx * theta_hat * n2).real
+    ty = np.fft.ifft2(1j * grid.ky * theta_hat * n2).real
+    adv_hat = np.fft.fft2(u1 * tx + u2 * ty) / n2 * mask
+    return adv_hat, max(np.max(np.abs(u1)), np.max(np.abs(u2)))
+
+
+def heun_step_complex(theta_hat, grid, dt, efactor, mask):
+    n1 = -advect_complex(theta_hat, *collocation_velocity_complex(theta_hat, grid), grid, mask)[0]
+    predictor = efactor * (theta_hat + dt * n1)
+    n2 = -advect_complex(predictor, *collocation_velocity_complex(predictor, grid), grid, mask)[0]
+    return efactor * theta_hat + 0.5 * dt * (efactor * n1 + n2)
 
 
 class TestConfig:
@@ -127,6 +159,55 @@ class TestNonlinearTerm:
         )
         grad_scale = float(np.max(grid.k_mag) * theta.l2_norm())
         assert abs(pairing) <= 1e-10 * theta.l2_norm() ** 2 * grad_scale
+
+
+class TestRealKernels:
+    @pytest.mark.parametrize("n", [8, 16, 32, 128, 256])
+    @pytest.mark.parametrize("dealias", ["two-thirds", "none"])
+    def test_match_complex_kernels_with_nyquist_content(self, n, dealias):
+        # the noise fills the Nyquist row and column, where each odd symbol
+        # must vanish along its own component
+        grid = Grid(n)
+        theta = hermitian_noise(grid, box_mask(grid, n // 2), np.random.default_rng(n)).coeffs
+        mask = dealias_mask(grid, dealias)
+        ref_vel = np.array(collocation_velocity_complex(theta, grid))
+        vel = np.asarray(_collocation_velocity(theta, grid))
+        assert np.max(np.abs(vel - ref_vel)) <= 1e-13 * np.max(np.abs(ref_vel))
+        ref_adv, ref_umax = advect_complex(theta, *ref_vel, grid, mask)
+        adv, umax = _advect(theta, *vel, grid, mask)
+        assert np.max(np.abs(adv - ref_adv)) <= 1e-13 * np.max(np.abs(ref_adv))
+        assert abs(umax - ref_umax) <= 1e-13 * ref_umax
+
+    def test_undealiased_solve_matches_complex_march(self):
+        # without dealiasing the first step fills the Nyquist modes
+        cfg = cosine_config(
+            n=32, dealias="none", record_every=1,
+            initial_data=InitialData("random-band", amplitude=0.5, seed=4),
+        )
+        traj = solve(cfg)
+        grid = cfg.grid
+        efactor = _heat_factor(grid, cfg.dt, cfg.kappa)
+        mask = dealias_mask(grid, cfg.dealias)
+        theta = initial_field(cfg).coeffs
+        for snap in traj.snapshots[1:]:
+            theta = heun_step_complex(theta, grid, cfg.dt, efactor, mask)
+            assert np.max(np.abs(snap.coeffs - theta)) <= 1e-12 * np.max(np.abs(theta))
+        assert np.any(theta[grid.n // 2, :] != 0) and np.any(theta[:, grid.n // 2] != 0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([8, 16, 32, 64, 128, 256]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_dealiased_advection_is_orthogonal_and_hermitian(self, n, seed):
+        # inside the two-thirds box the masked product is exact, so
+        # <P(u . grad theta), theta> = 0 up to round-off
+        grid = Grid(n)
+        theta = hermitian_noise(grid, dealias_mask(grid, "two-thirds"), np.random.default_rng(seed))
+        adv = nonlinear_term(theta, "two-thirds")
+        pairing = grid.box_length**2 * np.sum(adv.coeffs * np.conj(theta.coeffs))
+        assert abs(pairing) <= 1e-13 * theta.l2_norm() * adv.l2_norm()
+        assert adv.is_hermitian()
 
 
 class TestStep:
