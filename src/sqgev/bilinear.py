@@ -12,6 +12,12 @@ Also here: the Marcinkiewicz weighted-derivative scan, rotation duality,
 dilation, a randomized operator-norm probe, the Gevrey commutator
 [G_gamma Delta_j, f] g, and a registry of the named symbols used by the
 commutator estimates.
+
+Products of real fields follow Orszag's 3/2 rule through one lift onto the
+3n/2 grid (_lift, which splits the Nyquist row and column) and one
+truncation back (_truncate), shared by padded_product and the commutator.
+gevrey_commutators takes a list of (j, gamma) bands on one operand pair,
+lifting f and forming (f g)^ once for all of them.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ from typing import Callable
 import numpy as np
 
 from .dyadic import DEFAULT_SHARPNESS, default_system, phi0, phi0_prime, psi0
-from .gevrey import gevrey_multiply
+from .gevrey import check_gevrey_weight
 from .spectral import (
+    HERMITIAN_FLOOR,
     BandRangeError,
     ConfigError,
     Grid,
@@ -35,7 +42,7 @@ from .spectral import (
     band_mask,
     box_mask,
     hermitian_noise,
-    inverse_transform,
+    negated_modes,
 )
 
 COST_GUARD = 10**8  # max occupied-mode pairs in one double sum
@@ -117,9 +124,7 @@ def apply_bilinear(m: BilinearSymbol, f: SpectralField, g: SpectralField) -> Spe
 def bilinear_pairing(m: BilinearSymbol, f: SpectralField, g: SpectralField, h: SpectralField) -> complex:
     """<T_m(f, g), h> = L^2 * sum_k T_hat(k) h_hat(-k)."""
     T = apply_bilinear(m, f, g)
-    idx = h.grid._neg_index
-    h_neg = h.coeffs[np.ix_(idx, idx)]
-    return h.grid.box_length**2 * complex(np.sum(T.coeffs * h_neg))
+    return h.grid.box_length**2 * complex(np.sum(T.coeffs * negated_modes(h.coeffs)))
 
 
 def rotation_dual(m: BilinearSymbol) -> BilinearSymbol:
@@ -397,6 +402,45 @@ def estimate_operator_norm(
 # -- Gevrey commutator -------------------------------------------------------
 
 
+def _require_real_pair(f: SpectralField, g: SpectralField, what: str) -> None:
+    if f.grid != g.grid:
+        raise ConfigError(f"{what} operands must share a grid")
+    for operand in (f, g):
+        if not operand.is_hermitian():
+            raise HermitianSymmetryError(
+                f"{what} needs real fields; operand Hermitian defect "
+                f"{operand.hermitian_defect():.3e}"
+            )
+
+
+def _lift(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Values on the 3n/2 grid of the field whose k2 >= 0 half spectrum on
+    the n lattice is ``half``, shape (n, n//2 + 1)."""
+    n, big = grid.n, 3 * grid.n // 2
+    h = n // 2
+    wide = np.zeros((big, big // 2 + 1), dtype=np.complex128)
+    # the small-lattice Nyquist column (-n/2) lands on +n/2, its mirror
+    # lying in the omitted half-plane
+    wide[grid.freqs % big, : h + 1] = half
+    # the small-lattice Nyquist row and column are cosine content: split
+    # them between +-n/2 on the big lattice so real fields lift to real
+    # fields
+    wide[big - h, :] *= 0.5
+    wide[h, :] = wide[big - h, :]
+    wide[:, h] *= 0.5
+    return np.fft.irfft2(wide * big * big, s=(big, big))
+
+
+def _truncate(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """k2 >= 0 half spectrum on the n lattice, shape (n, n//2 + 1), of real
+    values on the 3n/2 grid; the Nyquist row and column are zero."""
+    big, h = 3 * grid.n // 2, grid.n // 2
+    half = (np.fft.rfft2(values) / (big * big))[grid.freqs % big, : h + 1]
+    half[h, :] = 0.0
+    half[:, h] = 0.0
+    return half
+
+
 def padded_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product of two real fields on a 3/2-padded grid, truncated
     back to the original lattice: exact convolution with out-of-lattice
@@ -413,41 +457,65 @@ def padded_product(f: SpectralField, g: SpectralField) -> SpectralField:
     Truncation is symmetric (the Nyquist row/column of the output is
     dropped too), matching apply_bilinear and keeping real inputs real.
     """
-    if f.grid != g.grid:
-        raise ConfigError("product operands must share a grid")
-    for operand in (f, g):
-        if not operand.is_hermitian():
-            raise HermitianSymmetryError(
-                f"padded_product needs real fields; operand Hermitian defect "
-                f"{operand.hermitian_defect():.3e}"
-            )
+    _require_real_pair(f, g, "padded_product")
     grid = f.grid
-    n, big = grid.n, 3 * grid.n // 2
-    half = n // 2
-    rows = grid.freqs % big
-
-    def lift(c):
-        # k2 >= 0 half-plane of the big lattice; the small-lattice Nyquist
-        # column (-n/2) lands on +n/2, its mirror lying in the omitted half
-        wide = np.zeros((big, big // 2 + 1), dtype=np.complex128)
-        wide[rows, : half + 1] = c[:, : half + 1]
-        # the small-lattice Nyquist row and column are cosine content: split
-        # them between +-n/2 on the big lattice so real fields lift to real
-        # fields
-        wide[big - half, :] *= 0.5
-        wide[half, :] = wide[big - half, :]
-        wide[:, half] *= 0.5
-        return np.fft.irfft2(wide * big * big, s=(big, big))
-
-    prod = lift(f.coeffs) * lift(g.coeffs)
-    wide_hat = np.fft.rfft2(prod) / (big * big)
+    n, h = grid.n, grid.n // 2
+    half = _truncate(
+        grid, _lift(grid, f.coeffs[:, : h + 1]) * _lift(grid, g.coeffs[:, : h + 1])
+    )
     out = np.empty((n, n), dtype=np.complex128)
-    out[:, :half] = wide_hat[rows, :half]
+    out[:, : h + 1] = half
     # f_hat(k1, -k2) = conj f_hat(-k1, k2)
-    out[:, half + 1 :] = np.conj(wide_hat[(-grid.freqs) % big, half - 1 : 0 : -1])
-    out[half, :] = 0.0
-    out[:, half] = 0.0
+    out[:, h + 1 :] = np.conj(half[grid._neg_index, h - 1 : 0 : -1])
     return SpectralField(grid, out)
+
+
+def gevrey_commutators(
+    f: SpectralField,
+    g: SpectralField,
+    bands: list[tuple[int, float]],
+    alpha: float,
+    sharpness: float = DEFAULT_SHARPNESS,
+) -> list[RealField]:
+    """[G_gamma Delta_j, f] g for every (j, gamma) in ``bands``, in order.
+
+    With the band symbol b(k) = phi_j(|k|) exp(gamma |k|^alpha) the
+    commutator is b (f g)^ - (f (b g_hat)^vee)^.  The operand checks, the
+    lift of f and (f g)^ are shared by all bands; each band then costs one
+    lift, one rfft2 and one irfft2, on the k2 >= 0 half plane.
+
+    Guards as delta_j and gevrey_multiply (BandRangeError,
+    GevreyOverflowError, ConfigError); operands must be real fields on one
+    grid.  Each output must be Hermitian to 1e-7 of its largest coefficient
+    (floor HERMITIAN_FLOOR).  On the half plane only the k2 = 0 column can
+    carry a defect: the other columns stand for their own mirrors, and the
+    Nyquist row and column are zero.
+    """
+    _require_real_pair(f, g, "gevrey_commutator")
+    grid = f.grid
+    system = default_system(grid, sharpness)
+    for j, gamma in bands:
+        system._require_resolved(j)
+        check_gevrey_weight(grid, gamma, alpha)
+    n, h = grid.n, grid.n // 2
+    kmag = grid.k_mag[:, : h + 1]
+    kpow = kmag**alpha
+    g_half = g.coeffs[:, : h + 1]
+    f_big = _lift(grid, f.coeffs[:, : h + 1])
+    fg_half = _truncate(grid, f_big * _lift(grid, g_half))
+    out = []
+    for j, gamma in bands:
+        symbol = system.phi(j, kmag) * np.exp(gamma * kpow)
+        c = symbol * fg_half - _truncate(grid, f_big * _lift(grid, symbol * g_half))
+        column = c[:, 0]
+        defect = float(np.max(np.abs(column - np.conj(column[grid._neg_index]))))
+        if defect > max(1e-7 * float(np.max(np.abs(c))), HERMITIAN_FLOOR):
+            raise HermitianSymmetryError(
+                f"commutator band j={j}, gamma={gamma:g} is not Hermitian-symmetric "
+                f"(defect {defect:.3e})"
+            )
+        out.append(RealField(grid, np.fft.irfft2(c, s=(n, n), norm="forward")))
+    return out
 
 
 def gevrey_commutator(
@@ -458,21 +526,10 @@ def gevrey_commutator(
     alpha: float,
     sharpness: float = DEFAULT_SHARPNESS,
 ) -> RealField:
-    """[G_gamma Delta_j, f] g = G_gamma Delta_j (f g) - f G_gamma Delta_j g.
-
-    Computed literally from the definition; products are formed on a padded
-    grid so they are exact on the lattice.
-    """
-    if f.grid != g.grid:
-        raise ConfigError("commutator operands must share a grid")
-    system = default_system(f.grid, sharpness)
-
-    def smear(field):
-        return gevrey_multiply(system.delta_j(field, j), gamma, alpha)
-
-    term1 = smear(padded_product(f, g))
-    term2 = padded_product(f, smear(g))
-    return inverse_transform(term1 - term2, rtol=1e-7)
+    """[G_gamma Delta_j, f] g = G_gamma Delta_j (f g) - f G_gamma Delta_j g,
+    the one-band case of gevrey_commutators: products are formed on a
+    padded grid so they are exact on the lattice."""
+    return gevrey_commutators(f, g, [(j, gamma)], alpha, sharpness)[0]
 
 
 def commutator_symbol(

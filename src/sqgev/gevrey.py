@@ -60,22 +60,26 @@ def max_admissible_gamma(grid: Grid, alpha: float) -> float:
     return OVERFLOW_EXPONENT / kmax**alpha
 
 
-def gevrey_multiply(f: SpectralField, gamma: float, alpha: float) -> SpectralField:
-    """Apply G_gamma: scale coefficients by exp(gamma * |k|^alpha).
-
-    Negative gamma (smoothing) is always safe; positive gamma is guarded
-    against overflow.
-    """
+def check_gevrey_weight(grid: Grid, gamma: float, alpha: float) -> None:
+    """Guard of the weight exp(gamma * |k|^alpha): ConfigError unless
+    0 < alpha <= 1, GevreyOverflowError when a positive gamma would overflow
+    on the grid.  Negative gamma (smoothing) is always safe."""
     if not 0 < alpha <= 1:
         raise ConfigError(f"Gevrey exponent must lie in (0, 1], got {alpha}")
     if gamma > 0:
-        cap = max_admissible_gamma(f.grid, alpha)
+        cap = max_admissible_gamma(grid, alpha)
         if gamma > cap:
             raise GevreyOverflowError(
                 f"gamma={gamma:g} exceeds the overflow guard; "
                 f"max admissible gamma on this grid is {cap:g}",
                 max_gamma=cap,
             )
+
+
+def gevrey_multiply(f: SpectralField, gamma: float, alpha: float) -> SpectralField:
+    """Apply G_gamma: scale coefficients by exp(gamma * |k|^alpha), guarded
+    by check_gevrey_weight."""
+    check_gevrey_weight(f.grid, gamma, alpha)
     return apply_multiplier(
         f, lambda kx, ky: np.exp(gamma * np.hypot(kx, ky) ** alpha)
     )

@@ -244,9 +244,7 @@ class SpectralField:
 
     def hermitian_defects(self) -> np.ndarray:
         """Per-mode deviation |coeffs(k) - conj(coeffs(-k))|."""
-        idx = self.grid._neg_index
-        mirrored = np.conj(self.coeffs[np.ix_(idx, idx)])
-        return np.abs(self.coeffs - mirrored)
+        return np.abs(self.coeffs - np.conj(negated_modes(self.coeffs)))
 
     def hermitian_defect(self) -> float:
         """Max deviation from coeffs(-k) = conj(coeffs(k))."""
@@ -352,10 +350,18 @@ def box_mask(grid: Grid, max_component: int) -> np.ndarray:
     return mask
 
 
+def negated_modes(c: np.ndarray) -> np.ndarray:
+    """c(-k) for an (n, n) array in fft layout: index (-i) % n on both axes.
+
+    Reversal plus a one-place roll moves the same data as fancy indexing
+    with (-arange(n)) % n, without building the gathered index.
+    """
+    return np.roll(c[::-1, ::-1], 1, axis=(0, 1))
+
+
 def hermitian_symmetrize(grid: Grid, raw: np.ndarray) -> np.ndarray:
     """Project a complex array onto the Hermitian-symmetric subspace."""
-    idx = grid._neg_index
-    return 0.5 * (raw + np.conj(raw[np.ix_(idx, idx)]))
+    return 0.5 * (raw + np.conj(negated_modes(raw)))
 
 
 def hermitian_noise(grid: Grid, mask: np.ndarray, rng, profile=1.0) -> SpectralField:
@@ -372,8 +378,7 @@ def random_phases(grid: Grid, rng) -> np.ndarray:
     """Hermitian unit-modulus coefficients exp(i phase), with the phase the
     antisymmetric part of a uniform draw on [-pi, pi)."""
     raw = rng.uniform(-math.pi, math.pi, (grid.n, grid.n))
-    idx = grid._neg_index
-    return np.exp(1j * (0.5 * (raw - raw[np.ix_(idx, idx)])))
+    return np.exp(1j * (0.5 * (raw - negated_modes(raw))))
 
 
 def random_band_limited(grid: Grid, j: int, seed: int) -> SpectralField:

@@ -21,6 +21,7 @@ from sqgev.bilinear import (
     dilate,
     estimate_operator_norm,
     gevrey_commutator,
+    gevrey_commutators,
     make_kgtrj,
     make_riesz_pair,
     marcinkiewicz_check,
@@ -31,8 +32,14 @@ from sqgev.bilinear import (
     SYMBOL_REGISTRY,
 )
 from sqgev.dyadic import build_system, phi0
-from sqgev.gevrey import riesz_transform
+from sqgev.gevrey import (
+    GevreyOverflowError,
+    gevrey_multiply,
+    max_admissible_gamma,
+    riesz_transform,
+)
 from sqgev.spectral import (
+    BandRangeError,
     ConfigError,
     Grid,
     HermitianSymmetryError,
@@ -448,6 +455,69 @@ class TestGevreyCommutator:
         from_symbol = apply_bilinear(commutator_symbol(j, gamma, alpha), f, g)
         scale = max(np.max(np.abs(from_symbol.coeffs)), 1e-30)
         assert np.max(np.abs(literal.coeffs - from_symbol.coeffs)) <= 1e-10 * scale
+
+
+def gevrey_commutator_2x(f, g, j, gamma, alpha):
+    """Reference commutator, literally from the definition one band at a
+    time: block and Gevrey multipliers on the full lattice, products by the
+    2x-padded complex transform, and the full Hermitian test of the
+    difference before the inverse transform."""
+    grid = f.grid
+    system = build_system(grid)
+
+    def smear(field):
+        return gevrey_multiply(system.delta_j(field, j), gamma, alpha)
+
+    term1 = smear(SpectralField(grid, padded_product_2x(f, g)))
+    term2 = SpectralField(grid, padded_product_2x(f, smear(g)))
+    return inverse_transform(term1 - term2, rtol=1e-7)
+
+
+class TestBatchedCommutator:
+    @pytest.mark.parametrize("n", [16, 32, 128])
+    @pytest.mark.parametrize("kind", ["white-noise", "riesz"])
+    def test_matches_the_one_band_reference(self, n, kind):
+        # white noise occupies every mode, the Nyquist row and column
+        # included, so the lift's Nyquist split is exercised
+        grid = Grid(n)
+        if kind == "white-noise":
+            f, g = white_noise(grid, 31), white_noise(grid, 32)
+        else:
+            f = riesz_transform(box_limited_noise(grid, n // 4, seed=33), 1)
+            g = riesz_transform(box_limited_noise(grid, n // 4, seed=34), 2)
+        bands = [(j, gamma) for j in build_system(grid).js() for gamma in (0.0, 0.05, 1e-4)]
+        got = gevrey_commutators(f, g, bands, 0.6)
+        assert len(got) == len(bands)
+        for (j, gamma), field in zip(bands, got):
+            want = gevrey_commutator_2x(f, g, j, gamma, 0.6).values
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(field.values - want)) <= 1e-12 * scale, (j, gamma)
+
+    def test_one_band_call_is_the_batched_call(self):
+        grid = Grid(32)
+        f, g = white_noise(grid, 35), white_noise(grid, 36)
+        batched = gevrey_commutators(f, g, [(1, 0.0), (2, 0.05)], 0.5)
+        assert np.array_equal(gevrey_commutator(f, g, 2, 0.05, 0.5).values, batched[1].values)
+
+    def test_guards(self):
+        grid = Grid(16)
+        f, g = white_noise(grid, 37), white_noise(grid, 38)
+        rng = np.random.default_rng(39)
+        z = SpectralField(grid, rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+        system = build_system(grid)
+        with pytest.raises(HermitianSymmetryError):
+            gevrey_commutators(z, g, [(1, 0.0)], 0.5)
+        with pytest.raises(HermitianSymmetryError):
+            gevrey_commutators(f, z, [(1, 0.0)], 0.5)
+        cap = max_admissible_gamma(grid, 0.5)
+        with pytest.raises(GevreyOverflowError):
+            gevrey_commutators(f, g, [(1, 0.0), (1, 1.01 * cap)], 0.5)
+        with pytest.raises(BandRangeError):
+            gevrey_commutators(f, g, [(1, 0.0), (system.j_max + 1, 0.0)], 0.5)
+        with pytest.raises(ConfigError):
+            gevrey_commutators(f, g, [(1, 0.0)], 1.5)
+        with pytest.raises(ConfigError):
+            gevrey_commutators(f, white_noise(Grid(32), 40), [(1, 0.0)], 0.5)
 
 
 class TestRegistry:

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from sqgev.bilinear import _fd_derivative, _multi_indices, _norm
+from sqgev.bilinear import _fd_derivative, _multi_indices, _norm, padded_product
 from sqgev.checks import (
+    _contraction_ratios,
     _prescribed_profile_field,
     _r_alpha_sigma_fn,
     _signed_power,
@@ -23,9 +24,12 @@ from sqgev.spectral import (
     ConfigError,
     Grid,
     RealField,
+    SpectralField,
+    _lp_quadrature,
     forward_transform,
     inverse_transform,
     lp_norm,
+    random_phases,
 )
 
 
@@ -311,6 +315,120 @@ class TestVectorizedScans:
         assert np.array_equal(_norm(v), np.linalg.norm(v, axis=-1))
         v3 = v.reshape(20, 200, 2)
         assert np.array_equal(_norm(v3), np.linalg.norm(v3, axis=-1))
+
+
+def prescribed_profile_field_complex(grid, exponent, p, seed, extra_damping=0.0, alpha=0.6):
+    """Reference test field: each band norm from the full complex inverse
+    transform of the band."""
+    phase = random_phases(grid, np.random.default_rng(seed))
+    kmag = grid.k_mag
+    j_top = int(math.floor(math.log2(grid.k_nyquist)))
+    coeffs = np.zeros((grid.n, grid.n), dtype=complex)
+    for j in range(0, j_top + 1):
+        mask = (kmag > 2.0 ** (j - 0.5)) & (kmag <= min(2.0 ** (j + 0.5), grid.k_nyquist))
+        if not mask.any():
+            continue
+        piece = phase * mask
+        n = grid.n
+        norm = _lp_quadrature(np.abs(np.fft.ifft2(piece * n * n)), p, grid.cell_area)
+        coeffs += piece * (2.0 ** (-exponent * j) / norm)
+    if extra_damping > 0:
+        coeffs = coeffs * np.exp(-extra_damping * kmag**alpha)
+    return SpectralField(grid, coeffs)
+
+
+def gevrey_commutator_literal(f, g, j, gamma, alpha, sharpness):
+    """Reference commutator for one band: G_gamma Delta_j (f g) - f G_gamma
+    Delta_j g from the block and Gevrey multipliers and two padded products."""
+    system = build_system(f.grid, sharpness)
+
+    def smear(field):
+        return gevrey_multiply(system.delta_j(field, j), gamma, alpha)
+
+    return inverse_transform(smear(padded_product(f, g)) - padded_product(f, smear(g)), rtol=1e-7)
+
+
+def commutator_decay_rows_loop(n, j_lo, j_hi, trials, seed, st_sets, gamma, alpha,
+                               field_damping, sharpness):
+    """Reference rows of check_commutator_decay: one commutator per (mode,
+    trial, j), the test fields rebuilt for each mode."""
+    grid = Grid(n)
+    system = build_system(grid, sharpness)
+    js = list(range(j_lo, min(j_hi, system.j_max) + 1))
+    rows = []
+    for s, t, p in st_sets:
+        for mode, gma in (("classical", 0.0), ("gevrey", gamma)):
+            for trial in range(trials):
+                f = _prescribed_profile_field(grid, s, p, seed + 17 * trial, field_damping, alpha)
+                g = _prescribed_profile_field(
+                    grid, t, p, seed + 17 * trial + 5, field_damping, alpha
+                )
+                for j in js:
+                    norm = lp_norm(gevrey_commutator_literal(f, g, j, gma, alpha, sharpness), p)
+                    rows.append({"mode": mode, "s": s, "t": t, "p": p, "j": j,
+                                 "trial": trial, "log2_norm": math.log2(norm)})
+    return rows
+
+
+class TestCommutatorDecayBatching:
+    @pytest.mark.parametrize("n", [32, 128])
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_profile_field_matches_the_complex_form(self, n, p):
+        grid = Grid(n)
+        for exponent, seed, damping in ((1.2, 3, 0.0), (0.3, 8, 0.25)):
+            got = _prescribed_profile_field(grid, exponent, p, seed, damping).coeffs
+            want = prescribed_profile_field_complex(grid, exponent, p, seed, damping).coeffs
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_rows_match_the_per_band_loop(self):
+        params = dict(n=64, j_lo=1, j_hi=4, trials=2, seed=3,
+                      st_sets=((1.2, 0.3, 2.0), (1.3, 0.5, 4.0)))
+        rep = run_check("commutator-decay", **params)
+        want = commutator_decay_rows_loop(
+            **params, gamma=0.05, alpha=0.6, field_damping=0.25, sharpness=12.0
+        )
+        assert [{k: v for k, v in row.items() if k != "log2_norm"} for row in rep.trials] == [
+            {k: v for k, v in row.items() if k != "log2_norm"} for row in want
+        ]
+        for got, ref in zip(rep.trials, want):
+            assert abs(got["log2_norm"] - ref["log2_norm"]) <= 1e-12
+
+
+class TestContractionRatios:
+    def test_ratios_stop_at_the_first_gap_under_the_floor(self):
+        gaps = [1e-3, 2e-6, 1e-9, 1e-16, 5e-15, 1e-19]
+        resolved, ratios = _contraction_ratios(gaps, 1e-14)
+        assert resolved == [1e-3, 2e-6, 1e-9]
+        assert ratios == [2e-6 / 1e-3, 1e-9 / 2e-6]
+
+    def test_too_few_resolved_gaps(self):
+        assert _contraction_ratios([1e-3, 1e-20, 1e-3], 1e-14) == ([1e-3], [])
+        assert _contraction_ratios([0.0, 0.0], 0.0) == ([], [])
+        assert _contraction_ratios([], 1e-14) == ([], [])
+        # a gap at the floor is unresolved
+        assert _contraction_ratios([1.0, 1e-14], 1e-14) == ([1.0], [])
+
+    def test_ratio_is_stable_under_a_one_ulp_amplitude_change(self):
+        # the cheapest config whose Picard gaps reach round-off: the ratio of
+        # the last two gaps there moves by 88% under a one-ulp change of the
+        # amplitude when round-off gaps are not excluded
+        cfg = dict(n=64, dt=0.04, t_end=0.2, record_every=5, picard_depth=6)
+        ratio = [
+            run_check("wellposedness", amplitudes=(0.01, a), **cfg).fits["max_contraction_ratio"]
+            for a in (0.1, np.nextafter(0.1, 1.0))
+        ]
+        assert abs(ratio[1] - ratio[0]) < 1e-4 * ratio[0]
+
+    def test_unresolved_gaps_are_inconclusive(self):
+        # one Picard level past the heat flow: a single gap, no ratio
+        rep = run_check(
+            "wellposedness", n=32, dt=0.02, t_end=0.5, record_every=5, picard_depth=1,
+            amplitudes=(0.01, 0.1),
+        )
+        assert rep.fits["resolved_gaps"] == 1
+        assert "max_contraction_ratio" not in rep.fits
+        assert rep.verdict == "inconclusive"
+        assert any("round-off floor" in note for note in rep.notes)
 
 
 class TestReports:

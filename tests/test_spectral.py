@@ -22,6 +22,7 @@ from sqgev.spectral import (
     inverse_transform,
     load_field,
     lp_norm,
+    negated_modes,
     random_band_limited,
     random_phases,
     save_field,
@@ -151,6 +152,18 @@ class TestTransforms:
         rhs = a * forward_transform(f) + b * forward_transform(g)
         scale = max(np.max(np.abs(lhs.coeffs)), 1e-30)
         assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) <= 1e-13 * scale
+
+
+class TestNegatedModes:
+    @pytest.mark.parametrize("n", [8, 16, 128])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_the_gathered_index(self, n, kind):
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal((n, n))
+        if kind == "complex":
+            c = c + 1j * rng.standard_normal((n, n))
+        idx = (-np.arange(n)) % n
+        assert np.array_equal(negated_modes(c), c[np.ix_(idx, idx)])
 
 
 class TestApplyMultiplier:
