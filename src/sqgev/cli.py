@@ -41,6 +41,8 @@ ENV_PREFIX = "SQGEV_"
 RUN_DEFAULTS = flat_config(SolverConfig())
 RUN_DEFAULTS.update(flat_config(config_from_flat(GevreyParams, RUN_DEFAULTS)))
 RUN_KEYS = {key: type(value) for key, value in RUN_DEFAULTS.items()}
+# The run keys that `analyze` reads; the grid comes from the snapshot.
+ANALYZE_KEYS = {key: RUN_KEYS[key] for key in ("sharpness", "p", "q", "kappa", "alpha")}
 
 
 class UsageError(ValueError):
@@ -114,7 +116,7 @@ def _write_xt_trace(path, traj: Trajectory, gp: GevreyParams, system) -> None:
     _, samples = xt_norm(traj.samples(), gp, bp, system)
     radii = {row["t"]: row["radius"] for row in traj.diagnostics}
     with open(path, "w", newline="") as fh:
-        for key, val in config_echo(traj.config).items():
+        for key, val in {**config_echo(traj.config), "lam": gp.lam, "beta": gp.beta}.items():
             fh.write(f"# {key}={val}\n")
         writer = csv.writer(fh)
         writer.writerow(["t", "gamma_t", "besov_norm", "weighted_norm", "radius_estimate"])
@@ -189,7 +191,9 @@ def _cmd_picard(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    params = parse_config(args.config, args.set, RUN_KEYS, RUN_DEFAULTS)
+    params = parse_config(
+        args.config, args.set, ANALYZE_KEYS, {key: RUN_DEFAULTS[key] for key in ANALYZE_KEYS}
+    )
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     field, header = load_field(args.snapshot)
@@ -207,7 +211,7 @@ def _cmd_analyze(args) -> int:
         fh.write(f"# snapshot={args.snapshot}\n")
         for key, val in sorted(header.items()):
             fh.write(f"# snapshot_{key}={val}\n")
-        for key in sorted(RUN_KEYS):
+        for key in sorted(ANALYZE_KEYS):
             fh.write(f"# {key}={params[key]}\n")
         fh.write(f"# besov_s={bp.s}\n")
         fh.write(f"# discarded_energy_fraction={discarded!r}\n")

@@ -10,13 +10,19 @@ advanced explicitly at second order.  The convention is
 with the quadratic term formed pseudo-spectrally (pointwise product in
 physical space) and dealiased by the two-thirds rule by default.
 
-The state is a full n-by-n spectrum, but the stepping kernels use real
-transforms only: the two velocity components are one batched irfft2 of a
-(2, n, n//2+1) half spectrum, the two gradient components another, and the
-product comes back through one rfft2, its k2 < 0 columns rebuilt from
-Hermitian symmetry.  Nyquist convention: each odd symbol (i kx, i ky and
-the Riesz pair) is 0 where its own component is the Nyquist frequency n/2,
-the value the real part of a complex inverse transform gives it there.
+Each level's state is its k2 >= 0 half spectrum, an (n, n//2+1) array
+that the Heun step updates in place, and the step allocates nothing: one
+workspace per march (_Workspace) holds the half-plane symbols and every
+buffer, and numpy's out= arguments write the velocity pair, the gradient
+pair and the product's transform into it.  The inverse transform of a
+(2, n, n//2+1) stack is ifft along axis 0 then irfft along axis 1, the
+forward transform rfft along axis 1 then fft along axis 0: the same numbers
+as irfft2 and rfft2.  The k2 < 0 columns are rebuilt from Hermitian
+symmetry (_full_spectrum) only when a level is recorded, and when `step`
+or `nonlinear_term` returns its field; the initial data is recorded as
+given.  Nyquist convention: each odd symbol (i kx, i ky and the Riesz pair)
+is 0 where its own component is the Nyquist frequency n/2, the value the
+real part of a complex inverse transform gives it there.
 
 The solution and its Picard iterates obey the same equation and differ only
 in where the advecting velocity comes from, so one loop (_march) advances a
@@ -247,95 +253,151 @@ def _half_plane(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _freeze(ikx), _freeze(iky), _freeze(inv)
 
 
-def _real_pair(half: np.ndarray, first: np.ndarray, second: np.ndarray, n: int) -> np.ndarray:
-    """Grid values of the two fields with half spectra half * first and
-    half * second, from one batched irfft2; a (2, n, n) stack."""
-    stack = np.empty((2, *half.shape), dtype=np.complex128)
-    np.multiply(half, first, out=stack[0])
-    np.multiply(half, second, out=stack[1])
-    return np.fft.irfft2(stack, s=(n, n), norm="forward")
+class _Workspace:
+    """Half-plane operators and preallocated buffers for the stepping kernel
+    on one grid; one per march, never shared between grids.
+
+    spec holds two (n, n//2+1) half spectra and is the input of `inverse`
+    and the output of `forward`; vel and grad hold (2, n, n) grid values;
+    n1 and pred are the Heun stage-1 term and predictor; finite is the
+    guard's scratch.
+    """
+
+    def __init__(self, grid: Grid, dealias: str):
+        n, h = grid.n, grid.n // 2 + 1
+        self.n = n
+        self.ikx, self.iky, self.inv = _half_plane(grid)
+        self.neg_ikx = -self.ikx
+        self.mask = np.ascontiguousarray(dealias_mask(grid, dealias)[:, :h])
+        self.spec = np.empty((2, n, h), dtype=np.complex128)
+        self.vel = np.empty((2, n, n))
+        self.grad = np.empty((2, n, n))
+        self.n1 = np.empty((n, h), dtype=np.complex128)
+        self.pred = np.empty((n, h), dtype=np.complex128)
+        self.finite = np.empty((n, h), dtype=bool)
+
+    def inverse(self, out: np.ndarray) -> np.ndarray:
+        """Grid values of the two half spectra in spec, into the (2, n, n)
+        array out; the same numbers as irfft2, and spec is overwritten."""
+        np.fft.ifft(self.spec, axis=-2, norm="forward", out=self.spec)
+        return np.fft.irfft(self.spec, n=self.n, axis=-1, norm="forward", out=out)
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """Half spectrum of the (n, n) grid values, into spec[0]; the same
+        numbers as rfft2."""
+        out = self.spec[0]
+        np.fft.rfft(values, axis=-1, norm="forward", out=out)
+        return np.fft.fft(out, axis=-2, norm="forward", out=out)
+
+    def velocity(self, half: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Values (u1, u2) = (-R2 theta, R1 theta) on the grid points of the
+        field with half spectrum half, into the (2, n, n) array out."""
+        spec = self.spec
+        np.multiply(half, self.inv, out=spec[1])
+        np.multiply(spec[1], self.iky, out=spec[0])
+        np.multiply(spec[1], self.neg_ikx, out=spec[1])
+        return self.inverse(out)
+
+    def advection(self, half: np.ndarray, vel: np.ndarray) -> np.ndarray:
+        """Dealiased half spectrum of u . grad theta for the collocation
+        velocity vel, into spec[0]."""
+        spec, grad = self.spec, self.grad
+        np.multiply(half, self.ikx, out=spec[0])
+        np.multiply(half, self.iky, out=spec[1])
+        self.inverse(grad)
+        np.multiply(vel[0], grad[0], out=grad[0])
+        np.multiply(vel[1], grad[1], out=grad[1])
+        np.add(grad[0], grad[1], out=grad[0])
+        adv = self.forward(grad[0])
+        return np.multiply(adv, self.mask, out=adv)
+
+    def max_speed(self, vel: np.ndarray) -> float:
+        """max |u| over both components of the collocation velocity vel."""
+        speed = np.abs(vel, out=self.grad)
+        return max(np.max(speed[0]), np.max(speed[1]))
 
 
-def _collocation_velocity(theta_hat: np.ndarray, grid: Grid) -> np.ndarray:
-    """Values (u1, u2) = (-R2 theta, R1 theta) of the velocity on the grid
-    points, as a (2, n, n) stack."""
-    ikx, iky, inv = _half_plane(grid)
-    with np.errstate(invalid="ignore", over="ignore"):
-        return _real_pair(theta_hat[:, : grid.n // 2 + 1] * inv, iky, -ikx, grid.n)
-
-
-def _advect(theta_hat: np.ndarray, u1: np.ndarray, u2: np.ndarray, grid: Grid, mask: np.ndarray):
-    """Spectral coefficients of u . grad theta for the collocation velocity
-    (u1, u2), dealiased; also max |u|."""
-    n, h = grid.n, grid.n // 2 + 1
-    ikx, iky, _ = _half_plane(grid)
-    # blow-up shows up as NaN/Inf here and is detected by the caller, so the
-    # intermediate arithmetic must not warn
-    with np.errstate(invalid="ignore", over="ignore"):
-        tx, ty = _real_pair(theta_hat[:, :h], ikx, iky, n)
-        half = np.fft.rfft2(u1 * tx + u2 * ty, norm="forward") * mask[:, :h]
-        umax = max(np.max(np.abs(u1)), np.max(np.abs(u2)))
-    adv_hat = np.empty((n, n), dtype=np.complex128)
-    adv_hat[:, :h] = half
-    # f_hat(k1, -k2) = conj f_hat(-k1, k2)
-    adv_hat[:, h:] = np.conj(half[grid._neg_index, h - 2 : 0 : -1])
-    return adv_hat, umax
+def _full_spectrum(half: np.ndarray, grid: Grid) -> SpectralField:
+    """The field with k2 >= 0 half spectrum half, its k2 < 0 columns rebuilt
+    from Hermitian symmetry, f_hat(k1, -k2) = conj f_hat(-k1, k2)."""
+    h = grid.n // 2 + 1
+    coeffs = np.empty((grid.n, grid.n), dtype=np.complex128)
+    coeffs[:, :h] = half
+    coeffs[:, h:] = np.conj(half[grid._neg_index, h - 2 : 0 : -1])
+    return SpectralField(grid, coeffs)
 
 
 def nonlinear_term(theta: SpectralField, dealias: str = "two-thirds") -> SpectralField:
     """u . grad theta for u the Riesz velocity of theta (advection form)."""
     grid = theta.grid
-    mask = dealias_mask(grid, dealias)
-    u1, u2 = _collocation_velocity(theta.coeffs, grid)
-    adv_hat, _ = _advect(theta.coeffs, u1, u2, grid, mask)
-    if not np.all(np.isfinite(adv_hat)):
+    work = _Workspace(grid, dealias)
+    half = theta.coeffs[:, : grid.n // 2 + 1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        adv = work.advection(half, work.velocity(half, work.vel))
+    if not np.all(np.isfinite(adv)):
         raise BlowUpError("overflow while forming the advection term", 0.0, None)
-    return SpectralField(grid, adv_hat)
+    return _full_spectrum(adv, grid)
 
 
 def _heat_factor(grid: Grid, dt: float, kappa: float) -> np.ndarray:
     return np.exp(-dt * grid.k_mag**kappa)
 
 
-def _heun_step(theta_hat, grid, dt, efactor, mask, frozen=None, frozen_next=None):
-    """One integrating-factor Heun step; returns (new_theta_hat, umax).
+def _heun_step(theta, work, dt, efactor, frozen=None, frozen_next=None):
+    """One integrating-factor Heun step of the half spectrum theta, in
+    place; returns max |u| at the start of the step.
 
-    With frozen velocities (Picard mode), `frozen` supplies the collocation
-    velocity (u1, u2) at the current time and `frozen_next` at the next;
-    otherwise velocity is recomputed from the advected state itself.
+    efactor is the half-plane heat factor.  With frozen velocities (Picard
+    mode), `frozen` supplies the collocation velocity (u1, u2) at the
+    current time and `frozen_next` at the next; otherwise velocity is
+    recomputed from the advected state itself.
     """
-    vel = _collocation_velocity(theta_hat, grid) if frozen is None else frozen
-    adv1, umax = _advect(theta_hat, *vel, grid, mask)
-    n1 = -adv1
-    predictor = efactor * (theta_hat + dt * n1)
-    vel2 = _collocation_velocity(predictor, grid) if frozen is None else frozen_next
-    adv2, _ = _advect(predictor, *vel2, grid, mask)
-    n2 = -adv2
-    new = efactor * theta_hat + 0.5 * dt * (efactor * n1 + n2)
-    return new, umax
+    n1, pred = work.n1, work.pred
+    # blow-up shows up as NaN/Inf in the state and is detected by the
+    # caller, so the intermediate arithmetic must not warn
+    with np.errstate(invalid="ignore", over="ignore"):
+        vel = work.velocity(theta, work.vel) if frozen is None else frozen
+        umax = work.max_speed(vel)
+        np.negative(work.advection(theta, vel), out=n1)
+        np.multiply(n1, dt, out=pred)
+        np.add(theta, pred, out=pred)
+        np.multiply(efactor, pred, out=pred)
+        vel = work.velocity(pred, work.vel) if frozen is None else frozen_next
+        adv2 = work.advection(pred, vel)
+        # theta <- efactor * theta + dt/2 * (efactor * n1 + n2), n2 = -adv2
+        np.multiply(efactor, n1, out=n1)
+        np.subtract(n1, adv2, out=n1)
+        np.multiply(n1, 0.5 * dt, out=n1)
+        np.multiply(efactor, theta, out=theta)
+        np.add(theta, n1, out=theta)
+    return umax
 
 
-def _guard(new, umax, dt, kmax, t, notes, partial):
-    """Check a step ending at time t.  While `notes` is empty, an advective
-    CFL number dt * max|k| * max|u| above 1 is warned about and appended to
-    it; a non-finite coefficient raises BlowUpError carrying partial()."""
+def _guard(theta, umax, dt, kmax, t, work, notes, partial):
+    """Check a step ending at time t with half spectrum theta.  While
+    `notes` is empty, an advective CFL number dt * max|k| * max|u| above 1
+    is warned about and appended to it; a non-finite coefficient raises
+    BlowUpError carrying partial()."""
     if not notes and dt * kmax * umax > 1.0:
         notes.append(
             f"advective CFL heuristic exceeded at t={t:g}: "
             f"dt*max|k|*max|u| = {dt * kmax * umax:.2f}"
         )
         warnings.warn(notes[-1], StabilityWarning, stacklevel=3)
-    if not np.all(np.isfinite(new)):
+    if not np.isfinite(theta, out=work.finite).all():
         raise BlowUpError(f"blow-up at t={t:g}", t, partial())
 
 
 def step(theta: SpectralField, dt: float, config: SolverConfig) -> SpectralField:
     """Advance one step; exact heat flow when the advection term vanishes."""
     grid = theta.grid
-    efactor = _heat_factor(grid, dt, config.kappa)
-    new, umax = _heun_step(theta.coeffs, grid, dt, efactor, dealias_mask(grid, config.dealias))
-    _guard(new, umax, dt, float(np.max(grid.k_mag)), dt, [], lambda: None)
-    return SpectralField(grid, new)
+    h = grid.n // 2 + 1
+    work = _Workspace(grid, config.dealias)
+    half = theta.coeffs[:, :h].copy()
+    efactor = _heat_factor(grid, dt, config.kappa)[:, :h]
+    umax = _heun_step(half, work, dt, efactor)
+    _guard(half, umax, dt, float(np.max(grid.k_mag)), dt, work, [], lambda: None)
+    return _full_spectrum(half, grid)
 
 
 def _diagnostics_row(t, fld, config, system):
@@ -371,25 +433,33 @@ def _march(config: SolverConfig, sources: list) -> list[Trajectory]:
     (advecting no other level), whose velocity is frozen at both ends of
     each step.  A step's end-time velocity is reused as the next step's
     start-time velocity.
+
+    Each level's state is its k2 >= 0 half spectrum, updated in place; the
+    k2 < 0 columns are rebuilt when it is recorded.
     """
     grid, dt = config.grid, config.dt
+    h = grid.n // 2 + 1
     system = default_system(grid, config.sharpness)
-    efactor = _heat_factor(grid, dt, config.kappa)
-    mask = dealias_mask(grid, config.dealias)
+    work = _Workspace(grid, config.dealias)
+    efactor = _heat_factor(grid, dt, config.kappa)[:, :h]
     kmax = float(np.max(grid.k_mag))
     n_steps, marks = _record_steps(config)
 
     levels = range(len(sources))
-    theta = [initial_field(config, system).coeffs] * len(levels)
-    vel = {src: _collocation_velocity(theta[src], grid)
-           for lvl, src in enumerate(sources) if src not in (None, lvl)}
+    init = initial_field(config, system)
+    half = [init.coeffs[:, :h].copy() for _ in levels]
+    frozen_sources = [src for lvl, src in enumerate(sources) if src not in (None, lvl)]
+    vel = {src: work.velocity(half[src], np.empty((2, grid.n, grid.n)))
+           for src in frozen_sources}
+    spare = np.empty((2, grid.n, grid.n)) if frozen_sources else None
     times, snaps, diags = ([[] for _ in levels] for _ in range(3))
     metas = [{"convention": ADVECTION_CONVENTION, "level": lvl, "warnings": []} for lvl in levels]
 
     def record(k):
         t = k * dt
         for lvl in levels:
-            snap = SpectralField(grid, theta[lvl])
+            # the initial data is recorded as given
+            snap = _full_spectrum(half[lvl], grid) if k else init
             try:
                 row = _diagnostics_row(t, snap, config, system)
             except HermitianSymmetryError as exc:
@@ -415,17 +485,16 @@ def _march(config: SolverConfig, sources: list) -> list[Trajectory]:
     for k in range(1, n_steps + 1):
         for lvl, src in enumerate(sources):
             if src is None:
-                new, umax = efactor * theta[lvl], 0.0
+                np.multiply(efactor, half[lvl], out=half[lvl])
+                umax = 0.0
             elif src == lvl:
-                new, umax = _heun_step(theta[lvl], grid, dt, efactor, mask)
+                umax = _heun_step(half[lvl], work, dt, efactor)
             else:
-                vel_end = _collocation_velocity(theta[src], grid)
-                new, umax = _heun_step(
-                    theta[lvl], grid, dt, efactor, mask, frozen=vel[src], frozen_next=vel_end
-                )
-                vel[src] = vel_end
-            _guard(new, umax, dt, kmax, k * dt, metas[lvl]["warnings"], lambda: trajectory(lvl))
-            theta[lvl] = new
+                vel_end = work.velocity(half[src], spare)
+                umax = _heun_step(half[lvl], work, dt, efactor, vel[src], vel_end)
+                vel[src], spare = vel_end, vel[src]
+            _guard(half[lvl], umax, dt, kmax, k * dt, work, metas[lvl]["warnings"],
+                   lambda: trajectory(lvl))
         if k in marks:
             record(k)
     return [trajectory(lvl) for lvl in levels]

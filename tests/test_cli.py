@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sqgev.cli import (
+    ANALYZE_KEYS,
     RUN_DEFAULTS,
     RUN_KEYS,
     UsageError,
@@ -86,13 +87,19 @@ class TestRunKeys:
         sets = [arg for key, value in values.items() for arg in ("--set", f"{key}={value}")]
         run = tmp_path / "run"
         assert main(["simulate", "-o", str(run), *sets]) == 0
-        snapshot = next(run.glob("snapshot_*.field"))
-        assert main(["analyze", str(snapshot), "-o", str(tmp_path / "ana"), *sets]) == 0
         config = echoed(run / "diagnostics.csv")
-        analysis = echoed(tmp_path / "ana" / "analysis.csv")
+        trace = echoed(run / "xt_trace.csv")
         for key, value in values.items():
-            raw = analysis[key] if key in ("lam", "beta") else config[key]
+            raw = trace[key] if key in ("lam", "beta") else config[key]
             assert RUN_KEYS[key](raw) == value
+        # analyze takes, and echoes, only the keys it reads
+        snapshot = next(run.glob("snapshot_*.field"))
+        sets = [arg for key in ANALYZE_KEYS for arg in ("--set", f"{key}={values[key]}")]
+        assert main(["analyze", str(snapshot), "-o", str(tmp_path / "ana"), *sets]) == 0
+        analysis = echoed(tmp_path / "ana" / "analysis.csv")
+        assert set(analysis) & set(RUN_KEYS) == set(ANALYZE_KEYS)
+        for key in ANALYZE_KEYS:
+            assert RUN_KEYS[key](analysis[key]) == values[key]
 
 
 class TestSimulateVerb:
@@ -208,14 +215,19 @@ class TestAnalyzeVerb:
         snap = tmp_path / "heat.field"
         save_field(snap, field, time=t)
         out = tmp_path / "ana"
-        code = main(
-            ["analyze", str(snap), "-o", str(out), "--set", f"alpha={kappa}",
-             "--set", "n=64"]
-        )
+        code = main(["analyze", str(snap), "-o", str(out), "--set", f"alpha={kappa}"])
         assert code == 0
         text = (out / "analysis.csv").read_text()
         radius = float(next(l for l in text.splitlines() if l.startswith("# radius_estimate=")).split("=")[1])
         assert abs(radius - t) / t <= 0.02
+
+    @pytest.mark.parametrize("key", ["n", "dt", "lam"])
+    def test_key_analyze_does_not_read_exits_2(self, tmp_path, key):
+        snap = tmp_path / "flat.field"
+        save_field(snap, SpectralField(Grid(16), np.ones((16, 16), dtype=complex)))
+        out = tmp_path / "ana"
+        assert main(["analyze", str(snap), "-o", str(out), "--set", f"{key}={RUN_DEFAULTS[key]}"]) == 2
+        assert not (out / "analysis.csv").exists()
 
 
 class TestVerifyVerb:

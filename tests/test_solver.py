@@ -1,19 +1,24 @@
 """Tests for the SQG time stepper and the Picard approximation sequence."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqgev.dyadic import build_system
+from sqgev.dyadic import build_system, default_system
 from sqgev.gevrey import heat_semigroup
 from sqgev.solver import (
-    _advect,
-    _collocation_velocity,
+    ADVECTION_CONVENTION,
+    _diagnostics_row,
+    _full_spectrum,
+    _half_plane,
     _heat_factor,
     _heun_step,
+    _record_steps,
+    _Workspace,
     BlowUpError,
     InitialData,
     SolverConfig,
@@ -80,6 +85,126 @@ def heun_step_complex(theta_hat, grid, dt, efactor, mask):
     predictor = efactor * (theta_hat + dt * n1)
     n2 = -advect_complex(predictor, *collocation_velocity_complex(predictor, grid), grid, mask)[0]
     return efactor * theta_hat + 0.5 * dt * (efactor * n1 + n2)
+
+
+# The full-spectrum march of the real-transform solver as it was before the
+# state became an in-place half spectrum: allocating irfft2/rfft2 calls and
+# a new (n, n) state per step.  The trajectories of the half-plane march
+# must equal its own, bit for bit.
+def real_pair_full(half, first, second, n):
+    stack = np.empty((2, *half.shape), dtype=np.complex128)
+    np.multiply(half, first, out=stack[0])
+    np.multiply(half, second, out=stack[1])
+    return np.fft.irfft2(stack, s=(n, n), norm="forward")
+
+
+def velocity_full(theta_hat, grid):
+    ikx, iky, inv = _half_plane(grid)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return real_pair_full(theta_hat[:, : grid.n // 2 + 1] * inv, iky, -ikx, grid.n)
+
+
+def advect_full(theta_hat, u1, u2, grid, mask):
+    n, h = grid.n, grid.n // 2 + 1
+    ikx, iky, _ = _half_plane(grid)
+    with np.errstate(invalid="ignore", over="ignore"):
+        tx, ty = real_pair_full(theta_hat[:, :h], ikx, iky, n)
+        half = np.fft.rfft2(u1 * tx + u2 * ty, norm="forward") * mask[:, :h]
+        umax = max(np.max(np.abs(u1)), np.max(np.abs(u2)))
+    adv_hat = np.empty((n, n), dtype=np.complex128)
+    adv_hat[:, :h] = half
+    adv_hat[:, h:] = np.conj(half[grid._neg_index, h - 2 : 0 : -1])
+    return adv_hat, umax
+
+
+def heun_step_full(theta_hat, grid, dt, efactor, mask, frozen=None, frozen_next=None):
+    vel = velocity_full(theta_hat, grid) if frozen is None else frozen
+    adv1, umax = advect_full(theta_hat, *vel, grid, mask)
+    n1 = -adv1
+    with np.errstate(invalid="ignore", over="ignore"):
+        predictor = efactor * (theta_hat + dt * n1)
+    vel2 = velocity_full(predictor, grid) if frozen is None else frozen_next
+    adv2, _ = advect_full(predictor, *vel2, grid, mask)
+    n2 = -adv2
+    with np.errstate(invalid="ignore", over="ignore"):
+        return efactor * theta_hat + 0.5 * dt * (efactor * n1 + n2), umax
+
+
+def march_full(config, sources):
+    grid, dt = config.grid, config.dt
+    system = default_system(grid, config.sharpness)
+    efactor = _heat_factor(grid, dt, config.kappa)
+    mask = dealias_mask(grid, config.dealias)
+    kmax = float(np.max(grid.k_mag))
+    n_steps, marks = _record_steps(config)
+    levels = range(len(sources))
+    theta = [initial_field(config, system).coeffs] * len(levels)
+    vel = {src: velocity_full(theta[src], grid)
+           for lvl, src in enumerate(sources) if src not in (None, lvl)}
+    times, snaps, diags = ([[] for _ in levels] for _ in range(3))
+    metas = [{"convention": ADVECTION_CONVENTION, "level": lvl, "warnings": []} for lvl in levels]
+
+    def trajectory(lvl):
+        return Trajectory(config, tuple(times[lvl]), tuple(snaps[lvl]), tuple(diags[lvl]), metas[lvl])
+
+    def record(k):
+        for lvl in levels:
+            snap = SpectralField(grid, theta[lvl])
+            try:
+                row = _diagnostics_row(k * dt, snap, config, system)
+            except HermitianSymmetryError as exc:
+                raise BlowUpError("diagnostics", k * dt, trajectory(lvl)) from exc
+            if not all(np.isfinite(row[key]) for key in ("l2", "lp", "besov")):
+                raise BlowUpError("diagnostics", k * dt, trajectory(lvl))
+            times[lvl].append(k * dt)
+            snaps[lvl].append(snap)
+            diags[lvl].append(row)
+
+    record(0)
+    for k in range(1, n_steps + 1):
+        for lvl, src in enumerate(sources):
+            if src is None:
+                new, umax = efactor * theta[lvl], 0.0
+            elif src == lvl:
+                new, umax = heun_step_full(theta[lvl], grid, dt, efactor, mask)
+            else:
+                vel_end = velocity_full(theta[src], grid)
+                new, umax = heun_step_full(theta[lvl], grid, dt, efactor, mask, vel[src], vel_end)
+                vel[src] = vel_end
+            notes = metas[lvl]["warnings"]
+            if not notes and dt * kmax * umax > 1.0:
+                notes.append(
+                    f"advective CFL heuristic exceeded at t={k * dt:g}: "
+                    f"dt*max|k|*max|u| = {dt * kmax * umax:.2f}"
+                )
+            if not np.all(np.isfinite(new)):
+                raise BlowUpError("step", k * dt, trajectory(lvl))
+            theta[lvl] = new
+        if k in marks:
+            record(k)
+    return [trajectory(lvl) for lvl in levels]
+
+
+def run_or_blowup(march, *args):
+    """(levels, None) from a finished march, ([partial], time) from a
+    blow-up."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        try:
+            return march(*args), None
+        except BlowUpError as exc:
+            return [exc.trajectory], exc.time
+
+
+def assert_same_run(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.times == b.times
+        assert a.diagnostics == b.diagnostics
+        assert a.meta == b.meta
+        assert len(a.snapshots) == len(b.snapshots)
+        for x, y in zip(a.snapshots, b.snapshots):
+            assert np.array_equal(x.coeffs, y.coeffs)
 
 
 class TestConfig:
@@ -168,15 +293,52 @@ class TestRealKernels:
         # the noise fills the Nyquist row and column, where each odd symbol
         # must vanish along its own component
         grid = Grid(n)
+        h = n // 2 + 1
         theta = hermitian_noise(grid, box_mask(grid, n // 2), np.random.default_rng(n)).coeffs
         mask = dealias_mask(grid, dealias)
+        work = _Workspace(grid, dealias)
         ref_vel = np.array(collocation_velocity_complex(theta, grid))
-        vel = np.asarray(_collocation_velocity(theta, grid))
+        vel = work.velocity(theta[:, :h], np.empty((2, n, n)))
         assert np.max(np.abs(vel - ref_vel)) <= 1e-13 * np.max(np.abs(ref_vel))
         ref_adv, ref_umax = advect_complex(theta, *ref_vel, grid, mask)
-        adv, umax = _advect(theta, *vel, grid, mask)
+        umax = work.max_speed(vel)
+        adv = _full_spectrum(work.advection(theta[:, :h], vel), grid).coeffs
         assert np.max(np.abs(adv - ref_adv)) <= 1e-13 * np.max(np.abs(ref_adv))
         assert abs(umax - ref_umax) <= 1e-13 * ref_umax
+
+    @pytest.mark.parametrize("n", [8, 16, 128, 256])
+    def test_workspace_transforms_equal_numpy(self, n):
+        # the split transforms write into preallocated buffers, in place
+        # along the first axis, and give irfft2/rfft2's numbers exactly
+        rng = np.random.default_rng(n)
+        work = _Workspace(Grid(n), "none")
+        values = rng.standard_normal((2, n, n))
+        half = np.fft.rfft2(values, norm="forward")
+        work.spec[...] = half
+        out = np.empty((2, n, n))
+        assert work.inverse(out) is out
+        assert np.array_equal(out, np.fft.irfft2(half, s=(n, n), norm="forward"))
+        adv = work.forward(values[1])
+        assert np.shares_memory(adv, work.spec)
+        assert np.array_equal(adv, np.fft.rfft2(values[1], norm="forward"))
+
+    @pytest.mark.parametrize("dealias", ["two-thirds", "none"])
+    def test_half_plane_step_matches_complex_step(self, dealias):
+        cfg = cosine_config(
+            n=32, dealias=dealias, initial_data=InitialData("random-band", amplitude=0.5, seed=4)
+        )
+        grid = cfg.grid
+        h = grid.n // 2 + 1
+        efactor = _heat_factor(grid, cfg.dt, cfg.kappa)
+        mask = dealias_mask(grid, cfg.dealias)
+        work = _Workspace(grid, cfg.dealias)
+        ref = initial_field(cfg).coeffs
+        half = ref[:, :h].copy()
+        for _ in range(5):
+            ref = heun_step_complex(ref, grid, cfg.dt, efactor, mask)
+            _heun_step(half, work, cfg.dt, efactor[:, :h])
+            state = _full_spectrum(half, grid).coeffs
+            assert np.max(np.abs(state - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_undealiased_solve_matches_complex_march(self):
         # without dealiasing the first step fills the Nyquist modes
@@ -302,12 +464,14 @@ class TestSolve:
         assert traj.meta["level"] == 0 and traj.meta["warnings"] == []
         grid = cfg.grid
         efactor = _heat_factor(grid, cfg.dt, cfg.kappa)
-        mask = dealias_mask(grid, cfg.dealias)
+        work = _Workspace(grid, cfg.dealias)
+        h = grid.n // 2 + 1
         theta = initial_field(cfg).coeffs
         assert np.array_equal(theta, traj.snapshots[0].coeffs)
+        half = theta[:, :h].copy()
         for snap in traj.snapshots[1:]:
-            theta, _ = _heun_step(theta, grid, cfg.dt, efactor, mask)
-            assert np.array_equal(theta, snap.coeffs)
+            _heun_step(half, work, cfg.dt, efactor[:, :h])
+            assert np.array_equal(_full_spectrum(half, grid).coeffs, snap.coeffs)
 
     def test_huge_dt_warns(self):
         cfg = cosine_config(
@@ -370,18 +534,20 @@ class TestPicard:
         )
         levels = picard_solve(cfg)
         grid = cfg.grid
-        efactor = _heat_factor(grid, cfg.dt, cfg.kappa)
-        mask = dealias_mask(grid, cfg.dealias)
+        n, h = grid.n, grid.n // 2 + 1
+        efactor = _heat_factor(grid, cfg.dt, cfg.kappa)[:, :h]
+        work = _Workspace(grid, cfg.dealias)
         for lvl in (1, 2):
-            below = [snap.coeffs for snap in levels[lvl - 1].snapshots]
-            theta = levels[lvl].snapshots[0].coeffs
+            below = [snap.coeffs[:, :h] for snap in levels[lvl - 1].snapshots]
+            theta = levels[lvl].snapshots[0].coeffs[:, :h].copy()
             for k in range(len(below) - 1):
-                theta, _ = _heun_step(
-                    theta, grid, cfg.dt, efactor, mask,
-                    frozen=_collocation_velocity(below[k], grid),
-                    frozen_next=_collocation_velocity(below[k + 1], grid),
+                _heun_step(
+                    theta, work, cfg.dt, efactor,
+                    frozen=work.velocity(below[k], np.empty((2, n, n))),
+                    frozen_next=work.velocity(below[k + 1], np.empty((2, n, n))),
                 )
-                assert np.array_equal(theta, levels[lvl].snapshots[k + 1].coeffs)
+                new = _full_spectrum(theta, grid).coeffs
+                assert np.array_equal(new, levels[lvl].snapshots[k + 1].coeffs)
 
     def test_past_cfl_warns_and_blowup_carries_partial_trajectory(self):
         cfg = cosine_config(
@@ -475,6 +641,48 @@ class TestPicard:
         gap_prev = (levels[-1].final() - levels[-2].final()).l2_norm()
         dist = (levels[-1].final() - reference.final()).l2_norm()
         assert dist <= 2.0 * gap_prev + 1e-12
+
+
+class TestHalfPlaneMarch:
+    @pytest.mark.parametrize("dealias", ["two-thirds", "none"])
+    def test_solve_and_picard_equal_full_spectrum_march(self, dealias):
+        cfg = cosine_config(
+            n=32, dealias=dealias, picard_depth=3, record_every=2,
+            initial_data=InitialData("random-band", amplitude=0.5, seed=2),
+        )
+        assert_same_run([solve(cfg)], march_full(cfg, [0]))
+        assert_same_run(picard_solve(cfg), march_full(cfg, [None, 0, 1, 2]))
+
+    @pytest.mark.parametrize("dealias", ["two-thirds", "none"])
+    @pytest.mark.parametrize("record_every", [1, 1000])
+    def test_blowup_equals_full_spectrum_march(self, dealias, record_every):
+        # record_every=1 ends at non-finite diagnostics, 1000 at a non-finite
+        # coefficient
+        cfg = cosine_config(
+            n=32, dealias=dealias, picard_depth=2, dt=0.5, t_end=50.0,
+            record_every=record_every,
+            initial_data=InitialData("random-band", amplitude=1e4, seed=7),
+        )
+        for run, sources in ((solve, [0]), (picard_solve, [None, 0, 1])):
+            got, got_time = run_or_blowup(run, cfg)
+            want, want_time = run_or_blowup(march_full, cfg, sources)
+            assert want_time is not None and got_time == want_time
+            assert got[0].meta["level"] == want[0].meta["level"]
+            assert_same_run(got, want)
+
+    def test_alternating_grids_match_runs_alone(self):
+        # each march owns its workspace: runs on two grids, interleaved,
+        # give what each gives alone
+        configs = [
+            cosine_config(n=n, picard_depth=2, record_every=2,
+                          initial_data=InitialData("random-band", amplitude=0.5, seed=n))
+            for n in (32, 64)
+        ]
+        alone = [(solve(cfg), picard_solve(cfg)) for cfg in configs]
+        for _ in range(2):
+            for cfg, (run, levels) in zip(configs, alone):
+                assert_same_run([solve(cfg)], [run])
+                assert_same_run(picard_solve(cfg), levels)
 
 
 class TestArtifacts:
