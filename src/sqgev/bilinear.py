@@ -212,27 +212,45 @@ def _multi_indices(max_order: int):
     return [(b1, b2) for b1 in singles for b2 in singles if sum(b1) + sum(b2) <= max_order]
 
 
-def _fd_derivative(m, xi, eta, b1, b2, rel_step):
-    """Nested central differences; steps scale with each argument's radius."""
-    for comp in range(2):
-        if b1[comp] > 0:
-            h = rel_step * _norm(xi)
-            e = np.zeros_like(xi)
-            e[..., comp] = 1.0
-            lower = tuple(b1[c] - (c == comp) for c in range(2))
-            hi = _fd_derivative(m, xi + h[..., None] * e, eta, lower, b2, rel_step)
-            lo = _fd_derivative(m, xi - h[..., None] * e, eta, lower, b2, rel_step)
-            return (hi - lo) / (2.0 * h)
-    for comp in range(2):
-        if b2[comp] > 0:
-            h = rel_step * _norm(eta)
-            e = np.zeros_like(eta)
-            e[..., comp] = 1.0
-            lower = tuple(b2[c] - (c == comp) for c in range(2))
-            hi = _fd_derivative(m, xi, eta + h[..., None] * e, b1, lower, rel_step)
-            lo = _fd_derivative(m, xi, eta - h[..., None] * e, b1, lower, rel_step)
-            return (hi - lo) / (2.0 * h)
-    return m(xi, eta)
+def _fd_stencil(xi, eta, b1, b2, rel_step):
+    """Nested central differences for d^b1_xi d^b2_eta, steps scaled by each
+    argument's radius: the 2^(|b1|+|b2|) perturbed (xi, eta) point sets,
+    stacked on a new leading axis, and the difference tree over them.  A
+    leaf of the tree is the index of a point set; a node (h, hi, lo) is
+    (hi - lo) / (2 h)."""
+    points = []
+
+    def build(xi, eta, b1, b2):
+        for comp in range(2):
+            if b1[comp] > 0:
+                h = rel_step * _norm(xi)
+                e = np.zeros_like(xi)
+                e[..., comp] = 1.0
+                lower = tuple(b1[c] - (c == comp) for c in range(2))
+                return (h, build(xi + h[..., None] * e, eta, lower, b2),
+                        build(xi - h[..., None] * e, eta, lower, b2))
+        for comp in range(2):
+            if b2[comp] > 0:
+                h = rel_step * _norm(eta)
+                e = np.zeros_like(eta)
+                e[..., comp] = 1.0
+                lower = tuple(b2[c] - (c == comp) for c in range(2))
+                return (h, build(xi, eta + h[..., None] * e, b1, lower),
+                        build(xi, eta - h[..., None] * e, b1, lower))
+        points.append((xi, eta))
+        return len(points) - 1
+
+    tree = build(xi, eta, b1, b2)
+    return np.stack([x for x, _ in points]), np.stack([y for _, y in points]), tree
+
+
+def _fd_combine(values, tree):
+    """The derivative from a stencil's tree and the symbol values at its
+    point sets, values[i] at point set i."""
+    if isinstance(tree, int):
+        return values[tree]
+    h, hi, lo = tree
+    return (_fd_combine(values, hi) - _fd_combine(values, lo)) / (2.0 * h)
 
 
 def marcinkiewicz_check(
@@ -253,7 +271,8 @@ def marcinkiewicz_check(
     entries = {}
     flagged = []
     for b1, b2 in _multi_indices(max_order):
-        deriv = np.asarray(_fd_derivative(m, xi, eta, b1, b2, rel_step))
+        xi_pts, eta_pts, tree = _fd_stencil(xi, eta, b1, b2, rel_step)
+        deriv = np.asarray(_fd_combine(m(xi_pts, eta_pts), tree))
         weighted = np.abs(deriv) * xi_mag ** sum(b1) * eta_mag ** sum(b2)
         finite = np.isfinite(weighted)
         if not finite.all():

@@ -23,11 +23,10 @@ import json
 import math
 import platform
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .bilinear import _fd_derivative, _multi_indices, _r_alpha_sigma, gevrey_commutators
+from .bilinear import _fd_combine, _fd_stencil, _multi_indices, _norm, gevrey_commutators
 from .dyadic import DEFAULT_SHARPNESS, BesovParams, build_system
 from .gevrey import (
     GevreyOverflowError,
@@ -38,7 +37,7 @@ from .gevrey import (
     heat_semigroup,
     xt_norm,
 )
-from .solver import BlowUpError, InitialData, SolverConfig, picard_solve, solve
+from .solver import BlowUpError, InitialData, SolverConfig, _full_spectrum, picard_solve, solve
 from .spectral import (
     TWO_PI,
     ConfigError,
@@ -76,16 +75,23 @@ class InequalityReport:
                 return list(obj)
             raise TypeError(f"not serializable: {type(obj)}")
 
-        payload = {
+        header = {
             "check_id": self.check_id,
             "verdict": self.verdict,
             "config": self.config,
             "fits": self.fits,
             "notes": self.notes,
             "environment": self.environment,
-            "trials": self.trials,
         }
-        return json.dumps(payload, indent=2, sort_keys=True, default=default)
+        # only the small header goes through the indenting encoder; the
+        # trials follow it, one row per line
+        head = json.dumps(header, indent=2, sort_keys=True, default=default)
+        rows = ",\n".join(
+            "    " + json.dumps(row, sort_keys=True, default=default) for row in self.trials
+        )
+        trials = f"[\n{rows}\n  ]" if self.trials else "[]"
+        # head ends in "\n}": reopen it for the trials
+        return f'{head[:-2]},\n  "trials": {trials}\n}}'
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
@@ -115,13 +121,26 @@ def _signed_power(values: np.ndarray, exponent: float) -> np.ndarray:
     return np.sign(values) * np.abs(values) ** exponent
 
 
+def _signed_power_norms(phys: RealField, ps, exponents) -> dict:
+    """{(e, p): ||Lambda^e (|f|^(p/2-1) f)||_2} for f = phys, from one
+    forward transform per p."""
+    norms = {}
+    for p in ps:
+        v_hat = forward_transform(RealField(phys.grid, _signed_power(phys.values, p / 2.0)))
+        for e in exponents:
+            norms[e, p] = fractional_laplacian(v_hat, e).l2_norm()
+    return norms
+
+
 def _shaped_band_field(grid, system, j, seed):
     """Random field shaped like a genuine Littlewood-Paley block."""
     return system.delta_j(random_band_limited(grid, j, seed), j)
 
 
-def _lp_of(field: SpectralField, p: float) -> float:
-    return lp_norm(inverse_transform(field), p)
+def _lp_norms(field: SpectralField, ps) -> dict:
+    """{p: ||field||_p} for every p in ps, from one inverse transform."""
+    phys = inverse_transform(field)
+    return {p: lp_norm(phys, p) for p in ps}
 
 
 # ---------------------------------------------------------------------------
@@ -148,20 +167,16 @@ def check_bernstein(
         j = js[trial % len(js)]
         f = _shaped_band_field(grid, system, j, seed + trial)
         phys = inverse_transform(f)
+        base = {p: lp_norm(phys, p) for p in p_set}
+        live = [p for p in p_set if base[p] != 0.0]
+        # each transformed field is made once and read at every exponent;
+        # the generalized variant goes through the signed p/2 power
+        lam_norms = {s: _lp_norms(fractional_laplacian(f, s), live) for s in s_set}
+        gen_norms = _signed_power_norms(phys, live, s_set)
         for s in s_set:
-            lam_s = fractional_laplacian(f, s)
-            for p in p_set:
-                base = lp_norm(phys, p)
-                if base == 0.0:
-                    continue
-                ratio = _lp_of(lam_s, p) / (2.0 ** (j * s) * base)
-                # generalized variant through the signed p/2 power
-                v = _signed_power(phys.values, p / 2.0)
-                v_hat = forward_transform(RealField(grid, v))
-                gen = (
-                    fractional_laplacian(v_hat, s).l2_norm() ** (2.0 / p)
-                    / (2.0 ** (2.0 * s * j / p) * base)
-                )
+            for p in live:
+                ratio = lam_norms[s][p] / (2.0 ** (j * s) * base[p])
+                gen = gen_norms[s, p] ** (2.0 / p) / (2.0 ** (2.0 * s * j / p) * base[p])
                 rows.append({"j": j, "s": s, "p": p, "ratio": ratio, "gen_ratio": gen})
 
     fits = {}
@@ -205,6 +220,7 @@ def check_positivity(
     for trial in range(trials):
         f = _smooth_noise(grid, seed + trial)
         phys = inverse_transform(f)
+        rhs_norms = _signed_power_norms(phys, p_set, [s / 2.0 for s in s_set])
         for s in s_set:
             lam_f = inverse_transform(fractional_laplacian(f, s))
             for p in p_set:
@@ -212,8 +228,7 @@ def check_positivity(
                     np.sum(lam_f.values * np.abs(phys.values) ** (p - 2) * phys.values)
                     * grid.cell_area
                 )
-                v_hat = forward_transform(RealField(grid, _signed_power(phys.values, p / 2.0)))
-                rhs = (2.0 / p) * fractional_laplacian(v_hat, s / 2.0).l2_norm() ** 2
+                rhs = (2.0 / p) * rhs_norms[s / 2.0, p] ** 2
                 diff = lhs - rhs
                 scale = max(abs(lhs), abs(rhs), 1e-30)
                 rows.append(
@@ -243,28 +258,30 @@ def check_heat_kernel(
     grid = Grid(n, box_length)
     system = build_system(grid, sharpness)
     js = list(range(j_lo, j_hi + 1))
-    rows = []
+    # per_kappa[i] holds the rows of kappa_set[i]; each block serves every
+    # kappa and is transformed once, and each decayed block serves every p
+    per_kappa = [[] for _ in kappa_set]
     skipped = 0
-    fits = {}
-    verdict = PASS
-    for kappa in kappa_set:
-        scaled = []
-        for trial in range(trials):
-            j = js[trial % len(js)]
-            f = _shaped_band_field(grid, system, j, seed + trial)
-            for p in p_set:
-                base = _lp_of(f, p)
-                if base == 0.0:
-                    skipped += 1
-                    continue
+    for trial in range(trials):
+        j = js[trial % len(js)]
+        f = _shaped_band_field(grid, system, j, seed + trial)
+        base = _lp_norms(f, p_set)
+        live = [p for p in p_set if base[p] != 0.0]
+        skipped += len(kappa_set) * (len(p_set) - len(live))
+        for kappa, kappa_rows in zip(kappa_set, per_kappa):
+            norms = {t: _lp_norms(heat_semigroup(f, t, kappa), live) for t in t_grid}
+            for p in live:
                 for t in t_grid:
-                    decayed = heat_semigroup(f, t, kappa)
-                    rate = -math.log(_lp_of(decayed, p) / base) / t
+                    rate = -math.log(norms[t][p] / base[p]) / t
                     value = rate / 2.0 ** (kappa * j)
-                    scaled.append(value)
-                    rows.append(
+                    kappa_rows.append(
                         {"kappa": kappa, "j": j, "p": p, "t": t, "rate_over_2kj": value}
                     )
+    rows = [row for kappa_rows in per_kappa for row in kappa_rows]
+    fits = {}
+    verdict = PASS
+    for kappa, kappa_rows in zip(kappa_set, per_kappa):
+        scaled = [row["rate_over_2kj"] for row in kappa_rows]
         c1, c2 = max(scaled), min(scaled)
         fits[f"c1_kappa{kappa:g}"] = c1
         fits[f"c2_kappa{kappa:g}"] = c2
@@ -301,6 +318,7 @@ def check_lin_gevrey(
         f = _shaped_band_field(grid, system, j, seed + trial)
         lam_a = fractional_laplacian(f, alpha)
         lam_k = fractional_laplacian(f, kappa)
+        lam_a_norms = _lp_norms(lam_a, p_set)
         for gamma in gamma_set:
             try:
                 left_f = gevrey_multiply(lam_a, gamma, alpha)
@@ -308,12 +326,14 @@ def check_lin_gevrey(
             except GevreyOverflowError:
                 skipped += 1
                 continue
+            right = _lp_norms(right_f, p_set)
+            left = _lp_norms(left_f, p_set)
             for p in p_set:
-                denom = _lp_of(lam_a, p) + gamma**exponent * _lp_of(right_f, p)
+                denom = lam_a_norms[p] + gamma**exponent * right[p]
                 if denom == 0.0:
                     skipped += 1
                     continue
-                ratio = _lp_of(left_f, p) / denom
+                ratio = left[p] / denom
                 rows.append({"j": j, "gamma": gamma, "p": p, "ratio": ratio})
     ratios = [r["ratio"] for r in rows]
     per_gamma = {
@@ -407,11 +427,6 @@ def check_concavity(*, seed=0, alpha_set=(0.3, 0.5, 0.9), c_set=(0.5, 1.0, 2.0))
 # ---------------------------------------------------------------------------
 
 
-def _r_alpha_sigma_fn(alpha, sigma):
-    """R_{alpha,sigma} as a function of (xi, eta) alone."""
-    return partial(_r_alpha_sigma, alpha=alpha, sigma=sigma)
-
-
 def check_r_derivatives(
     *, alpha_set=(0.3, 0.5, 0.9), sigma_set=(0.0, 0.5, 1.0), gap_set=(3, 4, 5, 6, 7),
     max_order=2, constant_cap=50.0,
@@ -435,19 +450,30 @@ def check_r_derivatives(
     xm = np.linalg.norm(xi, axis=-1)
     em = np.linalg.norm(eta, axis=-1)
     indices = _multi_indices(max_order)
+    scales = [np.repeat([2.0 ** (l * alpha) for l, _ in families], 18 * 18) for alpha in alpha_set]
+    # maxima[a][s][i]: the per-family maxima of multi-index i at
+    # (alpha_set[a], sigma_set[s]).  One stencil at a time serves every
+    # (alpha, sigma): R_{alpha,sigma} = |xi + sigma eta|^a - |xi|^a - |eta|^a,
+    # in the operation order of bilinear._r_alpha_sigma, with each radius
+    # taken once per stencil and each power once per alpha.
+    maxima = [[[] for _ in sigma_set] for _ in alpha_set]
+    for b1, b2 in indices:
+        xi_pts, eta_pts, tree = _fd_stencil(xi, eta, b1, b2, 1e-3)
+        xi_r, eta_r = _norm(xi_pts), _norm(eta_pts)
+        sum_r = [_norm(xi_pts + sigma * eta_pts) for sigma in sigma_set]
+        weight_xi, weight_eta = xm ** sum(b1), em ** sum(b2)
+        for per_alpha, alpha, scale in zip(maxima, alpha_set, scales):
+            xi_pow, eta_pow = xi_r**alpha, eta_r**alpha
+            for per_sigma, r in zip(per_alpha, sum_r):
+                deriv = _fd_combine(r**alpha - xi_pow - eta_pow, tree)
+                weighted = np.abs(deriv) * weight_xi * weight_eta / scale
+                per_sigma.append(weighted.reshape(len(families), -1).max(axis=1))
     rows = []
     worst = 0.0
-    for alpha in alpha_set:
-        scale = np.repeat([2.0 ** (l * alpha) for l, _ in families], 18 * 18)
-        for sigma in sigma_set:
-            fn = _r_alpha_sigma_fn(alpha, sigma)
-            maxima = []
-            for b1, b2 in indices:
-                deriv = _fd_derivative(fn, xi, eta, b1, b2, 1e-3)
-                weighted = np.abs(deriv) * xm ** sum(b1) * em ** sum(b2) / scale
-                maxima.append(weighted.reshape(len(families), -1).max(axis=1))
+    for alpha, per_alpha in zip(alpha_set, maxima):
+        for sigma, per_sigma in zip(sigma_set, per_alpha):
             for f, (l, k) in enumerate(families):
-                for (b1, b2), family_max in zip(indices, maxima):
+                for (b1, b2), family_max in zip(indices, per_sigma):
                     value = float(family_max[f])
                     rows.append(
                         {
@@ -498,22 +524,27 @@ def _prescribed_profile_field(grid, exponent, p, seed, extra_damping=0.0, alpha=
     to its norm exactly, so block norms track 2^(-exponent*j) uniformly in j
     regardless of lattice ring granularity.  Optional Gevrey damping
     multiplies in exp(-damping |k|^alpha).
+
+    The field is built on the k2 >= 0 half plane, which is all a band's
+    real inverse transform reads; the k2 < 0 columns are rebuilt from
+    Hermitian symmetry at the end.
     """
-    phase = random_phases(grid, np.random.default_rng(seed))
-    kmag = grid.k_mag
+    n, h = grid.n, grid.n // 2 + 1
+    phase = random_phases(grid, np.random.default_rng(seed))[:, :h]
+    kmag = grid.k_mag[:, :h]
     j_top = int(math.floor(math.log2(grid.k_nyquist)))
-    coeffs = np.zeros((grid.n, grid.n), dtype=complex)
+    half = np.zeros((n, h), dtype=complex)
     for j in range(0, j_top + 1):
         mask = (kmag > 2.0 ** (j - 0.5)) & (kmag <= min(2.0 ** (j + 0.5), grid.k_nyquist))
         if not mask.any():
             continue
         piece = phase * mask
-        values = np.fft.irfft2(piece[:, : grid.n // 2 + 1], s=(grid.n, grid.n), norm="forward")
+        values = np.fft.irfft2(piece, s=(n, n), norm="forward")
         norm = _lp_quadrature(values, p, grid.cell_area)
-        coeffs += piece * (2.0 ** (-exponent * j) / norm)
+        half += piece * (2.0 ** (-exponent * j) / norm)
     if extra_damping > 0:
-        coeffs = coeffs * np.exp(-extra_damping * kmag**alpha)
-    return SpectralField(grid, coeffs)
+        half = half * np.exp(-extra_damping * kmag**alpha)
+    return _full_spectrum(half, grid)
 
 
 def check_commutator_decay(

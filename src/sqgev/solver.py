@@ -455,23 +455,32 @@ def _march(config: SolverConfig, sources: list) -> list[Trajectory]:
     times, snaps, diags = ([[] for _ in levels] for _ in range(3))
     metas = [{"convention": ADVECTION_CONVENTION, "level": lvl, "warnings": []} for lvl in levels]
 
+    def checked_row(t, snap, lvl):
+        try:
+            row = _diagnostics_row(t, snap, config, system)
+        except HermitianSymmetryError as exc:
+            # an unstable mode can amplify the round-off Hermitian defect
+            # while every coefficient is still finite
+            raise BlowUpError(f"blow-up at t={t:g}: {exc}", t, trajectory(lvl)) from exc
+        bad = [key for key in ("l2", "lp", "besov") if not np.isfinite(row[key])]
+        if bad:
+            # huge but finite coefficients overflow when squared
+            raise BlowUpError(
+                f"blow-up at t={t:g}: non-finite {', '.join(bad)}", t, trajectory(lvl)
+            )
+        return row
+
     def record(k):
         t = k * dt
+        # the initial data is recorded as given, with one diagnostics row
+        # of which every level holds its own copy
+        init_row = None if k else checked_row(t, init, 0)
         for lvl in levels:
-            # the initial data is recorded as given
-            snap = _full_spectrum(half[lvl], grid) if k else init
-            try:
-                row = _diagnostics_row(t, snap, config, system)
-            except HermitianSymmetryError as exc:
-                # an unstable mode can amplify the round-off Hermitian defect
-                # while every coefficient is still finite
-                raise BlowUpError(f"blow-up at t={t:g}: {exc}", t, trajectory(lvl)) from exc
-            bad = [key for key in ("l2", "lp", "besov") if not np.isfinite(row[key])]
-            if bad:
-                # huge but finite coefficients overflow when squared
-                raise BlowUpError(
-                    f"blow-up at t={t:g}: non-finite {', '.join(bad)}", t, trajectory(lvl)
-                )
+            if k:
+                snap = _full_spectrum(half[lvl], grid)
+                row = checked_row(t, snap, lvl)
+            else:
+                snap, row = init, dict(init_row)
             times[lvl].append(t)
             snaps[lvl].append(snap)
             diags[lvl].append(row)

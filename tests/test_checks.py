@@ -3,24 +3,45 @@ quantities, hypothesis gating, verdict logic and report determinism."""
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from sqgev.bilinear import _fd_derivative, _multi_indices, _norm, padded_product
+from sqgev import checks
+from sqgev.bilinear import (
+    ProbeSpec,
+    _fd_combine,
+    _fd_stencil,
+    _multi_indices,
+    _norm,
+    _r_alpha_sigma,
+    marcinkiewicz_check,
+    padded_product,
+    registered_symbol,
+)
 from sqgev.checks import (
+    FAIL,
+    PASS,
+    InequalityReport,
     _contraction_ratios,
     _prescribed_profile_field,
-    _r_alpha_sigma_fn,
     _signed_power,
+    _smooth_noise,
+    check_bernstein,
     check_concavity,
+    check_heat_kernel,
+    check_lin_gevrey,
+    check_positivity,
     check_r_derivatives,
     run_check,
 )
-from sqgev.dyadic import build_system
+from sqgev.dyadic import DEFAULT_SHARPNESS, build_system
+from sqgev.gevrey import GevreyOverflowError
 from sqgev.gevrey import fit_line as _fit_line
 from sqgev.gevrey import fractional_laplacian, gevrey_multiply, heat_semigroup
 from sqgev.spectral import (
+    TWO_PI,
     ConfigError,
     Grid,
     RealField,
@@ -31,6 +52,35 @@ from sqgev.spectral import (
     lp_norm,
     random_phases,
 )
+
+
+def _r_alpha_sigma_fn(alpha, sigma):
+    """R_{alpha,sigma} as a function of (xi, eta) alone."""
+    return partial(_r_alpha_sigma, alpha=alpha, sigma=sigma)
+
+
+def _fd_derivative(m, xi, eta, b1, b2, rel_step):
+    """Reference nested central differences, one symbol call per point set;
+    steps scale with each argument's radius."""
+    for comp in range(2):
+        if b1[comp] > 0:
+            h = rel_step * _norm(xi)
+            e = np.zeros_like(xi)
+            e[..., comp] = 1.0
+            lower = tuple(b1[c] - (c == comp) for c in range(2))
+            hi = _fd_derivative(m, xi + h[..., None] * e, eta, lower, b2, rel_step)
+            lo = _fd_derivative(m, xi - h[..., None] * e, eta, lower, b2, rel_step)
+            return (hi - lo) / (2.0 * h)
+    for comp in range(2):
+        if b2[comp] > 0:
+            h = rel_step * _norm(eta)
+            e = np.zeros_like(eta)
+            e[..., comp] = 1.0
+            lower = tuple(b2[c] - (c == comp) for c in range(2))
+            hi = _fd_derivative(m, xi, eta + h[..., None] * e, b1, lower, rel_step)
+            lo = _fd_derivative(m, xi, eta - h[..., None] * e, b1, lower, rel_step)
+            return (hi - lo) / (2.0 * h)
+    return m(xi, eta)
 
 
 def single_mode(grid, mode):
@@ -317,6 +367,296 @@ class TestVectorizedScans:
         assert np.array_equal(_norm(v3), np.linalg.norm(v3, axis=-1))
 
 
+# Reference forms of the transform-bound checks as first written: every L^p
+# norm from its own inverse transform and every signed power transformed once
+# per (s, p).  The checks must give the same rows, fits, verdicts and notes.
+
+
+def _lp_of(field, p):
+    return lp_norm(inverse_transform(field), p)
+
+
+def bernstein_loop(
+    *, n=128, box_length=TWO_PI, sharpness=DEFAULT_SHARPNESS, j_lo=1, j_hi=5,
+    trials=500, seed=0, s_set=(0.25, 0.5, 1.0), p_set=(2.0, 4.0, 8.0),
+):
+    """Two-sided block norm equivalences: the fractional-derivative sandwich
+    ratio and its |f|^(p/2) variant must be j-uniform within 2^(2|s|)*1.1."""
+    grid = Grid(n, box_length)
+    system = build_system(grid, sharpness)
+    if j_hi > system.j_max:
+        raise ConfigError(
+            f"dyadic range up to {j_hi} not resolved on n={n} "
+            f"(max {system.j_max})"
+        )
+    js = list(range(j_lo, j_hi + 1))
+    rows = []
+    for trial in range(trials):
+        j = js[trial % len(js)]
+        f = checks._shaped_band_field(grid, system, j, seed + trial)
+        phys = inverse_transform(f)
+        for s in s_set:
+            lam_s = fractional_laplacian(f, s)
+            for p in p_set:
+                base = lp_norm(phys, p)
+                if base == 0.0:
+                    continue
+                ratio = _lp_of(lam_s, p) / (2.0 ** (j * s) * base)
+                # generalized variant through the signed p/2 power
+                v = _signed_power(phys.values, p / 2.0)
+                v_hat = forward_transform(RealField(grid, v))
+                gen = (
+                    fractional_laplacian(v_hat, s).l2_norm() ** (2.0 / p)
+                    / (2.0 ** (2.0 * s * j / p) * base)
+                )
+                rows.append({"j": j, "s": s, "p": p, "ratio": ratio, "gen_ratio": gen})
+
+    fits = {}
+    verdict = PASS
+    worst_spread = 0.0
+    for s in s_set:
+        cap = 2.0 ** (2.0 * abs(s)) * 1.1
+        for p in p_set:
+            for key in ("ratio", "gen_ratio"):
+                vals = [r[key] for r in rows if r["s"] == s and r["p"] == p]
+                spread = max(vals) / min(vals)
+                fits[f"{key}_spread_s{s:g}_p{p:g}"] = spread
+                worst_spread = max(worst_spread, spread / cap)
+                if spread > cap:
+                    verdict = FAIL
+    fits["spread"] = worst_spread  # worst spread as a fraction of its cap
+    return rows, fits, verdict, []
+
+
+def positivity_loop(
+    *, n=64, box_length=TWO_PI, trials=200, seed=0,
+    s_set=(0.25, 0.5, 0.9), p_set=(2.0, 4.0, 6.0),
+):
+    """int Lambda^s f |f|^(p-2) f dx >= (2/p) || Lambda^(s/2) f^(p/2) ||_2^2
+    with the signed power; exact equality at p = 2."""
+    grid = Grid(n, box_length)
+    rows = []
+    verdict = PASS
+    worst = math.inf
+    for trial in range(trials):
+        f = _smooth_noise(grid, seed + trial)
+        phys = inverse_transform(f)
+        for s in s_set:
+            lam_f = inverse_transform(fractional_laplacian(f, s))
+            for p in p_set:
+                lhs = float(
+                    np.sum(lam_f.values * np.abs(phys.values) ** (p - 2) * phys.values)
+                    * grid.cell_area
+                )
+                v_hat = forward_transform(RealField(grid, _signed_power(phys.values, p / 2.0)))
+                rhs = (2.0 / p) * fractional_laplacian(v_hat, s / 2.0).l2_norm() ** 2
+                diff = lhs - rhs
+                scale = max(abs(lhs), abs(rhs), 1e-30)
+                rows.append(
+                    {"trial": trial, "s": s, "p": p, "lhs": lhs, "rhs": rhs, "diff": diff}
+                )
+                worst = min(worst, diff / scale)
+                if diff < -1e-10 * scale:
+                    verdict = FAIL
+                if p == 2.0 and abs(diff) > 1e-12 * scale:
+                    verdict = FAIL
+    fits = {"max_ratio": worst}  # most negative normalized difference
+    return rows, fits, verdict, []
+
+
+def heat_kernel_loop(
+    *, n=128, box_length=TWO_PI, sharpness=DEFAULT_SHARPNESS, j_lo=1, j_hi=5,
+    trials=100, seed=0, kappa_set=(0.5, 0.8), p_set=(2.0, 4.0),
+    t_grid=tuple(float(t) for t in np.logspace(-2, 0, 5)),
+):
+    """Measured block decay rates r = -log(norm ratio)/t must straddle
+    2^(kappa j) with a j,t,p-uniform spread at most 2^kappa * 1.1."""
+    grid = Grid(n, box_length)
+    system = build_system(grid, sharpness)
+    js = list(range(j_lo, j_hi + 1))
+    rows = []
+    skipped = 0
+    fits = {}
+    verdict = PASS
+    for kappa in kappa_set:
+        scaled = []
+        for trial in range(trials):
+            j = js[trial % len(js)]
+            f = checks._shaped_band_field(grid, system, j, seed + trial)
+            for p in p_set:
+                base = _lp_of(f, p)
+                if base == 0.0:
+                    skipped += 1
+                    continue
+                for t in t_grid:
+                    decayed = heat_semigroup(f, t, kappa)
+                    rate = -math.log(_lp_of(decayed, p) / base) / t
+                    value = rate / 2.0 ** (kappa * j)
+                    scaled.append(value)
+                    rows.append(
+                        {"kappa": kappa, "j": j, "p": p, "t": t, "rate_over_2kj": value}
+                    )
+        c1, c2 = max(scaled), min(scaled)
+        fits[f"c1_kappa{kappa:g}"] = c1
+        fits[f"c2_kappa{kappa:g}"] = c2
+        fits[f"spread_kappa{kappa:g}"] = c1 / c2
+        if not (c2 > 0 and math.isfinite(c1) and c1 / c2 <= 2.0**kappa * 1.1):
+            verdict = FAIL
+    fits["spread"] = max(fits[f"spread_kappa{k:g}"] for k in kappa_set)
+    notes = [f"{skipped} zero-norm trials skipped"] if skipped else []
+    return rows, fits, verdict, notes
+
+
+def lin_gevrey_loop(
+    *, n=128, box_length=TWO_PI, sharpness=DEFAULT_SHARPNESS, j_lo=0, j_hi=4,
+    trials=60, seed=0, alpha=0.3, kappa=0.8, gamma_set=(0.01, 0.1, 0.5),
+    p_set=(2.0, 4.0), constant_cap=50.0,
+):
+    """||G Lambda^alpha block|| over its two-term majorant, uniformly capped
+    over the (j, gamma) sweep; prefactor gamma^((kappa-alpha)/alpha)."""
+    if not 0 < alpha < kappa:
+        raise ConfigError(f"need 0 < alpha < kappa, got {alpha}, {kappa}")
+    grid = Grid(n, box_length)
+    system = build_system(grid, sharpness)
+    js = list(range(j_lo, j_hi + 1))
+    exponent = (kappa - alpha) / alpha
+    rows = []
+    skipped = 0
+    for trial in range(trials):
+        j = js[trial % len(js)]
+        f = checks._shaped_band_field(grid, system, j, seed + trial)
+        lam_a = fractional_laplacian(f, alpha)
+        lam_k = fractional_laplacian(f, kappa)
+        for gamma in gamma_set:
+            try:
+                left_f = gevrey_multiply(lam_a, gamma, alpha)
+                right_f = gevrey_multiply(lam_k, gamma, alpha)
+            except GevreyOverflowError:
+                skipped += 1
+                continue
+            for p in p_set:
+                denom = _lp_of(lam_a, p) + gamma**exponent * _lp_of(right_f, p)
+                if denom == 0.0:
+                    skipped += 1
+                    continue
+                ratio = _lp_of(left_f, p) / denom
+                rows.append({"j": j, "gamma": gamma, "p": p, "ratio": ratio})
+    ratios = [r["ratio"] for r in rows]
+    per_gamma = {
+        f"max_ratio_gamma{g:g}": max(r["ratio"] for r in rows if r["gamma"] == g)
+        for g in gamma_set
+        if any(r["gamma"] == g for r in rows)
+    }
+    fits = {"max_ratio": max(ratios), "prefactor_exponent": exponent, **per_gamma}
+    verdict = PASS if max(ratios) <= constant_cap else FAIL
+    notes = [f"{skipped} overflow/degenerate trials skipped"] if skipped else []
+    return rows, fits, verdict, notes
+
+
+
+def marcinkiewicz_loop(m, max_order=2, probe=None, rel_step=1e-3):
+    """Reference (entries, flagged) of marcinkiewicz_check, one symbol call
+    per difference point set."""
+    probe = probe or ProbeSpec()
+    xi, eta = probe.points()
+    xi_mag = np.linalg.norm(xi, axis=-1)
+    eta_mag = np.linalg.norm(eta, axis=-1)
+    entries = {}
+    flagged = []
+    for b1, b2 in _multi_indices(max_order):
+        deriv = np.asarray(_fd_derivative(m, xi, eta, b1, b2, rel_step))
+        weighted = np.abs(deriv) * xi_mag ** sum(b1) * eta_mag ** sum(b2)
+        finite = np.isfinite(weighted)
+        if not finite.all():
+            flagged.append((b1, b2))
+        entries[(b1, b2)] = float(weighted[finite].max()) if finite.any() else float("nan")
+    return entries, tuple(flagged)
+
+
+@pytest.fixture
+def degenerate_blocks(monkeypatch):
+    """Every third block zero, and every third one scaled to 1e-60 so that
+    its L^8 norm underflows to zero while its L^2 norm does not: the
+    zero-norm skips of the checks, whole and per exponent."""
+    shaped = checks._shaped_band_field
+
+    def blocks(grid, system, j, seed):
+        f = shaped(grid, system, j, seed)
+        return (f * 0.0, f * 1e-60, f)[seed % 3]
+
+    monkeypatch.setattr(checks, "_shaped_band_field", blocks)
+
+
+HOISTED = [
+    (check_bernstein, bernstein_loop, dict(n=32, j_lo=1, j_hi=3, trials=4, seed=1)),
+    (check_bernstein, bernstein_loop,
+     dict(n=64, j_lo=0, j_hi=4, trials=6, seed=2, s_set=(0.0, 0.75), p_set=(1.0, 3.0, 8.0))),
+    (check_positivity, positivity_loop, dict(n=32, trials=3)),
+    (check_positivity, positivity_loop,
+     dict(n=16, trials=4, seed=5, s_set=(0.1, 1.0), p_set=(2.0, 3.0, 5.0))),
+    (check_heat_kernel, heat_kernel_loop, dict(n=32, j_hi=3, trials=4)),
+    (check_heat_kernel, heat_kernel_loop,
+     dict(n=64, j_lo=0, j_hi=4, trials=6, seed=2, kappa_set=(0.3, 0.8), p_set=(2.0, 8.0),
+          t_grid=(0.05, 0.3))),
+    (check_lin_gevrey, lin_gevrey_loop, dict(n=32, j_hi=3, trials=4)),
+    (check_lin_gevrey, lin_gevrey_loop,
+     dict(n=64, j_hi=3, trials=6, seed=2, gamma_set=(0.0, 0.2, 1e4), p_set=(2.0, 8.0))),
+]
+
+
+class TestHoistedTransforms:
+    """Each transformed field made once and read at every exponent gives
+    exactly the per-exponent loops' numbers."""
+
+    @pytest.mark.parametrize("check, loop, params", HOISTED)
+    def test_equals_the_per_exponent_loop(self, check, loop, params):
+        assert check(**params) == loop(**params)
+
+    # the checks that draw Littlewood-Paley blocks, at exponent sets
+    # reaching p = 8
+    @pytest.mark.parametrize("check, loop, params", [HOISTED[i] for i in (1, 5, 7)])
+    def test_zero_norm_skips_equal_the_per_exponent_loop(self, check, loop, params,
+                                                         degenerate_blocks):
+        got = check(**params)
+        assert got == loop(**params)
+        # the zero block's rows and the tiny block's L^8 rows are skipped
+        per_p = [sum(row["p"] == p for row in got[0]) for p in params["p_set"]]
+        assert 0 < per_p[-1] < per_p[0]
+
+    def test_skip_notes(self, degenerate_blocks):
+        _, _, _, notes = check_heat_kernel(**HOISTED[5][2])
+        # of six blocks, two are zero at both p and two tiny at p = 8, at
+        # each of two kappas
+        assert notes == [f"{2 * (2 * 2 + 2)} zero-norm trials skipped"]
+        _, _, _, notes = check_lin_gevrey(**HOISTED[7][2])
+        # six overflows at gamma = 1e4; at the two other gammas, two zero
+        # blocks at both p and two tiny blocks at p = 8
+        assert notes == [f"{6 + 2 * (2 * 2 + 2)} overflow/degenerate trials skipped"]
+
+
+class TestDifferenceStencil:
+    @pytest.mark.parametrize("max_order", [1, 3])
+    def test_equals_the_recursive_differences(self, max_order):
+        # signed, complex values: a derivative of any order, its sign included
+        m = registered_symbol("mA", i=2)
+        xi, eta = ProbeSpec(n_angles=5).points()
+        for b1, b2 in _multi_indices(max_order):
+            xi_pts, eta_pts, tree = _fd_stencil(xi, eta, b1, b2, 1e-3)
+            assert xi_pts.shape == eta_pts.shape == (2 ** (sum(b1) + sum(b2)), *xi.shape)
+            got = _fd_combine(m(xi_pts, eta_pts), tree)
+            assert np.array_equal(got, _fd_derivative(m, xi, eta, b1, b2, 1e-3))
+
+    @pytest.mark.parametrize(
+        "name, params", [("kgtrj", {}), ("mB", {}), ("riesz-pair", {}), ("mA", {"sigma": 1.0})]
+    )
+    def test_marcinkiewicz_scan_equals_the_recursive_scan(self, name, params):
+        m = registered_symbol(name, **params)
+        report = marcinkiewicz_check(m, max_order=2)
+        entries, flagged = marcinkiewicz_loop(m, max_order=2)
+        assert report.entries == entries
+        assert report.flagged == flagged
+
+
 def prescribed_profile_field_complex(grid, exponent, p, seed, extra_damping=0.0, alpha=0.6):
     """Reference test field: each band norm from the full complex inverse
     transform of the band."""
@@ -443,6 +783,36 @@ class TestReports:
         assert parsed["verdict"] == "pass"
         assert parsed["config"]["alpha_set"] == [0.3, 0.5, 0.9]
         assert "numpy" in parsed["environment"]
+
+    def test_json_parses_as_the_indented_encoding(self):
+        def default(obj):
+            if isinstance(obj, (np.floating, np.integer)):
+                return obj.item()
+            raise TypeError(f"not serializable: {type(obj)}")
+
+        reports = [
+            run_check("r-derivatives", gap_set=(3,), sigma_set=(0.5,)),
+            run_check("lin-gevrey", n=32, j_hi=3, trials=3, gamma_set=(0.1, 1e4)),
+            InequalityReport("empty", {"k": np.int64(3)}, [], {"x": np.float64(0.5)}, "pass"),
+        ]
+        for rep in reports:
+            payload = {
+                "check_id": rep.check_id,
+                "verdict": rep.verdict,
+                "config": rep.config,
+                "fits": rep.fits,
+                "notes": rep.notes,
+                "environment": rep.environment,
+                "trials": rep.trials,
+            }
+            text = rep.to_json()
+            assert json.loads(text) == json.loads(
+                json.dumps(payload, indent=2, sort_keys=True, default=default)
+            )
+            # one trial row per line
+            lines = [line.rstrip(",") for line in text.splitlines()]
+            for row in rep.trials:
+                assert "    " + json.dumps(row, sort_keys=True) in lines
 
     def test_config_echo_includes_overrides(self):
         rep = run_check("positivity", n=32, trials=3, seed=9)

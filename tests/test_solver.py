@@ -595,6 +595,33 @@ class TestPicard:
         assert partial.times[-1] < err.value.time
         assert len(partial.times) == len(partial.snapshots) == len(partial.diagnostics)
 
+    def test_initial_row_is_shared_by_value_only(self):
+        cfg = cosine_config(
+            n=32, picard_depth=3, record_every=2,
+            initial_data=InitialData("random-band", amplitude=0.05, seed=3),
+        )
+        levels = picard_solve(cfg)
+        grid = cfg.grid
+        want = _diagnostics_row(0.0, levels[0].snapshots[0], cfg, default_system(grid))
+        rows = [traj.diagnostics[0] for traj in levels]
+        assert all(row == want for row in rows)
+        # each level holds its own row
+        assert len({id(row) for row in rows}) == len(rows)
+
+    def test_non_finite_initial_row_is_a_level_zero_blowup(self):
+        cfg = cosine_config(
+            n=16, picard_depth=2, record_every=1,
+            initial_data=InitialData("random-band", amplitude=1e200, seed=1),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(BlowUpError, match="t=0: non-finite l2, lp, besov") as err:
+                picard_solve(cfg)
+        assert err.value.time == 0.0
+        partial = err.value.trajectory
+        assert partial.meta["level"] == 0
+        assert partial.times == partial.snapshots == partial.diagnostics == ()
+
     def test_depth_zero_is_heat_flow(self):
         cfg = cosine_config(n=32, picard_depth=0, record_every=2)
         levels = picard_solve(cfg)
