@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import DEFAULT_SHARPNESS, default_system, phi0, phi0_prime, psi0
+from .dyadic import DEFAULT_SHARPNESS, build_system, phi0, phi0_prime, psi0
 from .gevrey import check_gevrey_weight
 from .spectral import (
     HERMITIAN_FLOOR,
@@ -38,6 +38,7 @@ from .spectral import (
     HermitianSymmetryError,
     RealField,
     SpectralField,
+    _full_spectrum,
     _lp_quadrature,
     band_mask,
     box_mask,
@@ -298,9 +299,7 @@ def _masked_noise(grid: Grid, mask: np.ndarray, rng) -> SpectralField | None:
 
 
 def _normalized(field: SpectralField, p: float) -> SpectralField | None:
-    n = field.grid.n
-    values = np.fft.ifft2(field.coeffs * n * n)
-    norm = _lp_quadrature(np.abs(values), p, field.grid.cell_area)
+    norm = _lr_norm_of_output(field, p)
     if norm == 0:
         return None
     return (1.0 / norm) * field
@@ -478,15 +477,9 @@ def padded_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """
     _require_real_pair(f, g, "padded_product")
     grid = f.grid
-    n, h = grid.n, grid.n // 2
-    half = _truncate(
-        grid, _lift(grid, f.coeffs[:, : h + 1]) * _lift(grid, g.coeffs[:, : h + 1])
-    )
-    out = np.empty((n, n), dtype=np.complex128)
-    out[:, : h + 1] = half
-    # f_hat(k1, -k2) = conj f_hat(-k1, k2)
-    out[:, h + 1 :] = np.conj(half[grid._neg_index, h - 1 : 0 : -1])
-    return SpectralField(grid, out)
+    h = grid.n // 2 + 1
+    half = _truncate(grid, _lift(grid, f.coeffs[:, :h]) * _lift(grid, g.coeffs[:, :h]))
+    return _full_spectrum(half, grid)
 
 
 def gevrey_commutators(
@@ -512,7 +505,7 @@ def gevrey_commutators(
     """
     _require_real_pair(f, g, "gevrey_commutator")
     grid = f.grid
-    system = default_system(grid, sharpness)
+    system = build_system(grid, sharpness)
     for j, gamma in bands:
         system._require_resolved(j)
         check_gevrey_weight(grid, gamma, alpha)

@@ -37,13 +37,14 @@ from .gevrey import (
     heat_semigroup,
     xt_norm,
 )
-from .solver import BlowUpError, InitialData, SolverConfig, _full_spectrum, picard_solve, solve
+from .solver import BlowUpError, InitialData, SolverConfig, picard_gaps, picard_solve, solve
 from .spectral import (
     TWO_PI,
     ConfigError,
     Grid,
     RealField,
     SpectralField,
+    _full_spectrum,
     _lp_quadrature,
     box_mask,
     forward_transform,
@@ -154,6 +155,8 @@ def check_bernstein(
 ):
     """Two-sided block norm equivalences: the fractional-derivative sandwich
     ratio and its |f|^(p/2) variant must be j-uniform within 2^(2|s|)*1.1."""
+    if not all(1.0 <= p < math.inf for p in p_set):
+        raise ConfigError(f"bernstein needs 1 <= p < inf for every p, got p_set={p_set}")
     grid = Grid(n, box_length)
     system = build_system(grid, sharpness)
     if j_hi > system.j_max:
@@ -213,6 +216,8 @@ def check_positivity(
 ):
     """int Lambda^s f |f|^(p-2) f dx >= (2/p) || Lambda^(s/2) f^(p/2) ||_2^2
     with the signed power; exact equality at p = 2."""
+    if not all(2.0 <= p < math.inf for p in p_set):
+        raise ConfigError(f"positivity needs 2 <= p < inf for every p, got p_set={p_set}")
     grid = Grid(n, box_length)
     rows = []
     verdict = PASS
@@ -652,12 +657,6 @@ def _contraction_ratios(gaps, floor):
     return resolved, [b / a for a, b in zip(resolved, resolved[1:])]
 
 
-def _xt_of_trajectory(traj, gp, bp, system):
-    samples = traj.samples()
-    sup, _ = xt_norm(samples, gp, bp, system)
-    return sup
-
-
 def check_wellposedness(
     *, n=128, box_length=TWO_PI, sharpness=DEFAULT_SHARPNESS, seed=0,
     alpha=0.4, kappa=0.8, lam=0.5, beta=0.3, amplitudes=(0.01, 0.1, 1.0),
@@ -694,32 +693,23 @@ def check_wellposedness(
         )
 
     base = run_cfg(amplitudes[1], picard_depth)
-    bp_sigma = base.besov_params()
     bp_lift = BesovParams(base.sigma + beta, p, q)
 
-    # (a) + contraction: Picard iterates at the middle amplitude
+    # (a) + contraction: Picard iterates at the middle amplitude.  Each
+    # diagnostics row holds the critical Besov norm of its snapshot.
     levels = picard_solve(base)
-    theta0_norm = system.besov_norm(levels[0].snapshots[0], bp_sigma)
+    theta0_norm = levels[0].diagnostics[0]["besov"]
     xt_ratios = []
     for lvl, traj in enumerate(levels):
-        sup = _xt_of_trajectory(traj, gp, bp_lift, system)
+        sup, _ = xt_norm(traj.samples(), gp, bp_lift, system)
         xt_ratios.append(sup / theta0_norm)
         rows.append({"kind": "xt_ratio", "level": lvl, "value": xt_ratios[-1]})
     fits["max_xt_ratio"] = max(xt_ratios)
     if not (math.isfinite(max(xt_ratios)) and max(xt_ratios) <= constant_cap):
         verdict = FAIL
 
-    gaps = []
-    for lo, hi in zip(levels, levels[1:]):
-        gaps.append(
-            max(
-                system.besov_norm(a - b, bp_sigma)
-                for (_, a), (_, b) in zip(lo.samples(), hi.samples())
-            )
-        )
-    level_scale = max(
-        system.besov_norm(theta, bp_sigma) for traj in levels for _, theta in traj.samples()
-    )
+    gaps = picard_gaps(levels, system)
+    level_scale = max(row["besov"] for traj in levels for row in traj.diagnostics if row["t"] > 0)
     resolved, ratios = _contraction_ratios(gaps, ROUNDOFF_GAP * level_scale)
     fits["resolved_gaps"] = len(resolved)
     for i, r in enumerate(ratios):
@@ -764,8 +754,8 @@ def check_wellposedness(
             if amplitude == min(amplitudes):
                 verdict = FAIL
             continue
-        sup = _xt_of_trajectory(traj, gp, bp_lift, system)
-        init = system.besov_norm(traj.snapshots[0], bp_sigma)
+        sup, _ = xt_norm(traj.samples(), gp, bp_lift, system)
+        init = traj.diagnostics[0]["besov"]
         sweep_ratios.append((amplitude, sup / init))
         rows.append({"kind": "sweep", "amplitude": amplitude, "value": sup / init})
     if len(sweep_ratios) >= 2:

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import checks as checks_mod
 from .bilinear import SYMBOL_REGISTRY
 from .checks import ALL_CHECKS, check_defaults, run_check
-from .dyadic import BesovParams, default_system
+from .dyadic import BesovParams, build_system
 from .gevrey import GevreyParams, fit_radius, spectral_decay_fit, xt_norm
 from .solver import (
     BlowUpError,
@@ -28,6 +28,7 @@ from .solver import (
     config_echo,
     config_from_flat,
     flat_config,
+    picard_gaps,
     picard_solve,
     solve,
     write_diagnostics,
@@ -111,12 +112,13 @@ def _save_blowup(out: Path, exc: BlowUpError, suffix: str = "") -> None:
         write_diagnostics(traj, out / f"diagnostics{suffix}.csv")
 
 
-def _write_xt_trace(path, traj: Trajectory, gp: GevreyParams, system) -> None:
-    bp = BesovParams(traj.config.sigma + gp.beta, traj.config.p, traj.config.q)
-    _, samples = xt_norm(traj.samples(), gp, bp, system)
+def _write_xt_trace(path, traj: Trajectory, gp: GevreyParams) -> None:
+    cfg = traj.config
+    bp = BesovParams(cfg.sigma + gp.beta, cfg.p, cfg.q)
+    _, samples = xt_norm(traj.samples(), gp, bp, build_system(cfg.grid, cfg.sharpness))
     radii = {row["t"]: row["radius"] for row in traj.diagnostics}
     with open(path, "w", newline="") as fh:
-        for key, val in {**config_echo(traj.config), "lam": gp.lam, "beta": gp.beta}.items():
+        for key, val in {**config_echo(cfg), "lam": gp.lam, "beta": gp.beta}.items():
             fh.write(f"# {key}={val}\n")
         writer = csv.writer(fh)
         writer.writerow(["t", "gamma_t", "besov_norm", "weighted_norm", "radius_estimate"])
@@ -139,8 +141,7 @@ def _cmd_simulate(args) -> int:
         print(f"blow-up at t={exc.time:g}; last snapshot saved", file=sys.stderr)
         return 3
     write_diagnostics(traj, out / "diagnostics.csv")
-    system = default_system(cfg.grid, cfg.sharpness)
-    _write_xt_trace(out / "xt_trace.csv", traj, gp, system)
+    _write_xt_trace(out / "xt_trace.csv", traj, gp)
     echo = _field_echo(cfg)
     for t, snap in zip(traj.times, traj.snapshots):
         save_field(out / f"snapshot_t{t:.6f}.field", snap, time=t, extra=echo)
@@ -153,7 +154,6 @@ def _cmd_picard(args) -> int:
     cfg = config_from_flat(SolverConfig, params)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    system = default_system(cfg.grid, cfg.sharpness)
     try:
         levels = picard_solve(cfg)
     except BlowUpError as exc:
@@ -165,20 +165,13 @@ def _cmd_picard(args) -> int:
             file=sys.stderr,
         )
         return 3
-    bp = cfg.besov_params()
-    rows = []
-    for lvl, (lo, hi) in enumerate(zip(levels, levels[1:])):
-        gap = max(
-            system.besov_norm(a - b, bp)
-            for (_, a), (_, b) in zip(lo.samples(), hi.samples())
-        )
-        rows.append((lvl, gap))
+    gaps = picard_gaps(levels, build_system(cfg.grid, cfg.sharpness))
     with open(out / "convergence.csv", "w", newline="") as fh:
         for key, val in config_echo(cfg).items():
             fh.write(f"# {key}={val}\n")
         writer = csv.writer(fh)
         writer.writerow(["level", "sup_besov_gap_to_next"])
-        for lvl, gap in rows:
+        for lvl, gap in enumerate(gaps):
             writer.writerow([lvl, repr(gap)])
     echo = _field_echo(cfg)
     for lvl, traj in enumerate(levels):
@@ -200,7 +193,7 @@ def _cmd_analyze(args) -> int:
     if not isinstance(field, SpectralField):
         field = forward_transform(field)
     grid = field.grid
-    system = default_system(grid, params["sharpness"])
+    system = build_system(grid, params["sharpness"])
     bp = BesovParams(1.0 + 2.0 / params["p"] - params["kappa"], params["p"], params["q"])
     rows, discarded = system.besov_report(field, bp)
     fit = spectral_decay_fit(field, params["alpha"])

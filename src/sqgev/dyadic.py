@@ -122,14 +122,6 @@ class DyadicSystem:
     def phi(self, j: int, r) -> np.ndarray:
         return phi0(np.asarray(r, dtype=np.float64) / 2.0**j, self.sharpness)
 
-    def phi_window(self, j: int, r, width: int = 2) -> np.ndarray:
-        """Sum of phi_l over the window |l - j| <= width, clipped to range."""
-        r = np.asarray(r, dtype=np.float64)
-        total = np.zeros_like(r)
-        for l in range(max(j - width, self.j_min), min(j + width, self.j_max) + 1):
-            total += self.phi(l, r)
-        return total
-
     def partition_sum(self, r) -> np.ndarray:
         """sum of phi_j(r) over the resolved range (telescopes to 1 inside)."""
         r = np.asarray(r, dtype=np.float64)
@@ -147,31 +139,6 @@ class DyadicSystem:
         """Littlewood-Paley block: multiply by phi_j(|k|)."""
         self._require_resolved(j)
         return apply_multiplier(f, lambda kx, ky: self.phi(j, np.hypot(kx, ky)))
-
-    def tilde_delta_j(self, f: SpectralField, j: int) -> SpectralField:
-        """Widened block sum over |l - j| <= 2, clipped to the resolved range."""
-        self._require_resolved(j)
-        return apply_multiplier(f, lambda kx, ky: self.phi_window(j, np.hypot(kx, ky)))
-
-    def s_k(self, f: SpectralField, k: int) -> SpectralField:
-        """Low-frequency partial sum over blocks l <= k - 3 (zero when empty)."""
-        top = min(k - 3, self.j_max)
-        if top < self.j_min:
-            return SpectralField(f.grid, np.zeros_like(f.coeffs))
-
-        def symbol(kx, ky):
-            r = np.hypot(kx, ky)
-            return self.psi(top + 1, r) - self.psi(self.j_min, r)
-
-        return apply_multiplier(f, symbol)
-
-    def s_symbol(self, k: int, r) -> np.ndarray:
-        """Symbol of s_k on radii r (for bilinear symbol construction)."""
-        top = min(k - 3, self.j_max)
-        r = np.asarray(r, dtype=np.float64)
-        if top < self.j_min:
-            return np.zeros_like(r)
-        return self.psi(top + 1, r) - self.psi(self.j_min, r)
 
     # -- norms -------------------------------------------------------------
 
@@ -270,8 +237,10 @@ class DyadicSystem:
         return rows, discarded
 
 
+@lru_cache(maxsize=64)
 def build_system(grid: Grid, transition_sharpness: float = DEFAULT_SHARPNESS) -> DyadicSystem:
-    """Resolve the dyadic range for a grid and freeze the bump profiles."""
+    """Resolve the dyadic range for a grid and freeze the bump profiles;
+    memoized, so equal grids share one system (profiles are pure functions)."""
     if transition_sharpness <= 0:
         raise ConfigError("transition_sharpness must be positive")
     kmag = grid.k_mag
@@ -288,13 +257,3 @@ def build_system(grid: Grid, transition_sharpness: float = DEFAULT_SHARPNESS) ->
             f"grid n={grid.n}, L={grid.box_length:g} cannot host a dyadic annulus"
         )
     return DyadicSystem(grid=grid, sharpness=transition_sharpness, j_min=j_min, j_max=j_max)
-
-
-@lru_cache(maxsize=64)
-def _cached_system(n: int, box_length: float, sharpness: float) -> DyadicSystem:
-    return build_system(Grid(n, box_length), sharpness)
-
-
-def default_system(grid: Grid, sharpness: float = DEFAULT_SHARPNESS) -> DyadicSystem:
-    """Memoized dyadic system for a grid (profiles are pure functions)."""
-    return _cached_system(grid.n, grid.box_length, sharpness)

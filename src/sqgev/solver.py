@@ -18,9 +18,9 @@ pair and the product's transform into it.  The inverse transform of a
 (2, n, n//2+1) stack is ifft along axis 0 then irfft along axis 1, the
 forward transform rfft along axis 1 then fft along axis 0: the same numbers
 as irfft2 and rfft2.  The k2 < 0 columns are rebuilt from Hermitian
-symmetry (_full_spectrum) only when a level is recorded, and when `step`
-or `nonlinear_term` returns its field; the initial data is recorded as
-given.  Nyquist convention: each odd symbol (i kx, i ky and the Riesz pair)
+symmetry (spectral._full_spectrum) only when a level is recorded, and when
+`step` or `nonlinear_term` returns its field; the initial data is recorded
+as given.  Nyquist convention: each odd symbol (i kx, i ky and the Riesz pair)
 is 0 where its own component is the Nyquist frequency n/2, the value the
 real part of a complex inverse transform gives it there.
 
@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import DEFAULT_SHARPNESS, BesovParams, DyadicSystem, default_system
+from .dyadic import DEFAULT_SHARPNESS, BesovParams, DyadicSystem, build_system
 from .gevrey import fit_radius, spectral_decay_fit
 from .spectral import (
     ConfigError,
@@ -55,6 +55,7 @@ from .spectral import (
     RealField,
     SpectralField,
     _freeze,
+    _full_spectrum,
     box_mask,
     forward_transform,
     inverse_transform,
@@ -193,7 +194,7 @@ def _gaussian_pair_values(grid: Grid) -> np.ndarray:
 def initial_field(config: SolverConfig, system: DyadicSystem | None = None) -> SpectralField:
     """Construct the configured initial data, normalized in the critical norm."""
     grid = config.grid
-    system = system or default_system(grid, config.sharpness)
+    system = system or build_system(grid, config.sharpness)
     init = config.initial_data
     if init.profile.startswith("file"):
         loaded, _ = load_field(init.profile.partition(":")[2])
@@ -317,16 +318,6 @@ class _Workspace:
         return max(np.max(speed[0]), np.max(speed[1]))
 
 
-def _full_spectrum(half: np.ndarray, grid: Grid) -> SpectralField:
-    """The field with k2 >= 0 half spectrum half, its k2 < 0 columns rebuilt
-    from Hermitian symmetry, f_hat(k1, -k2) = conj f_hat(-k1, k2)."""
-    h = grid.n // 2 + 1
-    coeffs = np.empty((grid.n, grid.n), dtype=np.complex128)
-    coeffs[:, :h] = half
-    coeffs[:, h:] = np.conj(half[grid._neg_index, h - 2 : 0 : -1])
-    return SpectralField(grid, coeffs)
-
-
 def nonlinear_term(theta: SpectralField, dealias: str = "two-thirds") -> SpectralField:
     """u . grad theta for u the Riesz velocity of theta (advection form)."""
     grid = theta.grid
@@ -439,7 +430,7 @@ def _march(config: SolverConfig, sources: list) -> list[Trajectory]:
     """
     grid, dt = config.grid, config.dt
     h = grid.n // 2 + 1
-    system = default_system(grid, config.sharpness)
+    system = build_system(grid, config.sharpness)
     work = _Workspace(grid, config.dealias)
     efactor = _heat_factor(grid, dt, config.kappa)[:, :h]
     kmax = float(np.max(grid.k_mag))
@@ -524,6 +515,16 @@ def picard_solve(config: SolverConfig) -> list[Trajectory]:
     levels 0..picard_depth.
     """
     return _march(config, [None, *range(config.picard_depth)])
+
+
+def picard_gaps(levels: list[Trajectory], system: DyadicSystem) -> list[float]:
+    """For each pair of successive levels, the sup over the recorded t > 0
+    of the critical Besov norm of their difference."""
+    bp = levels[0].config.besov_params()
+    return [
+        max(system.besov_norm(a - b, bp) for (_, a), (_, b) in zip(lo.samples(), hi.samples()))
+        for lo, hi in zip(levels, levels[1:])
+    ]
 
 
 # -- run artifacts ---------------------------------------------------------

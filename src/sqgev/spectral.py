@@ -264,13 +264,15 @@ class SpectralField:
             np.sqrt(np.sum(np.abs(self.coeffs) ** 2))
         )
 
-    def occupied(self, threshold: float = 0.0) -> np.ndarray:
-        """Boolean mask of modes with |coeff| > threshold."""
-        return np.abs(self.coeffs) > threshold
 
-
-def zero_field(grid: Grid) -> SpectralField:
-    return SpectralField(grid, np.zeros((grid.n, grid.n), dtype=np.complex128))
+def _full_spectrum(half: np.ndarray, grid: Grid) -> SpectralField:
+    """The field with k2 >= 0 half spectrum half, its k2 < 0 columns rebuilt
+    from Hermitian symmetry, f_hat(k1, -k2) = conj f_hat(-k1, k2)."""
+    h = grid.n // 2 + 1
+    coeffs = np.empty((grid.n, grid.n), dtype=np.complex128)
+    coeffs[:, :h] = half
+    coeffs[:, h:] = np.conj(half[grid._neg_index, h - 2 : 0 : -1])
+    return SpectralField(grid, coeffs)
 
 
 def forward_transform(f: RealField) -> SpectralField:

@@ -285,6 +285,22 @@ class TestParameters:
         assert {row["p"] for row in rep.trials} == {2.0, 4.0}
         assert rep.config["p_set"] == (2.0, 4.0)
 
+    @pytest.mark.parametrize(
+        "check_id, p_set",
+        [("bernstein", (2.0, math.inf)), ("bernstein", (0.5, 2.0)),
+         ("positivity", (2.0, math.inf)), ("positivity", (1.0, 2.0))],
+    )
+    def test_exponents_outside_the_lemma_are_rejected(self, check_id, p_set, monkeypatch):
+        # bernstein's bounds hold for 1 <= p < inf, positivity's for
+        # 2 <= p < inf; the check refuses before it draws a field
+        def no_field(*args):
+            raise AssertionError("a field was drawn")
+
+        monkeypatch.setattr(checks, "_shaped_band_field", no_field)
+        monkeypatch.setattr(checks, "_smooth_noise", no_field)
+        with pytest.raises(ConfigError, match=rf"^{check_id} .*p_set"):
+            run_check(check_id, trials=1, p_set=p_set)
+
     def test_r_derivatives_rejects_alpha_outside_the_bound(self):
         with pytest.raises(ConfigError, match="alpha"):
             run_check("r-derivatives", alpha_set=(1.5,))

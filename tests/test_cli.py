@@ -1,5 +1,6 @@
 """Tests for the command-line harness: config parsing, verbs, exit codes."""
 
+import csv
 import json
 
 import numpy as np
@@ -14,7 +15,9 @@ from sqgev.cli import (
     main,
     parse_config,
 )
+from sqgev.dyadic import build_system
 from sqgev.gevrey import heat_semigroup
+from sqgev.solver import InitialData, SolverConfig, config_echo, picard_gaps, picard_solve
 from sqgev.spectral import Grid, SpectralField, save_field
 
 
@@ -157,6 +160,15 @@ class TestPicardVerb:
         conv = (out / "convergence.csv").read_text()
         assert "sup_besov_gap_to_next" in conv
         assert (out / "diagnostics_level2.csv").exists()
+        # the gap column is picard_gaps of the same run
+        cfg = SolverConfig(grid=Grid(32), t_end=0.1, dt=0.02, picard_depth=2,
+                           initial_data=InitialData(amplitude=0.05))
+        assert [f"# {k}={v}" for k, v in config_echo(cfg).items()] == [
+            line for line in conv.splitlines() if line.startswith("#")
+        ]
+        rows = list(csv.reader(line for line in conv.splitlines() if not line.startswith("#")))
+        gaps = picard_gaps(picard_solve(cfg), build_system(cfg.grid, cfg.sharpness))
+        assert rows[1:] == [[str(lvl), repr(gap)] for lvl, gap in enumerate(gaps)]
 
     @pytest.mark.parametrize("kappa", ["0.5", "1.5"])
     def test_kappa_outside_the_x_t_range_runs(self, tmp_path, kappa):
@@ -265,6 +277,14 @@ class TestVerifyVerb:
         )
         assert code == 2
         assert "dt" in capsys.readouterr().err
+
+    def test_exponent_outside_the_lemma_exits_2(self, tmp_path, capsys):
+        code = main(
+            ["verify", "--check", "positivity", "-o", str(tmp_path / "v"),
+             "--set", "n=16", "--set", "trials=1", "--set", "p_set=1,2"]
+        )
+        assert code == 2
+        assert "positivity" in capsys.readouterr().err
 
     def test_key_goes_to_each_selected_check_that_takes_it(self, tmp_path):
         out = tmp_path / "v"

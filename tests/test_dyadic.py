@@ -9,7 +9,6 @@ from sqgev.dyadic import (
     BesovParams,
     HomogeneityWarning,
     build_system,
-    default_system,
     phi0,
     psi0,
 )
@@ -147,67 +146,6 @@ class TestBlocks:
         F = random_band_limited(grid, 2, seed=1)
         with pytest.raises(BandRangeError):
             system.delta_j(F, system.j_max + 1)
-
-    def test_projector_idempotence_up_to_window(self):
-        # Delta_j = Delta~_j Delta_j exactly: phi~_j = 1 on supp phi_j
-        grid = Grid(128)
-        system = build_system(grid)
-        F = random_band_limited(grid, 3, seed=2)
-        block = system.delta_j(F, 3)
-        again = system.tilde_delta_j(block, 3)
-        scale = np.max(np.abs(block.coeffs))
-        assert np.max(np.abs(again.coeffs - block.coeffs)) <= 1e-10 * scale
-
-    def test_band_limited_field_fixed_by_window(self):
-        grid = Grid(128)
-        system = build_system(grid)
-        F = random_band_limited(grid, 3, seed=8)
-        fixed = system.tilde_delta_j(F, 3)
-        scale = np.max(np.abs(F.coeffs))
-        assert np.max(np.abs(fixed.coeffs - F.coeffs)) <= 1e-10 * scale
-
-    def test_window_clips_at_range_edge(self):
-        grid = Grid(64)
-        system = build_system(grid)
-        F = random_band_limited(grid, system.j_max, seed=3)
-        out = system.tilde_delta_j(F, system.j_max)  # must not raise
-        assert out.coeffs.shape == F.coeffs.shape
-
-    def test_window_of_zero_field(self):
-        grid = Grid(64)
-        system = build_system(grid)
-        Z = SpectralField(grid, np.zeros((64, 64), dtype=complex))
-        out = system.tilde_delta_j(Z, 2)
-        assert np.all(out.coeffs == 0)
-
-
-class TestPartialSums:
-    def test_empty_sum_is_zero_field(self):
-        grid = Grid(64)
-        system = build_system(grid)
-        F = random_band_limited(grid, 2, seed=4)
-        out = system.s_k(F, system.j_min)
-        assert np.all(out.coeffs == 0)
-
-    def test_low_pass_recovers_banded_field(self):
-        grid = Grid(128)
-        system = build_system(grid)
-        j0 = 2
-        F = random_band_limited(grid, j0, seed=6)
-        out = system.s_k(F, j0 + 4)
-        scale = np.max(np.abs(F.coeffs))
-        assert np.max(np.abs(out.coeffs - F.coeffs)) <= 1e-10 * scale
-
-    def test_spectrum_bounded_by_cutoff(self):
-        grid = Grid(128)
-        system = build_system(grid)
-        rng = np.random.default_rng(7)
-        raw = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
-        F = SpectralField(grid, hermitian_symmetrize(grid, raw))
-        k = 5
-        out = system.s_k(F, k)
-        occupied = np.abs(out.coeffs) > 1e-14 * np.max(np.abs(out.coeffs))
-        assert np.all(grid.k_mag[occupied] <= 2.0 ** (k - 2))
 
 
 class TestBesovNorm:
@@ -349,7 +287,17 @@ class TestBesovNorm:
 
 
 class TestDefaultSystem:
+    """build_system is the one memoized dyadic system of a grid."""
+
     def test_memoized(self):
-        a = default_system(Grid(64))
-        b = default_system(Grid(64))
+        a = build_system(Grid(64), 7.0)
+        b = build_system(Grid(64), 7.0)
         assert a is b
+        assert build_system(Grid(64)) is build_system(Grid(64))
+        assert build_system(Grid(64), 8.0) is not a
+
+    @pytest.mark.parametrize("sharpness", [0.0, -1.0])
+    def test_non_positive_sharpness_raises_on_every_call(self, sharpness):
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="transition_sharpness"):
+                build_system(Grid(16), sharpness)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqgev.dyadic import build_system, default_system
+from sqgev.dyadic import build_system
 from sqgev.gevrey import heat_semigroup
 from sqgev.solver import (
     ADVECTION_CONVENTION,
@@ -28,6 +28,7 @@ from sqgev.solver import (
     dealias_mask,
     initial_field,
     nonlinear_term,
+    picard_gaps,
     picard_solve,
     solve,
     step,
@@ -132,7 +133,7 @@ def heun_step_full(theta_hat, grid, dt, efactor, mask, frozen=None, frozen_next=
 
 def march_full(config, sources):
     grid, dt = config.grid, config.dt
-    system = default_system(grid, config.sharpness)
+    system = build_system(grid, config.sharpness)
     efactor = _heat_factor(grid, dt, config.kappa)
     mask = dealias_mask(grid, config.dealias)
     kmax = float(np.max(grid.k_mag))
@@ -602,7 +603,7 @@ class TestPicard:
         )
         levels = picard_solve(cfg)
         grid = cfg.grid
-        want = _diagnostics_row(0.0, levels[0].snapshots[0], cfg, default_system(grid))
+        want = _diagnostics_row(0.0, levels[0].snapshots[0], cfg, build_system(grid))
         rows = [traj.diagnostics[0] for traj in levels]
         assert all(row == want for row in rows)
         # each level holds its own row
@@ -651,8 +652,23 @@ class TestPicard:
                     for (_, a), (_, b) in zip(lo.samples(), hi.samples())
                 )
             )
+        assert picard_gaps(levels, system) == gaps
         ratios = [b / a for a, b in zip(gaps, gaps[1:])]
         assert all(r < 1.0 for r in ratios)
+
+    @pytest.mark.parametrize("p, sharpness", [(2.0, 12.0), (4.0, 9.0)])
+    def test_diagnostics_besov_is_the_critical_norm_of_each_snapshot(self, p, sharpness):
+        # the well-posedness check reads its critical norms from these rows
+        cfg = cosine_config(
+            n=32, picard_depth=3, record_every=2, p=p, sharpness=sharpness,
+            initial_data=InitialData("random-band", amplitude=0.05, seed=4),
+        )
+        system = build_system(cfg.grid, sharpness)
+        bp = cfg.besov_params()
+        for traj in [solve(cfg), *picard_solve(cfg)]:
+            assert len(traj.diagnostics) == len(traj.snapshots) == 6
+            for row, snap in zip(traj.diagnostics, traj.snapshots):
+                assert row["besov"] == system.besov_norm(snap, bp)
 
     def test_iterates_approach_full_solver(self):
         cfg = cosine_config(
