@@ -4,6 +4,9 @@ The radial profile psi0 equals 1 on r <= 1/2, vanishes for r >= 1, and
 transitions through a C-infinity smooth step built from exp(-c/t).  The band
 profiles phi_j(r) = phi0(r / 2^j) with phi0 = psi0(./2) - psi0 tile the
 resolved wavenumber range: sum_j phi_j = 1 there by telescoping.
+
+At p = 2 the norms read phi_j on the ring radii against the field's ring
+spectrum, which a radial weight (the X_T Gevrey weight) scales.
 """
 
 from __future__ import annotations
@@ -135,6 +138,10 @@ class DyadicSystem:
                 f"band j={j} outside resolved range [{self.j_min}, {self.j_max}]"
             )
 
+    def _require_grid(self, f: SpectralField) -> None:
+        if f.grid != self.grid:
+            raise ConfigError(f"field grid {f.grid} does not match system grid {self.grid}")
+
     def delta_j(self, f: SpectralField, j: int) -> SpectralField:
         """Littlewood-Paley block: multiply by phi_j(|k|)."""
         self._require_resolved(j)
@@ -148,10 +155,9 @@ class DyadicSystem:
         p = 2 takes the Parseval path of _block_l2_norms; any other p
         transforms each block and takes the collocation quadrature.
         """
-        if f.grid != self.grid:
-            raise ConfigError(f"field grid {f.grid} does not match system grid {self.grid}")
         if p == 2:
             return self._block_l2_norms(f)
+        self._require_grid(f)
         return np.array(
             [lp_norm(inverse_transform(self.delta_j(f, j)), p) for j in self.js()]
         )
@@ -163,19 +169,19 @@ class DyadicSystem:
         table.flags.writeable = False
         return table
 
-    def _block_l2_norms(self, f: SpectralField) -> np.ndarray:
-        """Parseval: ||Delta_j f||_2 = L sqrt(sum over rings of phi_j^2 E),
-        with E the ring sums of |f_hat|^2.
+    def _block_l2_norms(self, f: SpectralField, weight=1.0) -> np.ndarray:
+        """Parseval: ||Delta_j (w f)||_2 = L sqrt(sum over rings of phi_j^2 w^2 E),
+        with E the ring energies of f and w a real radial weight on the ring radii.
 
         Each block gets the Hermitian test inverse_transform would apply to
-        it.  phi_j is radial and nonnegative, so a block's defect and scale
-        are the ring maxima of |c(k) - conj c(-k)| and of |c|, times phi_j.
+        it.  phi_j w is radial and nonnegative, so a block's defect and scale
+        are the ring maxima of |c(k) - conj c(-k)| and of |c|, times phi_j w.
         """
-        rings = self.grid.rings
+        self._require_grid(f)
+        spec = f.ring_spectrum
         phi = self._ring_profiles
-        mags = np.abs(f.coeffs)
-        defect = (phi * rings.max(f.hermitian_defects())).max(axis=1)
-        scale = (phi * rings.max(mags)).max(axis=1)
+        defect = (phi * (weight * spec.defect)).max(axis=1)
+        scale = (phi * (weight * spec.peak)).max(axis=1)
         bad = defect > np.maximum(HERMITIAN_RTOL * scale, HERMITIAN_FLOOR)
         if bad.any():
             i = int(np.argmax(bad))
@@ -183,8 +189,7 @@ class DyadicSystem:
                 f"block j={self.j_min + i} is not Hermitian-symmetric "
                 f"(defect {defect[i]:.3e})"
             )
-        energy = rings.sum(mags**2)
-        return self.grid.box_length * np.sqrt(phi**2 @ energy)
+        return self.grid.box_length * np.sqrt(phi**2 @ (weight * (weight * spec.energy)))
 
     def js(self) -> range:
         return range(self.j_min, self.j_max + 1)
@@ -201,15 +206,19 @@ class DyadicSystem:
         beyond Nyquist) do not contribute; a nonzero mean triggers a
         HomogeneityWarning since the homogeneous norm ignores it.
         """
-        scale = float(np.max(np.abs(f.coeffs)))
-        if abs(f.mean_value()) > 1e-12 * max(scale, 1e-300):
+        return self._besov_norm(f, bp, 1.0)
+
+    def _besov_norm(self, f: SpectralField, bp: BesovParams, weight) -> float:
+        """besov_norm of w f for a weight w (w(0) = 1) on the ring radii; w = 1 unless p = 2."""
+        peak = float((weight * f.ring_spectrum.peak).max())
+        if abs(f.mean_value()) > 1e-12 * max(peak, 1e-300):
             warnings.warn(
                 "besov_norm: field has a nonzero mean, which a homogeneous "
                 "norm cannot see",
                 HomogeneityWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-        blocks = self.block_lp_norms(f, bp.p)
+        blocks = self._block_l2_norms(f, weight) if bp.p == 2 else self.block_lp_norms(f, bp.p)
         weights = 2.0 ** (bp.s * np.asarray(self.js(), dtype=np.float64))
         terms = weights * blocks
         if np.isinf(bp.q):
@@ -229,9 +238,8 @@ class DyadicSystem:
             else:
                 cumulative = (cumulative**bp.q + term**bp.q) ** (1.0 / bp.q)
             rows.append({"j": j, "weighted_block_norm": term, "cumulative": cumulative})
-        rings = self.grid.rings
-        coverage = self.partition_sum(rings.radii)
-        energy = rings.sum(np.abs(f.coeffs) ** 2)
+        coverage = self.partition_sum(self.grid.rings.radii)
+        energy = f.ring_spectrum.energy
         total = float(energy.sum())
         discarded = float(energy[coverage < 1e-12].sum()) / total if total > 0 else 0.0
         return rows, discarded

@@ -147,8 +147,8 @@ def xt_norm(
     """sup over samples of t^(beta/kappa) * ||G_{gamma(t)} v(t)||_Besov.
 
     The Besov parameters are used as given, so callers working at base
-    regularity sigma should pass s = sigma + beta.  Returns the sup and the
-    per-sample records.
+    regularity sigma should pass s = sigma + beta.  At p = 2 the weight
+    scales each sample's ring spectrum.  Returns the sup and the per-sample records.
     """
     if len(trajectory) == 0:
         raise ValueError("xt_norm needs at least one trajectory sample")
@@ -158,14 +158,18 @@ def xt_norm(
             raise ValueError(f"xt_norm samples require t > 0, got t={t}")
         gamma_t = gp.radius_at(t)
         try:
-            lifted = gevrey_multiply(field, gamma_t, gp.alpha)
+            check_gevrey_weight(field.grid, gamma_t, gp.alpha)
         except GevreyOverflowError as exc:
             raise GevreyOverflowError(
                 f"Gevrey weight overflow at t={t:g} (gamma(t)={gamma_t:g}): {exc}",
                 max_gamma=exc.max_gamma,
                 time=t,
             ) from exc
-        besov = system.besov_norm(lifted, bp)
+        if bp.p == 2:
+            weight = np.exp(gamma_t * field.grid.rings.radii**gp.alpha)
+            besov = system._besov_norm(field, bp, weight)
+        else:
+            besov = system.besov_norm(gevrey_multiply(field, gamma_t, gp.alpha), bp)
         samples.append(
             XTNormSample(
                 t=t,
@@ -181,7 +185,7 @@ def spectral_decay_fit(theta: SpectralField, alpha: float):
     """Least-squares fit of -log(ring-averaged |theta_hat|) against |k|^alpha.
 
     Rings group lattice modes of identical |k| (equal integer |m|^2); the
-    ring averages come from one pass over the grid's ring index.  The fit
+    ring averages come from the field's ring spectrum.  The fit
     covers the upper half (in radius) of the populated spectrum, capped
     at the Nyquist disk, so band-limited fields (dealiased runs, say) are
     fitted over their own resolved range.  Returns
@@ -189,16 +193,16 @@ def spectral_decay_fit(theta: SpectralField, alpha: float):
     """
     grid = theta.grid
     rings = grid.rings
+    spec = theta.ring_spectrum
     nyq2 = (grid.n // 2) ** 2
-    mags = np.abs(theta.coeffs)
-    populated = (rings.sum(mags > 0) > 0) & (rings.m2 > 0) & (rings.m2 <= nyq2)
+    populated = (spec.peak > 0) & (rings.m2 > 0) & (rings.m2 <= nyq2)
     if not populated.any():
         return 0.0, 0.0, 0.0, 0, True
     top2 = int(rings.m2[populated].max())
     fit_zone = (rings.m2 > top2 // 4) & (rings.m2 <= top2)
 
     radii = rings.radii[fit_zone]
-    means = rings.sum(mags)[fit_zone] / rings.counts[fit_zone]
+    means = spec.amplitude[fit_zone] / rings.counts[fit_zone]
     keep = means > 0
     if keep.sum() < 3:
         return 0.0, 0.0, 0.0, int(keep.sum()), True

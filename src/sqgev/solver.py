@@ -191,10 +191,10 @@ def _gaussian_pair_values(grid: Grid) -> np.ndarray:
     return out - out.mean()
 
 
-def initial_field(config: SolverConfig, system: DyadicSystem | None = None) -> SpectralField:
+def initial_field(config: SolverConfig) -> SpectralField:
     """Construct the configured initial data, normalized in the critical norm."""
     grid = config.grid
-    system = system or build_system(grid, config.sharpness)
+    system = build_system(grid, config.sharpness)
     init = config.initial_data
     if init.profile.startswith("file"):
         loaded, _ = load_field(init.profile.partition(":")[2])
@@ -437,7 +437,7 @@ def _march(config: SolverConfig, sources: list) -> list[Trajectory]:
     n_steps, marks = _record_steps(config)
 
     levels = range(len(sources))
-    init = initial_field(config, system)
+    init = initial_field(config)
     half = [init.coeffs[:, :h].copy() for _ in levels]
     frozen_sources = [src for lvl, src in enumerate(sources) if src not in (None, lvl)]
     vel = {src: work.velocity(half[src], np.empty((2, grid.n, grid.n)))

@@ -161,10 +161,20 @@ class RingIndex:
         return np.bincount(self.ids.ravel(), weights=np.ravel(values), minlength=self.m2.size)
 
     def max(self, values) -> np.ndarray:
-        """Max of a nonnegative per-mode array over each ring."""
+        """Max of a nonnegative per-mode array (or its leading columns) over each ring."""
         out = np.zeros(self.m2.size)
-        np.maximum.at(out, self.ids.ravel(), np.ravel(values))
+        np.maximum.at(out, self.ids[:, : values.shape[1]].ravel(), values.ravel())
         return out
+
+
+@dataclass(frozen=True, eq=False)
+class RingSpectrum:
+    """Read-only per-ring sums and maxima of a spectrum c."""
+
+    energy: np.ndarray  # sum |c|^2
+    amplitude: np.ndarray  # sum |c|
+    peak: np.ndarray  # max |c|
+    defect: np.ndarray  # max |c(k) - conj c(-k)|
 
 
 @lru_cache(maxsize=16)
@@ -242,13 +252,23 @@ class SpectralField:
     def __neg__(self) -> "SpectralField":
         return SpectralField(self.grid, -self.coeffs)
 
-    def hermitian_defects(self) -> np.ndarray:
-        """Per-mode deviation |coeffs(k) - conj(coeffs(-k))|."""
-        return np.abs(self.coeffs - np.conj(negated_modes(self.coeffs)))
+    @cached_property
+    def ring_spectrum(self) -> RingSpectrum:
+        """The spectrum reduced over the rings, once per field (coeffs is frozen)."""
+        rings, mags = self.grid.rings, np.abs(self.coeffs)
+        reductions = (rings.sum(mags**2), rings.sum(mags), rings.max(mags),
+                      rings.max(self._half_plane_defects()))
+        return RingSpectrum(*map(_freeze, reductions))
+
+    def _half_plane_defects(self) -> np.ndarray:
+        """|coeffs(k) - conj(coeffs(-k))| on the k2 >= 0 half plane, which
+        holds k or -k for every mode (the defect is even in k)."""
+        idx, half = self.grid._neg_index, self.grid.n // 2 + 1
+        return np.abs(self.coeffs[:, :half] - np.conj(self.coeffs[np.ix_(idx, idx[:half])]))
 
     def hermitian_defect(self) -> float:
         """Max deviation from coeffs(-k) = conj(coeffs(k))."""
-        return float(np.max(self.hermitian_defects()))
+        return float(np.max(self._half_plane_defects()))
 
     def is_hermitian(self, rtol: float = HERMITIAN_RTOL) -> bool:
         scale = float(np.max(np.abs(self.coeffs)))
@@ -414,10 +434,8 @@ def save_field(path, field, time: float = 0.0, extra: dict | None = None) -> Non
         data = np.ascontiguousarray(field.values, dtype="<f8")
     elif isinstance(field, SpectralField):
         kind = "spectral"
-        inter = np.empty((field.grid.n, field.grid.n, 2), dtype="<f8")
-        inter[..., 0] = field.coeffs.real
-        inter[..., 1] = field.coeffs.imag
-        data = inter
+        # a little-endian complex128 is an interleaved (re, im) pair of <f8
+        data = np.ascontiguousarray(field.coeffs, dtype="<c16")
     else:
         raise TypeError(f"cannot save object of type {type(field)}")
     lines = [

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sqgev.dyadic import BesovParams, build_system
+from sqgev.dyadic import BesovParams, HomogeneityWarning, build_system
 from sqgev.gevrey import (
     GevreyOverflowError,
     GevreyParams,
@@ -25,6 +25,7 @@ from sqgev.solver import InitialData, SolverConfig, initial_field
 from sqgev.spectral import (
     ConfigError,
     Grid,
+    HermitianSymmetryError,
     RealField,
     SpectralField,
     forward_transform,
@@ -61,6 +62,46 @@ def decay_fit_loop(theta, alpha):
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     return float(slope), float(intercept), r_squared, int(keep.sum()), False
+
+
+def xt_norm_loop(trajectory, gp, bp, system):
+    """xt_norm as it was before the p = 2 path read the ring spectrum: the
+    weighted field is formed on the full grid, then normed.  Kept verbatim
+    as the reference of the ring-weight path."""
+    if len(trajectory) == 0:
+        raise ValueError("xt_norm needs at least one trajectory sample")
+    samples = []
+    for t, field in trajectory:
+        if t <= 0:
+            raise ValueError(f"xt_norm samples require t > 0, got t={t}")
+        gamma_t = gp.radius_at(t)
+        try:
+            lifted = gevrey_multiply(field, gamma_t, gp.alpha)
+        except GevreyOverflowError as exc:
+            raise GevreyOverflowError(
+                f"Gevrey weight overflow at t={t:g} (gamma(t)={gamma_t:g}): {exc}",
+                max_gamma=exc.max_gamma,
+                time=t,
+            ) from exc
+        besov = system.besov_norm(lifted, bp)
+        samples.append(
+            XTNormSample(
+                t=t,
+                gamma=gamma_t,
+                besov=besov,
+                weighted=t ** (gp.beta / gp.kappa) * besov,
+            )
+        )
+    return max(s.weighted for s in samples), samples
+
+
+def one_mode_pair(grid, amplitude, defect):
+    """c(k0) = amplitude and c(-k0) = amplitude + defect at k0 = (4, 0), on
+    the plateau phi_2(4) = 1 of one block; every other mode is zero."""
+    c = np.zeros((grid.n, grid.n), dtype=complex)
+    c[4, 0] = amplitude
+    c[-4, 0] = amplitude + defect
+    return SpectralField(grid, c)
 
 
 def plane_wave(grid, axis=0, mode=1, kind="cos"):
@@ -265,6 +306,83 @@ class TestXTNorm:
         with pytest.raises(GevreyOverflowError) as err:
             xt_norm([(5.0, F)], gp, BesovParams(0.5), system)
         assert err.value.time == 5.0
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_overflow_names_the_first_sample_past_the_guard(self, p):
+        grid = Grid(64)
+        system = build_system(grid)
+        F = random_band_limited(grid, 2, seed=13)
+        gp = GevreyParams(alpha=0.4, kappa=0.8, lam=100.0, beta=0.0)
+        cap = max_admissible_gamma(grid, 0.4)
+        times = [0.1, 5.0, 8.0]
+        assert gp.radius_at(0.1) < cap < gp.radius_at(5.0)
+        with pytest.raises(GevreyOverflowError) as err:
+            xt_norm([(t, F) for t in times], gp, BesovParams(0.5, p), system)
+        assert err.value.time == 5.0
+        assert err.value.max_gamma == cap
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("profile", ["random-band", "gaussian-pair", "single-ring"])
+    def test_ring_weight_matches_weighted_field(self, n, profile):
+        grid = Grid(n)
+        system = build_system(grid)
+        config = SolverConfig(
+            grid=grid, initial_data=InitialData(profile, amplitude=0.3, seed=5, ring_j=2)
+        )
+        theta0 = initial_field(config)
+        traj = [(t, heat_semigroup(theta0, t, 0.8)) for t in (0.01, 0.1, 0.5, 2.0, 6.0)]
+        for gp in (GevreyParams(alpha=0.4, kappa=0.8, lam=0.5, beta=0.3),
+                   GevreyParams(alpha=0.7, kappa=0.8, lam=2.0, beta=0.1)):
+            for bp in (BesovParams(0.5, 2.0, 2.0), BesovParams(-0.2, 2.0, 1.0),
+                       BesovParams(1.0, 2.0, np.inf)):
+                sup, samples = xt_norm(traj, gp, bp, system)
+                want_sup, want = xt_norm_loop(traj, gp, bp, system)
+                assert sup == pytest.approx(want_sup, rel=1e-14, abs=0.0)
+                for got, ref in zip(samples, want):
+                    assert (got.t, got.gamma) == (ref.t, ref.gamma)
+                    assert got.besov == pytest.approx(ref.besov, rel=1e-14, abs=0.0)
+                    assert got.weighted == pytest.approx(ref.weighted, rel=1e-14, abs=0.0)
+
+    def test_weighted_block_defect_raises(self):
+        # the defect passes the absolute floor unweighted, and the weight
+        # 100 on the ring of k0 lifts it past the floor
+        grid = Grid(32)
+        system = build_system(grid)
+        f = one_mode_pair(grid, 1e-6, 5e-14)
+        gp = GevreyParams(alpha=0.5, kappa=1.0, lam=math.log(100.0) / 2.0, beta=0.0)
+        bp = BesovParams(0.5)
+        system.besov_norm(f, bp)
+        for norm in (xt_norm, xt_norm_loop):
+            with pytest.raises(HermitianSymmetryError):
+                norm([(1.0, f)], gp, bp, system)
+
+    def test_weighted_block_defect_below_the_floor_passes(self):
+        # weight 100 keeps the defect under the floor; weight 100^2 would not
+        grid = Grid(32)
+        system = build_system(grid)
+        f = one_mode_pair(grid, 1e-9, 5e-16)
+        gp = GevreyParams(alpha=0.5, kappa=1.0, lam=math.log(100.0) / 2.0, beta=0.0)
+        bp = BesovParams(0.5)
+        sup, _ = xt_norm([(1.0, f)], gp, bp, system)
+        assert sup == pytest.approx(xt_norm_loop([(1.0, f)], gp, bp, system)[0], rel=1e-14)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    @pytest.mark.parametrize("grid", [Grid(32, 3.0), Grid(64)])
+    def test_field_off_the_system_grid_is_rejected(self, p, grid):
+        system = build_system(Grid(32))
+        F = random_band_limited(grid, 2, seed=13)
+        gp = GevreyParams(alpha=0.4, kappa=0.8, lam=0.5, beta=0.3)
+        with pytest.raises(ConfigError):
+            xt_norm([(0.5, F)], gp, BesovParams(0.5, p), system)
+
+    def test_weighted_nonzero_mean_warns(self):
+        grid = Grid(64)
+        system = build_system(grid)
+        c = random_band_limited(grid, 2, seed=14).coeffs.copy()
+        c[0, 0] = 1.0
+        gp = GevreyParams(alpha=0.4, kappa=0.8, lam=0.5, beta=0.3)
+        with pytest.warns(HomogeneityWarning):
+            xt_norm([(0.5, SpectralField(grid, c))], gp, BesovParams(0.5), system)
 
     def test_sample_validation(self):
         with pytest.raises(ConfigError):

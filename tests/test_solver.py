@@ -139,7 +139,7 @@ def march_full(config, sources):
     kmax = float(np.max(grid.k_mag))
     n_steps, marks = _record_steps(config)
     levels = range(len(sources))
-    theta = [initial_field(config, system).coeffs] * len(levels)
+    theta = [initial_field(config).coeffs] * len(levels)
     vel = {src: velocity_full(theta[src], grid)
            for lvl, src in enumerate(sources) if src not in (None, lvl)}
     times, snaps, diags = ([[] for _ in levels] for _ in range(3))
@@ -240,7 +240,7 @@ class TestInitialData:
                 n=64, initial_data=InitialData(profile=profile, amplitude=0.25, seed=3)
             )
             system = build_system(cfg.grid)
-            fld = initial_field(cfg, system)
+            fld = initial_field(cfg)
             norm = system.besov_norm(fld, cfg.besov_params())
             assert norm == pytest.approx(0.25, rel=1e-10)
             assert abs(fld.mean_value()) == 0.0
@@ -595,6 +595,21 @@ class TestPicard:
         assert partial.meta["level"] == 1
         assert partial.times[-1] < err.value.time
         assert len(partial.times) == len(partial.snapshots) == len(partial.diagnostics)
+
+    @pytest.mark.parametrize("defect", [1e-3, 1e-11])
+    def test_diagnostics_row_rejects_a_non_hermitian_field(self, defect):
+        # a defect of 1e-11 passes inverse_transform's whole-field test (lp)
+        # and fails the per-block test of the Besov norm, whose block at
+        # |k| = 8 holds only the small mode pair
+        cfg = cosine_config(n=32)
+        c = np.zeros((32, 32), dtype=complex)
+        c[1, 0] = c[-1, 0] = 1.0
+        c[8, 0] = 1e-6
+        c[-8, 0] = 1e-6 + defect
+        snap = SpectralField(cfg.grid, c)
+        assert snap.is_hermitian() == (defect < 1e-9)
+        with pytest.raises(HermitianSymmetryError):
+            _diagnostics_row(0.1, snap, cfg, build_system(cfg.grid))
 
     def test_initial_row_is_shared_by_value_only(self):
         cfg = cosine_config(

@@ -309,6 +309,53 @@ class TestRandomBandLimited:
         assert SpectralField(grid, phases).hermitian_defect() == 0.0
 
 
+def ring_spectrum_loop(f):
+    """Per-ring loop form of SpectralField.ring_spectrum: a full-grid mask per
+    ring and the full-grid Hermitian defect, kept as its reference."""
+    grid = f.grid
+    idx = (-np.arange(grid.n)) % grid.n
+    mags = np.abs(f.coeffs)
+    defects = np.abs(f.coeffs - np.conj(f.coeffs[np.ix_(idx, idx)]))
+    m2 = grid.freqs[:, None] ** 2 + grid.freqs[None, :] ** 2
+    rows = []
+    for ring in np.unique(m2):
+        on = m2 == ring
+        rows.append((np.sum(mags[on] ** 2), np.sum(mags[on]), mags[on].max(), defects[on].max()))
+    return [np.array(column) for column in zip(*rows)]
+
+
+class TestRingSpectrum:
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_matches_per_ring_loop(self, n, hermitian):
+        grid = Grid(n, 3.0)
+        rng = np.random.default_rng(n)
+        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        c = hermitian_symmetrize(grid, raw) if hermitian else raw
+        empty = rng.random((n, n)) < 0.2  # empty modes, and some empty rings
+        c[empty | negated_modes(empty)] = 0.0
+        f = SpectralField(grid, c)
+        spec = f.ring_spectrum
+        energy, amplitude, peak, defect = ring_spectrum_loop(f)
+        np.testing.assert_allclose(spec.energy, energy, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(spec.amplitude, amplitude, rtol=1e-13, atol=0.0)
+        assert np.array_equal(spec.peak, peak)
+        assert np.array_equal(spec.defect, defect)
+        assert (f.hermitian_defect() == 0.0) == hermitian
+        assert f.hermitian_defect() == defect.max()
+
+    def test_computed_once_and_read_only(self):
+        f = random_band_limited(Grid(32), 2, seed=3)
+        spec = f.ring_spectrum
+        assert f.ring_spectrum is spec
+        for arr in (spec.energy, spec.amplitude, spec.peak, spec.defect):
+            assert not arr.flags.writeable
+            assert arr.shape == f.grid.rings.m2.shape
+        # the field holds a frozen copy, so its spectrum cannot go stale
+        with pytest.raises(ValueError):
+            f.coeffs[1, 1] = 1.0
+
+
 class TestSnapshotFiles:
     def test_real_round_trip(self, tmp_path):
         grid = Grid(16, box_length=3.5)
@@ -331,6 +378,18 @@ class TestSnapshotFiles:
         assert isinstance(loaded, SpectralField)
         np.testing.assert_array_equal(loaded.coeffs, F.coeffs)
         assert header["kind"] == "spectral"
+
+    def test_spectral_bytes_are_interleaved_f8(self, tmp_path):
+        # the encoding of the (n, n, 2) staging array that save_field used to fill
+        grid = Grid(8, 2.5)
+        F = SpectralField(grid, np.arange(64).reshape(8, 8) * (0.25 - 1.5j) + 1.0 / 3.0)
+        path = tmp_path / "F.snap"
+        save_field(path, F, time=0.75, extra={"level": 2})
+        inter = np.empty((8, 8, 2), dtype="<f8")
+        inter[..., 0] = F.coeffs.real
+        inter[..., 1] = F.coeffs.imag
+        header = "n=8\nbox_length=2.5\nkind=spectral\ntime=0.75\nlevel=2\n\n"
+        assert path.read_bytes() == header.encode("ascii") + inter.tobytes()
 
     def test_corrupt_header_rejected(self, tmp_path):
         path = tmp_path / "bad.snap"
