@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import DEFAULT_SHARPNESS, build_system, phi0, phi0_prime, psi0
+from .dyadic import build_system, phi0, phi0_prime
 from .gevrey import check_gevrey_weight
 from .spectral import (
     HERMITIAN_FLOOR,
@@ -285,12 +285,6 @@ def marcinkiewicz_check(
 # -- randomized operator-norm probe -----------------------------------------
 
 
-def admissible_exponents(p: float, q: float) -> bool:
-    """True when (p, q) sits in the range where the bilinear multiplier
-    bound is expected to hold: 1 < p < inf, 1 <= q <= inf."""
-    return 1 < p < math.inf and 1 <= q <= math.inf
-
-
 def _masked_noise(grid: Grid, mask: np.ndarray, rng) -> SpectralField | None:
     if not mask.any():
         return None
@@ -487,7 +481,6 @@ def gevrey_commutators(
     g: SpectralField,
     bands: list[tuple[int, float]],
     alpha: float,
-    sharpness: float = DEFAULT_SHARPNESS,
 ) -> list[RealField]:
     """[G_gamma Delta_j, f] g for every (j, gamma) in ``bands``, in order.
 
@@ -505,7 +498,7 @@ def gevrey_commutators(
     """
     _require_real_pair(f, g, "gevrey_commutator")
     grid = f.grid
-    system = build_system(grid, sharpness)
+    system = build_system(grid)
     for j, gamma in bands:
         system._require_resolved(j)
         check_gevrey_weight(grid, gamma, alpha)
@@ -536,27 +529,20 @@ def gevrey_commutator(
     j: int,
     gamma: float,
     alpha: float,
-    sharpness: float = DEFAULT_SHARPNESS,
 ) -> RealField:
     """[G_gamma Delta_j, f] g = G_gamma Delta_j (f g) - f G_gamma Delta_j g,
     the one-band case of gevrey_commutators: products are formed on a
     padded grid so they are exact on the lattice."""
-    return gevrey_commutators(f, g, [(j, gamma)], alpha, sharpness)[0]
+    return gevrey_commutators(f, g, [(j, gamma)], alpha)[0]
 
 
-def commutator_symbol(
-    j: int,
-    gamma: float,
-    alpha: float,
-    sharpness: float = DEFAULT_SHARPNESS,
-    grid_hint: Grid | None = None,
-) -> BilinearSymbol:
+def commutator_symbol(j: int, gamma: float, alpha: float) -> BilinearSymbol:
     """Plain two-argument symbol of [G_gamma Delta_j, .] acting on (f, g):
     G_gamma(xi+eta) phi_j(xi+eta) - G_gamma(eta) phi_j(eta)."""
 
     def gphi(v):
         r = np.linalg.norm(v, axis=-1)
-        return np.exp(gamma * r**alpha) * phi0(r / 2.0**j, sharpness)
+        return np.exp(gamma * r**alpha) * phi0(r / 2.0**j)
 
     return BilinearSymbol(
         eval=lambda xi, eta: gphi(xi + eta) - gphi(eta),
@@ -578,13 +564,6 @@ def _r_alpha_sigma(xi, eta, alpha, sigma):
     return _norm(xi + sigma * eta) ** alpha - _norm(xi) ** alpha - _norm(eta) ** alpha
 
 
-def make_constant() -> BilinearSymbol:
-    return BilinearSymbol(
-        eval=lambda xi, eta: np.ones(np.broadcast_shapes(xi[..., 0].shape, eta[..., 0].shape)),
-        description="constant",
-    )
-
-
 def make_riesz_pair() -> BilinearSymbol:
     """Separable Riesz pair: symbol of (R_1 f)(R_1 g)."""
 
@@ -599,44 +578,23 @@ def make_riesz_pair() -> BilinearSymbol:
     )
 
 
-def make_commutator(j: int = 1, k: int = 1, gamma: float = 0.1, alpha: float = 0.5,
-                    sharpness: float = DEFAULT_SHARPNESS) -> BilinearSymbol:
-    """Localized commutator symbol [G Delta_j, S_k f] Delta_k g: the plain
-    commutator symbol times the low-pass cutoff in xi and phi_k in eta."""
-    base = commutator_symbol(j, gamma, alpha, sharpness)
-
-    def cutoff(xi):
-        # symbol of S_k: full low-frequency sum below k - 3
-        return psi0(_norm(xi) / 2.0 ** (k - 2), sharpness)
-
-    def ev(xi, eta):
-        return base(xi, eta) * cutoff(xi) * phi0(_norm(eta) / 2.0**k, sharpness)
-
-    return BilinearSymbol(
-        eval=ev,
-        description=f"commutator(j={j}, k={k}, gamma={gamma:g}, alpha={alpha:g})",
-        support_hint=(2.0 ** (k - 1), 2.0 ** (k + 1)),
-    )
-
-
-def make_kgtrj(gamma: float = 0.1, alpha: float = 0.5, j: int = 0, k: int = 3,
-               sharpness: float = DEFAULT_SHARPNESS) -> BilinearSymbol:
+def make_kgtrj(gamma: float = 0.1, alpha: float = 0.5, j: int = 0, k: int = 3) -> BilinearSymbol:
     """High-high interaction symbol: exp(gamma R_alpha) phi_j(xi+eta)
     phi~_k(xi) phi_k(eta), for k >= j + 3."""
 
     def window(r):
         total = np.zeros_like(r)
         for l in (k - 2, k - 1, k, k + 1, k + 2):
-            total += phi0(r / 2.0**l, sharpness)
+            total += phi0(r / 2.0**l)
         return total
 
     def ev(xi, eta):
         expo = _r_alpha_sigma(xi, eta, alpha, 1.0)  # |xi+eta|^a - |xi|^a - |eta|^a
         return (
             np.exp(gamma * expo)
-            * phi0(_norm(xi + eta) / 2.0**j, sharpness)
+            * phi0(_norm(xi + eta) / 2.0**j)
             * window(_norm(xi))
-            * phi0(_norm(eta) / 2.0**k, sharpness)
+            * phi0(_norm(eta) / 2.0**k)
         )
 
     return BilinearSymbol(
@@ -646,8 +604,7 @@ def make_kgtrj(gamma: float = 0.1, alpha: float = 0.5, j: int = 0, k: int = 3,
     )
 
 
-def make_ksimj(gamma: float = 0.1, alpha: float = 0.5, j: int = 1, k: int = 2,
-               sharpness: float = DEFAULT_SHARPNESS) -> BilinearSymbol:
+def make_ksimj(gamma: float = 0.1, alpha: float = 0.5, j: int = 1, k: int = 2) -> BilinearSymbol:
     """Comparable-frequency symbol exp(gamma R_alpha) phi_j(xi+eta)
     phi_k(xi) phi_k(eta), for |k - j| <= 4."""
 
@@ -655,9 +612,9 @@ def make_ksimj(gamma: float = 0.1, alpha: float = 0.5, j: int = 1, k: int = 2,
         expo = _r_alpha_sigma(xi, eta, alpha, 1.0)
         return (
             np.exp(gamma * expo)
-            * phi0(_norm(xi + eta) / 2.0**j, sharpness)
-            * phi0(_norm(xi) / 2.0**k, sharpness)
-            * phi0(_norm(eta) / 2.0**k, sharpness)
+            * phi0(_norm(xi + eta) / 2.0**j)
+            * phi0(_norm(xi) / 2.0**k)
+            * phi0(_norm(eta) / 2.0**k)
         )
 
     return BilinearSymbol(
@@ -667,7 +624,7 @@ def make_ksimj(gamma: float = 0.1, alpha: float = 0.5, j: int = 1, k: int = 2,
     )
 
 
-def _mvt_pieces(gamma, alpha, sigma, l, k, sharpness):
+def _mvt_pieces(gamma, alpha, sigma, l, k):
     """Shared factors of the mean-value-theorem symbols mA/mB.
 
     The exponent is R_{alpha,sigma}(eta, xi) = |eta + sigma*xi|^a - |eta|^a
@@ -678,16 +635,15 @@ def _mvt_pieces(gamma, alpha, sigma, l, k, sharpness):
         return np.exp(gamma * _r_alpha_sigma(eta, xi, alpha, sigma))
 
     def bands(xi, eta):
-        return phi0(_norm(xi) / 2.0**l, sharpness) * phi0(_norm(eta) / 2.0**k, sharpness)
+        return phi0(_norm(xi) / 2.0**l) * phi0(_norm(eta) / 2.0**k)
 
     return expo, bands
 
 
 def make_mA(gamma: float = 0.1, alpha: float = 0.5, sigma: float = 0.5, i: int = 1,
-            j: int = 3, l: int = 0, k: int = 3,
-            sharpness: float = DEFAULT_SHARPNESS) -> BilinearSymbol:
+            j: int = 3, l: int = 0, k: int = 3) -> BilinearSymbol:
     """Gevrey-weight piece of the mean-value commutator symbol."""
-    expo, bands = _mvt_pieces(gamma, alpha, sigma, l, k, sharpness)
+    expo, bands = _mvt_pieces(gamma, alpha, sigma, l, k)
 
     def ev(xi, eta):
         v = sigma * xi + eta
@@ -696,7 +652,7 @@ def make_mA(gamma: float = 0.1, alpha: float = 0.5, sigma: float = 0.5, i: int =
             power = np.where(r > 0, r ** (alpha - 2.0), 0.0)
         return (
             alpha * gamma * expo(xi, eta) * power * v[..., i - 1]
-            * phi0(r / 2.0**j, sharpness) * bands(xi, eta)
+            * phi0(r / 2.0**j) * bands(xi, eta)
         )
 
     return BilinearSymbol(
@@ -707,16 +663,15 @@ def make_mA(gamma: float = 0.1, alpha: float = 0.5, sigma: float = 0.5, i: int =
 
 
 def make_mB(gamma: float = 0.1, alpha: float = 0.5, sigma: float = 0.5, i: int = 1,
-            j: int = 3, l: int = 0, k: int = 3,
-            sharpness: float = DEFAULT_SHARPNESS) -> BilinearSymbol:
+            j: int = 3, l: int = 0, k: int = 3) -> BilinearSymbol:
     """Bump-derivative piece of the mean-value commutator symbol."""
-    expo, bands = _mvt_pieces(gamma, alpha, sigma, l, k, sharpness)
+    expo, bands = _mvt_pieces(gamma, alpha, sigma, l, k)
 
     def ev(xi, eta):
         v = (sigma * xi + eta) / 2.0**j
         r = _norm(v)
         with np.errstate(divide="ignore", invalid="ignore"):
-            radial = np.where(r > 0, phi0_prime(r, sharpness) / np.where(r > 0, r, 1.0), 0.0)
+            radial = np.where(r > 0, phi0_prime(r) / np.where(r > 0, r, 1.0), 0.0)
         dphi = radial * v[..., i - 1]
         return expo(xi, eta) * dphi * 2.0 ** (-j) * bands(xi, eta)
 
@@ -728,9 +683,7 @@ def make_mB(gamma: float = 0.1, alpha: float = 0.5, sigma: float = 0.5, i: int =
 
 
 SYMBOL_REGISTRY = {
-    "constant": make_constant,
     "riesz-pair": make_riesz_pair,
-    "commutator": make_commutator,
     "kgtrj": make_kgtrj,
     "ksimj": make_ksimj,
     "mA": make_mA,

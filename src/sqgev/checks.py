@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bilinear import _fd_combine, _fd_stencil, _multi_indices, _norm, gevrey_commutators
-from .dyadic import DEFAULT_SHARPNESS, BesovParams, build_system
+from .dyadic import BesovParams, build_system
 from .gevrey import (
     GevreyOverflowError,
     GevreyParams,
@@ -150,7 +150,7 @@ def _lp_norms(field: SpectralField, ps) -> dict:
 
 
 def check_bernstein(
-    *, n=128, box_length=TWO_PI, sharpness=DEFAULT_SHARPNESS, j_lo=1, j_hi=5,
+    *, n=128, box_length=TWO_PI, j_lo=1, j_hi=5,
     trials=500, seed=0, s_set=(0.25, 0.5, 1.0), p_set=(2.0, 4.0, 8.0),
 ):
     """Two-sided block norm equivalences: the fractional-derivative sandwich
@@ -158,7 +158,7 @@ def check_bernstein(
     if not all(1.0 <= p < math.inf for p in p_set):
         raise ConfigError(f"bernstein needs 1 <= p < inf for every p, got p_set={p_set}")
     grid = Grid(n, box_length)
-    system = build_system(grid, sharpness)
+    system = build_system(grid)
     if j_hi > system.j_max:
         raise ConfigError(
             f"dyadic range up to {j_hi} not resolved on n={n} "
@@ -254,14 +254,14 @@ def check_positivity(
 
 
 def check_heat_kernel(
-    *, n=128, box_length=TWO_PI, sharpness=DEFAULT_SHARPNESS, j_lo=1, j_hi=5,
+    *, n=128, box_length=TWO_PI, j_lo=1, j_hi=5,
     trials=100, seed=0, kappa_set=(0.5, 0.8), p_set=(2.0, 4.0),
     t_grid=tuple(float(t) for t in np.logspace(-2, 0, 5)),
 ):
     """Measured block decay rates r = -log(norm ratio)/t must straddle
     2^(kappa j) with a j,t,p-uniform spread at most 2^kappa * 1.1."""
     grid = Grid(n, box_length)
-    system = build_system(grid, sharpness)
+    system = build_system(grid)
     js = list(range(j_lo, j_hi + 1))
     # per_kappa[i] holds the rows of kappa_set[i]; each block serves every
     # kappa and is transformed once, and each decayed block serves every p
@@ -304,7 +304,7 @@ def check_heat_kernel(
 
 
 def check_lin_gevrey(
-    *, n=128, box_length=TWO_PI, sharpness=DEFAULT_SHARPNESS, j_lo=0, j_hi=4,
+    *, n=128, box_length=TWO_PI, j_lo=0, j_hi=4,
     trials=60, seed=0, alpha=0.3, kappa=0.8, gamma_set=(0.01, 0.1, 0.5),
     p_set=(2.0, 4.0), constant_cap=50.0,
 ):
@@ -313,7 +313,7 @@ def check_lin_gevrey(
     if not 0 < alpha < kappa:
         raise ConfigError(f"need 0 < alpha < kappa, got {alpha}, {kappa}")
     grid = Grid(n, box_length)
-    system = build_system(grid, sharpness)
+    system = build_system(grid)
     js = list(range(j_lo, j_hi + 1))
     exponent = (kappa - alpha) / alpha
     rows = []
@@ -553,7 +553,7 @@ def _prescribed_profile_field(grid, exponent, p, seed, extra_damping=0.0, alpha=
 
 
 def check_commutator_decay(
-    *, n=128, box_length=TWO_PI, sharpness=DEFAULT_SHARPNESS, j_lo=1, j_hi=5,
+    *, n=128, box_length=TWO_PI, j_lo=1, j_hi=5,
     trials=50, seed=0, st_sets=((1.2, 0.3, 2.0), (1.3, 0.5, 4.0)),
     commutator_gamma=0.05, commutator_alpha=0.6, delta=0.1, field_damping=0.25,
     slope_slack=0.2, min_r_squared=0.9,
@@ -563,7 +563,7 @@ def check_commutator_decay(
     st_sets holds the exponent triples (s, t, p); field_damping is the
     gamma' of the G_{-gamma'} test-field smoothing."""
     grid = Grid(n, box_length)
-    system = build_system(grid, sharpness)
+    system = build_system(grid)
     js = list(range(j_lo, min(j_hi, system.j_max) + 1))
     gamma, alpha = commutator_gamma, commutator_alpha
     if not field_damping > gamma:
@@ -586,7 +586,7 @@ def check_commutator_decay(
             f = _prescribed_profile_field(grid, s, p, seed + 17 * trial, field_damping, alpha)
             g = _prescribed_profile_field(grid, t, p, seed + 17 * trial + 5, field_damping, alpha)
             norms.append(
-                [lp_norm(c, p) for c in gevrey_commutators(f, g, bands, alpha, sharpness)]
+                [lp_norm(c, p) for c in gevrey_commutators(f, g, bands, alpha)]
             )
         for m, (mode, _) in enumerate(modes):
             logs = {j: [] for j in js}
@@ -625,7 +625,7 @@ def check_commutator_decay(
         j_mid = js[len(js) // 2]
         n0, n_eps = (
             lp_norm(c, p)
-            for c in gevrey_commutators(f, g, [(j_mid, 0.0), (j_mid, 1e-4)], alpha, sharpness)
+            for c in gevrey_commutators(f, g, [(j_mid, 0.0), (j_mid, 1e-4)], alpha)
         )
         drift = abs(n_eps - n0) / n0
         fits[f"gamma_continuity_s{s:g}_t{t:g}_p{p:g}"] = drift
@@ -658,7 +658,7 @@ def _contraction_ratios(gaps, floor):
 
 
 def check_wellposedness(
-    *, n=128, box_length=TWO_PI, sharpness=DEFAULT_SHARPNESS, seed=0,
+    *, n=128, box_length=TWO_PI, seed=0,
     alpha=0.4, kappa=0.8, lam=0.5, beta=0.3, amplitudes=(0.01, 0.1, 1.0),
     p=2.0, q=2.0, dt=0.01, t_end=1.0, record_every=10, picard_depth=6,
     constant_cap=50.0, min_r_squared=0.9,
@@ -667,7 +667,7 @@ def check_wellposedness(
     vanishing heat-flow X_T as T -> 0, contraction of successive iterates,
     amplitude-linearity, and the Gevrey-radius growth exponent."""
     grid = Grid(n, box_length)
-    system = build_system(grid, sharpness)
+    system = build_system(grid)
     gp = GevreyParams(alpha=alpha, kappa=kappa, lam=lam, beta=beta)
     rows = []
     fits = {}
@@ -689,7 +689,6 @@ def check_wellposedness(
             p=p,
             q=q,
             alpha=gp.alpha,
-            sharpness=sharpness,
         )
 
     base = run_cfg(amplitudes[1], picard_depth)

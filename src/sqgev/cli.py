@@ -4,7 +4,8 @@ Configuration is flat key=value text.  Precedence: defaults, then the
 --config file, then SQGEV_<KEY> environment variables, then --set overrides.
 The run keys come from the fields of the solver config dataclasses, the
 verify keys from the keyword defaults of the checks.  Exit codes: 0
-success, 2 usage/config error, 3 numerical blow-up, 4 check failure.
+success, 2 usage/config error, 3 numerical blow-up or Gevrey overflow,
+4 check failure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import checks as checks_mod
 from .bilinear import SYMBOL_REGISTRY
 from .checks import ALL_CHECKS, check_defaults, run_check
 from .dyadic import BesovParams, build_system
-from .gevrey import GevreyParams, fit_radius, spectral_decay_fit, xt_norm
+from .gevrey import GevreyOverflowError, GevreyParams, fit_radius, spectral_decay_fit, xt_norm
 from .solver import (
     BlowUpError,
     SolverConfig,
@@ -43,7 +44,7 @@ RUN_DEFAULTS = flat_config(SolverConfig())
 RUN_DEFAULTS.update(flat_config(config_from_flat(GevreyParams, RUN_DEFAULTS)))
 RUN_KEYS = {key: type(value) for key, value in RUN_DEFAULTS.items()}
 # The run keys that `analyze` reads; the grid comes from the snapshot.
-ANALYZE_KEYS = {key: RUN_KEYS[key] for key in ("sharpness", "p", "q", "kappa", "alpha")}
+ANALYZE_KEYS = {key: RUN_KEYS[key] for key in ("p", "q", "kappa", "alpha")}
 
 
 class UsageError(ValueError):
@@ -115,7 +116,7 @@ def _save_blowup(out: Path, exc: BlowUpError, suffix: str = "") -> None:
 def _write_xt_trace(path, traj: Trajectory, gp: GevreyParams) -> None:
     cfg = traj.config
     bp = BesovParams(cfg.sigma + gp.beta, cfg.p, cfg.q)
-    _, samples = xt_norm(traj.samples(), gp, bp, build_system(cfg.grid, cfg.sharpness))
+    _, samples = xt_norm(traj.samples(), gp, bp, build_system(cfg.grid))
     radii = {row["t"]: row["radius"] for row in traj.diagnostics}
     with open(path, "w", newline="") as fh:
         for key, val in {**config_echo(cfg), "lam": gp.lam, "beta": gp.beta}.items():
@@ -141,10 +142,11 @@ def _cmd_simulate(args) -> int:
         print(f"blow-up at t={exc.time:g}; last snapshot saved", file=sys.stderr)
         return 3
     write_diagnostics(traj, out / "diagnostics.csv")
-    _write_xt_trace(out / "xt_trace.csv", traj, gp)
     echo = _field_echo(cfg)
     for t, snap in zip(traj.times, traj.snapshots):
         save_field(out / f"snapshot_t{t:.6f}.field", snap, time=t, extra=echo)
+    # last, so that a Gevrey overflow of the trace leaves the run's artifacts
+    _write_xt_trace(out / "xt_trace.csv", traj, gp)
     print(f"run complete: t_end={traj.times[-1]:g}, {len(traj.snapshots)} snapshots -> {out}")
     return 0
 
@@ -165,7 +167,7 @@ def _cmd_picard(args) -> int:
             file=sys.stderr,
         )
         return 3
-    gaps = picard_gaps(levels, build_system(cfg.grid, cfg.sharpness))
+    gaps = picard_gaps(levels, build_system(cfg.grid))
     with open(out / "convergence.csv", "w", newline="") as fh:
         for key, val in config_echo(cfg).items():
             fh.write(f"# {key}={val}\n")
@@ -193,7 +195,7 @@ def _cmd_analyze(args) -> int:
     if not isinstance(field, SpectralField):
         field = forward_transform(field)
     grid = field.grid
-    system = build_system(grid, params["sharpness"])
+    system = build_system(grid)
     bp = BesovParams(1.0 + 2.0 / params["p"] - params["kappa"], params["p"], params["q"])
     rows, discarded = system.besov_report(field, bp)
     fit = spectral_decay_fit(field, params["alpha"])
@@ -335,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
+        return 3
+    except GevreyOverflowError as exc:
+        print(f"gevrey overflow: {exc}", file=sys.stderr)
         return 3
 
 

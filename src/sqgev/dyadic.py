@@ -5,6 +5,12 @@ transitions through a C-infinity smooth step built from exp(-c/t).  The band
 profiles phi_j(r) = phi0(r / 2^j) with phi0 = psi0(./2) - psi0 tile the
 resolved wavenumber range: sum_j phi_j = 1 there by telescoping.
 
+The bump is fixed: its transition sharpness is the module constant
+SHARPNESS, not a parameter.  Any two admissible dyadic partitions give
+equivalent homogeneous Besov norms (Bahouri, Chemin and Danchin, Fourier
+Analysis and Nonlinear PDEs, 2011, ch. 2), so the sharpness is a
+construction constant of the norms, not a constant of any estimate.
+
 At p = 2 the norms read phi_j on the ring radii against the field's ring
 spectrum, which a radial weight (the X_T Gevrey weight) scales.
 """
@@ -33,14 +39,14 @@ from .spectral import (
 # Sharpness of the smooth step.  Larger values narrow the transition zone,
 # pushing sum_j phi_j^2 closer to 1 (almost-orthogonality of the blocks)
 # while keeping exact plateaus and C-infinity regularity.
-DEFAULT_SHARPNESS = 12.0
+SHARPNESS = 12.0
 
 
 class HomogeneityWarning(UserWarning):
     """Field handed to a homogeneous-space norm has a nonzero mean."""
 
 
-def smooth_step(t, sharpness: float = DEFAULT_SHARPNESS):
+def smooth_step(t):
     """C-infinity step H with H(t)=0 for t<=0 and H(t)=1 for t>=1."""
     t = np.asarray(t, dtype=np.float64)
     lo = t <= 0.0
@@ -50,45 +56,45 @@ def smooth_step(t, sharpness: float = DEFAULT_SHARPNESS):
     out[lo] = 0.0
     out[hi] = 1.0
     tm = t[mid]
-    a = np.exp(-sharpness / tm)
-    b = np.exp(-sharpness / (1.0 - tm))
+    a = np.exp(-SHARPNESS / tm)
+    b = np.exp(-SHARPNESS / (1.0 - tm))
     out[mid] = a / (a + b)
     return out
 
 
-def smooth_step_prime(t, sharpness: float = DEFAULT_SHARPNESS):
+def smooth_step_prime(t):
     """Derivative of smooth_step (vanishes outside (0, 1))."""
     t = np.asarray(t, dtype=np.float64)
     mid = (t > 0.0) & (t < 1.0)
     out = np.zeros_like(t)
     tm = t[mid]
-    a = np.exp(-sharpness / tm)
-    b = np.exp(-sharpness / (1.0 - tm))
+    a = np.exp(-SHARPNESS / tm)
+    b = np.exp(-SHARPNESS / (1.0 - tm))
     # H' = a'b - ab' over (a+b)^2 with a' = a*s/t^2, b' = -b*s/(1-t)^2
-    out[mid] = a * b * sharpness * (1.0 / tm**2 + 1.0 / (1.0 - tm) ** 2) / (a + b) ** 2
+    out[mid] = a * b * SHARPNESS * (1.0 / tm**2 + 1.0 / (1.0 - tm) ** 2) / (a + b) ** 2
     return out
 
 
-def psi0(r, sharpness: float = DEFAULT_SHARPNESS):
+def psi0(r):
     """Radial plateau profile: 1 on r <= 1/2, 0 on r >= 1."""
     r = np.asarray(r, dtype=np.float64)
-    return smooth_step(2.0 * (1.0 - r), sharpness)
+    return smooth_step(2.0 * (1.0 - r))
 
 
-def psi0_prime(r, sharpness: float = DEFAULT_SHARPNESS):
+def psi0_prime(r):
     r = np.asarray(r, dtype=np.float64)
-    return -2.0 * smooth_step_prime(2.0 * (1.0 - r), sharpness)
+    return -2.0 * smooth_step_prime(2.0 * (1.0 - r))
 
 
-def phi0(r, sharpness: float = DEFAULT_SHARPNESS):
+def phi0(r):
     """Band profile supported on [1/2, 2]: phi0 = psi0(./2) - psi0."""
     r = np.asarray(r, dtype=np.float64)
-    return psi0(0.5 * r, sharpness) - psi0(r, sharpness)
+    return psi0(0.5 * r) - psi0(r)
 
 
-def phi0_prime(r, sharpness: float = DEFAULT_SHARPNESS):
+def phi0_prime(r):
     r = np.asarray(r, dtype=np.float64)
-    return 0.5 * psi0_prime(0.5 * r, sharpness) - psi0_prime(r, sharpness)
+    return 0.5 * psi0_prime(0.5 * r) - psi0_prime(r)
 
 
 @dataclass(frozen=True)
@@ -113,17 +119,16 @@ class DyadicSystem:
     """
 
     grid: Grid
-    sharpness: float
     j_min: int
     j_max: int
 
     # -- profile evaluation on arbitrary radii --------------------------
 
     def psi(self, j: int, r) -> np.ndarray:
-        return psi0(np.asarray(r, dtype=np.float64) / 2.0**j, self.sharpness)
+        return psi0(np.asarray(r, dtype=np.float64) / 2.0**j)
 
     def phi(self, j: int, r) -> np.ndarray:
-        return phi0(np.asarray(r, dtype=np.float64) / 2.0**j, self.sharpness)
+        return phi0(np.asarray(r, dtype=np.float64) / 2.0**j)
 
     def partition_sum(self, r) -> np.ndarray:
         """sum of phi_j(r) over the resolved range (telescopes to 1 inside)."""
@@ -144,8 +149,9 @@ class DyadicSystem:
 
     def delta_j(self, f: SpectralField, j: int) -> SpectralField:
         """Littlewood-Paley block: multiply by phi_j(|k|)."""
+        self._require_grid(f)
         self._require_resolved(j)
-        return apply_multiplier(f, lambda kx, ky: self.phi(j, np.hypot(kx, ky)))
+        return apply_multiplier(f, self.phi(j, self.grid.k_mag))
 
     # -- norms -------------------------------------------------------------
 
@@ -157,7 +163,6 @@ class DyadicSystem:
         """
         if p == 2:
             return self._block_l2_norms(f)
-        self._require_grid(f)
         return np.array(
             [lp_norm(inverse_transform(self.delta_j(f, j)), p) for j in self.js()]
         )
@@ -246,11 +251,9 @@ class DyadicSystem:
 
 
 @lru_cache(maxsize=64)
-def build_system(grid: Grid, transition_sharpness: float = DEFAULT_SHARPNESS) -> DyadicSystem:
+def build_system(grid: Grid) -> DyadicSystem:
     """Resolve the dyadic range for a grid and freeze the bump profiles;
     memoized, so equal grids share one system (profiles are pure functions)."""
-    if transition_sharpness <= 0:
-        raise ConfigError("transition_sharpness must be positive")
     kmag = grid.k_mag
     in_disk = (kmag > 0) & (kmag <= grid.k_nyquist)
     j_max = int(np.floor(np.log2(grid.k_nyquist))) - 1
@@ -264,4 +267,4 @@ def build_system(grid: Grid, transition_sharpness: float = DEFAULT_SHARPNESS) ->
         raise ConfigError(
             f"grid n={grid.n}, L={grid.box_length:g} cannot host a dyadic annulus"
         )
-    return DyadicSystem(grid=grid, sharpness=transition_sharpness, j_min=j_min, j_max=j_max)
+    return DyadicSystem(grid=grid, j_min=j_min, j_max=j_max)

@@ -18,9 +18,11 @@ OVERFLOW_EXPONENT = 700.0
 
 
 class GevreyOverflowError(FloatingPointError):
-    """exp(gamma * |k|^alpha) would overflow on this grid."""
+    """exp(gamma * |k|^alpha) would overflow on this grid, or a Gevrey-weighted
+    norm is not finite; max_gamma is the guard's cap (None when the guard
+    held but the norm overflowed)."""
 
-    def __init__(self, message: str, max_gamma: float, time: float | None = None):
+    def __init__(self, message: str, max_gamma: float | None = None, time: float | None = None):
         super().__init__(message)
         self.max_gamma = max_gamma
         self.time = time
@@ -80,20 +82,14 @@ def gevrey_multiply(f: SpectralField, gamma: float, alpha: float) -> SpectralFie
     """Apply G_gamma: scale coefficients by exp(gamma * |k|^alpha), guarded
     by check_gevrey_weight."""
     check_gevrey_weight(f.grid, gamma, alpha)
-    return apply_multiplier(
-        f, lambda kx, ky: np.exp(gamma * np.hypot(kx, ky) ** alpha)
-    )
+    return apply_multiplier(f, np.exp(gamma * f.grid.k_mag**alpha))
 
 
 def fractional_laplacian(f: SpectralField, s: float) -> SpectralField:
     """Lambda^s: scale by |k|^s, with the zero mode mapped to zero."""
-
-    def symbol(kx, ky):
-        kmag = np.hypot(kx, ky)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(kmag > 0, kmag**s, 0.0)
-        return out
-
+    kmag = f.grid.k_mag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        symbol = np.where(kmag > 0, kmag**s, 0.0)
     return apply_multiplier(f, symbol)
 
 
@@ -101,22 +97,17 @@ def heat_semigroup(f: SpectralField, t: float, kappa: float) -> SpectralField:
     """Fractional heat flow e^{-t Lambda^kappa}."""
     if t < 0:
         raise ValueError(f"heat semigroup requires t >= 0, got {t}")
-    return apply_multiplier(f, lambda kx, ky: np.exp(-t * np.hypot(kx, ky) ** kappa))
+    return apply_multiplier(f, np.exp(-t * f.grid.k_mag**kappa))
 
 
 def riesz_transform(f: SpectralField, axis: int) -> SpectralField:
     """R_axis with symbol -i k_axis / |k| (zero on the zero mode)."""
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis}")
-
-    def symbol(kx, ky):
-        kc = kx if axis == 1 else ky
-        kmag = np.hypot(kx, ky)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(kmag > 0, -1j * kc / np.where(kmag > 0, kmag, 1.0), 0.0)
-        return out
-
-    return apply_multiplier(f, symbol)
+    grid = f.grid
+    kc = grid.kx if axis == 1 else grid.ky
+    kmag = grid.k_mag
+    return apply_multiplier(f, np.where(kmag > 0, -1j * kc / np.where(kmag > 0, kmag, 1.0), 0.0))
 
 
 def riesz_velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:
@@ -148,7 +139,9 @@ def xt_norm(
 
     The Besov parameters are used as given, so callers working at base
     regularity sigma should pass s = sigma + beta.  At p = 2 the weight
-    scales each sample's ring spectrum.  Returns the sup and the per-sample records.
+    scales each sample's ring spectrum.  Returns the sup and the per-sample
+    records; a weight past the overflow guard, or a weighted norm that is not
+    finite, raises GevreyOverflowError carrying the sample time.
     """
     if len(trajectory) == 0:
         raise ValueError("xt_norm needs at least one trajectory sample")
@@ -165,11 +158,24 @@ def xt_norm(
                 max_gamma=exc.max_gamma,
                 time=t,
             ) from exc
-        if bp.p == 2:
-            weight = np.exp(gamma_t * field.grid.rings.radii**gp.alpha)
-            besov = system._besov_norm(field, bp, weight)
-        else:
-            besov = system.besov_norm(gevrey_multiply(field, gamma_t, gp.alpha), bp)
+        # inside the guard the weight is finite, but the weighted field or
+        # its norm can still overflow (|G v|^p in the quadrature, say)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if bp.p == 2:
+                weight = np.exp(gamma_t * field.grid.rings.radii**gp.alpha)
+                besov = system._besov_norm(field, bp, weight)
+            else:
+                try:
+                    weighted = gevrey_multiply(field, gamma_t, gp.alpha)
+                except ConfigError:  # non-finite weighted coefficients
+                    besov = np.inf
+                else:
+                    besov = system.besov_norm(weighted, bp)
+        if not np.isfinite(besov):
+            raise GevreyOverflowError(
+                f"Gevrey-weighted Besov norm overflows at t={t:g} (gamma(t)={gamma_t:g})",
+                time=t,
+            )
         samples.append(
             XTNormSample(
                 t=t,

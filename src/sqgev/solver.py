@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import DEFAULT_SHARPNESS, BesovParams, DyadicSystem, build_system
+from .dyadic import BesovParams, DyadicSystem, build_system
 from .gevrey import fit_radius, spectral_decay_fit
 from .spectral import (
     ConfigError,
@@ -124,7 +124,6 @@ class SolverConfig:
     p: float = 2.0
     q: float = 2.0
     alpha: float = 0.4
-    sharpness: float = DEFAULT_SHARPNESS
     initial_data: InitialData = InitialData()
 
     def __post_init__(self):
@@ -194,7 +193,7 @@ def _gaussian_pair_values(grid: Grid) -> np.ndarray:
 def initial_field(config: SolverConfig) -> SpectralField:
     """Construct the configured initial data, normalized in the critical norm."""
     grid = config.grid
-    system = build_system(grid, config.sharpness)
+    system = build_system(grid)
     init = config.initial_data
     if init.profile.startswith("file"):
         loaded, _ = load_field(init.profile.partition(":")[2])
@@ -430,7 +429,7 @@ def _march(config: SolverConfig, sources: list) -> list[Trajectory]:
     """
     grid, dt = config.grid, config.dt
     h = grid.n // 2 + 1
-    system = build_system(grid, config.sharpness)
+    system = build_system(grid)
     work = _Workspace(grid, config.dealias)
     efactor = _heat_factor(grid, dt, config.kappa)[:, :h]
     kmax = float(np.max(grid.k_mag))

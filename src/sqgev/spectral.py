@@ -315,18 +315,22 @@ def inverse_transform(F: SpectralField, rtol: float = HERMITIAN_RTOL) -> RealFie
 
 
 def apply_multiplier(F: SpectralField, symbol) -> SpectralField:
-    """Multiply coefficients by symbol(kx, ky) evaluated on the lattice.
+    """Multiply coefficients by a symbol's values on the lattice.
 
-    ``symbol`` takes the two wavenumber component arrays (shape (n, n)) and
-    returns a complex array of the same shape.  Symbols that are singular at
-    k = 0 should define their own value there; a non-finite symbol value on
-    an unoccupied mode is silently replaced by zero, while one on an occupied
-    mode raises MultiplierOverflowError carrying the offending wavenumber.
+    ``symbol`` is a real or complex array broadcastable to the (n, n) fft
+    layout of the coefficients, typically built from the cached
+    ``grid.k_mag``, ``grid.kx`` and ``grid.ky``.  Symbols that are singular
+    at k = 0 should define their own value there; a non-finite symbol value
+    on an unoccupied mode is silently replaced by zero, while one on an
+    occupied mode raises MultiplierOverflowError carrying the offending
+    wavenumber.
     """
     grid = F.grid
-    sym = np.asarray(symbol(grid.kx, grid.ky), dtype=np.complex128)
-    if sym.shape != F.coeffs.shape:
-        raise ConfigError(f"symbol returned shape {sym.shape}, expected {F.coeffs.shape}")
+    sym = np.asarray(symbol)
+    try:
+        np.broadcast_to(sym, F.coeffs.shape)
+    except ValueError as exc:
+        raise ConfigError(f"symbol shape {sym.shape} does not broadcast to {F.coeffs.shape}") from exc
     bad = ~np.isfinite(sym)
     if bad.any():
         # modes at roundoff level relative to the field peak do not count as

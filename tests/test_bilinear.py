@@ -28,7 +28,6 @@ from sqgev.bilinear import (
     padded_product,
     registered_symbol,
     rotation_dual,
-    admissible_exponents,
     SYMBOL_REGISTRY,
 )
 from sqgev.dyadic import build_system, phi0
@@ -51,6 +50,13 @@ from sqgev.spectral import (
     hermitian_symmetrize,
     inverse_transform,
     random_band_limited,
+)
+
+
+# m = 1: T_m(f, g) is the dealiased pointwise product f g
+CONSTANT = BilinearSymbol(
+    eval=lambda xi, eta: np.ones(np.broadcast_shapes(xi[..., 0].shape, eta[..., 0].shape)),
+    description="constant",
 )
 
 
@@ -107,7 +113,7 @@ class TestApplyBilinear:
         grid = Grid(32)
         f = box_limited_noise(grid, 7, seed=3)  # components small enough that
         g = box_limited_noise(grid, 7, seed=4)  # the product stays on-lattice
-        got = apply_bilinear(registered_symbol("constant"), f, g)
+        got = apply_bilinear(CONSTANT, f, g)
         want = padded_product(f, g)
         scale = np.max(np.abs(want.coeffs))
         assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12 * scale
@@ -125,8 +131,8 @@ class TestApplyBilinear:
         grid = Grid(16)
         f = box_limited_noise(grid, 3, seed=7)
         z = SpectralField(grid, np.zeros((16, 16), dtype=complex))
-        assert np.all(apply_bilinear(registered_symbol("constant"), f, z).coeffs == 0)
-        assert np.all(apply_bilinear(registered_symbol("constant"), z, f).coeffs == 0)
+        assert np.all(apply_bilinear(CONSTANT, f, z).coeffs == 0)
+        assert np.all(apply_bilinear(CONSTANT, z, f).coeffs == 0)
 
     def test_bilinearity(self):
         grid = Grid(16)
@@ -149,13 +155,13 @@ class TestApplyBilinear:
             ),
         )
         with pytest.raises(CostGuardError):
-            apply_bilinear(registered_symbol("constant"), full, full)
+            apply_bilinear(CONSTANT, full, full)
 
     def test_grid_mismatch(self):
         f = box_limited_noise(Grid(16), 3, seed=12)
         g = box_limited_noise(Grid(32), 3, seed=12)
         with pytest.raises(ConfigError):
-            apply_bilinear(registered_symbol("constant"), f, g)
+            apply_bilinear(CONSTANT, f, g)
 
     def test_support_hint_localization(self):
         # with the eta-support enforced by the symbol, pre-filtering g to the
@@ -182,7 +188,7 @@ class TestRotationDual:
         np.testing.assert_allclose(dd(xi, eta), m(xi, eta), rtol=0, atol=0)
 
     def test_constant_is_self_dual(self):
-        m = rotation_dual(registered_symbol("constant"))
+        m = rotation_dual(CONSTANT)
         xi = np.array([[1.0, 2.0], [0.5, -3.0]])
         eta = np.array([[2.0, 0.1], [1.5, 1.0]])
         np.testing.assert_array_equal(m(xi, eta), np.ones(2))
@@ -234,7 +240,7 @@ class TestDilate:
 
 class TestMarcinkiewicz:
     def test_constant_symbol_has_zero_derivatives(self):
-        report = marcinkiewicz_check(registered_symbol("constant"), max_order=2)
+        report = marcinkiewicz_check(CONSTANT, max_order=2)
         for (b1, b2), val in report.entries.items():
             if sum(b1) + sum(b2) >= 1:
                 assert val == pytest.approx(0.0, abs=1e-12)
@@ -304,7 +310,7 @@ class TestMarcinkiewicz:
 class TestOperatorNormEstimate:
     def test_hoelder_bound_for_constant_symbol(self):
         grid = Grid(32)
-        est = estimate_operator_norm(registered_symbol("constant"), grid, 2, 2, trials=6, seed=0)
+        est = estimate_operator_norm(CONSTANT, grid, 2, 2, trials=6, seed=0)
         assert est <= 1.0 + 1e-10
         assert est == pytest.approx(1.0, rel=1e-10)  # aligned pair saturates
 
@@ -316,15 +322,9 @@ class TestOperatorNormEstimate:
     def test_invalid_exponents(self):
         grid = Grid(32)
         with pytest.raises(ValueError):
-            estimate_operator_norm(registered_symbol("constant"), grid, 0.5, 2)
+            estimate_operator_norm(CONSTANT, grid, 0.5, 2)
         with pytest.raises(ValueError):
-            estimate_operator_norm(registered_symbol("constant"), grid, 2, 2, trials=0)
-
-    def test_admissible_exponent_tagging(self):
-        assert admissible_exponents(2, 2)
-        assert admissible_exponents(1.5, math.inf)
-        assert not admissible_exponents(1.0, 2)
-        assert not admissible_exponents(math.inf, 2)
+            estimate_operator_norm(CONSTANT, grid, 2, 2, trials=0)
 
     def test_dilation_invariance_for_scale_free_symbol(self):
         grid = Grid(32)

@@ -36,7 +36,7 @@ from sqgev.checks import (
     check_r_derivatives,
     run_check,
 )
-from sqgev.dyadic import DEFAULT_SHARPNESS, build_system
+from sqgev.dyadic import build_system
 from sqgev.gevrey import GevreyOverflowError
 from sqgev.gevrey import fit_line as _fit_line
 from sqgev.gevrey import fractional_laplacian, gevrey_multiply, heat_semigroup
@@ -393,13 +393,13 @@ def _lp_of(field, p):
 
 
 def bernstein_loop(
-    *, n=128, box_length=TWO_PI, sharpness=DEFAULT_SHARPNESS, j_lo=1, j_hi=5,
+    *, n=128, box_length=TWO_PI, j_lo=1, j_hi=5,
     trials=500, seed=0, s_set=(0.25, 0.5, 1.0), p_set=(2.0, 4.0, 8.0),
 ):
     """Two-sided block norm equivalences: the fractional-derivative sandwich
     ratio and its |f|^(p/2) variant must be j-uniform within 2^(2|s|)*1.1."""
     grid = Grid(n, box_length)
-    system = build_system(grid, sharpness)
+    system = build_system(grid)
     if j_hi > system.j_max:
         raise ConfigError(
             f"dyadic range up to {j_hi} not resolved on n={n} "
@@ -481,14 +481,14 @@ def positivity_loop(
 
 
 def heat_kernel_loop(
-    *, n=128, box_length=TWO_PI, sharpness=DEFAULT_SHARPNESS, j_lo=1, j_hi=5,
+    *, n=128, box_length=TWO_PI, j_lo=1, j_hi=5,
     trials=100, seed=0, kappa_set=(0.5, 0.8), p_set=(2.0, 4.0),
     t_grid=tuple(float(t) for t in np.logspace(-2, 0, 5)),
 ):
     """Measured block decay rates r = -log(norm ratio)/t must straddle
     2^(kappa j) with a j,t,p-uniform spread at most 2^kappa * 1.1."""
     grid = Grid(n, box_length)
-    system = build_system(grid, sharpness)
+    system = build_system(grid)
     js = list(range(j_lo, j_hi + 1))
     rows = []
     skipped = 0
@@ -524,7 +524,7 @@ def heat_kernel_loop(
 
 
 def lin_gevrey_loop(
-    *, n=128, box_length=TWO_PI, sharpness=DEFAULT_SHARPNESS, j_lo=0, j_hi=4,
+    *, n=128, box_length=TWO_PI, j_lo=0, j_hi=4,
     trials=60, seed=0, alpha=0.3, kappa=0.8, gamma_set=(0.01, 0.1, 0.5),
     p_set=(2.0, 4.0), constant_cap=50.0,
 ):
@@ -533,7 +533,7 @@ def lin_gevrey_loop(
     if not 0 < alpha < kappa:
         raise ConfigError(f"need 0 < alpha < kappa, got {alpha}, {kappa}")
     grid = Grid(n, box_length)
-    system = build_system(grid, sharpness)
+    system = build_system(grid)
     js = list(range(j_lo, j_hi + 1))
     exponent = (kappa - alpha) / alpha
     rows = []
@@ -693,10 +693,10 @@ def prescribed_profile_field_complex(grid, exponent, p, seed, extra_damping=0.0,
     return SpectralField(grid, coeffs)
 
 
-def gevrey_commutator_literal(f, g, j, gamma, alpha, sharpness):
+def gevrey_commutator_literal(f, g, j, gamma, alpha):
     """Reference commutator for one band: G_gamma Delta_j (f g) - f G_gamma
     Delta_j g from the block and Gevrey multipliers and two padded products."""
-    system = build_system(f.grid, sharpness)
+    system = build_system(f.grid)
 
     def smear(field):
         return gevrey_multiply(system.delta_j(field, j), gamma, alpha)
@@ -705,11 +705,11 @@ def gevrey_commutator_literal(f, g, j, gamma, alpha, sharpness):
 
 
 def commutator_decay_rows_loop(n, j_lo, j_hi, trials, seed, st_sets, gamma, alpha,
-                               field_damping, sharpness):
+                               field_damping):
     """Reference rows of check_commutator_decay: one commutator per (mode,
     trial, j), the test fields rebuilt for each mode."""
     grid = Grid(n)
-    system = build_system(grid, sharpness)
+    system = build_system(grid)
     js = list(range(j_lo, min(j_hi, system.j_max) + 1))
     rows = []
     for s, t, p in st_sets:
@@ -720,7 +720,7 @@ def commutator_decay_rows_loop(n, j_lo, j_hi, trials, seed, st_sets, gamma, alph
                     grid, t, p, seed + 17 * trial + 5, field_damping, alpha
                 )
                 for j in js:
-                    norm = lp_norm(gevrey_commutator_literal(f, g, j, gma, alpha, sharpness), p)
+                    norm = lp_norm(gevrey_commutator_literal(f, g, j, gma, alpha), p)
                     rows.append({"mode": mode, "s": s, "t": t, "p": p, "j": j,
                                  "trial": trial, "log2_norm": math.log2(norm)})
     return rows
@@ -740,9 +740,7 @@ class TestCommutatorDecayBatching:
         params = dict(n=64, j_lo=1, j_hi=4, trials=2, seed=3,
                       st_sets=((1.2, 0.3, 2.0), (1.3, 0.5, 4.0)))
         rep = run_check("commutator-decay", **params)
-        want = commutator_decay_rows_loop(
-            **params, gamma=0.05, alpha=0.6, field_damping=0.25, sharpness=12.0
-        )
+        want = commutator_decay_rows_loop(**params, gamma=0.05, alpha=0.6, field_damping=0.25)
         assert [{k: v for k, v in row.items() if k != "log2_norm"} for row in rep.trials] == [
             {k: v for k, v in row.items() if k != "log2_norm"} for row in want
         ]

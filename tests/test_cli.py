@@ -81,7 +81,7 @@ class TestRunKeys:
     def test_every_run_key_round_trips(self, tmp_path):
         values = dict(
             n=32, box_length=3.0, kappa=0.9, dt=0.02, t_end=0.08, dealias="none",
-            picard_depth=2, record_every=2, p=4.0, q=1.0, alpha=0.3, sharpness=10.0,
+            picard_depth=2, record_every=2, p=4.0, q=1.0, alpha=0.3,
             initial_data="gaussian-pair", amplitude=0.05, init_seed=3, ring_j=3,
             lam=0.7, beta=0.2,
         )
@@ -148,6 +148,23 @@ class TestSimulateVerb:
         assert code == 2
         assert "whole number of steps" in capsys.readouterr().err
 
+    def test_gevrey_overflow_exits_3_with_one_line(self, tmp_path, capsys):
+        # gamma(0.1) = 1000 * 0.1^0.5 is past the overflow guard on n = 32:
+        # the X_T trace, written last, fails and the run's other artifacts stay
+        out = tmp_path / "run"
+        code = main(
+            ["simulate", "-o", str(out), "--set", "n=32", "--set", "t_end=0.1",
+             "--set", "lam=1000"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gevrey overflow:")
+        assert (out / "diagnostics.csv").exists()
+        assert sorted(p.name for p in out.glob("snapshot_t*.field")) == [
+            "snapshot_t0.000000.field", "snapshot_t0.100000.field"
+        ]
+        assert not (out / "xt_trace.csv").exists()
+
 
 class TestPicardVerb:
     def test_writes_convergence_and_levels(self, tmp_path):
@@ -167,7 +184,7 @@ class TestPicardVerb:
             line for line in conv.splitlines() if line.startswith("#")
         ]
         rows = list(csv.reader(line for line in conv.splitlines() if not line.startswith("#")))
-        gaps = picard_gaps(picard_solve(cfg), build_system(cfg.grid, cfg.sharpness))
+        gaps = picard_gaps(picard_solve(cfg), build_system(cfg.grid))
         assert rows[1:] == [[str(lvl), repr(gap)] for lvl, gap in enumerate(gaps)]
 
     @pytest.mark.parametrize("kappa", ["0.5", "1.5"])
@@ -298,12 +315,21 @@ class TestVerifyVerb:
         assert concavity == {"seed": 3, "alpha_set": [0.3, 0.5, 0.9], "c_set": [0.5, 1.0, 2.0]}
         assert (positivity["n"], positivity["trials"], positivity["seed"]) == (16, 2, 3)
 
+    def test_gevrey_overflow_exits_3(self, tmp_path, capsys):
+        code = main(
+            ["verify", "--check", "wellposedness", "-o", str(tmp_path / "v"),
+             "--set", "n=32", "--set", "lam=1000"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gevrey overflow:")
+
 
 class TestSymbolsVerb:
     def test_lists_registry(self, capsys):
         assert main(["symbols"]) == 0
         out = capsys.readouterr().out
-        for name in ("constant", "riesz-pair", "kgtrj", "ksimj", "mA", "mB", "commutator"):
+        for name in ("riesz-pair", "kgtrj", "ksimj", "mA", "mB"):
             assert name in out
 
 
@@ -313,3 +339,13 @@ class TestUsage:
 
     def test_bad_override_exits_2(self, tmp_path):
         assert main(["simulate", "-o", str(tmp_path), "--set", "nonsense=1"]) == 2
+
+    @pytest.mark.parametrize("verb", ["simulate", "analyze", "verify"])
+    def test_sharpness_is_not_a_key(self, tmp_path, capsys, verb):
+        # the dyadic bump is fixed, so no verb takes its sharpness
+        snap = tmp_path / "flat.field"
+        save_field(snap, SpectralField(Grid(16), np.ones((16, 16), dtype=complex)))
+        argv = [verb, *([str(snap)] if verb == "analyze" else []),
+                "-o", str(tmp_path / "out"), "--set", "sharpness=12.0"]
+        assert main(argv) == 2
+        assert "unknown key 'sharpness'" in capsys.readouterr().err

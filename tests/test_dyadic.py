@@ -91,10 +91,6 @@ class TestBuildSystem:
             mask = (grid.k_mag > 2.0 ** (j - 1)) & (grid.k_mag < 2.0 ** (j + 1))
             assert mask.any()
 
-    def test_rejects_bad_sharpness(self):
-        with pytest.raises(ConfigError):
-            build_system(Grid(16), transition_sharpness=0.0)
-
     def test_partition_of_unity_on_resolved_annulus(self):
         # direct summation over the built profiles
         for n in (64, 256):
@@ -146,6 +142,13 @@ class TestBlocks:
         F = random_band_limited(grid, 2, seed=1)
         with pytest.raises(BandRangeError):
             system.delta_j(F, system.j_max + 1)
+
+    def test_delta_j_rejects_a_field_on_another_grid(self):
+        # j = 5 is resolved on n = 128 but has no mode on n = 16, so
+        # without the grid check the block would be silently zero
+        system = build_system(Grid(128))
+        with pytest.raises(ConfigError, match="does not match system grid"):
+            system.delta_j(random_band_limited(Grid(16), 2, 0), 5)
 
 
 class TestBesovNorm:
@@ -290,14 +293,7 @@ class TestDefaultSystem:
     """build_system is the one memoized dyadic system of a grid."""
 
     def test_memoized(self):
-        a = build_system(Grid(64), 7.0)
-        b = build_system(Grid(64), 7.0)
-        assert a is b
-        assert build_system(Grid(64)) is build_system(Grid(64))
-        assert build_system(Grid(64), 8.0) is not a
-
-    @pytest.mark.parametrize("sharpness", [0.0, -1.0])
-    def test_non_positive_sharpness_raises_on_every_call(self, sharpness):
-        for _ in range(2):
-            with pytest.raises(ConfigError, match="transition_sharpness"):
-                build_system(Grid(16), sharpness)
+        a = build_system(Grid(64))
+        assert build_system(Grid(64)) is a
+        assert build_system(Grid(64, box_length=3.0)) is not a
+        assert build_system(Grid(32)) is not a

@@ -28,7 +28,9 @@ from sqgev.spectral import (
     HermitianSymmetryError,
     RealField,
     SpectralField,
+    box_mask,
     forward_transform,
+    hermitian_noise,
     hermitian_symmetrize,
     inverse_transform,
     random_band_limited,
@@ -320,6 +322,30 @@ class TestXTNorm:
             xt_norm([(t, F) for t in times], gp, BesovParams(0.5, p), system)
         assert err.value.time == 5.0
         assert err.value.max_gamma == cap
+
+    def test_weighted_norm_overflow_inside_the_guard_raises(self):
+        # gamma(2) = 100 * 2^0.5 = 141.4 is under the guard's 152.3 on
+        # n = 64, but |G v|^4 overflows in the L^4 quadrature; p = 2 stays
+        # finite
+        grid = Grid(64)
+        system = build_system(grid)
+        F = random_band_limited(grid, 2, seed=13)
+        gp = GevreyParams(alpha=0.4, kappa=0.8, lam=100.0)
+        assert gp.radius_at(2.0) < max_admissible_gamma(grid, 0.4)
+        sup, _ = xt_norm([(2.0, F)], gp, BesovParams(0.5, 2.0), system)
+        assert math.isfinite(sup)
+        with pytest.raises(GevreyOverflowError) as err:
+            xt_norm([(2.0, F)], gp, BesovParams(0.5, 4.0), system)
+        assert err.value.time == 2.0
+
+    def test_weighted_coefficient_overflow_inside_the_guard_raises(self):
+        # a broadband field: G v itself is not finite at the top modes
+        grid = Grid(64)
+        F = 1e30 * hermitian_noise(grid, box_mask(grid, 31), np.random.default_rng(0))
+        gp = GevreyParams(alpha=0.4, kappa=0.8, lam=100.0)
+        with pytest.raises(GevreyOverflowError) as err:
+            xt_norm([(2.0, F)], gp, BesovParams(0.5, 4.0), build_system(grid))
+        assert err.value.time == 2.0
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("profile", ["random-band", "gaussian-pair", "single-ring"])

@@ -170,48 +170,53 @@ class TestApplyMultiplier:
     def test_identity_symbol(self):
         grid = Grid(16)
         F = forward_transform(random_real_field(grid, 0))
-        out = apply_multiplier(F, lambda kx, ky: np.ones_like(kx))
+        out = apply_multiplier(F, np.ones((16, 16)))
         np.testing.assert_array_equal(out.coeffs, F.coeffs)
 
     def test_laplacian_symbol_on_plane_wave(self):
         grid = Grid(32)
         x1, _ = grid.meshgrid()
         F = forward_transform(RealField(grid, np.cos(x1)))
-        out = apply_multiplier(F, lambda kx, ky: kx**2 + ky**2)
+        out = apply_multiplier(F, grid.kx**2 + grid.ky**2)
         back = inverse_transform(out)
         np.testing.assert_allclose(back.values, np.cos(x1), atol=1e-13)
 
     def test_annulus_indicator_support(self):
         grid = Grid(64)
         F = forward_transform(random_real_field(grid, 1))
-        out = apply_multiplier(
-            F, lambda kx, ky: ((np.hypot(kx, ky) >= 4) & (np.hypot(kx, ky) <= 8)) * 1.0
-        )
         kmag = grid.k_mag
         inside = (kmag >= 4) & (kmag <= 8)
+        out = apply_multiplier(F, inside * 1.0)
         assert np.all(out.coeffs[~inside] == 0)
         assert np.any(out.coeffs[inside] != 0)
 
     def test_composition_matches_product_symbol(self):
         grid = Grid(32)
         F = forward_transform(random_real_field(grid, 2))
-        a = lambda kx, ky: np.exp(-0.1 * np.hypot(kx, ky))
-        b = lambda kx, ky: 1.0 + kx**2
+        a = np.exp(-0.1 * grid.k_mag)
+        b = 1.0 + grid.kx**2
         chained = apply_multiplier(apply_multiplier(F, a), b)
-        fused = apply_multiplier(F, lambda kx, ky: a(kx, ky) * b(kx, ky))
+        fused = apply_multiplier(F, a * b)
         scale = np.max(np.abs(fused.coeffs))
         # one extra rounding per mode is the only allowed difference
         assert np.max(np.abs(chained.coeffs - fused.coeffs)) <= 1e-14 * scale
+
+    def test_broadcast_symbol_matches_the_full_array(self):
+        grid = Grid(16)
+        F = forward_transform(random_real_field(grid, 3))
+        row = 1j * grid.ky[:1, :]
+        np.testing.assert_array_equal(
+            apply_multiplier(F, row).coeffs, apply_multiplier(F, 1j * grid.ky).coeffs
+        )
+        with pytest.raises(ConfigError):
+            apply_multiplier(F, np.ones((8, 8)))
 
     def test_nonfinite_symbol_on_occupied_mode_raises(self):
         grid = Grid(16)
         x1, _ = grid.meshgrid()
         F = forward_transform(RealField(grid, np.cos(x1)))
-
-        def bad(kx, ky):
-            kmag = np.hypot(kx, ky)
-            with np.errstate(divide="ignore"):
-                return 1.0 / (kmag - 1.0)  # infinite exactly on |k| = 1
+        with np.errstate(divide="ignore"):
+            bad = 1.0 / (grid.k_mag - 1.0)  # infinite exactly on |k| = 1
 
         with pytest.raises(MultiplierOverflowError) as err:
             apply_multiplier(F, bad)
@@ -221,12 +226,7 @@ class TestApplyMultiplier:
         grid = Grid(16)
         x1, _ = grid.meshgrid()
         F = forward_transform(RealField(grid, np.cos(2 * x1)))
-
-        def spiky(kx, ky):
-            kmag = np.hypot(kx, ky)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(kmag == 1.0, np.inf, 1.0)
-
+        spiky = np.where(grid.k_mag == 1.0, np.inf, 1.0)
         out = apply_multiplier(F, spiky)
         assert np.max(np.abs(out.coeffs - F.coeffs)) < 1e-15
 
