@@ -220,29 +220,35 @@ def _fd_stencil(xi, eta, b1, b2, rel_step):
     leaf of the tree is the index of a point set; a node (h, hi, lo) is
     (hi - lo) / (2 h)."""
     points = []
-
-    def build(xi, eta, b1, b2):
-        for comp in range(2):
-            if b1[comp] > 0:
-                h = rel_step * _norm(xi)
-                e = np.zeros_like(xi)
-                e[..., comp] = 1.0
-                lower = tuple(b1[c] - (c == comp) for c in range(2))
-                return (h, build(xi + h[..., None] * e, eta, lower, b2),
-                        build(xi - h[..., None] * e, eta, lower, b2))
-        for comp in range(2):
-            if b2[comp] > 0:
-                h = rel_step * _norm(eta)
-                e = np.zeros_like(eta)
-                e[..., comp] = 1.0
-                lower = tuple(b2[c] - (c == comp) for c in range(2))
-                return (h, build(xi, eta + h[..., None] * e, b1, lower),
-                        build(xi, eta - h[..., None] * e, b1, lower))
-        points.append((xi, eta))
-        return len(points) - 1
-
-    tree = build(xi, eta, b1, b2)
+    tree = _fd_tree(xi, eta, b1, b2, rel_step, points)
     return np.stack([x for x, _ in points]), np.stack([y for _, y in points]), tree
+
+
+def _fd_tree(xi, eta, b1, b2, rel_step, points):
+    """The difference tree of _fd_stencil, appending its point sets to points.
+
+    A module-level function rather than a closure: a closure that calls
+    itself is a reference cycle, which would keep every point set alive
+    until the cyclic garbage collector runs.
+    """
+    for comp in range(2):
+        if b1[comp] > 0:
+            h = rel_step * _norm(xi)
+            e = np.zeros_like(xi)
+            e[..., comp] = 1.0
+            lower = tuple(b1[c] - (c == comp) for c in range(2))
+            return (h, _fd_tree(xi + h[..., None] * e, eta, lower, b2, rel_step, points),
+                    _fd_tree(xi - h[..., None] * e, eta, lower, b2, rel_step, points))
+    for comp in range(2):
+        if b2[comp] > 0:
+            h = rel_step * _norm(eta)
+            e = np.zeros_like(eta)
+            e[..., comp] = 1.0
+            lower = tuple(b2[c] - (c == comp) for c in range(2))
+            return (h, _fd_tree(xi, eta + h[..., None] * e, b1, lower, rel_step, points),
+                    _fd_tree(xi, eta - h[..., None] * e, b1, lower, rel_step, points))
+    points.append((xi, eta))
+    return len(points) - 1
 
 
 def _fd_combine(values, tree):

@@ -357,6 +357,19 @@ def check_lin_gevrey(
 # ---------------------------------------------------------------------------
 
 
+# Radii per block of the concavity scan: a (50, 720) float64 block is 288 KB,
+# so the block and its temporaries stay in cache and the full (400, 720)
+# lattice is never built.
+CONCAVITY_BLOCK = 50
+
+
+def _defect_minima(R, cos, sin, alpha_set):
+    """Per alpha, the minimum of the normalized defect |xi|^a + 1 - |xi+e1|^a
+    over xi = R (cos A, sin A), for a column R of radii."""
+    shifted = np.hypot(R * cos + 1.0, R * sin)
+    return [(R**alpha + 1.0 - shifted**alpha).min() for alpha in alpha_set]
+
+
 def check_concavity(*, seed=0, alpha_set=(0.3, 0.5, 0.9), c_set=(0.5, 1.0, 2.0)):
     """Brute-force minimum of (|xi|^a + |eta|^a - |xi+eta|^a)/|eta|^a over
     |xi|/|eta| >= c, plus the 1D reduction g(x) = |x|^a + 1 - |x+1|^a."""
@@ -368,14 +381,17 @@ def check_concavity(*, seed=0, alpha_set=(0.3, 0.5, 0.9), c_set=(0.5, 1.0, 2.0))
     per_c = []  # per_c[k][i]: the row of (alpha_set[i], c_set[k])
     for c in c_set:
         radii = np.geomspace(c, c * 2.0**10, 400)
-        R = radii[:, None]
-        # eta = e1, xi = R (cos A, sin A): |xi + eta| depends on c alone
-        shifted = np.hypot(R * cos + 1.0, R * sin)
+        # eta = e1, xi = R (cos A, sin A), scanned a block of radii at a time;
+        # the minimum of the block minima is the lattice minimum exactly
+        minima = np.array(
+            [
+                _defect_minima(radii[start : start + CONCAVITY_BLOCK, None], cos, sin, alpha_set)
+                for start in range(0, len(radii), CONCAVITY_BLOCK)
+            ]
+        ).min(axis=0)
         x = np.concatenate([radii, -radii])
         per_c.append([])
-        for alpha in alpha_set:
-            # normalized defect
-            eps_2d = float((R**alpha + 1.0 - shifted**alpha).min())
+        for alpha, eps_2d in zip(alpha_set, minima.tolist()):
             g = np.abs(x) ** alpha + 1.0 - np.abs(x + 1.0) ** alpha
             eps_1d = float(g.min())
             g_end = min(
@@ -393,7 +409,6 @@ def check_concavity(*, seed=0, alpha_set=(0.3, 0.5, 0.9), c_set=(0.5, 1.0, 2.0))
             )
             if eps_2d <= 0 or eps_1d <= 0:
                 verdict = FAIL
-        del shifted  # so that the next c's array is built with this one freed
     rows = [row for alpha_rows in zip(*per_c) for row in alpha_rows]
 
     # frozen closed-form anchor: g(1) at alpha = 1/2 equals 2 - sqrt(2)
@@ -532,11 +547,17 @@ def _prescribed_profile_field(grid, exponent, p, seed, extra_damping=0.0, alpha=
 
     The field is built on the k2 >= 0 half plane, which is all a band's
     real inverse transform reads; the k2 < 0 columns are rebuilt from
-    Hermitian symmetry at the end.
+    Hermitian symmetry at the end.  At p = 2 a band's norm comes from
+    Parseval instead of a transform: its coefficients have unit modulus,
+    so the norm is L times the square root of its mode count over the
+    full plane, where an interior column of the half plane (0 < k2 < n/2)
+    stands for itself and its mirror image.
     """
     n, h = grid.n, grid.n // 2 + 1
-    phase = random_phases(grid, np.random.default_rng(seed))[:, :h]
+    phase = random_phases(grid, np.random.default_rng(seed), half_plane=True)
     kmag = grid.k_mag[:, :h]
+    mirrored = np.full(h, 2.0)
+    mirrored[[0, -1]] = 1.0
     j_top = int(math.floor(math.log2(grid.k_nyquist)))
     half = np.zeros((n, h), dtype=complex)
     for j in range(0, j_top + 1):
@@ -544,8 +565,11 @@ def _prescribed_profile_field(grid, exponent, p, seed, extra_damping=0.0, alpha=
         if not mask.any():
             continue
         piece = phase * mask
-        values = np.fft.irfft2(piece, s=(n, n), norm="forward")
-        norm = _lp_quadrature(values, p, grid.cell_area)
+        if p == 2.0:
+            norm = grid.box_length * math.sqrt(float(np.sum(mask * mirrored)))
+        else:
+            values = np.fft.irfft2(piece, s=(n, n), norm="forward")
+            norm = _lp_quadrature(values, p, grid.cell_area)
         half += piece * (2.0 ** (-exponent * j) / norm)
     if extra_damping > 0:
         half = half * np.exp(-extra_damping * kmag**alpha)
@@ -742,17 +766,21 @@ def check_wellposedness(
     if not sups[-1] < sups[0]:
         verdict = FAIL
 
-    # (c) amplitude sweep: linear-regime ratio stability, blow-up is fatal
+    # (c) amplitude sweep: linear-regime ratio stability; a blow-up at the
+    # smallest amplitude is fatal, since the radius clause below needs its run
     sweep_ratios = []
+    smallest = min(amplitudes)
     for amplitude in amplitudes:
         try:
             traj = solve(run_cfg(amplitude))
         except BlowUpError as exc:
+            if amplitude == smallest:
+                raise
             rows.append({"kind": "sweep", "amplitude": amplitude, "value": None})
             notes.append(f"blow-up at amplitude {amplitude:g}, t={exc.time:g}")
-            if amplitude == min(amplitudes):
-                verdict = FAIL
             continue
+        if amplitude == smallest:
+            small = traj
         sup, _ = xt_norm(traj.samples(), gp, bp_lift, system)
         init = traj.diagnostics[0]["besov"]
         sweep_ratios.append((amplitude, sup / init))
@@ -766,8 +794,7 @@ def check_wellposedness(
     else:
         verdict = FAIL
 
-    # Gevrey radius growth on the smallest-amplitude run
-    small = solve(run_cfg(min(amplitudes)))
+    # Gevrey radius growth on the sweep's smallest-amplitude run
     radii = [(row["t"], row["radius"]) for row in small.diagnostics if row["t"] > 0]
     first_decade = [(t, r) for t, r in radii if t <= radii[0][0] * 10.0 + 1e-12]
     usable = [(t, r) for t, r in first_decade if r > 0]

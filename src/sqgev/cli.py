@@ -4,8 +4,8 @@ Configuration is flat key=value text.  Precedence: defaults, then the
 --config file, then SQGEV_<KEY> environment variables, then --set overrides.
 The run keys come from the fields of the solver config dataclasses, the
 verify keys from the keyword defaults of the checks.  Exit codes: 0
-success, 2 usage/config error, 3 numerical blow-up or Gevrey overflow,
-4 check failure.
+success, 2 usage/config error, 3 numerical blow-up or Gevrey overflow
+(in verify: of any check, after the other checks have run), 4 check failure.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import math
 import os
 import sys
 from pathlib import Path
@@ -47,8 +48,21 @@ RUN_KEYS = {key: type(value) for key, value in RUN_DEFAULTS.items()}
 ANALYZE_KEYS = {key: RUN_KEYS[key] for key in ("p", "q", "kappa", "alpha")}
 
 
+# A run or check that raises one of these failed numerically: exit 3, with
+# one stderr line from _numerical_message.
+NUMERICAL_ERRORS = (BlowUpError, GevreyOverflowError)
+# The summary.csv verdict of a check that raised one of them instead of
+# returning a report.
+ERROR = "error"
+
+
 class UsageError(ValueError):
     """Bad command line, config file, or override."""
+
+
+def _numerical_message(exc: Exception) -> str:
+    prefix = "blow-up" if isinstance(exc, BlowUpError) else "gevrey overflow"
+    return f"{prefix}: {exc}"
 
 
 def float_tuple(raw: str) -> tuple:
@@ -254,13 +268,20 @@ def _cmd_verify(args) -> int:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
-    failed = False
+    failed = errored = False
     for cid in ids:
-        report = run_check(cid, **{k: v for k, v in overrides.items() if k in takes[cid]})
+        try:
+            report = run_check(cid, **{k: v for k, v in overrides.items() if k in takes[cid]})
+        except NUMERICAL_ERRORS as exc:
+            # a numerical failure ends this check only: record it, run the rest
+            message = _numerical_message(exc)
+            print(message, file=sys.stderr)
+            print(f"{cid:20s} {ERROR}")
+            summary.append((cid, ERROR, math.nan, math.nan, message))
+            errored = True
+            continue
         report.write(out / f"{cid}.json")
-        summary.append(
-            (cid, report.verdict, report.key_constant(), report.residual())
-        )
+        summary.append((cid, report.verdict, report.key_constant(), report.residual(), ""))
         if report.verdict != checks_mod.PASS:
             failed = True
         print(f"{cid:20s} {report.verdict:12s} key={report.key_constant():.6g}")
@@ -269,10 +290,10 @@ def _cmd_verify(args) -> int:
         for key in sorted(overrides):
             fh.write(f"# {key}={overrides[key]}\n")
         writer = csv.writer(fh)
-        writer.writerow(["check_id", "verdict", "key_constant", "residual"])
-        for row in summary:
-            writer.writerow([row[0], row[1], repr(row[2]), repr(row[3])])
-    return 4 if failed else 0
+        writer.writerow(["check_id", "verdict", "key_constant", "residual", "message"])
+        for cid, verdict, key_constant, residual, message in summary:
+            writer.writerow([cid, verdict, repr(key_constant), repr(residual), message])
+    return 3 if errored else 4 if failed else 0
 
 
 def _cmd_symbols(_args) -> int:
@@ -335,11 +356,8 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BlowUpError as exc:
-        print(f"blow-up: {exc}", file=sys.stderr)
-        return 3
-    except GevreyOverflowError as exc:
-        print(f"gevrey overflow: {exc}", file=sys.stderr)
+    except NUMERICAL_ERRORS as exc:
+        print(_numerical_message(exc), file=sys.stderr)
         return 3
 
 

@@ -400,11 +400,19 @@ def hermitian_noise(grid: Grid, mask: np.ndarray, rng, profile=1.0) -> SpectralF
     return SpectralField(grid, hermitian_symmetrize(grid, raw * mask * profile) * mask)
 
 
-def random_phases(grid: Grid, rng) -> np.ndarray:
+def random_phases(grid: Grid, rng, half_plane: bool = False) -> np.ndarray:
     """Hermitian unit-modulus coefficients exp(i phase), with the phase the
-    antisymmetric part of a uniform draw on [-pi, pi)."""
+    antisymmetric part of a uniform draw on [-pi, pi).
+
+    With half_plane, only the k2 >= 0 columns are returned (and
+    exponentiated); the draw is full-size either way, since the phase at k
+    pairs with the one at -k, so both forms agree on those columns.
+    """
     raw = rng.uniform(-math.pi, math.pi, (grid.n, grid.n))
-    return np.exp(1j * (0.5 * (raw - negated_modes(raw))))
+    phase = 0.5 * (raw - negated_modes(raw))
+    if half_plane:
+        phase = phase[:, : grid.n // 2 + 1]
+    return np.exp(1j * phase)
 
 
 def random_band_limited(grid: Grid, j: int, seed: int) -> SpectralField:

@@ -1,8 +1,10 @@
 """Tests for the verification harness: single-mode oracles for the measured
 quantities, hypothesis gating, verdict logic and report determinism."""
 
+import gc
 import json
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -40,6 +42,7 @@ from sqgev.dyadic import build_system
 from sqgev.gevrey import GevreyOverflowError
 from sqgev.gevrey import fit_line as _fit_line
 from sqgev.gevrey import fractional_laplacian, gevrey_multiply, heat_semigroup
+from sqgev.solver import BlowUpError, InitialData, SolverConfig, solve
 from sqgev.spectral import (
     TWO_PI,
     ConfigError,
@@ -375,6 +378,18 @@ class TestVectorizedScans:
         for row in rows:
             assert row["epsilon_2d"] == concavity_eps_2d_loop(row["alpha"], row["c"])
 
+    def test_concavity_scans_in_blocks(self):
+        # a full 400 x 720 lattice is 2.3 MB per float64 temporary; the
+        # blocked scan holds a few 288 KB blocks at a time
+        check_concavity()  # first call: imports and numpy's lazy setup
+        tracemalloc.start()
+        try:
+            check_concavity()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
     def test_norm_is_bit_identical_to_linalg_norm(self):
         rng = np.random.default_rng(11)
         v = rng.standard_normal((4000, 2)) * 10.0 ** rng.uniform(-8, 8, (4000, 2))
@@ -662,6 +677,18 @@ class TestDifferenceStencil:
             got = _fd_combine(m(xi_pts, eta_pts), tree)
             assert np.array_equal(got, _fd_derivative(m, xi, eta, b1, b2, 1e-3))
 
+    def test_leaves_no_reference_cycle(self):
+        # a cycle would keep each stencil's point sets alive until the cyclic
+        # collector runs, so a scan over many multi-indices would hold them all
+        xi, eta = ProbeSpec(n_angles=5).points()
+        gc.collect()
+        gc.disable()
+        try:
+            _fd_stencil(xi, eta, (1, 0), (0, 1), 1e-3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize(
         "name, params", [("kgtrj", {}), ("mB", {}), ("riesz-pair", {}), ("mA", {"sigma": 1.0})]
     )
@@ -783,6 +810,48 @@ class TestContractionRatios:
         assert "max_contraction_ratio" not in rep.fits
         assert rep.verdict == "inconclusive"
         assert any("round-off floor" in note for note in rep.notes)
+
+
+class TestWellposednessSweep:
+    CFG = dict(n=32, dt=0.02, t_end=0.5, record_every=5, picard_depth=1)
+
+    def test_one_solve_per_amplitude(self, monkeypatch):
+        # the radius clause reads the sweep's smallest-amplitude run instead
+        # of solving it again
+        amplitudes = []
+
+        def counting_solve(config):
+            amplitudes.append(config.initial_data.amplitude)
+            return solve(config)
+
+        monkeypatch.setattr(checks, "solve", counting_solve)
+        rep = run_check("wellposedness", amplitudes=(0.1, 0.01, 1.0), **self.CFG)
+        assert amplitudes == [0.1, 0.01, 1.0]
+        radius_rows = [(row["t"], row["value"]) for row in rep.trials if row["kind"] == "radius"]
+        small = solve(SolverConfig(
+            grid=Grid(32), kappa=0.8, dt=0.02, t_end=0.5, picard_depth=0,
+            initial_data=InitialData("random-band", 0.01, seed=0), record_every=5,
+            p=2.0, q=2.0, alpha=0.4,
+        ))
+        want = [(row["t"], row["radius"]) for row in small.diagnostics if row["t"] > 0]
+        assert radius_rows and radius_rows == want[: len(radius_rows)]
+
+    @pytest.mark.parametrize("blown", [0.01, 0.1])
+    def test_blow_up_in_the_sweep(self, monkeypatch, blown):
+        def solve_or_blow_up(config):
+            if config.initial_data.amplitude == blown:
+                raise BlowUpError(f"blow-up at t={0.25:g}", 0.25, None)
+            return solve(config)
+
+        monkeypatch.setattr(checks, "solve", solve_or_blow_up)
+        if blown == 0.01:
+            # the radius clause has no run to read: the check cannot finish
+            with pytest.raises(BlowUpError):
+                run_check("wellposedness", amplitudes=(0.01, 0.1), **self.CFG)
+        else:
+            rep = run_check("wellposedness", amplitudes=(0.01, 0.1), **self.CFG)
+            assert rep.verdict == FAIL  # one amplitude ratio left, nothing to compare
+            assert "blow-up at amplitude 0.1, t=0.25" in rep.notes
 
 
 class TestReports:

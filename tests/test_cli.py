@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -268,8 +269,9 @@ class TestVerifyVerb:
             l for l in (out / "summary.csv").read_text().splitlines()
             if l and not l.startswith("#")
         ]
-        assert rows[0] == "check_id,verdict,key_constant,residual"
+        assert rows[0] == "check_id,verdict,key_constant,residual,message"
         assert rows[1].startswith("concavity,pass")
+        assert rows[1].endswith(",")  # no message on a check that ran
         report = json.loads((out / "concavity.json").read_text())
         assert report["verdict"] == "pass"
 
@@ -323,6 +325,34 @@ class TestVerifyVerb:
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("gevrey overflow:")
+
+    def test_a_raising_check_is_recorded_and_the_rest_still_run(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        code = main(
+            ["verify", "--check", "concavity", "--check", "wellposedness", "-o", str(out),
+             "--set", "n=32", "--set", "lam=1000"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gevrey overflow:")
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert [(row["check_id"], row["verdict"]) for row in rows] == [
+            ("concavity", "pass"), ("wellposedness", "error")
+        ]
+        assert rows[1]["message"] == err[0]
+        assert math.isnan(float(rows[1]["key_constant"]))
+        assert (out / "concavity.json").exists()
+        assert not (out / "wellposedness.json").exists()
+
+    def test_checks_after_a_raising_check_still_run(self, tmp_path):
+        out = tmp_path / "v"
+        code = main(
+            ["verify", "--check", "wellposedness", "--check", "concavity", "-o", str(out),
+             "--set", "n=32", "--set", "lam=1000"]
+        )
+        assert code == 3
+        assert json.loads((out / "concavity.json").read_text())["verdict"] == "pass"
 
 
 class TestSymbolsVerb:
