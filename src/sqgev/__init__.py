@@ -19,7 +19,7 @@ from .spectral import (
     random_band_limited,
     save_field,
 )
-from .dyadic import BesovParams, DyadicSystem, build_system
+from .dyadic import BesovParams, DyadicSystem, besov_norm, build_system
 from .gevrey import (
     GevreyOverflowError,
     GevreyParams,

@@ -506,7 +506,7 @@ def gevrey_commutators(
     grid = f.grid
     system = build_system(grid)
     for j, gamma in bands:
-        system._require_resolved(j)
+        system.require_resolved(j)
         check_gevrey_weight(grid, gamma, alpha)
     n, h = grid.n, grid.n // 2
     kmag = grid.k_mag[:, : h + 1]

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bilinear import _fd_combine, _fd_stencil, _multi_indices, _norm, gevrey_commutators
-from .dyadic import BesovParams, build_system
+from .dyadic import BesovParams, build_system, delta_j
 from .gevrey import (
     GevreyOverflowError,
     GevreyParams,
@@ -133,9 +133,20 @@ def _signed_power_norms(phys: RealField, ps, exponents) -> dict:
     return norms
 
 
-def _shaped_band_field(grid, system, j, seed):
+def _shaped_band_field(grid, j, seed):
     """Random field shaped like a genuine Littlewood-Paley block."""
-    return system.delta_j(random_band_limited(grid, j, seed), j)
+    return delta_j(random_band_limited(grid, j, seed), j)
+
+
+def _resolved_bands(grid, j_lo, j_hi) -> list[int]:
+    """j_lo..j_hi, which must be a nonempty part of the grid's resolved range."""
+    system = build_system(grid)
+    if not system.j_min <= j_lo <= j_hi <= system.j_max:
+        raise ConfigError(
+            f"band range [{j_lo}, {j_hi}] is not inside the resolved range "
+            f"[{system.j_min}, {system.j_max}] on n={grid.n}"
+        )
+    return list(range(j_lo, j_hi + 1))
 
 
 def _lp_norms(field: SpectralField, ps) -> dict:
@@ -158,17 +169,11 @@ def check_bernstein(
     if not all(1.0 <= p < math.inf for p in p_set):
         raise ConfigError(f"bernstein needs 1 <= p < inf for every p, got p_set={p_set}")
     grid = Grid(n, box_length)
-    system = build_system(grid)
-    if j_hi > system.j_max:
-        raise ConfigError(
-            f"dyadic range up to {j_hi} not resolved on n={n} "
-            f"(max {system.j_max})"
-        )
-    js = list(range(j_lo, j_hi + 1))
+    js = _resolved_bands(grid, j_lo, j_hi)
     rows = []
     for trial in range(trials):
         j = js[trial % len(js)]
-        f = _shaped_band_field(grid, system, j, seed + trial)
+        f = _shaped_band_field(grid, j, seed + trial)
         phys = inverse_transform(f)
         base = {p: lp_norm(phys, p) for p in p_set}
         live = [p for p in p_set if base[p] != 0.0]
@@ -261,15 +266,14 @@ def check_heat_kernel(
     """Measured block decay rates r = -log(norm ratio)/t must straddle
     2^(kappa j) with a j,t,p-uniform spread at most 2^kappa * 1.1."""
     grid = Grid(n, box_length)
-    system = build_system(grid)
-    js = list(range(j_lo, j_hi + 1))
+    js = _resolved_bands(grid, j_lo, j_hi)
     # per_kappa[i] holds the rows of kappa_set[i]; each block serves every
     # kappa and is transformed once, and each decayed block serves every p
     per_kappa = [[] for _ in kappa_set]
     skipped = 0
     for trial in range(trials):
         j = js[trial % len(js)]
-        f = _shaped_band_field(grid, system, j, seed + trial)
+        f = _shaped_band_field(grid, j, seed + trial)
         base = _lp_norms(f, p_set)
         live = [p for p in p_set if base[p] != 0.0]
         skipped += len(kappa_set) * (len(p_set) - len(live))
@@ -313,14 +317,13 @@ def check_lin_gevrey(
     if not 0 < alpha < kappa:
         raise ConfigError(f"need 0 < alpha < kappa, got {alpha}, {kappa}")
     grid = Grid(n, box_length)
-    system = build_system(grid)
-    js = list(range(j_lo, j_hi + 1))
+    js = _resolved_bands(grid, j_lo, j_hi)
     exponent = (kappa - alpha) / alpha
     rows = []
     skipped = 0
     for trial in range(trials):
         j = js[trial % len(js)]
-        f = _shaped_band_field(grid, system, j, seed + trial)
+        f = _shaped_band_field(grid, j, seed + trial)
         lam_a = fractional_laplacian(f, alpha)
         lam_k = fractional_laplacian(f, kappa)
         lam_a_norms = _lp_norms(lam_a, p_set)
@@ -587,8 +590,7 @@ def check_commutator_decay(
     st_sets holds the exponent triples (s, t, p); field_damping is the
     gamma' of the G_{-gamma'} test-field smoothing."""
     grid = Grid(n, box_length)
-    system = build_system(grid)
-    js = list(range(j_lo, min(j_hi, system.j_max) + 1))
+    js = _resolved_bands(grid, j_lo, j_hi)
     gamma, alpha = commutator_gamma, commutator_alpha
     if not field_damping > gamma:
         raise ConfigError(
@@ -691,7 +693,6 @@ def check_wellposedness(
     vanishing heat-flow X_T as T -> 0, contraction of successive iterates,
     amplitude-linearity, and the Gevrey-radius growth exponent."""
     grid = Grid(n, box_length)
-    system = build_system(grid)
     gp = GevreyParams(alpha=alpha, kappa=kappa, lam=lam, beta=beta)
     rows = []
     fits = {}
@@ -724,14 +725,14 @@ def check_wellposedness(
     theta0_norm = levels[0].diagnostics[0]["besov"]
     xt_ratios = []
     for lvl, traj in enumerate(levels):
-        sup, _ = xt_norm(traj.samples(), gp, bp_lift, system)
+        sup, _ = xt_norm(traj.samples(), gp, bp_lift)
         xt_ratios.append(sup / theta0_norm)
         rows.append({"kind": "xt_ratio", "level": lvl, "value": xt_ratios[-1]})
     fits["max_xt_ratio"] = max(xt_ratios)
     if not (math.isfinite(max(xt_ratios)) and max(xt_ratios) <= constant_cap):
         verdict = FAIL
 
-    gaps = picard_gaps(levels, system)
+    gaps = picard_gaps(levels)
     level_scale = max(row["besov"] for traj in levels for row in traj.diagnostics if row["t"] > 0)
     resolved, ratios = _contraction_ratios(gaps, ROUNDOFF_GAP * level_scale)
     fits["resolved_gaps"] = len(resolved)
@@ -756,7 +757,7 @@ def check_wellposedness(
     heat_samples = [(t, heat_semigroup(theta0, t, kappa)) for t in heat_ts]
     sups = []
     for i in range(len(heat_ts)):
-        sup, _ = xt_norm(heat_samples[i:], gp, bp_lift, system)
+        sup, _ = xt_norm(heat_samples[i:], gp, bp_lift)
         sups.append(sup)
         rows.append({"kind": "heat_xt", "T": heat_ts[i], "value": sup})
     fits["heat_xt_first"] = sups[0]
@@ -766,22 +767,20 @@ def check_wellposedness(
     if not sups[-1] < sups[0]:
         verdict = FAIL
 
-    # (c) amplitude sweep: linear-regime ratio stability; a blow-up at the
-    # smallest amplitude is fatal, since the radius clause below needs its run
+    # (c) amplitude sweep: linear-regime ratio stability
     sweep_ratios = []
     smallest = min(amplitudes)
+    small = None
     for amplitude in amplitudes:
         try:
             traj = solve(run_cfg(amplitude))
         except BlowUpError as exc:
-            if amplitude == smallest:
-                raise
             rows.append({"kind": "sweep", "amplitude": amplitude, "value": None})
             notes.append(f"blow-up at amplitude {amplitude:g}, t={exc.time:g}")
             continue
         if amplitude == smallest:
             small = traj
-        sup, _ = xt_norm(traj.samples(), gp, bp_lift, system)
+        sup, _ = xt_norm(traj.samples(), gp, bp_lift)
         init = traj.diagnostics[0]["besov"]
         sweep_ratios.append((amplitude, sup / init))
         rows.append({"kind": "sweep", "amplitude": amplitude, "value": sup / init})
@@ -794,7 +793,11 @@ def check_wellposedness(
     else:
         verdict = FAIL
 
-    # Gevrey radius growth on the sweep's smallest-amplitude run
+    # Gevrey radius growth on the sweep's smallest-amplitude run; its blow-up
+    # is a failure of the small-data estimate itself
+    if small is None:
+        notes.append("radius clause skipped: the smallest-amplitude run blew up")
+        return rows, fits, FAIL, notes
     radii = [(row["t"], row["radius"]) for row in small.diagnostics if row["t"] > 0]
     first_decade = [(t, r) for t, r in radii if t <= radii[0][0] * 10.0 + 1e-12]
     usable = [(t, r) for t, r in first_decade if r > 0]

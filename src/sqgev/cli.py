@@ -21,7 +21,7 @@ from pathlib import Path
 from . import checks as checks_mod
 from .bilinear import SYMBOL_REGISTRY
 from .checks import ALL_CHECKS, check_defaults, run_check
-from .dyadic import BesovParams, build_system
+from .dyadic import BesovParams, besov_report
 from .gevrey import GevreyOverflowError, GevreyParams, fit_radius, spectral_decay_fit, xt_norm
 from .solver import (
     BlowUpError,
@@ -130,7 +130,7 @@ def _save_blowup(out: Path, exc: BlowUpError, suffix: str = "") -> None:
 def _write_xt_trace(path, traj: Trajectory, gp: GevreyParams) -> None:
     cfg = traj.config
     bp = BesovParams(cfg.sigma + gp.beta, cfg.p, cfg.q)
-    _, samples = xt_norm(traj.samples(), gp, bp, build_system(cfg.grid))
+    _, samples = xt_norm(traj.samples(), gp, bp)
     radii = {row["t"]: row["radius"] for row in traj.diagnostics}
     with open(path, "w", newline="") as fh:
         for key, val in {**config_echo(cfg), "lam": gp.lam, "beta": gp.beta}.items():
@@ -181,7 +181,7 @@ def _cmd_picard(args) -> int:
             file=sys.stderr,
         )
         return 3
-    gaps = picard_gaps(levels, build_system(cfg.grid))
+    gaps = picard_gaps(levels)
     with open(out / "convergence.csv", "w", newline="") as fh:
         for key, val in config_echo(cfg).items():
             fh.write(f"# {key}={val}\n")
@@ -203,15 +203,13 @@ def _cmd_analyze(args) -> int:
     params = parse_config(
         args.config, args.set, ANALYZE_KEYS, {key: RUN_DEFAULTS[key] for key in ANALYZE_KEYS}
     )
+    field, header = load_field(args.snapshot)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    field, header = load_field(args.snapshot)
     if not isinstance(field, SpectralField):
         field = forward_transform(field)
-    grid = field.grid
-    system = build_system(grid)
     bp = BesovParams(1.0 + 2.0 / params["p"] - params["kappa"], params["p"], params["q"])
-    rows, discarded = system.besov_report(field, bp)
+    rows, discarded = besov_report(field, bp)
     fit = spectral_decay_fit(field, params["alpha"])
     _, _, r2, n_rings, _ = fit
     radius = fit_radius(fit)

@@ -11,8 +11,10 @@ equivalent homogeneous Besov norms (Bahouri, Chemin and Danchin, Fourier
 Analysis and Nonlinear PDEs, 2011, ch. 2), so the sharpness is a
 construction constant of the norms, not a constant of any estimate.
 
-At p = 2 the norms read phi_j on the ring radii against the field's ring
-spectrum, which a radial weight (the X_T Gevrey weight) scales.
+The block operators and norms are functions of the field alone: each reads
+its band range from the memoized build_system(f.grid).  At p = 2 the norms
+read phi_j on the ring radii against the field's ring spectrum, which an
+optional radial weight (the X_T Gevrey weight) scales.
 """
 
 from __future__ import annotations
@@ -122,10 +124,8 @@ class DyadicSystem:
     j_min: int
     j_max: int
 
-    # -- profile evaluation on arbitrary radii --------------------------
-
-    def psi(self, j: int, r) -> np.ndarray:
-        return psi0(np.asarray(r, dtype=np.float64) / 2.0**j)
+    def js(self) -> range:
+        return range(self.j_min, self.j_max + 1)
 
     def phi(self, j: int, r) -> np.ndarray:
         return phi0(np.asarray(r, dtype=np.float64) / 2.0**j)
@@ -133,39 +133,13 @@ class DyadicSystem:
     def partition_sum(self, r) -> np.ndarray:
         """sum of phi_j(r) over the resolved range (telescopes to 1 inside)."""
         r = np.asarray(r, dtype=np.float64)
-        return self.psi(self.j_max + 1, r) - self.psi(self.j_min, r)
+        return psi0(r / 2.0 ** (self.j_max + 1)) - psi0(r / 2.0**self.j_min)
 
-    # -- block operators -------------------------------------------------
-
-    def _require_resolved(self, j: int) -> None:
+    def require_resolved(self, j: int) -> None:
         if not (self.j_min <= j <= self.j_max):
             raise BandRangeError(
                 f"band j={j} outside resolved range [{self.j_min}, {self.j_max}]"
             )
-
-    def _require_grid(self, f: SpectralField) -> None:
-        if f.grid != self.grid:
-            raise ConfigError(f"field grid {f.grid} does not match system grid {self.grid}")
-
-    def delta_j(self, f: SpectralField, j: int) -> SpectralField:
-        """Littlewood-Paley block: multiply by phi_j(|k|)."""
-        self._require_grid(f)
-        self._require_resolved(j)
-        return apply_multiplier(f, self.phi(j, self.grid.k_mag))
-
-    # -- norms -------------------------------------------------------------
-
-    def block_lp_norms(self, f: SpectralField, p: float) -> np.ndarray:
-        """||Delta_j f||_{L^p} for every resolved j, in order.
-
-        p = 2 takes the Parseval path of _block_l2_norms; any other p
-        transforms each block and takes the collocation quadrature.
-        """
-        if p == 2:
-            return self._block_l2_norms(f)
-        return np.array(
-            [lp_norm(inverse_transform(self.delta_j(f, j)), p) for j in self.js()]
-        )
 
     @cached_property
     def _ring_profiles(self) -> np.ndarray:
@@ -174,80 +148,104 @@ class DyadicSystem:
         table.flags.writeable = False
         return table
 
-    def _block_l2_norms(self, f: SpectralField, weight=1.0) -> np.ndarray:
-        """Parseval: ||Delta_j (w f)||_2 = L sqrt(sum over rings of phi_j^2 w^2 E),
-        with E the ring energies of f and w a real radial weight on the ring radii.
 
-        Each block gets the Hermitian test inverse_transform would apply to
-        it.  phi_j w is radial and nonnegative, so a block's defect and scale
-        are the ring maxima of |c(k) - conj c(-k)| and of |c|, times phi_j w.
-        """
-        self._require_grid(f)
-        spec = f.ring_spectrum
-        phi = self._ring_profiles
-        defect = (phi * (weight * spec.defect)).max(axis=1)
-        scale = (phi * (weight * spec.peak)).max(axis=1)
-        bad = defect > np.maximum(HERMITIAN_RTOL * scale, HERMITIAN_FLOOR)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise HermitianSymmetryError(
-                f"block j={self.j_min + i} is not Hermitian-symmetric "
-                f"(defect {defect[i]:.3e})"
-            )
-        return self.grid.box_length * np.sqrt(phi**2 @ (weight * (weight * spec.energy)))
+# -- block operators and norms of a field -----------------------------------
 
-    def js(self) -> range:
-        return range(self.j_min, self.j_max + 1)
 
-    def besov_norm(self, f: SpectralField, bp: BesovParams) -> float:
-        """Homogeneous Besov norm truncated to the resolved dyadic range.
+def delta_j(f: SpectralField, j: int) -> SpectralField:
+    """Littlewood-Paley block: multiply by phi_j(|k|)."""
+    system = build_system(f.grid)
+    system.require_resolved(j)
+    return apply_multiplier(f, system.phi(j, f.grid.k_mag))
 
-        At p = 2 the block norms come from Parseval over the ring spectrum,
-        with no inverse transform; other p use the collocation quadrature of
-        each transformed block.  A non-Hermitian block raises
-        HermitianSymmetryError.
 
-        Modes outside the resolved annuli (the mean and the corner modes
-        beyond Nyquist) do not contribute; a nonzero mean triggers a
-        HomogeneityWarning since the homogeneous norm ignores it.
-        """
-        return self._besov_norm(f, bp, 1.0)
+def _weighted(f: SpectralField, p: float, weight):
+    """(field, ring weight) standing for w f, for a radial weight w(r) with
+    w(0) = 1: at p = 2, f and w on the ring radii; at other p, w f and 1."""
+    if weight is None:
+        return f, 1.0
+    if p == 2:
+        return f, weight(f.grid.rings.radii)
+    return apply_multiplier(f, weight(f.grid.k_mag)), 1.0
 
-    def _besov_norm(self, f: SpectralField, bp: BesovParams, weight) -> float:
-        """besov_norm of w f for a weight w (w(0) = 1) on the ring radii; w = 1 unless p = 2."""
-        peak = float((weight * f.ring_spectrum.peak).max())
-        if abs(f.mean_value()) > 1e-12 * max(peak, 1e-300):
-            warnings.warn(
-                "besov_norm: field has a nonzero mean, which a homogeneous "
-                "norm cannot see",
-                HomogeneityWarning,
-                stacklevel=3,
-            )
-        blocks = self._block_l2_norms(f, weight) if bp.p == 2 else self.block_lp_norms(f, bp.p)
-        weights = 2.0 ** (bp.s * np.asarray(self.js(), dtype=np.float64))
-        terms = weights * blocks
+
+def _block_norms(f: SpectralField, ring_weight, p: float) -> np.ndarray:
+    """||Delta_j (w f)||_{L^p} for every resolved j, from a _weighted pair.
+
+    Any p but 2 takes the collocation quadrature of each transformed block.
+    p = 2 is Parseval, L sqrt(sum over rings of phi_j^2 w^2 E) with E the
+    ring energies of f, and each block gets the Hermitian test that
+    inverse_transform would apply to it: phi_j w is radial and nonnegative,
+    so a block's defect and scale are the ring maxima of |c(k) - conj c(-k)|
+    and of |c|, times phi_j w.
+    """
+    system = build_system(f.grid)
+    if p != 2:
+        return np.array([lp_norm(inverse_transform(delta_j(f, j)), p) for j in system.js()])
+    spec = f.ring_spectrum
+    phi = system._ring_profiles
+    defect = (phi * (ring_weight * spec.defect)).max(axis=1)
+    scale = (phi * (ring_weight * spec.peak)).max(axis=1)
+    bad = defect > np.maximum(HERMITIAN_RTOL * scale, HERMITIAN_FLOOR)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise HermitianSymmetryError(
+            f"block j={system.j_min + i} is not Hermitian-symmetric "
+            f"(defect {defect[i]:.3e})"
+        )
+    return f.grid.box_length * np.sqrt(phi**2 @ (ring_weight * (ring_weight * spec.energy)))
+
+
+def block_lp_norms(f: SpectralField, p: float, weight=None) -> np.ndarray:
+    """||Delta_j (w f)||_{L^p} for every resolved j, in order (w = 1 by default)."""
+    return _block_norms(*_weighted(f, p, weight), p)
+
+
+def besov_norm(f: SpectralField, bp: BesovParams, weight=None) -> float:
+    """Homogeneous Besov norm of w f (w = 1 by default), truncated to the
+    resolved dyadic range.
+
+    A non-Hermitian block raises HermitianSymmetryError, and non-finite
+    weighted coefficients ConfigError.  Modes outside the resolved annuli
+    (the mean and the corner modes beyond Nyquist) do not contribute; a
+    nonzero mean triggers a HomogeneityWarning since the norm ignores it.
+    """
+    f, ring_weight = _weighted(f, bp.p, weight)
+    peak = float((ring_weight * f.ring_spectrum.peak).max())
+    if abs(f.mean_value()) > 1e-12 * max(peak, 1e-300):
+        warnings.warn(
+            "besov_norm: field has a nonzero mean, which a homogeneous "
+            "norm cannot see",
+            HomogeneityWarning,
+            stacklevel=2,
+        )
+    blocks = _block_norms(f, ring_weight, bp.p)
+    weights = 2.0 ** (bp.s * np.asarray(build_system(f.grid).js(), dtype=np.float64))
+    terms = weights * blocks
+    if np.isinf(bp.q):
+        return float(np.max(terms)) if terms.size else 0.0
+    return float(np.sum(terms**bp.q) ** (1.0 / bp.q))
+
+
+def besov_report(f: SpectralField, bp: BesovParams):
+    """Per-block rows (j, weighted block norm, cumulative q-sum) plus the
+    fraction of spectral energy invisible to the truncated norm."""
+    system = build_system(f.grid)
+    blocks = block_lp_norms(f, bp.p)
+    rows = []
+    cumulative = 0.0
+    for j, block in zip(system.js(), blocks):
+        term = 2.0 ** (bp.s * j) * block
         if np.isinf(bp.q):
-            return float(np.max(terms)) if terms.size else 0.0
-        return float(np.sum(terms**bp.q) ** (1.0 / bp.q))
-
-    def besov_report(self, f: SpectralField, bp: BesovParams):
-        """Per-block rows (j, weighted block norm, cumulative q-sum) plus the
-        fraction of spectral energy invisible to the truncated norm."""
-        blocks = self.block_lp_norms(f, bp.p)
-        rows = []
-        cumulative = 0.0
-        for j, block in zip(self.js(), blocks):
-            term = 2.0 ** (bp.s * j) * block
-            if np.isinf(bp.q):
-                cumulative = max(cumulative, term)
-            else:
-                cumulative = (cumulative**bp.q + term**bp.q) ** (1.0 / bp.q)
-            rows.append({"j": j, "weighted_block_norm": term, "cumulative": cumulative})
-        coverage = self.partition_sum(self.grid.rings.radii)
-        energy = f.ring_spectrum.energy
-        total = float(energy.sum())
-        discarded = float(energy[coverage < 1e-12].sum()) / total if total > 0 else 0.0
-        return rows, discarded
+            cumulative = max(cumulative, term)
+        else:
+            cumulative = (cumulative**bp.q + term**bp.q) ** (1.0 / bp.q)
+        rows.append({"j": j, "weighted_block_norm": term, "cumulative": cumulative})
+    coverage = system.partition_sum(f.grid.rings.radii)
+    energy = f.ring_spectrum.energy
+    total = float(energy.sum())
+    discarded = float(energy[coverage < 1e-12].sum()) / total if total > 0 else 0.0
+    return rows, discarded
 
 
 @lru_cache(maxsize=64)

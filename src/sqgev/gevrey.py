@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import BesovParams, DyadicSystem
+from .dyadic import BesovParams, besov_norm
 from .spectral import ConfigError, Grid, SpectralField, apply_multiplier
 
 # exp() argument beyond which double precision overflows; the guard keeps a
@@ -133,15 +133,15 @@ def xt_norm(
     trajectory: Sequence[tuple[float, SpectralField]],
     gp: GevreyParams,
     bp: BesovParams,
-    system: DyadicSystem,
 ) -> tuple[float, list[XTNormSample]]:
     """sup over samples of t^(beta/kappa) * ||G_{gamma(t)} v(t)||_Besov.
 
     The Besov parameters are used as given, so callers working at base
-    regularity sigma should pass s = sigma + beta.  At p = 2 the weight
-    scales each sample's ring spectrum.  Returns the sup and the per-sample
-    records; a weight past the overflow guard, or a weighted norm that is not
-    finite, raises GevreyOverflowError carrying the sample time.
+    regularity sigma should pass s = sigma + beta.  Each sample is one
+    besov_norm call with the radial weight exp(gamma(t) r^alpha).  Returns the
+    sup and the per-sample records; a weight past the overflow guard, or a
+    weighted norm that is not finite, raises GevreyOverflowError carrying the
+    sample time.
     """
     if len(trajectory) == 0:
         raise ValueError("xt_norm needs at least one trajectory sample")
@@ -161,16 +161,10 @@ def xt_norm(
         # inside the guard the weight is finite, but the weighted field or
         # its norm can still overflow (|G v|^p in the quadrature, say)
         with np.errstate(over="ignore", invalid="ignore"):
-            if bp.p == 2:
-                weight = np.exp(gamma_t * field.grid.rings.radii**gp.alpha)
-                besov = system._besov_norm(field, bp, weight)
-            else:
-                try:
-                    weighted = gevrey_multiply(field, gamma_t, gp.alpha)
-                except ConfigError:  # non-finite weighted coefficients
-                    besov = np.inf
-                else:
-                    besov = system.besov_norm(weighted, bp)
+            try:
+                besov = besov_norm(field, bp, lambda r: np.exp(gamma_t * r**gp.alpha))
+            except ConfigError:  # non-finite weighted coefficients
+                besov = np.inf
         if not np.isfinite(besov):
             raise GevreyOverflowError(
                 f"Gevrey-weighted Besov norm overflows at t={t:g} (gamma(t)={gamma_t:g})",

@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import BesovParams, DyadicSystem, build_system
+from .dyadic import BesovParams, besov_norm
 from .gevrey import fit_radius, spectral_decay_fit
 from .spectral import (
     ConfigError,
@@ -98,7 +98,8 @@ class InitialData:
     ring_j: int = 2
 
     def __post_init__(self):
-        if self.profile not in PROFILES and not self.profile.startswith("file"):
+        is_file = self.profile.startswith("file:") and self.profile != "file:"
+        if self.profile not in PROFILES and not is_file:
             raise ConfigError(
                 f"unknown initial data profile {self.profile!r}; "
                 f"choose one of {PROFILES} or file:<path>"
@@ -193,9 +194,8 @@ def _gaussian_pair_values(grid: Grid) -> np.ndarray:
 def initial_field(config: SolverConfig) -> SpectralField:
     """Construct the configured initial data, normalized in the critical norm."""
     grid = config.grid
-    system = build_system(grid)
     init = config.initial_data
-    if init.profile.startswith("file"):
+    if init.profile.startswith("file:"):
         loaded, _ = load_field(init.profile.partition(":")[2])
         if isinstance(loaded, RealField):
             loaded = forward_transform(loaded)
@@ -222,10 +222,10 @@ def initial_field(config: SolverConfig) -> SpectralField:
     if config.dealias == "two-thirds":
         coeffs = coeffs * dealias_mask(grid, config.dealias)
     fld = SpectralField(grid, coeffs)
-    norm = system.besov_norm(fld, config.besov_params())
+    norm = besov_norm(fld, config.besov_params())
     if init.profile == "zero" or init.amplitude == 0.0 or norm == 0.0:
         return SpectralField(grid, np.zeros_like(coeffs))
-    if init.profile.startswith("file"):
+    if init.profile.startswith("file:"):
         return fld  # files are taken verbatim
     return (init.amplitude / norm) * fld
 
@@ -390,12 +390,12 @@ def step(theta: SpectralField, dt: float, config: SolverConfig) -> SpectralField
     return _full_spectrum(half, grid)
 
 
-def _diagnostics_row(t, fld, config, system):
+def _diagnostics_row(t, fld, config):
     return {
         "t": t,
         "l2": fld.l2_norm(),
         "lp": lp_norm(inverse_transform(fld), config.p),
-        "besov": system.besov_norm(fld, config.besov_params()),
+        "besov": besov_norm(fld, config.besov_params()),
         "radius": fit_radius(spectral_decay_fit(fld, config.alpha)),
     }
 
@@ -429,7 +429,6 @@ def _march(config: SolverConfig, sources: list) -> list[Trajectory]:
     """
     grid, dt = config.grid, config.dt
     h = grid.n // 2 + 1
-    system = build_system(grid)
     work = _Workspace(grid, config.dealias)
     efactor = _heat_factor(grid, dt, config.kappa)[:, :h]
     kmax = float(np.max(grid.k_mag))
@@ -447,7 +446,7 @@ def _march(config: SolverConfig, sources: list) -> list[Trajectory]:
 
     def checked_row(t, snap, lvl):
         try:
-            row = _diagnostics_row(t, snap, config, system)
+            row = _diagnostics_row(t, snap, config)
         except HermitianSymmetryError as exc:
             # an unstable mode can amplify the round-off Hermitian defect
             # while every coefficient is still finite
@@ -516,12 +515,12 @@ def picard_solve(config: SolverConfig) -> list[Trajectory]:
     return _march(config, [None, *range(config.picard_depth)])
 
 
-def picard_gaps(levels: list[Trajectory], system: DyadicSystem) -> list[float]:
+def picard_gaps(levels: list[Trajectory]) -> list[float]:
     """For each pair of successive levels, the sup over the recorded t > 0
     of the critical Besov norm of their difference."""
     bp = levels[0].config.besov_params()
     return [
-        max(system.besov_norm(a - b, bp) for (_, a), (_, b) in zip(lo.samples(), hi.samples()))
+        max(besov_norm(a - b, bp) for (_, a), (_, b) in zip(lo.samples(), hi.samples()))
         for lo, hi in zip(levels, levels[1:])
     ]
 

@@ -465,9 +465,13 @@ def save_field(path, field, time: float = 0.0, extra: dict | None = None) -> Non
 
 
 def load_field(path):
-    """Read a snapshot file; returns (field, header_dict)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a snapshot file; returns (field, header_dict).  An unreadable
+    path raises ConfigError."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read snapshot {path}: {exc.strerror or exc}") from exc
     sep = blob.find(_HEADER_SEP)
     if sep < 0:
         raise ConfigError(f"{path}: missing header separator")

@@ -16,7 +16,6 @@ from sqgev.cli import (
     main,
     parse_config,
 )
-from sqgev.dyadic import build_system
 from sqgev.gevrey import heat_semigroup
 from sqgev.solver import InitialData, SolverConfig, config_echo, picard_gaps, picard_solve
 from sqgev.spectral import Grid, SpectralField, save_field
@@ -149,6 +148,14 @@ class TestSimulateVerb:
         assert code == 2
         assert "whole number of steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("profile", ["file:{missing}", "filexyz"])
+    def test_bad_snapshot_profile_exits_2(self, tmp_path, capsys, profile):
+        profile = profile.format(missing=tmp_path / "missing.field")
+        code = main(["simulate", "-o", str(tmp_path / "run"), "--set", "n=16",
+                     "--set", f"initial_data={profile}"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_gevrey_overflow_exits_3_with_one_line(self, tmp_path, capsys):
         # gamma(0.1) = 1000 * 0.1^0.5 is past the overflow guard on n = 32:
         # the X_T trace, written last, fails and the run's other artifacts stay
@@ -185,7 +192,7 @@ class TestPicardVerb:
             line for line in conv.splitlines() if line.startswith("#")
         ]
         rows = list(csv.reader(line for line in conv.splitlines() if not line.startswith("#")))
-        gaps = picard_gaps(picard_solve(cfg), build_system(cfg.grid))
+        gaps = picard_gaps(picard_solve(cfg))
         assert rows[1:] == [[str(lvl), repr(gap)] for lvl, gap in enumerate(gaps)]
 
     @pytest.mark.parametrize("kappa", ["0.5", "1.5"])
@@ -259,6 +266,12 @@ class TestAnalyzeVerb:
         assert main(["analyze", str(snap), "-o", str(out), "--set", f"{key}={RUN_DEFAULTS[key]}"]) == 2
         assert not (out / "analysis.csv").exists()
 
+    def test_missing_snapshot_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "ana"
+        assert main(["analyze", str(tmp_path / "missing.field"), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read snapshot")
+        assert not out.exists()
+
 
 class TestVerifyVerb:
     def test_single_check_writes_bundle(self, tmp_path):
@@ -304,6 +317,19 @@ class TestVerifyVerb:
         )
         assert code == 2
         assert "positivity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check, bands", [
+        ("bernstein", ["j_hi=9"]), ("heat-kernel", ["j_hi=9"]), ("lin-gevrey", ["j_hi=9"]),
+        ("commutator-decay", ["j_lo=-9"]), ("commutator-decay", ["j_hi=9"]),
+        ("bernstein", ["j_lo=4", "j_hi=3"]),  # an empty range
+    ])
+    def test_band_range_outside_the_grid_exits_2(self, tmp_path, capsys, check, bands):
+        sets = [a for band in bands for a in ("--set", band)]
+        code = main(["verify", "--check", check, "-o", str(tmp_path / "v"),
+                     *sets, "--set", "trials=2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: band range") and "resolved range [0, 5]" in err
 
     def test_key_goes_to_each_selected_check_that_takes_it(self, tmp_path):
         out = tmp_path / "v"

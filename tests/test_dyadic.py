@@ -8,7 +8,11 @@ import pytest
 from sqgev.dyadic import (
     BesovParams,
     HomogeneityWarning,
+    besov_norm,
+    besov_report,
+    block_lp_norms,
     build_system,
+    delta_j,
     phi0,
     psi0,
 )
@@ -20,6 +24,7 @@ from sqgev.spectral import (
     HermitianSymmetryError,
     RealField,
     SpectralField,
+    apply_multiplier,
     forward_transform,
     hermitian_symmetrize,
     lp_norm,
@@ -30,9 +35,10 @@ from sqgev.spectral import (
 TWO_PI = 2.0 * math.pi
 
 
-def block_l2_quadrature(system, f):
+def block_l2_quadrature(f):
     """Block norms the long way: transform each block, collocation L^2."""
-    return np.array([lp_norm(inverse_transform(system.delta_j(f, j)), 2.0) for j in system.js()])
+    js = build_system(f.grid).js()
+    return np.array([lp_norm(inverse_transform(delta_j(f, j)), 2.0) for j in js])
 
 
 def hermitian_noise(grid, seed):
@@ -115,24 +121,23 @@ class TestBlocks:
         F = forward_transform(RealField(grid, np.cos(x1)))  # |k| = 1
         for j in system.js():
             expected = float(system.phi(j, 1.0))
-            out = inverse_transform(system.delta_j(F, j))
+            out = inverse_transform(delta_j(F, j))
             np.testing.assert_allclose(out.values, expected * np.cos(x1), atol=1e-13)
 
     def test_disjoint_blocks_annihilate(self):
         grid = Grid(128)
-        system = build_system(grid)
         F = forward_transform(RealField(grid, np.random.default_rng(0).standard_normal((128, 128))))
-        once = system.delta_j(F, 4)
-        twice = system.delta_j(once, 1)  # |4 - 1| >= 2: disjoint annuli
+        once = delta_j(F, 4)
+        twice = delta_j(once, 1)  # |4 - 1| >= 2: disjoint annuli
         assert np.max(np.abs(twice.coeffs)) == 0.0
 
     def test_blocks_sum_to_identity_on_banded_field(self):
         grid = Grid(128)
         system = build_system(grid)
         F = random_band_limited(grid, 3, seed=5)
-        total = system.delta_j(F, system.j_min)
+        total = delta_j(F, system.j_min)
         for j in range(system.j_min + 1, system.j_max + 1):
-            total = total + system.delta_j(F, j)
+            total = total + delta_j(F, j)
         scale = np.max(np.abs(F.coeffs))
         assert np.max(np.abs(total.coeffs - F.coeffs)) <= 1e-10 * scale
 
@@ -141,28 +146,20 @@ class TestBlocks:
         system = build_system(grid)
         F = random_band_limited(grid, 2, seed=1)
         with pytest.raises(BandRangeError):
-            system.delta_j(F, system.j_max + 1)
-
-    def test_delta_j_rejects_a_field_on_another_grid(self):
-        # j = 5 is resolved on n = 128 but has no mode on n = 16, so
-        # without the grid check the block would be silently zero
-        system = build_system(Grid(128))
-        with pytest.raises(ConfigError, match="does not match system grid"):
-            system.delta_j(random_band_limited(Grid(16), 2, 0), 5)
+            delta_j(F, system.j_max + 1)
 
 
 class TestBesovNorm:
     def test_single_ring_collapse_q_independent(self):
         # spectrum exactly on |k| = 2^j0 where phi_j0 = 1 and neighbors vanish
         grid = Grid(64)
-        system = build_system(grid)
         j0, s = 2, 0.7
         x1, _ = grid.meshgrid()
         f = RealField(grid, np.cos((2**j0) * x1))
         F = forward_transform(f)
         expected = 2.0 ** (j0 * s) * lp_norm(f, 4)
         for q in (1.0, 2.0, np.inf):
-            got = system.besov_norm(F, BesovParams(s, 4.0, q))
+            got = besov_norm(F, BesovParams(s, 4.0, q))
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_l2_equivalence_at_s0_p2_q2(self):
@@ -172,38 +169,35 @@ class TestBesovNorm:
         raw = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
         mask = (grid.k_mag >= 2.0**system.j_min) & (grid.k_mag <= 2.0**system.j_max)
         F = SpectralField(grid, hermitian_symmetrize(grid, raw * mask) * mask)
-        besov = system.besov_norm(F, BesovParams(0.0, 2.0, 2.0))
+        besov = besov_norm(F, BesovParams(0.0, 2.0, 2.0))
         l2 = F.l2_norm()
         assert abs(besov - l2) / l2 <= 0.02
 
     def test_scaling_homogeneity(self):
         grid = Grid(64)
-        system = build_system(grid)
         F = random_band_limited(grid, 2, seed=12)
         bp = BesovParams(0.5, 2.0, 1.0)
-        one = system.besov_norm(F, bp)
-        scaled = system.besov_norm(3.0 * F, bp)
+        one = besov_norm(F, bp)
+        scaled = besov_norm(3.0 * F, bp)
         assert scaled == pytest.approx(3.0 * one, rel=1e-13)
 
     def test_q_monotonicity(self):
         grid = Grid(128)
-        system = build_system(grid)
         rng = np.random.default_rng(13)
         raw = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
         mask = grid.k_mag > 0.5
         F = SpectralField(grid, hermitian_symmetrize(grid, raw * mask) * mask)
         bp_inf = BesovParams(0.3, 2.0, np.inf)
         bp_one = BesovParams(0.3, 2.0, 1.0)
-        assert system.besov_norm(F, bp_inf) <= system.besov_norm(F, bp_one)
+        assert besov_norm(F, bp_inf) <= besov_norm(F, bp_one)
 
     def test_nonzero_mean_warns(self):
         grid = Grid(64)
-        system = build_system(grid)
         F = random_band_limited(grid, 2, seed=14)
         c = F.coeffs.copy()
         c[0, 0] = 1.0
         with pytest.warns(HomogeneityWarning):
-            system.besov_norm(SpectralField(grid, c), BesovParams(0.0))
+            besov_norm(SpectralField(grid, c), BesovParams(0.0))
 
     def test_report_rows_and_discarded_energy(self):
         grid = Grid(64)
@@ -211,32 +205,41 @@ class TestBesovNorm:
         F = random_band_limited(grid, 2, seed=15)
         c = F.coeffs.copy()
         c[0, 0] = 10.0  # mean is invisible to the homogeneous norm
-        rows, discarded = system.besov_report(SpectralField(grid, c), BesovParams(0.0))
+        rows, discarded = besov_report(SpectralField(grid, c), BesovParams(0.0))
         assert len(rows) == len(list(system.js()))
         expected = 100.0 / float(np.sum(np.abs(c) ** 2))
         assert discarded == pytest.approx(expected, rel=1e-12)
         final = rows[-1]["cumulative"]
         with pytest.warns(HomogeneityWarning):
-            norm = system.besov_norm(SpectralField(grid, c), BesovParams(0.0))
+            norm = besov_norm(SpectralField(grid, c), BesovParams(0.0))
         assert final == pytest.approx(norm, rel=1e-12)
 
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_parseval_blocks_match_quadrature(self, n):
         grid = Grid(n)
         system = build_system(grid)
+
+        def gevrey_weight(r):
+            return np.exp(0.3 * r**0.5)
+
         for f in parseval_fields(grid):
-            want = block_l2_quadrature(system, f)
+            want = block_l2_quadrature(f)
             # a block at the roundoff floor of the field (the far tail of the
             # gaussian pair) is junk whose imaginary part the quadrature
             # drops, so blocks are held to 1e-12 of the largest one
             floor = 1e-12 * want.max()
-            np.testing.assert_allclose(system.block_lp_norms(f, 2.0), want, rtol=1e-12, atol=floor)
+            np.testing.assert_allclose(block_lp_norms(f, 2.0), want, rtol=1e-12, atol=floor)
+            # a radial weight read on the ring radii against the blocks of
+            # the lattice-weighted field
+            weighted = block_l2_quadrature(apply_multiplier(f, gevrey_weight(grid.k_mag)))
+            np.testing.assert_allclose(block_lp_norms(f, 2.0, gevrey_weight), weighted,
+                                       rtol=1e-12, atol=1e-12 * weighted.max())
             for bp in (BesovParams(0.7, 2.0, 2.0), BesovParams(-0.3, 2.0, 1.0),
                        BesovParams(1.2, 2.0, np.inf)):
                 terms = 2.0 ** (bp.s * np.arange(system.j_min, system.j_max + 1)) * want
                 expected = np.max(terms) if np.isinf(bp.q) else np.sum(terms**bp.q) ** (1 / bp.q)
-                assert system.besov_norm(f, bp) == pytest.approx(expected, rel=1e-12, abs=0.0)
-                rows, _ = system.besov_report(f, bp)
+                assert besov_norm(f, bp) == pytest.approx(expected, rel=1e-12, abs=0.0)
+                rows, _ = besov_report(f, bp)
                 got = [row["weighted_block_norm"] for row in rows]
                 np.testing.assert_allclose(got, terms, rtol=1e-12, atol=1e-12 * terms.max())
                 assert rows[-1]["cumulative"] == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -252,37 +255,30 @@ class TestBesovNorm:
         c = f.coeffs.copy()
         c[mode] += size * np.max(np.abs(c)) * (1.0 + 1.0j)
         g = SpectralField(grid, c)
-        slow_rejects = any(not system.delta_j(g, j).is_hermitian() for j in system.js())
+        slow_rejects = any(not delta_j(g, j).is_hermitian() for j in system.js())
         if slow_rejects:
             with pytest.raises(HermitianSymmetryError):
-                system.besov_norm(g, BesovParams(0.5))
+                besov_norm(g, BesovParams(0.5))
         else:
-            system.besov_norm(g, BesovParams(0.5))
+            besov_norm(g, BesovParams(0.5))
         assert slow_rejects == (size >= 1e-8)
 
     def test_non_hermitian_field_raises(self):
         grid = Grid(64)
-        system = build_system(grid)
         c = random_band_limited(grid, 2, seed=25).coeffs.copy()
         c[2, 3] += 0.5
         for p in (2.0, 4.0):
             with pytest.raises(HermitianSymmetryError):
-                system.besov_norm(SpectralField(grid, c), BesovParams(0.5, p))
+                besov_norm(SpectralField(grid, c), BesovParams(0.5, p))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_coefficient_raises(self, bad):
         grid = Grid(64)
-        system = build_system(grid)
         c = random_band_limited(grid, 2, seed=26).coeffs.copy()
         c[2, 3] = bad
         for p in (2.0, 4.0):
             with pytest.raises(ConfigError):
-                system.besov_norm(SpectralField(grid, c), BesovParams(0.5, p))
-
-    def test_field_on_other_grid_raises(self):
-        system = build_system(Grid(64))
-        with pytest.raises(ConfigError):
-            system.besov_norm(random_band_limited(Grid(32), 2, seed=27), BesovParams(0.5))
+                besov_norm(SpectralField(grid, c), BesovParams(0.5, p))
 
     def test_rejects_bad_indices(self):
         with pytest.raises(ConfigError):

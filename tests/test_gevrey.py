@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from sqgev.dyadic import BesovParams, HomogeneityWarning, build_system
+from sqgev.dyadic import (
+    BesovParams,
+    HomogeneityWarning,
+    besov_norm,
+    block_lp_norms,
+    build_system,
+)
 from sqgev.gevrey import (
     GevreyOverflowError,
     GevreyParams,
@@ -66,7 +72,7 @@ def decay_fit_loop(theta, alpha):
     return float(slope), float(intercept), r_squared, int(keep.sum()), False
 
 
-def xt_norm_loop(trajectory, gp, bp, system):
+def xt_norm_loop(trajectory, gp, bp):
     """xt_norm as it was before the p = 2 path read the ring spectrum: the
     weighted field is formed on the full grid, then normed.  Kept verbatim
     as the reference of the ring-weight path."""
@@ -85,7 +91,7 @@ def xt_norm_loop(trajectory, gp, bp, system):
                 max_gamma=exc.max_gamma,
                 time=t,
             ) from exc
-        besov = system.besov_norm(lifted, bp)
+        besov = besov_norm(lifted, bp)
         samples.append(
             XTNormSample(
                 t=t,
@@ -271,55 +277,49 @@ class TestGevreyParams:
 class TestXTNorm:
     def test_degenerate_sample_is_plain_besov(self):
         grid = Grid(64)
-        system = build_system(grid)
         F = random_band_limited(grid, 2, seed=11)
         gp = GevreyParams(alpha=0.4, kappa=0.8, lam=0.0, beta=0.0)
         bp = BesovParams(0.5, 2.0, 2.0)
-        sup, samples = xt_norm([(0.7, F)], gp, bp, system)
-        assert sup == pytest.approx(system.besov_norm(F, bp), rel=1e-12)
+        sup, samples = xt_norm([(0.7, F)], gp, bp)
+        assert sup == pytest.approx(besov_norm(F, bp), rel=1e-12)
         assert len(samples) == 1
         assert samples[0].gamma == 0.0
 
     def test_heat_flow_sup_is_finite_and_attained(self):
         grid = Grid(64)
-        system = build_system(grid)
         F0 = random_band_limited(grid, 3, seed=12)
         gp = GevreyParams(alpha=0.4, kappa=0.8, lam=0.1, beta=0.3)
         bp = BesovParams(0.5, 2.0, 2.0)
         times = np.linspace(0.05, 2.0, 20)
         traj = [(t, heat_semigroup(F0, t, gp.kappa)) for t in times]
-        sup, samples = xt_norm(traj, gp, bp, system)
+        sup, samples = xt_norm(traj, gp, bp)
         weights = [s.weighted for s in samples]
         assert math.isfinite(sup) and sup > 0
         assert sup == max(weights)
 
     def test_empty_trajectory_rejected(self):
-        grid = Grid(64)
-        system = build_system(grid)
         gp = GevreyParams(alpha=0.4, kappa=0.8)
         with pytest.raises(ValueError):
-            xt_norm([], gp, BesovParams(0.5), system)
+            xt_norm([], gp, BesovParams(0.5))
 
     def test_overflow_carries_time(self):
         grid = Grid(64)
-        system = build_system(grid)
         F = random_band_limited(grid, 2, seed=13)
         gp = GevreyParams(alpha=0.4, kappa=0.8, lam=1e4, beta=0.0)
         with pytest.raises(GevreyOverflowError) as err:
-            xt_norm([(5.0, F)], gp, BesovParams(0.5), system)
+            xt_norm([(5.0, F)], gp, BesovParams(0.5))
         assert err.value.time == 5.0
 
     @pytest.mark.parametrize("p", [2.0, 4.0])
     def test_overflow_names_the_first_sample_past_the_guard(self, p):
         grid = Grid(64)
-        system = build_system(grid)
         F = random_band_limited(grid, 2, seed=13)
         gp = GevreyParams(alpha=0.4, kappa=0.8, lam=100.0, beta=0.0)
         cap = max_admissible_gamma(grid, 0.4)
         times = [0.1, 5.0, 8.0]
         assert gp.radius_at(0.1) < cap < gp.radius_at(5.0)
         with pytest.raises(GevreyOverflowError) as err:
-            xt_norm([(t, F) for t in times], gp, BesovParams(0.5, p), system)
+            xt_norm([(t, F) for t in times], gp, BesovParams(0.5, p))
         assert err.value.time == 5.0
         assert err.value.max_gamma == cap
 
@@ -328,14 +328,13 @@ class TestXTNorm:
         # n = 64, but |G v|^4 overflows in the L^4 quadrature; p = 2 stays
         # finite
         grid = Grid(64)
-        system = build_system(grid)
         F = random_band_limited(grid, 2, seed=13)
         gp = GevreyParams(alpha=0.4, kappa=0.8, lam=100.0)
         assert gp.radius_at(2.0) < max_admissible_gamma(grid, 0.4)
-        sup, _ = xt_norm([(2.0, F)], gp, BesovParams(0.5, 2.0), system)
+        sup, _ = xt_norm([(2.0, F)], gp, BesovParams(0.5, 2.0))
         assert math.isfinite(sup)
         with pytest.raises(GevreyOverflowError) as err:
-            xt_norm([(2.0, F)], gp, BesovParams(0.5, 4.0), system)
+            xt_norm([(2.0, F)], gp, BesovParams(0.5, 4.0))
         assert err.value.time == 2.0
 
     def test_weighted_coefficient_overflow_inside_the_guard_raises(self):
@@ -344,14 +343,13 @@ class TestXTNorm:
         F = 1e30 * hermitian_noise(grid, box_mask(grid, 31), np.random.default_rng(0))
         gp = GevreyParams(alpha=0.4, kappa=0.8, lam=100.0)
         with pytest.raises(GevreyOverflowError) as err:
-            xt_norm([(2.0, F)], gp, BesovParams(0.5, 4.0), build_system(grid))
+            xt_norm([(2.0, F)], gp, BesovParams(0.5, 4.0))
         assert err.value.time == 2.0
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("profile", ["random-band", "gaussian-pair", "single-ring"])
     def test_ring_weight_matches_weighted_field(self, n, profile):
         grid = Grid(n)
-        system = build_system(grid)
         config = SolverConfig(
             grid=grid, initial_data=InitialData(profile, amplitude=0.3, seed=5, ring_j=2)
         )
@@ -361,8 +359,8 @@ class TestXTNorm:
                    GevreyParams(alpha=0.7, kappa=0.8, lam=2.0, beta=0.1)):
             for bp in (BesovParams(0.5, 2.0, 2.0), BesovParams(-0.2, 2.0, 1.0),
                        BesovParams(1.0, 2.0, np.inf)):
-                sup, samples = xt_norm(traj, gp, bp, system)
-                want_sup, want = xt_norm_loop(traj, gp, bp, system)
+                sup, samples = xt_norm(traj, gp, bp)
+                want_sup, want = xt_norm_loop(traj, gp, bp)
                 assert sup == pytest.approx(want_sup, rel=1e-14, abs=0.0)
                 for got, ref in zip(samples, want):
                     assert (got.t, got.gamma) == (ref.t, ref.gamma)
@@ -373,42 +371,60 @@ class TestXTNorm:
         # the defect passes the absolute floor unweighted, and the weight
         # 100 on the ring of k0 lifts it past the floor
         grid = Grid(32)
-        system = build_system(grid)
         f = one_mode_pair(grid, 1e-6, 5e-14)
         gp = GevreyParams(alpha=0.5, kappa=1.0, lam=math.log(100.0) / 2.0, beta=0.0)
         bp = BesovParams(0.5)
-        system.besov_norm(f, bp)
+        besov_norm(f, bp)
         for norm in (xt_norm, xt_norm_loop):
             with pytest.raises(HermitianSymmetryError):
-                norm([(1.0, f)], gp, bp, system)
+                norm([(1.0, f)], gp, bp)
 
     def test_weighted_block_defect_below_the_floor_passes(self):
         # weight 100 keeps the defect under the floor; weight 100^2 would not
         grid = Grid(32)
-        system = build_system(grid)
         f = one_mode_pair(grid, 1e-9, 5e-16)
         gp = GevreyParams(alpha=0.5, kappa=1.0, lam=math.log(100.0) / 2.0, beta=0.0)
         bp = BesovParams(0.5)
-        sup, _ = xt_norm([(1.0, f)], gp, bp, system)
-        assert sup == pytest.approx(xt_norm_loop([(1.0, f)], gp, bp, system)[0], rel=1e-14)
+        sup, _ = xt_norm([(1.0, f)], gp, bp)
+        assert sup == pytest.approx(xt_norm_loop([(1.0, f)], gp, bp)[0], rel=1e-14)
 
     @pytest.mark.parametrize("p", [2.0, 4.0])
     @pytest.mark.parametrize("grid", [Grid(32, 3.0), Grid(64)])
-    def test_field_off_the_system_grid_is_rejected(self, p, grid):
-        system = build_system(Grid(32))
+    def test_norm_reads_the_band_range_of_the_field_grid(self, p, grid):
+        # each field is normed over its own grid's resolved bands, which
+        # differ from those of Grid(32) on both grids here
+        system = build_system(grid)
+        other = build_system(Grid(32))
+        assert (system.j_min, system.j_max) != (other.j_min, other.j_max)
         F = random_band_limited(grid, 2, seed=13)
         gp = GevreyParams(alpha=0.4, kappa=0.8, lam=0.5, beta=0.3)
-        with pytest.raises(ConfigError):
-            xt_norm([(0.5, F)], gp, BesovParams(0.5, p), system)
+        _, (sample,) = xt_norm([(0.5, F)], gp, BesovParams(0.5, p))
+        blocks = block_lp_norms(gevrey_multiply(F, sample.gamma, gp.alpha), p)
+        terms = 2.0 ** (0.5 * np.arange(system.j_min, system.j_max + 1)) * blocks
+        assert sample.besov == pytest.approx(np.sqrt(np.sum(terms**2)), rel=1e-13)
+
+    @pytest.mark.parametrize("bp", [BesovParams(0.5, 4.0), BesovParams(-0.2, 4.0, 1.0),
+                                    BesovParams(1.0, 3.0, np.inf)])
+    def test_p_other_than_2_is_the_lattice_weighted_norm(self, bp):
+        # away from p = 2 the weight multiplies the lattice: bit for bit
+        # gevrey_multiply followed by besov_norm
+        gp = GevreyParams(alpha=0.4, kappa=0.8, lam=0.5, beta=0.3)
+        F0 = random_band_limited(Grid(64), 3, seed=12)
+        traj = [(t, heat_semigroup(F0, t, gp.kappa)) for t in (0.05, 0.5, 2.0)]
+        sup, samples = xt_norm(traj, gp, bp)
+        for (t, f), sample in zip(traj, samples):
+            besov = besov_norm(gevrey_multiply(f, sample.gamma, gp.alpha), bp)
+            assert sample.besov == besov
+            assert sample.weighted == t ** (gp.beta / gp.kappa) * besov
+        assert sup == max(sample.weighted for sample in samples)
 
     def test_weighted_nonzero_mean_warns(self):
         grid = Grid(64)
-        system = build_system(grid)
         c = random_band_limited(grid, 2, seed=14).coeffs.copy()
         c[0, 0] = 1.0
         gp = GevreyParams(alpha=0.4, kappa=0.8, lam=0.5, beta=0.3)
         with pytest.warns(HomogeneityWarning):
-            xt_norm([(0.5, SpectralField(grid, c))], gp, BesovParams(0.5), system)
+            xt_norm([(0.5, SpectralField(grid, c))], gp, BesovParams(0.5))
 
     def test_sample_validation(self):
         with pytest.raises(ConfigError):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqgev.dyadic import build_system
+from sqgev.dyadic import besov_norm
 from sqgev.gevrey import heat_semigroup
 from sqgev.solver import (
     ADVECTION_CONVENTION,
@@ -133,7 +133,6 @@ def heun_step_full(theta_hat, grid, dt, efactor, mask, frozen=None, frozen_next=
 
 def march_full(config, sources):
     grid, dt = config.grid, config.dt
-    system = build_system(grid)
     efactor = _heat_factor(grid, dt, config.kappa)
     mask = dealias_mask(grid, config.dealias)
     kmax = float(np.max(grid.k_mag))
@@ -152,7 +151,7 @@ def march_full(config, sources):
         for lvl in levels:
             snap = SpectralField(grid, theta[lvl])
             try:
-                row = _diagnostics_row(k * dt, snap, config, system)
+                row = _diagnostics_row(k * dt, snap, config)
             except HermitianSymmetryError as exc:
                 raise BlowUpError("diagnostics", k * dt, trajectory(lvl)) from exc
             if not all(np.isfinite(row[key]) for key in ("l2", "lp", "besov")):
@@ -239,15 +238,19 @@ class TestInitialData:
             cfg = cosine_config(
                 n=64, initial_data=InitialData(profile=profile, amplitude=0.25, seed=3)
             )
-            system = build_system(cfg.grid)
             fld = initial_field(cfg)
-            norm = system.besov_norm(fld, cfg.besov_params())
+            norm = besov_norm(fld, cfg.besov_params())
             assert norm == pytest.approx(0.25, rel=1e-10)
             assert abs(fld.mean_value()) == 0.0
 
     def test_zero_profile(self):
         cfg = cosine_config(initial_data=InitialData(profile="zero"))
         assert np.all(initial_field(cfg).coeffs == 0)
+
+    @pytest.mark.parametrize("profile", ["file", "file:", "filexyz", "files:x.field"])
+    def test_snapshot_profile_needs_file_colon_and_a_path(self, profile):
+        with pytest.raises(ConfigError, match="file:<path>"):
+            InitialData(profile=profile)
 
     def test_dealias_mask_kills_mean_and_high_modes(self):
         grid = Grid(32)
@@ -609,7 +612,7 @@ class TestPicard:
         snap = SpectralField(cfg.grid, c)
         assert snap.is_hermitian() == (defect < 1e-9)
         with pytest.raises(HermitianSymmetryError):
-            _diagnostics_row(0.1, snap, cfg, build_system(cfg.grid))
+            _diagnostics_row(0.1, snap, cfg)
 
     def test_initial_row_is_shared_by_value_only(self):
         cfg = cosine_config(
@@ -617,8 +620,7 @@ class TestPicard:
             initial_data=InitialData("random-band", amplitude=0.05, seed=3),
         )
         levels = picard_solve(cfg)
-        grid = cfg.grid
-        want = _diagnostics_row(0.0, levels[0].snapshots[0], cfg, build_system(grid))
+        want = _diagnostics_row(0.0, levels[0].snapshots[0], cfg)
         rows = [traj.diagnostics[0] for traj in levels]
         assert all(row == want for row in rows)
         # each level holds its own row
@@ -656,18 +658,17 @@ class TestPicard:
             t_end=0.3,
             record_every=5,
         )
-        system = build_system(cfg.grid)
         bp = cfg.besov_params()
         levels = picard_solve(cfg)
         gaps = []
         for lo, hi in zip(levels, levels[1:]):
             gaps.append(
                 max(
-                    system.besov_norm(a - b, bp)
+                    besov_norm(a - b, bp)
                     for (_, a), (_, b) in zip(lo.samples(), hi.samples())
                 )
             )
-        assert picard_gaps(levels, system) == gaps
+        assert picard_gaps(levels) == gaps
         ratios = [b / a for a, b in zip(gaps, gaps[1:])]
         assert all(r < 1.0 for r in ratios)
 
@@ -678,12 +679,11 @@ class TestPicard:
             n=32, picard_depth=3, record_every=2, p=p,
             initial_data=InitialData("random-band", amplitude=0.05, seed=4),
         )
-        system = build_system(cfg.grid)
         bp = cfg.besov_params()
         for traj in [solve(cfg), *picard_solve(cfg)]:
             assert len(traj.diagnostics) == len(traj.snapshots) == 6
             for row, snap in zip(traj.diagnostics, traj.snapshots):
-                assert row["besov"] == system.besov_norm(snap, bp)
+                assert row["besov"] == besov_norm(snap, bp)
 
     def test_iterates_approach_full_solver(self):
         cfg = cosine_config(

@@ -396,3 +396,9 @@ class TestSnapshotFiles:
         path.write_bytes(b"n=16\nno separator here")
         with pytest.raises(ConfigError):
             load_field(path)
+
+    @pytest.mark.parametrize("name", ["missing.snap", "."])
+    def test_unreadable_path_is_a_config_error(self, tmp_path, name):
+        # a missing file, and a directory
+        with pytest.raises(ConfigError, match="cannot read snapshot"):
+            load_field(tmp_path / name)
