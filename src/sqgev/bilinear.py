@@ -509,7 +509,7 @@ def gevrey_commutators(
         system.require_resolved(j)
         check_gevrey_weight(grid, gamma, alpha)
     n, h = grid.n, grid.n // 2
-    kmag = grid.k_mag[:, : h + 1]
+    kmag = grid.half_k_mag(h + 1)
     kpow = kmag**alpha
     g_half = g.coeffs[:, : h + 1]
     f_big = _lift(grid, f.coeffs[:, : h + 1])

@@ -558,7 +558,7 @@ def _prescribed_profile_field(grid, exponent, p, seed, extra_damping=0.0, alpha=
     """
     n, h = grid.n, grid.n // 2 + 1
     phase = random_phases(grid, np.random.default_rng(seed), half_plane=True)
-    kmag = grid.k_mag[:, :h]
+    kmag = grid.half_k_mag(h)
     mirrored = np.full(h, 2.0)
     mirrored[[0, -1]] = 1.0
     j_top = int(math.floor(math.log2(grid.k_nyquist)))
@@ -591,6 +591,8 @@ def check_commutator_decay(
     gamma' of the G_{-gamma'} test-field smoothing."""
     grid = Grid(n, box_length)
     js = _resolved_bands(grid, j_lo, j_hi)
+    if len(js) < 2:
+        raise ConfigError(f"the decay fit needs at least two bands, got [{j_lo}, {j_hi}]")
     gamma, alpha = commutator_gamma, commutator_alpha
     if not field_damping > gamma:
         raise ConfigError(

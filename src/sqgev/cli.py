@@ -118,6 +118,7 @@ def _save_blowup(out: Path, exc: BlowUpError, suffix: str = "") -> None:
     """Last valid snapshot and diagnostics of the level that blew up."""
     traj = exc.trajectory
     if traj.snapshots:
+        out.mkdir(parents=True, exist_ok=True)
         save_field(
             out / f"last_snapshot{suffix}.field",
             traj.snapshots[-1],
@@ -148,13 +149,13 @@ def _cmd_simulate(args) -> int:
     cfg = config_from_flat(SolverConfig, params)
     gp = config_from_flat(GevreyParams, params)
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         traj = solve(cfg)
     except BlowUpError as exc:
         _save_blowup(out, exc)
         print(f"blow-up at t={exc.time:g}; last snapshot saved", file=sys.stderr)
         return 3
+    out.mkdir(parents=True, exist_ok=True)
     write_diagnostics(traj, out / "diagnostics.csv")
     echo = _field_echo(cfg)
     for t, snap in zip(traj.times, traj.snapshots):
@@ -169,7 +170,6 @@ def _cmd_picard(args) -> int:
     params = parse_config(args.config, args.set, RUN_KEYS, RUN_DEFAULTS)
     cfg = config_from_flat(SolverConfig, params)
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         levels = picard_solve(cfg)
     except BlowUpError as exc:
@@ -182,6 +182,7 @@ def _cmd_picard(args) -> int:
         )
         return 3
     gaps = picard_gaps(levels)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "convergence.csv", "w", newline="") as fh:
         for key, val in config_echo(cfg).items():
             fh.write(f"# {key}={val}\n")

@@ -252,13 +252,12 @@ def besov_report(f: SpectralField, bp: BesovParams):
 def build_system(grid: Grid) -> DyadicSystem:
     """Resolve the dyadic range for a grid and freeze the bump profiles;
     memoized, so equal grids share one system (profiles are pure functions)."""
-    kmag = grid.k_mag
-    in_disk = (kmag > 0) & (kmag <= grid.k_nyquist)
+    radii = grid.rings.radii
+    radii = radii[(radii > 0) & (radii <= grid.k_nyquist)]
     j_max = int(np.floor(np.log2(grid.k_nyquist))) - 1
     j_min = None
     for j in range(-40, j_max + 1):
-        mask = in_disk & (kmag > 2.0 ** (j - 1)) & (kmag < 2.0 ** (j + 1))
-        if mask.any():
+        if np.any((radii > 2.0 ** (j - 1)) & (radii < 2.0 ** (j + 1))):
             j_min = j
             break
     if j_min is None or j_min > j_max:

@@ -58,8 +58,7 @@ class GevreyParams:
 
 def max_admissible_gamma(grid: Grid, alpha: float) -> float:
     """Largest gamma for which exp(gamma |k|^alpha) stays finite on the grid."""
-    kmax = float(np.max(grid.k_mag))
-    return OVERFLOW_EXPONENT / kmax**alpha
+    return OVERFLOW_EXPONENT / float(grid.rings.radii[-1]) ** alpha
 
 
 def check_gevrey_weight(grid: Grid, gamma: float, alpha: float) -> None:
@@ -212,14 +211,19 @@ def spectral_decay_fit(theta: SpectralField, alpha: float):
 
 
 def fit_line(x, y):
-    """Least-squares line through (x, y): (slope, intercept, R^2)."""
+    """Least-squares line through (x, y): (slope, intercept, R^2), from the
+    centred normal equations; ConfigError unless x takes two distinct values."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    slope, intercept = np.polyfit(x, y, 1)
+    if x.size < 2 or np.all(x == x[0]):
+        raise ConfigError(f"a line fit needs two distinct x values, got {x.size} points")
+    dx = x - x.mean()
+    slope = float(np.dot(dx, y - y.mean()) / np.dot(dx, dx))
+    intercept = float(y.mean() - slope * x.mean())
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), float(r_squared)
+    return slope, intercept, r_squared
 
 
 def fit_radius(fit) -> float:

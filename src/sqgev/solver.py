@@ -244,11 +244,11 @@ def _half_plane(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Hermitian.
     """
     n, h = grid.n, grid.n // 2 + 1
-    ikx = 1j * grid.kx[:, :1]
-    iky = 1j * grid.ky[:1, :h]
+    ikx = 1j * grid.k_axis[:, None]
+    iky = 1j * grid.k_axis[None, :h]
     ikx[n // 2] = 0.0
     iky[0, n // 2] = 0.0
-    kmag = grid.k_mag[:, :h]
+    kmag = grid.half_k_mag(h)
     inv = np.divide(1.0, kmag, out=np.zeros(kmag.shape), where=kmag > 0)
     return _freeze(ikx), _freeze(iky), _freeze(inv)
 
@@ -330,7 +330,8 @@ def nonlinear_term(theta: SpectralField, dealias: str = "two-thirds") -> Spectra
 
 
 def _heat_factor(grid: Grid, dt: float, kappa: float) -> np.ndarray:
-    return np.exp(-dt * grid.k_mag**kappa)
+    """exp(-dt |k|^kappa) on the k2 >= 0 half plane."""
+    return np.exp(-dt * grid.half_k_mag(grid.n // 2 + 1) ** kappa)
 
 
 def _heun_step(theta, work, dt, efactor, frozen=None, frozen_next=None):
@@ -384,9 +385,8 @@ def step(theta: SpectralField, dt: float, config: SolverConfig) -> SpectralField
     h = grid.n // 2 + 1
     work = _Workspace(grid, config.dealias)
     half = theta.coeffs[:, :h].copy()
-    efactor = _heat_factor(grid, dt, config.kappa)[:, :h]
-    umax = _heun_step(half, work, dt, efactor)
-    _guard(half, umax, dt, float(np.max(grid.k_mag)), dt, work, [], lambda: None)
+    umax = _heun_step(half, work, dt, _heat_factor(grid, dt, config.kappa))
+    _guard(half, umax, dt, float(grid.rings.radii[-1]), dt, work, [], lambda: None)
     return _full_spectrum(half, grid)
 
 
@@ -430,8 +430,8 @@ def _march(config: SolverConfig, sources: list) -> list[Trajectory]:
     grid, dt = config.grid, config.dt
     h = grid.n // 2 + 1
     work = _Workspace(grid, config.dealias)
-    efactor = _heat_factor(grid, dt, config.kappa)[:, :h]
-    kmax = float(np.max(grid.k_mag))
+    efactor = _heat_factor(grid, dt, config.kappa)
+    kmax = float(grid.rings.radii[-1])
     n_steps, marks = _record_steps(config)
 
     levels = range(len(sources))

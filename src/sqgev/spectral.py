@@ -75,26 +75,28 @@ class Grid:
         return f
 
     @cached_property
+    def k_axis(self) -> np.ndarray:
+        """Physical wavenumbers (2*pi/box_length) * freqs, shape (n,)."""
+        return _freeze((TWO_PI / self.box_length) * self.freqs)
+
+    @cached_property
     def kx(self) -> np.ndarray:
         """Physical wavenumber along axis 0, shape (n, n)."""
-        scale = TWO_PI / self.box_length
-        arr = np.broadcast_to((scale * self.freqs)[:, None], (self.n, self.n)).copy()
-        arr.flags.writeable = False
-        return arr
+        return _freeze(np.broadcast_to(self.k_axis[:, None], (self.n, self.n)).copy())
 
     @cached_property
     def ky(self) -> np.ndarray:
         """Physical wavenumber along axis 1, shape (n, n)."""
-        scale = TWO_PI / self.box_length
-        arr = np.broadcast_to((scale * self.freqs)[None, :], (self.n, self.n)).copy()
-        arr.flags.writeable = False
-        return arr
+        return _freeze(np.broadcast_to(self.k_axis[None, :], (self.n, self.n)).copy())
 
     @cached_property
     def k_mag(self) -> np.ndarray:
-        arr = np.hypot(self.kx, self.ky)
-        arr.flags.writeable = False
-        return arr
+        return _freeze(self.half_k_mag(self.n))
+
+    def half_k_mag(self, columns: int) -> np.ndarray:
+        """|k| on the leading columns of the fft layout, shape (n, columns);
+        columns = n//2 + 1 gives the k2 >= 0 half plane."""
+        return np.hypot(self.k_axis[:, None], self.k_axis[None, :columns])
 
     @cached_property
     def _neg_index(self) -> np.ndarray:
@@ -309,9 +311,8 @@ def inverse_transform(F: SpectralField, rtol: float = HERMITIAN_RTOL) -> RealFie
             f"coefficients are not Hermitian-symmetric "
             f"(defect {F.hermitian_defect():.3e})"
         )
-    n = F.grid.n
-    values = np.fft.ifft2(F.coeffs * (n * n)).real
-    return RealField(F.grid, values)
+    # unscaled, as forward_transform divides by n^2
+    return RealField(F.grid, np.fft.ifft2(F.coeffs, norm="forward").real)
 
 
 def apply_multiplier(F: SpectralField, symbol) -> SpectralField:
@@ -339,7 +340,7 @@ def apply_multiplier(F: SpectralField, symbol) -> SpectralField:
         hit = bad & (np.abs(F.coeffs) > floor)
         if hit.any():
             i, j = np.argwhere(hit)[0]
-            k = (grid.kx[i, j], grid.ky[i, j])
+            k = (grid.k_axis[i], grid.k_axis[j])
             raise MultiplierOverflowError(
                 f"multiplier is not finite on occupied mode k={k}", wavenumber=k
             )

@@ -198,6 +198,32 @@ class TestFitLine:
         assert r2 < 1.0
         assert -0.5 < slope < -0.1
 
+    @pytest.mark.parametrize("x", [[], [2.0], [2.0, 2.0, 2.0]])
+    def test_fewer_than_two_distinct_x_is_rejected(self, x):
+        with pytest.raises(ConfigError, match="two distinct x"):
+            _fit_line(x, np.arange(len(x), dtype=float))
+
+    def test_commutator_decay_fits_match_polyfit(self, monkeypatch):
+        # the (j, mean log2 norm) pairs of every fit, against a LAPACK fit
+        pairs = []
+
+        def spy(x, y):
+            pairs.append((np.asarray(x, float), np.asarray(y, float)))
+            return _fit_line(x, y)
+
+        monkeypatch.setattr(checks, "fit_line", spy)
+        run_check("commutator-decay", n=64, trials=2, j_lo=1, j_hi=4, seed=3)
+        assert len(pairs) == 4
+        for x, y in pairs:
+            slope, intercept, _ = _fit_line(x, y)
+            want_slope, want_intercept = np.polyfit(x, y, 1)
+            assert slope == pytest.approx(want_slope, rel=1e-12, abs=0.0)
+            assert intercept == pytest.approx(want_intercept, rel=1e-12, abs=0.0)
+
+    def test_commutator_decay_needs_two_bands(self):
+        with pytest.raises(ConfigError, match="at least two bands"):
+            run_check("commutator-decay", n=64, trials=2, j_lo=2, j_hi=2)
+
 
 class TestSmallScaleVerdicts:
     """Each check passes at reduced desk scale (the acceptance suite runs

@@ -156,6 +156,15 @@ class TestSimulateVerb:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("verb", ["simulate", "picard"])
+    def test_unreadable_initial_data_leaves_no_output_dir(self, tmp_path, capsys, verb):
+        out = tmp_path / "run"
+        code = main([verb, "-o", str(out), "--set", "n=16",
+                     "--set", f"initial_data=file:{tmp_path / 'missing.field'}"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot read snapshot")
+        assert not out.exists()
+
     def test_gevrey_overflow_exits_3_with_one_line(self, tmp_path, capsys):
         # gamma(0.1) = 1000 * 0.1^0.5 is past the overflow guard on n = 32:
         # the X_T trace, written last, fails and the run's other artifacts stay
@@ -330,6 +339,12 @@ class TestVerifyVerb:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: band range") and "resolved range [0, 5]" in err
+
+    def test_commutator_decay_on_one_band_exits_2(self, tmp_path, capsys):
+        code = main(["verify", "--check", "commutator-decay", "-o", str(tmp_path / "v"),
+                     "--set", "j_lo=2", "--set", "j_hi=2", "--set", "trials=2"])
+        assert code == 2
+        assert "at least two bands" in capsys.readouterr().err
 
     def test_key_goes_to_each_selected_check_that_takes_it(self, tmp_path):
         out = tmp_path / "v"

@@ -13,11 +13,13 @@ from sqgev.dyadic import (
     block_lp_norms,
     build_system,
 )
+from sqgev import gevrey
 from sqgev.gevrey import (
     GevreyOverflowError,
     GevreyParams,
     XTNormSample,
     analyticity_radius_estimate,
+    fit_line,
     fractional_laplacian,
     gevrey_multiply,
     heat_semigroup,
@@ -484,3 +486,33 @@ class TestRadiusEstimate:
         assert got[:3] == pytest.approx(want[:3], rel=1e-12, abs=0.0)
         assert got[3:] == want[3:]
         assert not got[4]
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("profile", ["random-band", "gaussian-pair"])
+    def test_line_fit_matches_polyfit_on_the_ring_means(self, monkeypatch, n, profile):
+        pairs = []
+
+        def spy(x, y):
+            pairs.append((x, y))
+            return fit_line(x, y)
+
+        monkeypatch.setattr(gevrey, "fit_line", spy)
+        config = SolverConfig(grid=Grid(n), initial_data=InitialData(profile, seed=5))
+        spectral_decay_fit(heat_semigroup(initial_field(config), 0.5, 0.8), 0.4)
+        ((x, y),) = pairs
+        slope, intercept, _ = fit_line(x, y)
+        want_slope, want_intercept = np.polyfit(x, y, 1)
+        assert slope == pytest.approx(want_slope, rel=1e-12, abs=0.0)
+        assert intercept == pytest.approx(want_intercept, rel=1e-12, abs=0.0)
+
+    def test_decay_fit_calls_no_least_squares_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the line fit must not call a least-squares solver")
+
+        # np.polyfit holds its own reference to lstsq, so refuse both
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        monkeypatch.setattr(np, "polyfit", refuse)
+        theta = heat_semigroup(SpectralField(Grid(64), np.ones((64, 64), dtype=complex)), 0.5, 0.6)
+        gamma_hat, *_, low_signal = spectral_decay_fit(theta, 0.6)
+        assert not low_signal
+        assert gamma_hat == pytest.approx(0.5, rel=1e-9)

@@ -75,6 +75,17 @@ class TestGrid:
         ))
         assert Grid(32, box_length).rings is rings
 
+    @pytest.mark.parametrize("box_length", [TWO_PI, 3.0])
+    def test_wavenumbers_come_from_the_frequency_axis(self, box_length):
+        grid = Grid(32, box_length)
+        k = (TWO_PI / box_length) * grid.freqs
+        assert np.array_equal(grid.k_axis, k)
+        assert np.array_equal(grid.kx, np.broadcast_to(k[:, None], (32, 32)))
+        assert np.array_equal(grid.ky, np.broadcast_to(k[None, :], (32, 32)))
+        assert np.array_equal(grid.k_mag, np.hypot(grid.kx, grid.ky))
+        assert np.array_equal(grid.half_k_mag(17), grid.k_mag[:, :17])
+        assert grid.rings.radii[-1] == np.max(grid.k_mag)
+
     @pytest.mark.parametrize("n", [7, 12, 4, 0])
     def test_rejects_bad_sizes(self, n):
         with pytest.raises(ConfigError):
@@ -109,6 +120,14 @@ class TestTransforms:
         back = inverse_transform(forward_transform(f))
         rel = np.linalg.norm(back.values - f.values) / np.linalg.norm(f.values)
         assert rel <= 1e-12
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_inverse_equals_the_scaled_ifft2_bit_for_bit(self, n):
+        # n^2 is a power of two, so scaling the input by it is exact
+        grid = Grid(n)
+        F = forward_transform(random_real_field(grid, seed=n))
+        want = np.fft.ifft2(F.coeffs * (n * n)).real
+        assert np.array_equal(inverse_transform(F).values, want)
 
     def test_spectral_round_trip(self):
         grid = Grid(16)
@@ -221,6 +240,14 @@ class TestApplyMultiplier:
         with pytest.raises(MultiplierOverflowError) as err:
             apply_multiplier(F, bad)
         assert err.value.wavenumber is not None
+
+    def test_overflow_names_the_physical_wavenumber(self):
+        grid = Grid(16, box_length=2 * TWO_PI)
+        x1, _ = grid.meshgrid()
+        F = forward_transform(RealField(grid, np.cos(x1)))  # modes m = (+-2, 0)
+        with pytest.raises(MultiplierOverflowError) as err:
+            apply_multiplier(F, np.where(grid.k_mag == 1.0, np.inf, 1.0))
+        assert err.value.wavenumber == (1.0, 0.0)
 
     def test_nonfinite_symbol_on_empty_mode_is_zeroed(self):
         grid = Grid(16)
