@@ -24,7 +24,6 @@ from .gevrey import (
     GevreyOverflowError,
     GevreyParams,
     XTNormSample,
-    analyticity_radius_estimate,
     fractional_laplacian,
     gevrey_multiply,
     heat_semigroup,
@@ -46,7 +45,6 @@ from .bilinear import (
     apply_bilinear,
     dilate,
     estimate_operator_norm,
-    gevrey_commutator,
     marcinkiewicz_check,
     registered_symbol,
     rotation_dual,

@@ -502,7 +502,7 @@ def gevrey_commutators(
     carry a defect: the other columns stand for their own mirrors, and the
     Nyquist row and column are zero.
     """
-    _require_real_pair(f, g, "gevrey_commutator")
+    _require_real_pair(f, g, "gevrey_commutators")
     grid = f.grid
     system = build_system(grid)
     for j, gamma in bands:
@@ -527,19 +527,6 @@ def gevrey_commutators(
             )
         out.append(RealField(grid, np.fft.irfft2(c, s=(n, n), norm="forward")))
     return out
-
-
-def gevrey_commutator(
-    f: SpectralField,
-    g: SpectralField,
-    j: int,
-    gamma: float,
-    alpha: float,
-) -> RealField:
-    """[G_gamma Delta_j, f] g = G_gamma Delta_j (f g) - f G_gamma Delta_j g,
-    the one-band case of gevrey_commutators: products are formed on a
-    padded grid so they are exact on the lattice."""
-    return gevrey_commutators(f, g, [(j, gamma)], alpha)[0]
 
 
 def commutator_symbol(j: int, gamma: float, alpha: float) -> BilinearSymbol:

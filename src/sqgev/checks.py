@@ -2,17 +2,17 @@
 
 One runnable check per quantitative estimate: each sweeps randomized trials,
 fits constants or log2 slopes, and issues a pass/fail verdict against
-configured tolerances.  "Bounded up to a constant" is operationalized as:
+fixed tolerances.  "Bounded up to a constant" is operationalized as:
 the fitted constant exists, is finite, and is uniform (within the stated
 spread) over the swept parameter that the estimate's constant must not
-depend on.  A regression with R^2 < 0.9 can never pass; it is flagged
-inconclusive instead.
+depend on.  A regression with R^2 < MIN_R_SQUARED can never pass; it is
+flagged inconclusive instead.
 
 Each check_* takes its parameters as keyword arguments, whose defaults are
 the check's configuration, and returns (trials, fits, verdict, notes);
 run_check overlays the overrides on those defaults and builds the report.
-Tolerances: slope_slack in log2 units, constant_cap for parameter-uniform
-ratio caps, min_r_squared for regressions.
+The tolerances are module constants, not parameters, so that no run can
+move a verdict by moving its bound.  Every check runs on the 2*pi box.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .gevrey import (
 )
 from .solver import BlowUpError, InitialData, SolverConfig, picard_gaps, picard_solve, solve
 from .spectral import (
-    TWO_PI,
     ConfigError,
     Grid,
     RealField,
@@ -56,6 +55,12 @@ from .spectral import (
 )
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
+
+# Verdict bounds: the cap of a parameter-uniform ratio, the slack of a decay
+# slope in log2 units, and the least R^2 of a regression that can pass.
+CONSTANT_CAP = 50.0
+SLOPE_SLACK = 0.2
+MIN_R_SQUARED = 0.9
 
 
 @dataclass
@@ -161,14 +166,14 @@ def _lp_norms(field: SpectralField, ps) -> dict:
 
 
 def check_bernstein(
-    *, n=128, box_length=TWO_PI, j_lo=1, j_hi=5,
+    *, n=128, j_lo=1, j_hi=5,
     trials=500, seed=0, s_set=(0.25, 0.5, 1.0), p_set=(2.0, 4.0, 8.0),
 ):
     """Two-sided block norm equivalences: the fractional-derivative sandwich
     ratio and its |f|^(p/2) variant must be j-uniform within 2^(2|s|)*1.1."""
     if not all(1.0 <= p < math.inf for p in p_set):
         raise ConfigError(f"bernstein needs 1 <= p < inf for every p, got p_set={p_set}")
-    grid = Grid(n, box_length)
+    grid = Grid(n)
     js = _resolved_bands(grid, j_lo, j_hi)
     rows = []
     for trial in range(trials):
@@ -216,14 +221,14 @@ def _smooth_noise(grid, seed):
 
 
 def check_positivity(
-    *, n=64, box_length=TWO_PI, trials=200, seed=0,
+    *, n=64, trials=200, seed=0,
     s_set=(0.25, 0.5, 0.9), p_set=(2.0, 4.0, 6.0),
 ):
     """int Lambda^s f |f|^(p-2) f dx >= (2/p) || Lambda^(s/2) f^(p/2) ||_2^2
     with the signed power; exact equality at p = 2."""
     if not all(2.0 <= p < math.inf for p in p_set):
         raise ConfigError(f"positivity needs 2 <= p < inf for every p, got p_set={p_set}")
-    grid = Grid(n, box_length)
+    grid = Grid(n)
     rows = []
     verdict = PASS
     worst = math.inf
@@ -259,13 +264,13 @@ def check_positivity(
 
 
 def check_heat_kernel(
-    *, n=128, box_length=TWO_PI, j_lo=1, j_hi=5,
+    *, n=128, j_lo=1, j_hi=5,
     trials=100, seed=0, kappa_set=(0.5, 0.8), p_set=(2.0, 4.0),
     t_grid=tuple(float(t) for t in np.logspace(-2, 0, 5)),
 ):
     """Measured block decay rates r = -log(norm ratio)/t must straddle
     2^(kappa j) with a j,t,p-uniform spread at most 2^kappa * 1.1."""
-    grid = Grid(n, box_length)
+    grid = Grid(n)
     js = _resolved_bands(grid, j_lo, j_hi)
     # per_kappa[i] holds the rows of kappa_set[i]; each block serves every
     # kappa and is transformed once, and each decayed block serves every p
@@ -308,15 +313,15 @@ def check_heat_kernel(
 
 
 def check_lin_gevrey(
-    *, n=128, box_length=TWO_PI, j_lo=0, j_hi=4,
+    *, n=128, j_lo=0, j_hi=4,
     trials=60, seed=0, alpha=0.3, kappa=0.8, gamma_set=(0.01, 0.1, 0.5),
-    p_set=(2.0, 4.0), constant_cap=50.0,
+    p_set=(2.0, 4.0),
 ):
     """||G Lambda^alpha block|| over its two-term majorant, uniformly capped
     over the (j, gamma) sweep; prefactor gamma^((kappa-alpha)/alpha)."""
     if not 0 < alpha < kappa:
         raise ConfigError(f"need 0 < alpha < kappa, got {alpha}, {kappa}")
-    grid = Grid(n, box_length)
+    grid = Grid(n)
     js = _resolved_bands(grid, j_lo, j_hi)
     exponent = (kappa - alpha) / alpha
     rows = []
@@ -350,7 +355,7 @@ def check_lin_gevrey(
         if any(r["gamma"] == g for r in rows)
     }
     fits = {"max_ratio": max(ratios), "prefactor_exponent": exponent, **per_gamma}
-    verdict = PASS if max(ratios) <= constant_cap else FAIL
+    verdict = PASS if max(ratios) <= CONSTANT_CAP else FAIL
     notes = [f"{skipped} overflow/degenerate trials skipped"] if skipped else []
     return rows, fits, verdict, notes
 
@@ -452,7 +457,7 @@ def check_concavity(*, seed=0, alpha_set=(0.3, 0.5, 0.9), c_set=(0.5, 1.0, 2.0))
 
 def check_r_derivatives(
     *, alpha_set=(0.3, 0.5, 0.9), sigma_set=(0.0, 0.5, 1.0), gap_set=(3, 4, 5, 6, 7),
-    max_order=2, constant_cap=50.0,
+    max_order=2,
 ):
     """Weighted maxima |d^b1_xi d^b2_eta R_{alpha,sigma}| |xi|^|b1| |eta|^|b2|
     / 2^(l alpha) uniform over the frequency-separated probe family; the
@@ -511,7 +516,7 @@ def check_r_derivatives(
                     )
                     worst = max(worst, value)
     fits = {"max_ratio": worst}
-    verdict = PASS if worst <= constant_cap and math.isfinite(worst) else FAIL
+    verdict = PASS if worst <= CONSTANT_CAP and math.isfinite(worst) else FAIL
     return rows, fits, verdict, []
 
 
@@ -580,16 +585,15 @@ def _prescribed_profile_field(grid, exponent, p, seed, extra_damping=0.0, alpha=
 
 
 def check_commutator_decay(
-    *, n=128, box_length=TWO_PI, j_lo=1, j_hi=5,
+    *, n=128, j_lo=1, j_hi=5,
     trials=50, seed=0, st_sets=((1.2, 0.3, 2.0), (1.3, 0.5, 4.0)),
     commutator_gamma=0.05, commutator_alpha=0.6, delta=0.1, field_damping=0.25,
-    slope_slack=0.2, min_r_squared=0.9,
 ):
     """log2 || [G_gamma Delta_j, f] g ||_p regressed against j: the slope must
     not exceed -(s+t-2/p) (+ (alpha-delta) in Gevrey mode) plus slack.
     st_sets holds the exponent triples (s, t, p); field_damping is the
     gamma' of the G_{-gamma'} test-field smoothing."""
-    grid = Grid(n, box_length)
+    grid = Grid(n)
     js = _resolved_bands(grid, j_lo, j_hi)
     if len(js) < 2:
         raise ConfigError(f"the decay fit needs at least two bands, got [{j_lo}, {j_hi}]")
@@ -634,16 +638,16 @@ def check_commutator_decay(
                 continue
             means = [float(np.mean(logs[j])) for j in js]
             slope, _, r2 = fit_line(js, means)
-            cap = -decay_target + slope_slack
+            cap = -decay_target + SLOPE_SLACK
             if mode == "gevrey":
                 cap += alpha - delta
             tag = f"{mode}_s{s:g}_t{t:g}_p{p:g}"
             fits[f"slope_{tag}"] = slope
             fits[f"cap_{tag}"] = cap
             fits[f"r2_{tag}"] = r2
-            if r2 < min_r_squared:
+            if r2 < MIN_R_SQUARED:
                 verdict = INCONCLUSIVE if verdict == PASS else verdict
-                notes.append(f"{tag}: regression R^2 = {r2:.3f} < {min_r_squared}")
+                notes.append(f"{tag}: regression R^2 = {r2:.3f} < {MIN_R_SQUARED}")
             elif slope > cap:
                 verdict = FAIL
 
@@ -686,15 +690,14 @@ def _contraction_ratios(gaps, floor):
 
 
 def check_wellposedness(
-    *, n=128, box_length=TWO_PI, seed=0,
+    *, n=128, seed=0,
     alpha=0.4, kappa=0.8, lam=0.5, beta=0.3, amplitudes=(0.01, 0.1, 1.0),
     p=2.0, q=2.0, dt=0.01, t_end=1.0, record_every=10, picard_depth=6,
-    constant_cap=50.0, min_r_squared=0.9,
 ):
     """Small-data bounds for the approximation scheme: uniform X_T control,
     vanishing heat-flow X_T as T -> 0, contraction of successive iterates,
     amplitude-linearity, and the Gevrey-radius growth exponent."""
-    grid = Grid(n, box_length)
+    grid = Grid(n)
     gp = GevreyParams(alpha=alpha, kappa=kappa, lam=lam, beta=beta)
     rows = []
     fits = {}
@@ -731,7 +734,7 @@ def check_wellposedness(
         xt_ratios.append(sup / theta0_norm)
         rows.append({"kind": "xt_ratio", "level": lvl, "value": xt_ratios[-1]})
     fits["max_xt_ratio"] = max(xt_ratios)
-    if not (math.isfinite(max(xt_ratios)) and max(xt_ratios) <= constant_cap):
+    if not (math.isfinite(max(xt_ratios)) and max(xt_ratios) <= CONSTANT_CAP):
         verdict = FAIL
 
     gaps = picard_gaps(levels)
@@ -815,9 +818,9 @@ def check_wellposedness(
         fits["r_squared"] = r2
         target = 0.8 * gp.alpha / kappa
         fits["radius_slope_target"] = target
-        if r2 < min_r_squared:
+        if r2 < MIN_R_SQUARED:
             verdict = INCONCLUSIVE if verdict == PASS else verdict
-            notes.append(f"radius regression R^2 = {r2:.3f} < {min_r_squared}")
+            notes.append(f"radius regression R^2 = {r2:.3f} < {MIN_R_SQUARED}")
         elif slope < target:
             verdict = FAIL
     else:

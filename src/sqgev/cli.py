@@ -33,7 +33,6 @@ from .solver import (
     picard_gaps,
     picard_solve,
     solve,
-    write_diagnostics,
 )
 from .spectral import ConfigError, SpectralField, forward_transform, load_field, save_field
 
@@ -110,22 +109,40 @@ def parse_config(path: str | None, overrides: list[str], keys: dict, defaults: d
     return merged
 
 
+def write_csv(path, echo: dict, columns, rows) -> None:
+    """The one table layout of every artifact: '# key=value' echo lines, a
+    header row, then the rows, each float cell (numpy's too) as the repr of
+    a Python float."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(f"# {key}={val}\n" for key, val in echo.items())
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
+        )
+
+
+def write_diagnostics(traj: Trajectory, path) -> None:
+    columns = ["t", "l2", "lp", "besov", "radius"]
+    rows = ([row[c] for c in columns] for row in traj.diagnostics)
+    write_csv(path, config_echo(traj.config), columns, rows)
+
+
 def _field_echo(cfg: SolverConfig) -> dict:
     return {f"config_{k}": v for k, v in config_echo(cfg).items()}
 
 
-def _save_blowup(out: Path, exc: BlowUpError, suffix: str = "") -> None:
-    """Last valid snapshot and diagnostics of the level that blew up."""
+def _save_blowup(out: Path, exc: BlowUpError, suffix: str = "") -> str:
+    """Last valid snapshot and diagnostics of the level that blew up, if it
+    recorded any; returns the end of the stderr message that says which."""
     traj = exc.trajectory
-    if traj.snapshots:
-        out.mkdir(parents=True, exist_ok=True)
-        save_field(
-            out / f"last_snapshot{suffix}.field",
-            traj.snapshots[-1],
-            time=traj.times[-1],
-            extra=_field_echo(traj.config),
-        )
-        write_diagnostics(traj, out / f"diagnostics{suffix}.csv")
+    if not traj.snapshots:
+        return "no snapshot saved"
+    out.mkdir(parents=True, exist_ok=True)
+    save_field(out / f"last_snapshot{suffix}.field", traj.snapshots[-1],
+               time=traj.times[-1], extra=_field_echo(traj.config))
+    write_diagnostics(traj, out / f"diagnostics{suffix}.csv")
+    return "last snapshot saved"
 
 
 def _write_xt_trace(path, traj: Trajectory, gp: GevreyParams) -> None:
@@ -133,15 +150,9 @@ def _write_xt_trace(path, traj: Trajectory, gp: GevreyParams) -> None:
     bp = BesovParams(cfg.sigma + gp.beta, cfg.p, cfg.q)
     _, samples = xt_norm(traj.samples(), gp, bp)
     radii = {row["t"]: row["radius"] for row in traj.diagnostics}
-    with open(path, "w", newline="") as fh:
-        for key, val in {**config_echo(cfg), "lam": gp.lam, "beta": gp.beta}.items():
-            fh.write(f"# {key}={val}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "gamma_t", "besov_norm", "weighted_norm", "radius_estimate"])
-        for s in samples:
-            writer.writerow(
-                [repr(s.t), repr(s.gamma), repr(s.besov), repr(s.weighted), repr(radii.get(s.t, 0.0))]
-            )
+    columns = ["t", "gamma_t", "besov_norm", "weighted_norm", "radius_estimate"]
+    rows = ([s.t, s.gamma, s.besov, s.weighted, radii.get(s.t, 0.0)] for s in samples)
+    write_csv(path, {**config_echo(cfg), "lam": gp.lam, "beta": gp.beta}, columns, rows)
 
 
 def _cmd_simulate(args) -> int:
@@ -152,8 +163,7 @@ def _cmd_simulate(args) -> int:
     try:
         traj = solve(cfg)
     except BlowUpError as exc:
-        _save_blowup(out, exc)
-        print(f"blow-up at t={exc.time:g}; last snapshot saved", file=sys.stderr)
+        print(f"blow-up at t={exc.time:g}; {_save_blowup(out, exc)}", file=sys.stderr)
         return 3
     out.mkdir(parents=True, exist_ok=True)
     write_diagnostics(traj, out / "diagnostics.csv")
@@ -174,22 +184,16 @@ def _cmd_picard(args) -> int:
         levels = picard_solve(cfg)
     except BlowUpError as exc:
         level = exc.trajectory.meta["level"]
-        _save_blowup(out, exc, f"_level{level}")
+        saved = _save_blowup(out, exc, f"_level{level}")
         print(
-            f"blow-up at t={exc.time:g} during Picard iteration (level {level}); "
-            "last snapshot saved",
+            f"blow-up at t={exc.time:g} during Picard iteration (level {level}); {saved}",
             file=sys.stderr,
         )
         return 3
     gaps = picard_gaps(levels)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "convergence.csv", "w", newline="") as fh:
-        for key, val in config_echo(cfg).items():
-            fh.write(f"# {key}={val}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["level", "sup_besov_gap_to_next"])
-        for lvl, gap in enumerate(gaps):
-            writer.writerow([lvl, repr(gap)])
+    columns = ["level", "sup_besov_gap_to_next"]
+    write_csv(out / "convergence.csv", config_echo(cfg), columns, enumerate(gaps))
     echo = _field_echo(cfg)
     for lvl, traj in enumerate(levels):
         write_diagnostics(traj, out / f"diagnostics_level{lvl}.csv")
@@ -215,21 +219,18 @@ def _cmd_analyze(args) -> int:
     _, _, r2, n_rings, _ = fit
     radius = fit_radius(fit)
     report_path = out / "analysis.csv"
-    with open(report_path, "w", newline="") as fh:
-        fh.write(f"# snapshot={args.snapshot}\n")
-        for key, val in sorted(header.items()):
-            fh.write(f"# snapshot_{key}={val}\n")
-        for key in sorted(ANALYZE_KEYS):
-            fh.write(f"# {key}={params[key]}\n")
-        fh.write(f"# besov_s={bp.s}\n")
-        fh.write(f"# discarded_energy_fraction={discarded!r}\n")
-        fh.write(f"# radius_estimate={radius!r}\n")
-        fh.write(f"# radius_fit_r2={r2!r}\n")
-        fh.write(f"# radius_fit_rings={n_rings}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["j", "weighted_block_norm", "cumulative_q_sum"])
-        for row in rows:
-            writer.writerow([row["j"], repr(row["weighted_block_norm"]), repr(row["cumulative"])])
+    echo = {
+        "snapshot": args.snapshot,
+        **{f"snapshot_{key}": val for key, val in sorted(header.items())},
+        **{key: params[key] for key in sorted(ANALYZE_KEYS)},
+        "besov_s": bp.s,
+        "discarded_energy_fraction": discarded,
+        "radius_estimate": radius,
+        "radius_fit_r2": r2,
+        "radius_fit_rings": n_rings,
+    }
+    table = ([row["j"], row["weighted_block_norm"], row["cumulative"]] for row in rows)
+    write_csv(report_path, echo, ["j", "weighted_block_norm", "cumulative_q_sum"], table)
     print(
         f"analysis -> {report_path} (besov={rows[-1]['cumulative']:.6g}, "
         f"radius={radius:.6g})"
@@ -257,13 +258,16 @@ def _cmd_verify(args) -> int:
         for key, default in params.items()
         if _key_type(default)
     }
-    overrides = parse_config(args.config, args.set, keys, {})
+    # before any value is parsed: a key that no check takes (a verdict
+    # bound, say) reads like one that only an unselected check takes
     untaken = {item.partition("=")[0].strip() for item in args.set}
     untaken -= {key for cid in ids for key in takes[cid]}
     if untaken:
         raise UsageError(
-            f"no selected check takes {', '.join(sorted(untaken))}; checks: {', '.join(ids)}"
+            f"unknown key {', '.join(map(repr, sorted(untaken)))}: no selected check takes "
+            f"it; checks: {', '.join(ids)}"
         )
+    overrides = parse_config(args.config, args.set, keys, {})
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
@@ -284,14 +288,9 @@ def _cmd_verify(args) -> int:
         if report.verdict != checks_mod.PASS:
             failed = True
         print(f"{cid:20s} {report.verdict:12s} key={report.key_constant():.6g}")
-    with open(out / "summary.csv", "w", newline="") as fh:
-        fh.write(f"# checks={','.join(ids)}\n")
-        for key in sorted(overrides):
-            fh.write(f"# {key}={overrides[key]}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["check_id", "verdict", "key_constant", "residual", "message"])
-        for cid, verdict, key_constant, residual, message in summary:
-            writer.writerow([cid, verdict, repr(key_constant), repr(residual), message])
+    echo = {"checks": ",".join(ids), **dict(sorted(overrides.items()))}
+    columns = ["check_id", "verdict", "key_constant", "residual", "message"]
+    write_csv(out / "summary.csv", echo, columns, summary)
     return 3 if errored else 4 if failed else 0
 
 

@@ -3,7 +3,6 @@ time-weighted Gevrey-Besov norms and analyticity-radius estimation."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -231,15 +230,3 @@ def fit_radius(fit) -> float:
     else the fitted slope clamped at 0."""
     gamma_hat, *_, low_signal = fit
     return 0.0 if low_signal else max(gamma_hat, 0.0)
-
-
-def analyticity_radius_estimate(theta: SpectralField, alpha: float) -> float:
-    """Spectral-decay estimate of the Gevrey radius, clamped at zero; warns
-    when the spectrum is too weak to fit (a zero field, say)."""
-    fit = spectral_decay_fit(theta, alpha)
-    if fit[-1]:  # low signal
-        warnings.warn(
-            "analyticity radius: spectrum numerically zero on the fit range",
-            stacklevel=2,
-        )
-    return fit_radius(fit)

@@ -211,17 +211,6 @@ class RealField:
             raise ConfigError("real field contains non-finite entries")
         object.__setattr__(self, "values", _freeze(v.copy()))
 
-    def __add__(self, other: "RealField") -> "RealField":
-        return RealField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "RealField") -> "RealField":
-        return RealField(self.grid, self.values - other.values)
-
-    def __mul__(self, c: float) -> "RealField":
-        return RealField(self.grid, self.values * c)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class SpectralField:

@@ -290,7 +290,7 @@ class TestAcceptance:
                     initial_data=InitialData("gaussian-pair", amplitude=2.0),
                 )
             )
-            finals[dt] = run.final()
+            finals[dt] = run.snapshots[-1]
         err1 = (finals[0.02] - finals[0.01]).l2_norm()
         err2 = (finals[0.01] - finals[0.005]).l2_norm()
         order = math.log2(err1 / err2)

@@ -20,7 +20,6 @@ from sqgev.bilinear import (
     commutator_symbol,
     dilate,
     estimate_operator_norm,
-    gevrey_commutator,
     gevrey_commutators,
     make_kgtrj,
     make_riesz_pair,
@@ -403,7 +402,7 @@ class TestGevreyCommutator:
         grid = Grid(32)
         ones = forward_transform(RealField(grid, 2.5 * np.ones((32, 32))))
         g = random_band_limited(grid, 2, seed=20)
-        out = gevrey_commutator(ones, g, 2, gamma=0.1, alpha=0.5)
+        (out,) = gevrey_commutators(ones, g, [(2, 0.1)], alpha=0.5)
         g_scale = np.max(np.abs(inverse_transform(delta_j(g, 2)).values))
         assert np.max(np.abs(out.values)) <= 1e-12 * 2.5 * g_scale
 
@@ -412,7 +411,7 @@ class TestGevreyCommutator:
         f = box_limited_noise(grid, 5, seed=21)
         g = box_limited_noise(grid, 5, seed=22)
         j = 2
-        got = gevrey_commutator(f, g, j, gamma=0.0, alpha=0.5)
+        (got,) = gevrey_commutators(f, g, [(j, 0.0)], alpha=0.5)
         want = inverse_transform(
             delta_j(padded_product(f, g), j)
             - padded_product(f, delta_j(g, j))
@@ -441,7 +440,7 @@ class TestGevreyCommutator:
         for sx in (1, -1):
             for sy in (4, -4):
                 expected[sx % 32, sy % 32] += 0.25 * weight((sx, sy), (0, sy))
-        got = forward_transform(gevrey_commutator(f, g, j, gamma, alpha))
+        got = forward_transform(gevrey_commutators(f, g, [(j, gamma)], alpha)[0])
         assert np.max(np.abs(got.coeffs - expected)) <= 1e-12
 
     def test_matches_bilinear_symbol_form(self):
@@ -449,7 +448,7 @@ class TestGevreyCommutator:
         f = box_limited_noise(grid, 3, seed=23)
         g = box_limited_noise(grid, 3, seed=24)
         j, gamma, alpha = 1, 0.15, 0.5
-        literal = forward_transform(gevrey_commutator(f, g, j, gamma, alpha))
+        literal = forward_transform(gevrey_commutators(f, g, [(j, gamma)], alpha)[0])
         from_symbol = apply_bilinear(commutator_symbol(j, gamma, alpha), f, g)
         scale = max(np.max(np.abs(from_symbol.coeffs)), 1e-30)
         assert np.max(np.abs(literal.coeffs - from_symbol.coeffs)) <= 1e-10 * scale
@@ -494,7 +493,8 @@ class TestBatchedCommutator:
         grid = Grid(32)
         f, g = white_noise(grid, 35), white_noise(grid, 36)
         batched = gevrey_commutators(f, g, [(1, 0.0), (2, 0.05)], 0.5)
-        assert np.array_equal(gevrey_commutator(f, g, 2, 0.05, 0.5).values, batched[1].values)
+        (one_band,) = gevrey_commutators(f, g, [(2, 0.05)], 0.5)
+        assert np.array_equal(one_band.values, batched[1].values)
 
     def test_guards(self):
         grid = Grid(16)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,25 @@ class TestSimulateVerb:
                      "--set", f"initial_data=file:{tmp_path / 'missing.field'}"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: cannot read snapshot")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["simulate", "picard"])
+    def test_blowup_of_the_initial_row_saves_nothing(self, tmp_path, capsys, verb):
+        # two finite 1e200 coefficients overflow the initial diagnostics row,
+        # so the run ends before a snapshot is recorded
+        coeffs = np.zeros((16, 16), dtype=complex)
+        coeffs[1, 2] = coeffs[-1, -2] = 1e200
+        snap = tmp_path / "huge.field"
+        save_field(snap, SpectralField(Grid(16), coeffs))
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([verb, "-o", str(out), "--set", "n=16", "--set", "dealias=none",
+                         "--set", f"initial_data=file:{snap}"])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("blow-up at t=0")
+        assert err[0].endswith("; no snapshot saved")
         assert not out.exists()
 
     def test_gevrey_overflow_exits_3_with_one_line(self, tmp_path, capsys):
@@ -358,6 +378,27 @@ class TestVerifyVerb:
         assert concavity == {"seed": 3, "alpha_set": [0.3, 0.5, 0.9], "c_set": [0.5, 1.0, 2.0]}
         assert (positivity["n"], positivity["trials"], positivity["seed"]) == (16, 2, 3)
 
+    def test_int_tuple_key(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        code = main(["verify", "--check", "r-derivatives", "-o", str(out), "--set", "gap_set=3,4"])
+        assert code == 0
+        assert json.loads((out / "r-derivatives.json").read_text())["config"]["gap_set"] == [3, 4]
+        code = main(["verify", "--check", "r-derivatives", "-o", str(tmp_path / "w"),
+                     "--set", "gap_set=3.5"])
+        assert code == 2
+        assert "'gap_set' expects int_tuple" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check, item", [
+        ("lin-gevrey", "constant_cap=1e9"), ("bernstein", "box_length=3"),
+    ])
+    def test_verdict_bounds_and_the_box_are_not_keys(self, tmp_path, capsys, check, item):
+        # a verdict bound is a constant of the checks, and every check runs
+        # on the 2*pi box
+        out = tmp_path / "v"
+        assert main(["verify", "--check", check, "-o", str(out), "--set", item]) == 2
+        assert "no selected check takes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gevrey_overflow_exits_3(self, tmp_path, capsys):
         code = main(
             ["verify", "--check", "wellposedness", "-o", str(tmp_path / "v"),
@@ -394,6 +435,39 @@ class TestVerifyVerb:
         )
         assert code == 3
         assert json.loads((out / "concavity.json").read_text())["verdict"] == "pass"
+
+
+# The text columns of summary.csv; every other cell of every table is a float
+# or an int.
+TEXT_COLUMNS = {"check_id", "verdict", "message"}
+
+
+class TestArtifactTables:
+    def test_every_numeric_cell_parses_as_a_float(self, tmp_path):
+        runs = {
+            "sim": ["simulate", "--set", "n=32", "--set", "t_end=0.1", "--set", "dt=0.02"],
+            "pic": ["picard", "--set", "n=32", "--set", "t_end=0.1", "--set", "dt=0.02",
+                    "--set", "picard_depth=1"],
+            "ver": ["verify", "--check", "concavity", "--check", "positivity",
+                    "--set", "n=16", "--set", "trials=2"],
+        }
+        for name, argv in runs.items():
+            assert main([*argv, "-o", str(tmp_path / name)]) == 0
+        snap = max((tmp_path / "sim").glob("snapshot_t*.field"))
+        assert main(["analyze", str(snap), "-o", str(tmp_path / "ana")]) == 0
+        tables = sorted(tmp_path.glob("*/*.csv"))
+        assert {p.name for p in tables} == {
+            "diagnostics.csv", "xt_trace.csv", "convergence.csv", "diagnostics_level0.csv",
+            "diagnostics_level1.csv", "analysis.csv", "summary.csv",
+        }
+        for path in tables:
+            with open(path, newline="") as fh:
+                header, *rows = csv.reader(line for line in fh if not line.startswith("#"))
+            assert rows, path
+            for row in rows:
+                for column, cell in zip(header, row):
+                    if column not in TEXT_COLUMNS:
+                        float(cell)
 
 
 class TestSymbolsVerb:

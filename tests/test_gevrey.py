@@ -18,8 +18,8 @@ from sqgev.gevrey import (
     GevreyOverflowError,
     GevreyParams,
     XTNormSample,
-    analyticity_radius_estimate,
     fit_line,
+    fit_radius,
     fractional_laplacian,
     gevrey_multiply,
     heat_semigroup,
@@ -439,7 +439,7 @@ class TestRadiusEstimate:
         alpha = 0.5
         coeffs = np.exp(-2.0 * grid.k_mag**alpha)
         theta = SpectralField(grid, coeffs)
-        assert analyticity_radius_estimate(theta, alpha) == pytest.approx(2.0, abs=1e-6)
+        assert fit_radius(spectral_decay_fit(theta, alpha)) == pytest.approx(2.0, abs=1e-6)
 
     def test_white_spectrum_gives_zero(self):
         grid = Grid(64)
@@ -447,7 +447,7 @@ class TestRadiusEstimate:
         signs = np.sign(hermitian_symmetrize(grid, rng.standard_normal((64, 64)) + 0j).real)
         signs[signs == 0] = 1.0
         theta = SpectralField(grid, signs.astype(complex))
-        assert analyticity_radius_estimate(theta, 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert fit_radius(spectral_decay_fit(theta, 0.5)) == pytest.approx(0.0, abs=1e-12)
 
     def test_heat_flow_of_flat_data_recovers_time(self):
         grid = Grid(128)
@@ -455,14 +455,15 @@ class TestRadiusEstimate:
         flat = SpectralField(grid, np.ones((128, 128), dtype=complex))
         for t in (0.5, 1.5):
             decayed = heat_semigroup(flat, t, kappa)
-            est = analyticity_radius_estimate(decayed, kappa)
+            est = fit_radius(spectral_decay_fit(decayed, kappa))
             assert abs(est - t) / t <= 0.02
 
-    def test_zero_field_warns_and_returns_zero(self):
+    def test_zero_field_returns_zero(self):
         grid = Grid(64)
         theta = SpectralField(grid, np.zeros((64, 64), dtype=complex))
-        with pytest.warns(UserWarning):
-            assert analyticity_radius_estimate(theta, 0.5) == 0.0
+        fit = spectral_decay_fit(theta, 0.5)
+        assert fit[-1]  # low signal
+        assert fit_radius(fit) == 0.0
 
     def test_fit_reports_low_signal(self):
         grid = Grid(64)
