@@ -15,13 +15,14 @@ import csv
 import inspect
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
 from . import checks as checks_mod
 from .bilinear import SYMBOL_REGISTRY
 from .checks import ALL_CHECKS, check_defaults, run_check
-from .dyadic import BesovParams, besov_report
+from .dyadic import BesovParams, besov_norm, besov_report
 from .gevrey import GevreyOverflowError, GevreyParams, fit_radius, spectral_decay_fit, xt_norm
 from .solver import (
     BlowUpError,
@@ -30,7 +31,6 @@ from .solver import (
     config_echo,
     config_from_flat,
     flat_config,
-    picard_gaps,
     picard_solve,
     solve,
 )
@@ -132,73 +132,115 @@ def _field_echo(cfg: SolverConfig) -> dict:
     return {f"config_{k}": v for k, v in config_echo(cfg).items()}
 
 
-def _save_blowup(out: Path, exc: BlowUpError, suffix: str = "") -> str:
-    """Last valid snapshot and diagnostics of the level that blew up, if it
-    recorded any; returns the end of the stderr message that says which."""
-    traj = exc.trajectory
-    if not traj.snapshots:
+def _save_blowup(out: Path, traj: Trajectory, save_last, suffix: str = "") -> str:
+    """Diagnostics of the level that blew up and, through save_last(path),
+    its last recorded snapshot, if it recorded any; returns the end of the
+    stderr message that says which."""
+    if not traj.times:
         return "no snapshot saved"
     out.mkdir(parents=True, exist_ok=True)
-    save_field(out / f"last_snapshot{suffix}.field", traj.snapshots[-1],
-               time=traj.times[-1], extra=_field_echo(traj.config))
+    save_last(out / f"last_snapshot{suffix}.field")
     write_diagnostics(traj, out / f"diagnostics{suffix}.csv")
     return "last snapshot saved"
 
 
-def _write_xt_trace(path, traj: Trajectory, gp: GevreyParams) -> None:
-    cfg = traj.config
-    bp = BesovParams(cfg.sigma + gp.beta, cfg.p, cfg.q)
-    _, samples = xt_norm(traj.samples(), gp, bp)
-    radii = {row["t"]: row["radius"] for row in traj.diagnostics}
-    columns = ["t", "gamma_t", "besov_norm", "weighted_norm", "radius_estimate"]
-    rows = ([s.t, s.gamma, s.besov, s.weighted, radii.get(s.t, 0.0)] for s in samples)
-    write_csv(path, {**config_echo(cfg), "lam": gp.lam, "beta": gp.beta}, columns, rows)
+class _SimulateSink:
+    """Record sink of `simulate`: writes each snapshot file as it is
+    recorded, creating the output directory at the first, and keeps only
+    its X_T sample.  The first Gevrey overflow of a sample is held in
+    overflow, for the caller to raise once the other artifacts are written."""
+
+    def __init__(self, out: Path, cfg: SolverConfig, gp: GevreyParams):
+        self.out, self.gp, self.echo = out, gp, _field_echo(cfg)
+        self.bp = BesovParams(cfg.sigma + gp.beta, cfg.p, cfg.q)
+        self.rows = []  # (X_T sample, radius) per record with t > 0
+        self.overflow = None
+        self.last = None  # path of the last snapshot written
+
+    def __call__(self, level, t, snap, row):
+        if self.last is None:
+            self.out.mkdir(parents=True, exist_ok=True)
+        self.last = self.out / f"snapshot_t{t:.6f}.field"
+        save_field(self.last, snap, time=t, extra=self.echo)
+        if t > 0 and self.overflow is None:
+            try:
+                (sample,) = xt_norm([(t, snap)], self.gp, self.bp)[1]
+            except GevreyOverflowError as exc:
+                self.overflow = exc
+            else:
+                self.rows.append((sample, row["radius"]))
+
+    def write_xt_trace(self, path, cfg: SolverConfig) -> None:
+        columns = ["t", "gamma_t", "besov_norm", "weighted_norm", "radius_estimate"]
+        rows = ([s.t, s.gamma, s.besov, s.weighted, radius] for s, radius in self.rows)
+        echo = {**config_echo(cfg), "lam": self.gp.lam, "beta": self.gp.beta}
+        write_csv(path, echo, columns, rows)
 
 
 def _cmd_simulate(args) -> int:
     params = parse_config(args.config, args.set, RUN_KEYS, RUN_DEFAULTS)
     cfg = config_from_flat(SolverConfig, params)
-    gp = config_from_flat(GevreyParams, params)
     out = Path(args.output_dir)
+    sink = _SimulateSink(out, cfg, config_from_flat(GevreyParams, params))
     try:
-        traj = solve(cfg)
+        traj = solve(cfg, sink=sink)
     except BlowUpError as exc:
-        print(f"blow-up at t={exc.time:g}; {_save_blowup(out, exc)}", file=sys.stderr)
+        saved = _save_blowup(out, exc.trajectory, lambda path: shutil.copyfile(sink.last, path))
+        print(f"blow-up at t={exc.time:g}; {saved}", file=sys.stderr)
         return 3
-    out.mkdir(parents=True, exist_ok=True)
     write_diagnostics(traj, out / "diagnostics.csv")
-    echo = _field_echo(cfg)
-    for t, snap in zip(traj.times, traj.snapshots):
-        save_field(out / f"snapshot_t{t:.6f}.field", snap, time=t, extra=echo)
-    # last, so that a Gevrey overflow of the trace leaves the run's artifacts
-    _write_xt_trace(out / "xt_trace.csv", traj, gp)
-    print(f"run complete: t_end={traj.times[-1]:g}, {len(traj.snapshots)} snapshots -> {out}")
+    if sink.overflow is not None:
+        raise sink.overflow
+    sink.write_xt_trace(out / "xt_trace.csv", cfg)
+    print(f"run complete: t_end={traj.times[-1]:g}, {len(traj.times)} snapshots -> {out}")
     return 0
+
+
+class _PicardSink:
+    """Record sink of `picard`: keeps the last snapshot of each level and
+    takes each level's sup gap to the level below at every recorded t > 0,
+    as the records of one time arrive level by level."""
+
+    def __init__(self, cfg: SolverConfig):
+        self.bp = cfg.besov_params()
+        self.last = [None] * (cfg.picard_depth + 1)
+        self.gaps = [-math.inf] * cfg.picard_depth
+
+    def __call__(self, level, t, snap, row):
+        if t > 0 and level > 0:
+            gap = besov_norm(self.last[level - 1] - snap, self.bp)
+            self.gaps[level - 1] = max(self.gaps[level - 1], gap)
+        self.last[level] = snap
 
 
 def _cmd_picard(args) -> int:
     params = parse_config(args.config, args.set, RUN_KEYS, RUN_DEFAULTS)
     cfg = config_from_flat(SolverConfig, params)
     out = Path(args.output_dir)
+    echo = _field_echo(cfg)
+    sink = _PicardSink(cfg)
     try:
-        levels = picard_solve(cfg)
+        levels = picard_solve(cfg, sink=sink)
     except BlowUpError as exc:
-        level = exc.trajectory.meta["level"]
-        saved = _save_blowup(out, exc, f"_level{level}")
+        traj = exc.trajectory
+        level = traj.meta["level"]
+        saved = _save_blowup(
+            out, traj,
+            lambda path: save_field(path, sink.last[level], time=traj.times[-1], extra=echo),
+            f"_level{level}",
+        )
         print(
             f"blow-up at t={exc.time:g} during Picard iteration (level {level}); {saved}",
             file=sys.stderr,
         )
         return 3
-    gaps = picard_gaps(levels)
     out.mkdir(parents=True, exist_ok=True)
     columns = ["level", "sup_besov_gap_to_next"]
-    write_csv(out / "convergence.csv", config_echo(cfg), columns, enumerate(gaps))
-    echo = _field_echo(cfg)
+    write_csv(out / "convergence.csv", config_echo(cfg), columns, enumerate(sink.gaps))
     for lvl, traj in enumerate(levels):
         write_diagnostics(traj, out / f"diagnostics_level{lvl}.csv")
         save_field(
-            out / f"final_level{lvl}.field", traj.snapshots[-1], time=traj.times[-1], extra=echo
+            out / f"final_level{lvl}.field", sink.last[lvl], time=traj.times[-1], extra=echo
         )
     print(f"picard complete: {len(levels)} levels -> {out}")
     return 0

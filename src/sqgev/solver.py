@@ -31,7 +31,8 @@ source: none (pure heat flow), its own velocity (the solution), or the
 velocity of the level below, frozen at both ends of each step (the Picard
 iterates).  `solve` is the one-level call and `picard_solve` the call with
 heat flow at level 0 and level l advected by level l - 1.  The loop records
-diagnostics, notes the first CFL excess of each level, and raises
+diagnostics, hands each recorded snapshot to a sink (by default the
+trajectory), notes the first CFL excess of each level, and raises
 BlowUpError carrying the partial trajectory of the first level that turns
 non-finite, or whose recorded field fails the Hermitian check or has a
 non-finite norm.
@@ -191,6 +192,7 @@ def initial_field(config: SolverConfig) -> SpectralField:
     """Construct the configured initial data, normalized in the critical norm."""
     grid = config.grid
     init = config.initial_data
+    two_thirds = config.dealias == "two-thirds"
     if init.profile.startswith("file:"):
         loaded, _ = load_field(init.profile.partition(":")[2])
         if isinstance(loaded, RealField):
@@ -207,26 +209,31 @@ def initial_field(config: SolverConfig) -> SpectralField:
     elif init.profile == "random-band":
         # unit modulus filling the two-thirds box, so the spectrum survives a
         # dealiased run and the radius diagnostics see a flat baseline
-        rng = np.random.default_rng(init.seed)
-        coeffs = random_phases(grid, rng) * dealias_mask(grid, "two-thirds")
+        coeffs = random_phases(grid, np.random.default_rng(init.seed))
+        two_thirds = True
     elif init.profile == "single-ring":
         coeffs = random_band_limited(grid, init.ring_j, init.seed).coeffs.copy()
     else:  # unreachable; InitialData validates
         raise ConfigError(init.profile)
 
     coeffs[0, 0] = 0.0
-    if config.dealias == "two-thirds":
-        coeffs = coeffs * dealias_mask(grid, config.dealias)
+    if two_thirds:
+        np.multiply(coeffs, dealias_mask(grid, "two-thirds"), out=coeffs)
     fld = SpectralField(grid, coeffs)
+    del coeffs  # fld holds its own copy
     # a file's huge coefficients can overflow the norm; its first diagnostics
     # row then ends the run as a BlowUpError
     with np.errstate(over="ignore", invalid="ignore"):
         norm = besov_norm(fld, config.besov_params())
     if init.profile == "zero" or init.amplitude == 0.0 or norm == 0.0:
-        return SpectralField(grid, np.zeros_like(coeffs))
+        return SpectralField(grid, np.zeros_like(fld.coeffs))
     if init.profile.startswith("file:"):
         return fld  # files are taken verbatim
-    return (init.amplitude / norm) * fld
+    # one complex product, which also sets the signs of the masked modes'
+    # zeros that the snapshot files hold
+    scaled = fld.coeffs * (init.amplitude / norm)
+    del fld
+    return SpectralField(grid, scaled)
 
 
 # -- nonlinear term and stepping ------------------------------------------
@@ -417,7 +424,7 @@ def _record_steps(config: SolverConfig) -> tuple[int, set[int]]:
     return n_steps, set(range(0, n_steps + 1, config.record_every)) | {n_steps}
 
 
-def _march(config: SolverConfig, sources: list) -> list[Trajectory]:
+def _march(config: SolverConfig, sources: list, sink=None) -> list[Trajectory]:
     """Advance levels 0..len(sources)-1 from the configured initial data.
 
     sources[l] is the level whose velocity advects level l: None for pure
@@ -427,24 +434,27 @@ def _march(config: SolverConfig, sources: list) -> list[Trajectory]:
     start-time velocity.
 
     Each level's state is its k2 >= 0 half spectrum, updated in place; the
-    k2 < 0 columns are rebuilt when it is recorded.
+    k2 < 0 columns are rebuilt when it is recorded.  Each record, once its
+    diagnostics row is finite, is handed to sink(level, t, snapshot, row),
+    levels in order at each recorded time.  The returned trajectories (and
+    the one a BlowUpError carries) hold every time, row and note; without a
+    sink they hold the snapshots too, and with one they hold none, so the
+    run keeps no recorded field alive.
     """
     grid, dt = config.grid, config.dt
     h = grid.n // 2 + 1
-    work = _Workspace(grid, config.dealias)
-    efactor = _heat_factor(grid, dt, config.kappa)
-    kmax = float(grid.rings.radii[-1])
     n_steps, marks = _record_steps(config)
-
     levels = range(len(sources))
-    init = initial_field(config)
-    half = [init.coeffs[:, :h].copy() for _ in levels]
-    frozen_sources = [src for lvl, src in enumerate(sources) if src not in (None, lvl)]
-    vel = {src: work.velocity(half[src], np.empty((2, grid.n, grid.n)))
-           for src in frozen_sources}
-    spare = np.empty((2, grid.n, grid.n)) if frozen_sources else None
     times, snaps, diags = ([[] for _ in levels] for _ in range(3))
     metas = [{"convention": ADVECTION_CONVENTION, "level": lvl, "warnings": []} for lvl in levels]
+    if sink is None:
+        def sink(lvl, t, snap, row):
+            snaps[lvl].append(snap)
+
+    def trajectory(lvl):
+        return Trajectory(
+            config, tuple(times[lvl]), tuple(snaps[lvl]), tuple(diags[lvl]), metas[lvl]
+        )
 
     def checked_row(t, snap, lvl):
         try:
@@ -461,27 +471,35 @@ def _march(config: SolverConfig, sources: list) -> list[Trajectory]:
             )
         return row
 
-    def record(k):
+    def record(lvl, t, snap, row):
+        times[lvl].append(t)
+        diags[lvl].append(row)
+        sink(lvl, t, snap, row)
+
+    def record_step(k):
+        # a function of its own, so that no snapshot outlives its record
         t = k * dt
-        # the initial data is recorded as given, with one diagnostics row
-        # of which every level holds its own copy
-        init_row = None if k else checked_row(t, init, 0)
         for lvl in levels:
-            if k:
-                snap = _full_spectrum(half[lvl], grid)
-                row = checked_row(t, snap, lvl)
-            else:
-                snap, row = init, dict(init_row)
-            times[lvl].append(t)
-            snaps[lvl].append(snap)
-            diags[lvl].append(row)
+            snap = _full_spectrum(half[lvl], grid)
+            record(lvl, t, snap, checked_row(t, snap, lvl))
 
-    def trajectory(lvl):
-        return Trajectory(
-            config, tuple(times[lvl]), tuple(snaps[lvl]), tuple(diags[lvl]), metas[lvl]
-        )
+    # the initial data is recorded as given, with one diagnostics row of
+    # which every level holds its own copy; the stepping workspace is built
+    # after it, so that their peaks do not stack
+    init = initial_field(config)
+    init_row = checked_row(0.0, init, 0)
+    for lvl in levels:
+        record(lvl, 0.0, init, dict(init_row))
+    half = [init.coeffs[:, :h].copy() for _ in levels]
+    del init
+    work = _Workspace(grid, config.dealias)
+    efactor = _heat_factor(grid, dt, config.kappa)
+    kmax = float(grid.rings.radii[-1])
+    frozen_sources = [src for lvl, src in enumerate(sources) if src not in (None, lvl)]
+    vel = {src: work.velocity(half[src], np.empty((2, grid.n, grid.n)))
+           for src in frozen_sources}
+    spare = np.empty((2, grid.n, grid.n)) if frozen_sources else None
 
-    record(0)
     for k in range(1, n_steps + 1):
         for lvl, src in enumerate(sources):
             if src is None:
@@ -490,31 +508,36 @@ def _march(config: SolverConfig, sources: list) -> list[Trajectory]:
             elif src == lvl:
                 umax = _heun_step(half[lvl], work, dt, efactor)
             else:
-                vel_end = work.velocity(half[src], spare)
-                umax = _heun_step(half[lvl], work, dt, efactor, vel[src], vel_end)
-                vel[src], spare = vel_end, vel[src]
+                spare = work.velocity(half[src], spare)
+                umax = _heun_step(half[lvl], work, dt, efactor, vel[src], spare)
+                vel[src], spare = spare, vel[src]
             _guard(half[lvl], umax, dt, kmax, k * dt, work, metas[lvl]["warnings"],
                    lambda: trajectory(lvl))
-        if k in marks:
-            record(k)
+        if k in marks and k < n_steps:
+            record_step(k)
+    del work, vel, spare  # the last record needs no stepping buffer
+    record_step(n_steps)
     return [trajectory(lvl) for lvl in levels]
 
 
-def solve(config: SolverConfig) -> Trajectory:
-    """Integrate SQG to t_end; raises BlowUpError carrying the partial run."""
-    return _march(config, [0])[0]
+def solve(config: SolverConfig, sink=None) -> Trajectory:
+    """Integrate SQG to t_end; raises BlowUpError carrying the partial run.
+    With a sink, each recorded snapshot goes to it (see _march) and not into
+    the trajectory."""
+    return _march(config, [0], sink)[0]
 
 
-def picard_solve(config: SolverConfig) -> list[Trajectory]:
+def picard_solve(config: SolverConfig, sink=None) -> list[Trajectory]:
     """Approximation sequence: theta^0 solves the fractional heat equation
     and each theta^(n+1) solves linear advection-diffusion with the velocity
     frozen from theta^n, all from the same initial data.
 
     All levels advance simultaneously in one sweep over time so no level
     needs the full history of the previous one.  Returns trajectories for
-    levels 0..picard_depth.
+    levels 0..picard_depth; with a sink, each recorded snapshot goes to it
+    and not into them.
     """
-    return _march(config, [None, *range(config.picard_depth)])
+    return _march(config, [None, *range(config.picard_depth)], sink)
 
 
 def picard_gaps(levels: list[Trajectory]) -> list[float]:

@@ -400,9 +400,11 @@ def random_phases(grid: Grid, rng, half_plane: bool = False) -> np.ndarray:
     """
     raw = rng.uniform(-math.pi, math.pi, (grid.n, grid.n))
     phase = 0.5 * (raw - negated_modes(raw))
+    del raw
     if half_plane:
         phase = phase[:, : grid.n // 2 + 1]
-    return np.exp(1j * phase)
+    coeffs = 1j * phase
+    return np.exp(coeffs, out=coeffs)
 
 
 def random_band_limited(grid: Grid, j: int, seed: int) -> SpectralField:
@@ -451,7 +453,7 @@ def save_field(path, field, time: float = 0.0, extra: dict | None = None) -> Non
     with open(path, "wb") as fh:
         fh.write("\n".join(lines).encode("ascii"))
         fh.write(_HEADER_SEP)
-        fh.write(data.tobytes())
+        fh.write(data)  # through the buffer protocol, without a copy
 
 
 def load_field(path):

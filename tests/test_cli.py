@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,10 +17,21 @@ from sqgev.cli import (
     float_tuple,
     main,
     parse_config,
+    write_csv,
+    write_diagnostics,
 )
-from sqgev.gevrey import heat_semigroup
-from sqgev.solver import InitialData, SolverConfig, config_echo, picard_gaps, picard_solve
-from sqgev.spectral import Grid, SpectralField, save_field
+from sqgev.dyadic import BesovParams
+from sqgev.gevrey import GevreyParams, heat_semigroup, xt_norm
+from sqgev.solver import (
+    InitialData,
+    SolverConfig,
+    config_echo,
+    config_from_flat,
+    picard_gaps,
+    picard_solve,
+    solve,
+)
+from sqgev.spectral import Grid, SpectralField, load_field, save_field
 
 
 class TestParseConfig:
@@ -139,7 +151,33 @@ class TestSimulateVerb:
                  "--set", "t_end=40", "--set", "amplitude=10000"]
             )
         assert code == 3
-        assert (out / "last_snapshot.field").exists()
+        # a snapshot of every good record, as the run wrote them, then the
+        # last of them again and the diagnostics up to it
+        with open(out / "diagnostics.csv") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        snapshots = [f"snapshot_t{float(row['t']):.6f}.field" for row in rows]
+        assert snapshots
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*snapshots, "last_snapshot.field", "diagnostics.csv"]
+        )
+        last = (out / "last_snapshot.field").read_bytes()
+        assert last == (out / snapshots[-1]).read_bytes()
+
+    def test_blowup_keeps_every_recorded_snapshot(self, tmp_path):
+        out = tmp_path / "boom"
+        with pytest.warns(UserWarning):
+            code = main(
+                ["simulate", "-o", str(out), "--set", "n=32", "--set", "dt=0.5",
+                 "--set", "t_end=40", "--set", "amplitude=10000", "--set", "record_every=1"]
+            )
+        assert code == 3
+        snapshots = sorted(out.glob("snapshot_t*.field"))
+        assert len(snapshots) > 1
+        _, header = load_field(out / "last_snapshot.field")
+        assert header["time"] == max(load_field(p)[1]["time"] for p in snapshots)
+        assert (out / "last_snapshot.field").read_bytes() == (
+            out / f"snapshot_t{header['time']:.6f}.field"
+        ).read_bytes()
 
     def test_t_end_off_the_step_lattice_exits_2(self, tmp_path, capsys):
         code = main(
@@ -435,6 +473,83 @@ class TestVerifyVerb:
         )
         assert code == 3
         assert json.loads((out / "concavity.json").read_text())["verdict"] == "pass"
+
+
+def collected_simulate(argv: list[str], out) -> None:
+    """The artifacts of `simulate` with argv's --set overrides, written from
+    the trajectory that solve collects: its diagnostics, every snapshot, and
+    the X_T trace of all samples from one xt_norm call."""
+    params = parse_config(None, argv[1::2], RUN_KEYS, RUN_DEFAULTS)
+    cfg = config_from_flat(SolverConfig, params)
+    gp = config_from_flat(GevreyParams, params)
+    traj = solve(cfg)
+    out.mkdir()
+    write_diagnostics(traj, out / "diagnostics.csv")
+    echo = {f"config_{key}": val for key, val in config_echo(cfg).items()}
+    for t, snap in zip(traj.times, traj.snapshots):
+        save_field(out / f"snapshot_t{t:.6f}.field", snap, time=t, extra=echo)
+    _, samples = xt_norm(traj.samples(), gp, BesovParams(cfg.sigma + gp.beta, cfg.p, cfg.q))
+    radii = {row["t"]: row["radius"] for row in traj.diagnostics}
+    write_csv(
+        out / "xt_trace.csv",
+        {**config_echo(cfg), "lam": gp.lam, "beta": gp.beta},
+        ["t", "gamma_t", "besov_norm", "weighted_norm", "radius_estimate"],
+        ([s.t, s.gamma, s.besov, s.weighted, radii[s.t]] for s in samples),
+    )
+
+
+class TestRecordStreaming:
+    @pytest.mark.parametrize("p", ["2", "4"])
+    def test_simulate_writes_what_the_collected_run_gives(self, tmp_path, p):
+        argv = ["--set", "n=32", "--set", "t_end=0.1", "--set", "dt=0.02",
+                "--set", "record_every=2", "--set", f"p={p}"]
+        assert main(["simulate", *argv, "-o", str(tmp_path / "run")]) == 0
+        collected_simulate(argv, tmp_path / "ref")
+        names = sorted(path.name for path in (tmp_path / "ref").iterdir())
+        assert len(names) == 6  # 4 snapshots, the diagnostics and the trace
+        assert sorted(path.name for path in (tmp_path / "run").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "run" / name).read_bytes() == (
+                tmp_path / "ref" / name
+            ).read_bytes(), name
+
+    def test_picard_gaps_and_finals_equal_the_collected_run(self, tmp_path):
+        out = tmp_path / "pic"
+        code = main(
+            ["picard", "-o", str(out), "--set", "n=32", "--set", "t_end=0.1",
+             "--set", "dt=0.02", "--set", "picard_depth=3", "--set", "amplitude=0.5",
+             "--set", "record_every=1"]
+        )
+        assert code == 0
+        cfg = SolverConfig(grid=Grid(32), t_end=0.1, dt=0.02, picard_depth=3, record_every=1,
+                           initial_data=InitialData(amplitude=0.5))
+        levels = picard_solve(cfg)
+        with open(out / "convergence.csv") as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        assert [float(gap) for _, gap in rows[1:]] == picard_gaps(levels)
+        for lvl, traj in enumerate(levels):
+            final, header = load_field(out / f"final_level{lvl}.field")
+            assert header["time"] == traj.times[-1]
+            assert np.array_equal(final.coeffs, traj.snapshots[-1].coeffs)
+
+    def test_simulate_memory_does_not_grow_with_the_record_count(self, tmp_path):
+        def run(t_end):
+            return main(["simulate", "-o", str(tmp_path / t_end), "--set", "n=128",
+                         "--set", "record_every=1", "--set", f"t_end={t_end}"])
+
+        assert run("0.01") == 0  # the grid's caches
+        peaks = []
+        for t_end in ("0.03", "0.3"):
+            tracemalloc.start()
+            try:
+                assert run(t_end) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 4 and 31 records.  Python 3.11, numpy 2.4: 2.06 and 2.08 MiB;
+        # 2.96 and 11.08 MiB when every recorded field was held until the
+        # run ended
+        assert abs(peaks[1] - peaks[0]) < 0.5 * 2**20
 
 
 # The text columns of summary.csv; every other cell of every table is a float

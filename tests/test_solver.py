@@ -548,6 +548,66 @@ class TestMemory:
         assert peak < 14.5 * 2**20
 
 
+    def test_initial_data_holds_one_working_copy(self):
+        config = SolverConfig(grid=Grid(256))
+        initial_field(config)  # builds the grid's ring index and dyadic system
+        tracemalloc.start()
+        try:
+            initial_field(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Python 3.11, numpy 2.4: 4.18 MiB with random-band masked twice, a
+        # working copy alive through the norm and a scaled copy of the field;
+        # 2.77 MiB with one mask and one scale
+        assert peak < 3.25 * 2**20
+
+
+# each run as a list of levels
+LEVEL_RUNS = {"solve": lambda *a, **k: [solve(*a, **k)], "picard_solve": picard_solve}
+
+
+class TestRecordSink:
+    def test_sink_sees_every_record_and_the_run_keeps_none(self):
+        cfg = cosine_config(
+            n=32, picard_depth=2, record_every=3,
+            initial_data=InitialData("random-band", amplitude=0.5, seed=2),
+        )
+        for run in LEVEL_RUNS.values():
+            want = run(cfg)
+            seen = []
+            got = run(cfg, sink=lambda *record: seen.append(record))
+            # time by time, levels in order at each time
+            assert [(lvl, t) for lvl, t, _, _ in seen] == [
+                (lvl, t) for t in want[0].times for lvl in range(len(want))
+            ]
+            for lvl, t, snap, row in seen:
+                i = want[lvl].times.index(t)
+                assert np.array_equal(snap.coeffs, want[lvl].snapshots[i].coeffs)
+                assert row == want[lvl].diagnostics[i]
+            for a, b in zip(got, want, strict=True):
+                assert a.snapshots == ()
+                assert (a.times, a.diagnostics, a.meta) == (b.times, b.diagnostics, b.meta)
+
+    def test_blowup_with_a_sink_carries_the_records_it_saw(self):
+        cfg = cosine_config(
+            n=32, picard_depth=2, dt=0.5, t_end=50.0, record_every=1,
+            initial_data=InitialData("random-band", amplitude=1e4, seed=7),
+        )
+        for name, run in LEVEL_RUNS.items():
+            want, want_time = run_or_blowup(run, cfg)
+            seen = []
+            got, got_time = run_or_blowup(run, cfg, lambda *record: seen.append(record))
+            assert want_time is not None and got_time == want_time, name
+            (a,), (b,) = got, want
+            assert a.snapshots == () and a.meta == b.meta
+            assert (a.times, a.diagnostics) == (b.times, b.diagnostics)
+            mine = [(t, snap) for lvl, t, snap, _ in seen if lvl == b.meta["level"]]
+            assert [t for t, _ in mine] == list(b.times)
+            for (_, snap), kept in zip(mine, b.snapshots):
+                assert np.array_equal(snap.coeffs, kept.coeffs)
+
+
 class TestRecordSteps:
     def test_t_end_off_the_step_lattice_raises(self):
         # 1.0 / 0.4 = 2.5 steps: the run used to stop silently at t = 0.8

@@ -418,6 +418,27 @@ class TestSnapshotFiles:
         header = "n=8\nbox_length=2.5\nkind=spectral\ntime=0.75\nlevel=2\n\n"
         assert path.read_bytes() == header.encode("ascii") + inter.tobytes()
 
+    def test_data_are_the_little_endian_bytes_of_the_array(self, tmp_path):
+        # written through the buffer protocol, the payload is exactly the
+        # tobytes() of the '<f8' values or '<c16' coefficients, signed zeros
+        # included
+        grid = Grid(16, 1.75)
+        f = random_real_field(grid, 11)
+        values = f.values.copy()
+        values[0, :3] = (-0.0, 0.0, -1e-310)
+        c = forward_transform(f).coeffs.copy()
+        c[2, 3] = complex(-0.0, 0.0)
+        c[3, 2] = complex(0.0, -0.0)
+        for field, data in (
+            (RealField(grid, values), values.astype("<f8")),
+            (SpectralField(grid, c), c.astype("<c16")),
+        ):
+            path = tmp_path / "f.snap"
+            save_field(path, field, time=0.125)
+            blob = path.read_bytes()
+            assert blob.endswith(b"\n\n" + data.tobytes())
+            assert len(blob) == blob.index(b"\n\n") + 2 + data.nbytes
+
     def test_corrupt_header_rejected(self, tmp_path):
         path = tmp_path / "bad.snap"
         path.write_bytes(b"n=16\nno separator here")
