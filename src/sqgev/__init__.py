@@ -27,7 +27,6 @@ from .gevrey import (
     fractional_laplacian,
     gevrey_multiply,
     heat_semigroup,
-    riesz_velocity,
     xt_norm,
 )
 from .solver import (

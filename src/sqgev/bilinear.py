@@ -529,20 +529,6 @@ def gevrey_commutators(
     return out
 
 
-def commutator_symbol(j: int, gamma: float, alpha: float) -> BilinearSymbol:
-    """Plain two-argument symbol of [G_gamma Delta_j, .] acting on (f, g):
-    G_gamma(xi+eta) phi_j(xi+eta) - G_gamma(eta) phi_j(eta)."""
-
-    def gphi(v):
-        r = np.linalg.norm(v, axis=-1)
-        return np.exp(gamma * r**alpha) * phi0(r / 2.0**j)
-
-    return BilinearSymbol(
-        eval=lambda xi, eta: gphi(xi + eta) - gphi(eta),
-        description=f"gevrey-commutator(j={j}, gamma={gamma:g}, alpha={alpha:g})",
-    )
-
-
 # -- named symbol registry ----------------------------------------------------
 
 

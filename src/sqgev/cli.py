@@ -22,10 +22,11 @@ from pathlib import Path
 from . import checks as checks_mod
 from .bilinear import SYMBOL_REGISTRY
 from .checks import ALL_CHECKS, check_defaults, run_check
-from .dyadic import BesovParams, besov_norm, besov_report
-from .gevrey import GevreyOverflowError, GevreyParams, fit_radius, spectral_decay_fit, xt_norm
+from .dyadic import BesovParams, besov_report
+from .gevrey import GevreyOverflowError, GevreyParams, XTSink, fit_radius, spectral_decay_fit
 from .solver import (
     BlowUpError,
+    PicardGaps,
     SolverConfig,
     Trajectory,
     config_echo,
@@ -144,17 +145,14 @@ def _save_blowup(out: Path, traj: Trajectory, save_last, suffix: str = "") -> st
     return "last snapshot saved"
 
 
-class _SimulateSink:
+class _SimulateSink(XTSink):
     """Record sink of `simulate`: writes each snapshot file as it is
     recorded, creating the output directory at the first, and keeps only
-    its X_T sample.  The first Gevrey overflow of a sample is held in
-    overflow, for the caller to raise once the other artifacts are written."""
+    its X_T sample (XTSink)."""
 
     def __init__(self, out: Path, cfg: SolverConfig, gp: GevreyParams):
-        self.out, self.gp, self.echo = out, gp, _field_echo(cfg)
-        self.bp = BesovParams(cfg.sigma + gp.beta, cfg.p, cfg.q)
-        self.rows = []  # (X_T sample, radius) per record with t > 0
-        self.overflow = None
+        super().__init__(1, gp, BesovParams(cfg.sigma + gp.beta, cfg.p, cfg.q))
+        self.out, self.echo = out, _field_echo(cfg)
         self.last = None  # path of the last snapshot written
 
     def __call__(self, level, t, snap, row):
@@ -162,18 +160,13 @@ class _SimulateSink:
             self.out.mkdir(parents=True, exist_ok=True)
         self.last = self.out / f"snapshot_t{t:.6f}.field"
         save_field(self.last, snap, time=t, extra=self.echo)
-        if t > 0 and self.overflow is None:
-            try:
-                (sample,) = xt_norm([(t, snap)], self.gp, self.bp)[1]
-            except GevreyOverflowError as exc:
-                self.overflow = exc
-            else:
-                self.rows.append((sample, row["radius"]))
+        super().__call__(level, t, snap, row)
 
-    def write_xt_trace(self, path, cfg: SolverConfig) -> None:
+    def write_xt_trace(self, path, traj: Trajectory) -> None:
         columns = ["t", "gamma_t", "besov_norm", "weighted_norm", "radius_estimate"]
-        rows = ([s.t, s.gamma, s.besov, s.weighted, radius] for s, radius in self.rows)
-        echo = {**config_echo(cfg), "lam": self.gp.lam, "beta": self.gp.beta}
+        radii = (row["radius"] for row in traj.diagnostics if row["t"] > 0)
+        rows = ([s.t, s.gamma, s.besov, s.weighted, r] for s, r in zip(self.samples[0], radii))
+        echo = {**config_echo(traj.config), "lam": self.gp.lam, "beta": self.gp.beta}
         write_csv(path, echo, columns, rows)
 
 
@@ -183,34 +176,16 @@ def _cmd_simulate(args) -> int:
     out = Path(args.output_dir)
     sink = _SimulateSink(out, cfg, config_from_flat(GevreyParams, params))
     try:
-        traj = solve(cfg, sink=sink)
+        traj = solve(cfg, sink)
     except BlowUpError as exc:
         saved = _save_blowup(out, exc.trajectory, lambda path: shutil.copyfile(sink.last, path))
         print(f"blow-up at t={exc.time:g}; {saved}", file=sys.stderr)
         return 3
     write_diagnostics(traj, out / "diagnostics.csv")
-    if sink.overflow is not None:
-        raise sink.overflow
-    sink.write_xt_trace(out / "xt_trace.csv", cfg)
+    sink.raise_overflow()
+    sink.write_xt_trace(out / "xt_trace.csv", traj)
     print(f"run complete: t_end={traj.times[-1]:g}, {len(traj.times)} snapshots -> {out}")
     return 0
-
-
-class _PicardSink:
-    """Record sink of `picard`: keeps the last snapshot of each level and
-    takes each level's sup gap to the level below at every recorded t > 0,
-    as the records of one time arrive level by level."""
-
-    def __init__(self, cfg: SolverConfig):
-        self.bp = cfg.besov_params()
-        self.last = [None] * (cfg.picard_depth + 1)
-        self.gaps = [-math.inf] * cfg.picard_depth
-
-    def __call__(self, level, t, snap, row):
-        if t > 0 and level > 0:
-            gap = besov_norm(self.last[level - 1] - snap, self.bp)
-            self.gaps[level - 1] = max(self.gaps[level - 1], gap)
-        self.last[level] = snap
 
 
 def _cmd_picard(args) -> int:
@@ -218,9 +193,9 @@ def _cmd_picard(args) -> int:
     cfg = config_from_flat(SolverConfig, params)
     out = Path(args.output_dir)
     echo = _field_echo(cfg)
-    sink = _PicardSink(cfg)
+    sink = PicardGaps(cfg)
     try:
-        levels = picard_solve(cfg, sink=sink)
+        levels = picard_solve(cfg, sink)
     except BlowUpError as exc:
         traj = exc.trajectory
         level = traj.meta["level"]

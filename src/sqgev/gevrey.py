@@ -1,4 +1,4 @@
-"""Gevrey multiplier, fractional Laplacian, heat semigroup, Riesz velocity,
+"""Gevrey multiplier, fractional Laplacian, heat semigroup,
 time-weighted Gevrey-Besov norms and analyticity-radius estimation."""
 
 from __future__ import annotations
@@ -98,21 +98,6 @@ def heat_semigroup(f: SpectralField, t: float, kappa: float) -> SpectralField:
     return apply_multiplier(f, np.exp(-t * f.grid.k_mag**kappa))
 
 
-def riesz_transform(f: SpectralField, axis: int) -> SpectralField:
-    """R_axis with symbol -i k_axis / |k| (zero on the zero mode)."""
-    if axis not in (1, 2):
-        raise ValueError(f"axis must be 1 or 2, got {axis}")
-    grid = f.grid
-    kc = grid.kx if axis == 1 else grid.ky
-    kmag = grid.k_mag
-    return apply_multiplier(f, np.where(kmag > 0, -1j * kc / np.where(kmag > 0, kmag, 1.0), 0.0))
-
-
-def riesz_velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:
-    """SQG velocity u = (-R_2 theta, R_1 theta); divergence-free by symbol algebra."""
-    return -riesz_transform(theta, 2), riesz_transform(theta, 1)
-
-
 @dataclass(frozen=True)
 class XTNormSample:
     """One trajectory sample of the time-weighted Gevrey-Besov norm."""
@@ -177,6 +162,34 @@ def xt_norm(
             )
         )
     return max(s.weighted for s in samples), samples
+
+
+class XTSink:
+    """Record sink of a run (see solver._march) that takes each record's X_T
+    sample as it is made: samples[l] lists level l's xt_norm samples at
+    t > 0, and sup(l) is its X_T norm.  A level's first Gevrey overflow ends
+    its sampling and is held until raise_overflow(), which raises that of
+    the lowest level, so that a later blow-up still ends the run first."""
+
+    def __init__(self, levels: int, gp: GevreyParams, bp: BesovParams):
+        self.gp, self.bp = gp, bp
+        self.samples = [[] for _ in range(levels)]
+        self.overflow = [None] * levels
+
+    def __call__(self, level, t, snap, row):
+        if t > 0 and self.overflow[level] is None:
+            try:
+                self.samples[level] += xt_norm([(t, snap)], self.gp, self.bp)[1]
+            except GevreyOverflowError as exc:
+                self.overflow[level] = exc
+
+    def sup(self, level: int = 0) -> float:
+        return max(s.weighted for s in self.samples[level])
+
+    def raise_overflow(self) -> None:
+        for exc in self.overflow:
+            if exc is not None:
+                raise exc
 
 
 def spectral_decay_fit(theta: SpectralField, alpha: float):

@@ -31,15 +31,17 @@ source: none (pure heat flow), its own velocity (the solution), or the
 velocity of the level below, frozen at both ends of each step (the Picard
 iterates).  `solve` is the one-level call and `picard_solve` the call with
 heat flow at level 0 and level l advected by level l - 1.  The loop records
-diagnostics, hands each recorded snapshot to a sink (by default the
-trajectory), notes the first CFL excess of each level, and raises
-BlowUpError carrying the partial trajectory of the first level that turns
-non-finite, or whose recorded field fails the Hermitian check or has a
-non-finite norm.
+diagnostics, hands each recorded snapshot to the caller's sink and keeps
+none, notes the first CFL excess of each level, and raises BlowUpError
+carrying the partial trajectory of the first level that turns non-finite,
+or whose recorded field fails the Hermitian check or has a non-finite norm.
+PicardGaps is the sink that reduces a Picard run to the gaps between its
+levels.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
@@ -152,18 +154,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded run of one level.  meta holds the advection convention, the
-    level (0 for `solve`) and the CFL notes."""
+    """Recorded run of one level: its times and diagnostics rows; its
+    snapshots went to the run's sink.  meta holds the advection convention,
+    the level (0 for `solve`) and the CFL notes."""
 
     config: SolverConfig
     times: tuple
-    snapshots: tuple
     diagnostics: tuple
     meta: dict
-
-    def samples(self):
-        """(t, field) pairs with t > 0, ready for X_T norms."""
-        return [(t, s) for t, s in zip(self.times, self.snapshots) if t > 0]
 
 
 def dealias_mask(grid: Grid, rule: str) -> np.ndarray:
@@ -370,17 +368,18 @@ def _heun_step(theta, work, dt, efactor, frozen=None, frozen_next=None):
     return umax
 
 
-def _guard(theta, umax, dt, kmax, t, work, notes, partial):
+def _guard(theta, umax, dt, kmax, t, work, notes, partial, stacklevel):
     """Check a step ending at time t with half spectrum theta.  While
     `notes` is empty, an advective CFL number dt * max|k| * max|u| above 1
     is warned about and appended to it; a non-finite coefficient raises
-    BlowUpError carrying partial()."""
+    BlowUpError carrying partial().  stacklevel counts the frames from the
+    warning to the line that called the solver, _guard's own frame being 1."""
     if not notes and dt * kmax * umax > 1.0:
         notes.append(
             f"advective CFL heuristic exceeded at t={t:g}: "
             f"dt*max|k|*max|u| = {dt * kmax * umax:.2f}"
         )
-        warnings.warn(notes[-1], StabilityWarning, stacklevel=3)
+        warnings.warn(notes[-1], StabilityWarning, stacklevel=stacklevel)
     if not np.isfinite(theta, out=work.finite).all():
         raise BlowUpError(f"blow-up at t={t:g}", t, partial())
 
@@ -392,7 +391,7 @@ def step(theta: SpectralField, dt: float, config: SolverConfig) -> SpectralField
     work = _Workspace(grid, config.dealias)
     half = theta.coeffs[:, :h].copy()
     umax = _heun_step(half, work, dt, _heat_factor(grid, dt, config.kappa))
-    _guard(half, umax, dt, float(grid.rings.radii[-1]), dt, work, [], lambda: None)
+    _guard(half, umax, dt, float(grid.rings.radii[-1]), dt, work, [], lambda: None, 3)
     return _full_spectrum(half, grid)
 
 
@@ -424,7 +423,7 @@ def _record_steps(config: SolverConfig) -> tuple[int, set[int]]:
     return n_steps, set(range(0, n_steps + 1, config.record_every)) | {n_steps}
 
 
-def _march(config: SolverConfig, sources: list, sink=None) -> list[Trajectory]:
+def _march(config: SolverConfig, sources: list, sink) -> list[Trajectory]:
     """Advance levels 0..len(sources)-1 from the configured initial data.
 
     sources[l] is the level whose velocity advects level l: None for pure
@@ -436,25 +435,19 @@ def _march(config: SolverConfig, sources: list, sink=None) -> list[Trajectory]:
     Each level's state is its k2 >= 0 half spectrum, updated in place; the
     k2 < 0 columns are rebuilt when it is recorded.  Each record, once its
     diagnostics row is finite, is handed to sink(level, t, snapshot, row),
-    levels in order at each recorded time.  The returned trajectories (and
-    the one a BlowUpError carries) hold every time, row and note; without a
-    sink they hold the snapshots too, and with one they hold none, so the
-    run keeps no recorded field alive.
+    levels in order at each recorded time, and the run keeps no recorded
+    field alive.  The returned trajectories (and the one a BlowUpError
+    carries) hold every time, row and note.
     """
     grid, dt = config.grid, config.dt
     h = grid.n // 2 + 1
     n_steps, marks = _record_steps(config)
     levels = range(len(sources))
-    times, snaps, diags = ([[] for _ in levels] for _ in range(3))
+    times, diags = ([[] for _ in levels] for _ in range(2))
     metas = [{"convention": ADVECTION_CONVENTION, "level": lvl, "warnings": []} for lvl in levels]
-    if sink is None:
-        def sink(lvl, t, snap, row):
-            snaps[lvl].append(snap)
 
     def trajectory(lvl):
-        return Trajectory(
-            config, tuple(times[lvl]), tuple(snaps[lvl]), tuple(diags[lvl]), metas[lvl]
-        )
+        return Trajectory(config, tuple(times[lvl]), tuple(diags[lvl]), metas[lvl])
 
     def checked_row(t, snap, lvl):
         try:
@@ -511,8 +504,9 @@ def _march(config: SolverConfig, sources: list, sink=None) -> list[Trajectory]:
                 spare = work.velocity(half[src], spare)
                 umax = _heun_step(half[lvl], work, dt, efactor, vel[src], spare)
                 vel[src], spare = spare, vel[src]
+            # the warning names the line that called solve or picard_solve
             _guard(half[lvl], umax, dt, kmax, k * dt, work, metas[lvl]["warnings"],
-                   lambda: trajectory(lvl))
+                   lambda: trajectory(lvl), 4)
         if k in marks and k < n_steps:
             record_step(k)
     del work, vel, spare  # the last record needs no stepping buffer
@@ -520,34 +514,44 @@ def _march(config: SolverConfig, sources: list, sink=None) -> list[Trajectory]:
     return [trajectory(lvl) for lvl in levels]
 
 
-def solve(config: SolverConfig, sink=None) -> Trajectory:
-    """Integrate SQG to t_end; raises BlowUpError carrying the partial run.
-    With a sink, each recorded snapshot goes to it (see _march) and not into
-    the trajectory."""
+def solve(config: SolverConfig, sink) -> Trajectory:
+    """Integrate SQG to t_end, handing each record to sink(0, t, snapshot,
+    row) as it is made (see _march).  Returns the trajectory of times and
+    diagnostics rows; raises BlowUpError carrying the partial one.  A caller
+    that wants the snapshots keeps them in its sink."""
     return _march(config, [0], sink)[0]
 
 
-def picard_solve(config: SolverConfig, sink=None) -> list[Trajectory]:
+def picard_solve(config: SolverConfig, sink) -> list[Trajectory]:
     """Approximation sequence: theta^0 solves the fractional heat equation
     and each theta^(n+1) solves linear advection-diffusion with the velocity
     frozen from theta^n, all from the same initial data.
 
     All levels advance simultaneously in one sweep over time so no level
-    needs the full history of the previous one.  Returns trajectories for
-    levels 0..picard_depth; with a sink, each recorded snapshot goes to it
-    and not into them.
+    needs the full history of the previous one.  Each record goes to
+    sink(level, t, snapshot, row), levels in order at each recorded time;
+    PicardGaps is the sink that reduces them to the gaps between levels.
+    Returns the trajectories of levels 0..picard_depth.
     """
     return _march(config, [None, *range(config.picard_depth)], sink)
 
 
-def picard_gaps(levels: list[Trajectory]) -> list[float]:
-    """For each pair of successive levels, the sup over the recorded t > 0
-    of the critical Besov norm of their difference."""
-    bp = levels[0].config.besov_params()
-    return [
-        max(besov_norm(a - b, bp) for (_, a), (_, b) in zip(lo.samples(), hi.samples()))
-        for lo, hi in zip(levels, levels[1:])
-    ]
+class PicardGaps:
+    """Record sink of a Picard run: gaps[l] is the sup over the recorded
+    t > 0 of the critical Besov norm of level l minus level l + 1, taken as
+    the records of one time arrive level by level, and last[l] is the last
+    snapshot of level l."""
+
+    def __init__(self, config: SolverConfig):
+        self.bp = config.besov_params()
+        self.last = [None] * (config.picard_depth + 1)
+        self.gaps = [-math.inf] * config.picard_depth
+
+    def __call__(self, level, t, snap, row):
+        if t > 0 and level > 0:
+            gap = besov_norm(self.last[level - 1] - snap, self.bp)
+            self.gaps[level - 1] = max(self.gaps[level - 1], gap)
+        self.last[level] = snap
 
 
 # -- run artifacts ---------------------------------------------------------

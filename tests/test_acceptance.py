@@ -32,6 +32,8 @@ from sqgev.spectral import (
     save_field,
 )
 
+from reference import Collect, ignore
+
 
 def _report(label: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {label}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -260,10 +262,11 @@ class TestAcceptance:
             grid=grid, kappa=0.8, dt=0.01, t_end=0.5, record_every=10,
             initial_data=InitialData(profile=f"file:{snap_path}"),
         )
-        wave_traj = solve(wave_cfg)
+        wave = Collect()
+        wave_traj = solve(wave_cfg, wave)
         heat_err_wave = max(
             np.max(np.abs(snap.coeffs - heat_semigroup(wave0, t, 0.8).coeffs))
-            for t, snap in zip(wave_traj.times, wave_traj.snapshots)
+            for t, snap in zip(wave_traj.times, wave.snapshots[0])
         )
         ok = heat_err_wave <= 1e-10
 
@@ -272,7 +275,7 @@ class TestAcceptance:
             grid=grid, kappa=0.8, dt=0.01, t_end=1.0, record_every=10,
             initial_data=InitialData("random-band", amplitude=0.2, seed=2),
         )
-        diss = solve(diss_cfg)
+        diss = solve(diss_cfg, ignore)
         l2 = [row["l2"] for row in diss.diagnostics]
         ts = [row["t"] for row in diss.diagnostics]
         monotone = all(
@@ -284,13 +287,15 @@ class TestAcceptance:
         # Richardson order on a smooth nonlinear run
         finals = {}
         for dt in (0.02, 0.01, 0.005):
-            run = solve(
+            run = Collect()
+            solve(
                 SolverConfig(
                     grid=grid, kappa=0.8, dt=dt, t_end=0.2, record_every=10000,
                     initial_data=InitialData("gaussian-pair", amplitude=2.0),
-                )
+                ),
+                run,
             )
-            finals[dt] = run.snapshots[-1]
+            finals[dt] = run.snapshots[0][-1]
         err1 = (finals[0.02] - finals[0.01]).l2_norm()
         err2 = (finals[0.01] - finals[0.005]).l2_norm()
         order = math.log2(err1 / err2)

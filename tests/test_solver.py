@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from sqgev.solver import (
     dealias_mask,
     initial_field,
     nonlinear_term,
-    picard_gaps,
+    PicardGaps,
     picard_solve,
     solve,
     step,
@@ -47,6 +48,8 @@ from sqgev.spectral import (
     random_band_limited,
     save_field,
 )
+
+from reference import Collect, ignore, picard_gaps
 
 
 def cosine_config(n=32, **kw):
@@ -132,7 +135,7 @@ def heun_step_full(theta_hat, grid, dt, efactor, mask, frozen=None, frozen_next=
         return efactor * theta_hat + 0.5 * dt * (efactor * n1 + n2), umax
 
 
-def march_full(config, sources):
+def march_full(config, sources, sink):
     grid, dt = config.grid, config.dt
     efactor = np.exp(-dt * grid.k_mag**config.kappa)
     mask = dealias_mask(grid, config.dealias)
@@ -142,11 +145,11 @@ def march_full(config, sources):
     theta = [initial_field(config).coeffs] * len(levels)
     vel = {src: velocity_full(theta[src], grid)
            for lvl, src in enumerate(sources) if src not in (None, lvl)}
-    times, snaps, diags = ([[] for _ in levels] for _ in range(3))
+    times, diags = ([[] for _ in levels] for _ in range(2))
     metas = [{"convention": ADVECTION_CONVENTION, "level": lvl, "warnings": []} for lvl in levels]
 
     def trajectory(lvl):
-        return Trajectory(config, tuple(times[lvl]), tuple(snaps[lvl]), tuple(diags[lvl]), metas[lvl])
+        return Trajectory(config, tuple(times[lvl]), tuple(diags[lvl]), metas[lvl])
 
     def record(k):
         for lvl in levels:
@@ -158,8 +161,8 @@ def march_full(config, sources):
             if not all(np.isfinite(row[key]) for key in ("l2", "lp", "besov")):
                 raise BlowUpError("diagnostics", k * dt, trajectory(lvl))
             times[lvl].append(k * dt)
-            snaps[lvl].append(snap)
             diags[lvl].append(row)
+            sink(lvl, k * dt, snap, row)
 
     record(0)
     for k in range(1, n_steps + 1):
@@ -187,24 +190,40 @@ def march_full(config, sources):
 
 
 def run_or_blowup(march, *args):
-    """(levels, None) from a finished march, ([partial], time) from a
-    blow-up."""
+    """(levels, sink, None) from a finished march, ([partial], sink, time)
+    from a blow-up; sink is the Collect sink of the run."""
+    sink = Collect()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
         try:
-            return march(*args), None
+            return march(*args, sink), sink, None
         except BlowUpError as exc:
-            return [exc.trajectory], exc.time
+            return [exc.trajectory], sink, exc.time
+
+
+def collected(march, *args):
+    """(levels, Collect sink) of a finished march."""
+    sink = Collect()
+    return march(*args, sink), sink
+
+
+def solve_levels(config, sink):
+    """solve, as a list of levels."""
+    return [solve(config, sink)]
 
 
 def assert_same_run(got, want):
+    """got and want are (levels, Collect sink) pairs."""
+    (got, got_sink), (want, want_sink) = got, want
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.times == b.times
         assert a.diagnostics == b.diagnostics
         assert a.meta == b.meta
-        assert len(a.snapshots) == len(b.snapshots)
-        for x, y in zip(a.snapshots, b.snapshots):
+        x_snaps = got_sink.snapshots[a.meta["level"]]
+        y_snaps = want_sink.snapshots[b.meta["level"]]
+        assert len(x_snaps) == len(y_snaps) == len(a.times)
+        for x, y in zip(x_snaps, y_snaps):
             assert np.array_equal(x.coeffs, y.coeffs)
 
 
@@ -366,12 +385,13 @@ class TestRealKernels:
             n=32, dealias="none", record_every=1,
             initial_data=InitialData("random-band", amplitude=0.5, seed=4),
         )
-        traj = solve(cfg)
+        sink = Collect()
+        solve(cfg, sink)
         grid = cfg.grid
         efactor = np.exp(-cfg.dt * grid.k_mag**cfg.kappa)
         mask = dealias_mask(grid, cfg.dealias)
         theta = initial_field(cfg).coeffs
-        for snap in traj.snapshots[1:]:
+        for snap in sink.snapshots[0][1:]:
             theta = heun_step_complex(theta, grid, cfg.dt, efactor, mask)
             assert np.max(np.abs(snap.coeffs - theta)) <= 1e-12 * np.max(np.abs(theta))
         assert np.any(theta[grid.n // 2, :] != 0) and np.any(theta[:, grid.n // 2] != 0)
@@ -420,7 +440,8 @@ class TestStep:
         )
         finals = {}
         for div in (1, 2, 4):
-            run = solve(
+            sink = Collect()
+            solve(
                 SolverConfig(
                     **{
                         **{k: getattr(cfg, k) for k in (
@@ -429,9 +450,10 @@ class TestStep:
                         )},
                         "dt": cfg.dt / div,
                     }
-                )
+                ),
+                sink,
             )
-            finals[div] = run.snapshots[-1]
+            finals[div] = sink.snapshots[0][-1]
         err1 = (finals[1] - finals[2]).l2_norm()
         err2 = (finals[2] - finals[4]).l2_norm()
         order = math.log2(err1 / err2)
@@ -450,8 +472,9 @@ class TestSolve:
             n=32, t_end=0.2, dt=0.01, record_every=5,
             initial_data=InitialData(profile=f"file:{snap_path}"),
         )
-        traj = solve(cfg)
-        for t, snap in zip(traj.times, traj.snapshots):
+        sink = Collect()
+        traj = solve(cfg, sink)
+        for t, snap in zip(traj.times, sink.snapshots[0], strict=True):
             exact = heat_semigroup(theta0, t, cfg.kappa)
             assert np.max(np.abs(snap.coeffs - exact.coeffs)) <= 1e-10
 
@@ -463,7 +486,7 @@ class TestSolve:
             t_end=0.5,
             record_every=5,
         )
-        traj = solve(cfg)
+        traj = solve(cfg, ignore)
         l2 = [row["l2"] for row in traj.diagnostics]
         dts = np.diff([row["t"] for row in traj.diagnostics])
         for a, b, h in zip(l2, l2[1:], dts):
@@ -471,7 +494,7 @@ class TestSolve:
 
     def test_zero_data_stays_zero(self):
         cfg = cosine_config(initial_data=InitialData("zero"))
-        traj = solve(cfg)
+        traj = solve(cfg, ignore)
         assert all(row["l2"] == 0.0 for row in traj.diagnostics)
         assert all(row["radius"] == 0.0 for row in traj.diagnostics)
 
@@ -480,16 +503,18 @@ class TestSolve:
         cfg = cosine_config(
             n=32, record_every=1, initial_data=InitialData("random-band", amplitude=0.5, seed=2)
         )
-        traj = solve(cfg)
+        sink = Collect()
+        traj = solve(cfg, sink)
         assert traj.meta["level"] == 0 and traj.meta["warnings"] == []
         grid = cfg.grid
         efactor = _heat_factor(grid, cfg.dt, cfg.kappa)
         work = _Workspace(grid, cfg.dealias)
         h = grid.n // 2 + 1
         theta = initial_field(cfg).coeffs
-        assert np.array_equal(theta, traj.snapshots[0].coeffs)
+        snaps = sink.snapshots[0]
+        assert np.array_equal(theta, snaps[0].coeffs)
         half = theta[:, :h].copy()
-        for snap in traj.snapshots[1:]:
+        for snap in snaps[1:]:
             _heun_step(half, work, cfg.dt, efactor[:, :h])
             assert np.array_equal(_full_spectrum(half, grid).coeffs, snap.coeffs)
 
@@ -502,9 +527,27 @@ class TestSolve:
         )
         with pytest.warns(StabilityWarning):
             try:
-                solve(cfg)
+                solve(cfg, ignore)
             except BlowUpError:
                 pass  # an actual blow-up is acceptable here
+
+    def test_stability_warning_names_the_calling_line(self):
+        cfg = cosine_config(
+            n=32, picard_depth=1, dt=0.5, t_end=1.0,
+            initial_data=InitialData("random-band", amplitude=50.0, seed=6),
+        )
+        runs = {
+            "solve": lambda: solve(cfg, ignore),
+            "picard_solve": lambda: picard_solve(cfg, ignore),
+            "step": lambda: step(initial_field(cfg), cfg.dt, cfg),
+        }
+        for name, run in runs.items():
+            with pytest.warns(StabilityWarning) as record:
+                try:
+                    run()
+                except BlowUpError:
+                    pass
+            assert record[0].filename == __file__, name
 
     def test_blowup_carries_partial_trajectory(self):
         cfg = cosine_config(
@@ -516,16 +559,17 @@ class TestSolve:
         )
         with pytest.warns(StabilityWarning):
             with pytest.raises(BlowUpError) as err:
-                solve(cfg)
+                solve(cfg, ignore)
         assert isinstance(err.value.trajectory, Trajectory)
         assert err.value.time > 0
 
     def test_times_strictly_increasing_and_mean_zero(self):
         cfg = cosine_config(n=32, record_every=3)
-        traj = solve(cfg)
+        sink = Collect()
+        traj = solve(cfg, sink)
         times = np.array(traj.times)
         assert np.all(np.diff(times) > 0)
-        for snap in traj.snapshots:
+        for snap in sink.snapshots[0]:
             assert abs(snap.mean_value()) <= 1e-12
 
 
@@ -537,7 +581,8 @@ class TestMemory:
         config = SolverConfig(grid=grid, t_end=0.03, record_every=1)
         tracemalloc.start()
         try:
-            solve(config)
+            # every recorded field kept, as when the run collected them
+            solve(config, Collect())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -563,8 +608,12 @@ class TestMemory:
         assert peak < 3.25 * 2**20
 
 
-# each run as a list of levels
-LEVEL_RUNS = {"solve": lambda *a, **k: [solve(*a, **k)], "picard_solve": picard_solve}
+# each run as a list of levels, with the sources of its full-spectrum march
+# at picard_depth=2
+LEVEL_RUNS = {
+    "solve": (solve_levels, [0]),
+    "picard_solve": (picard_solve, [None, 0, 1]),
+}
 
 
 class TestRecordSink:
@@ -573,20 +622,26 @@ class TestRecordSink:
             n=32, picard_depth=2, record_every=3,
             initial_data=InitialData("random-band", amplitude=0.5, seed=2),
         )
-        for run in LEVEL_RUNS.values():
-            want = run(cfg)
-            seen = []
-            got = run(cfg, sink=lambda *record: seen.append(record))
+        for run, sources in LEVEL_RUNS.values():
+            want, want_sink = collected(march_full, cfg, sources)
+            seen, alive = [], []
+
+            def sink(lvl, t, snap, row):
+                i = want[lvl].times.index(t)
+                assert np.array_equal(snap.coeffs, want_sink.snapshots[lvl][i].coeffs)
+                seen.append((lvl, t, row))
+                alive.append(weakref.ref(snap))
+
+            got = run(cfg, sink)
             # time by time, levels in order at each time
-            assert [(lvl, t) for lvl, t, _, _ in seen] == [
+            assert [(lvl, t) for lvl, t, _ in seen] == [
                 (lvl, t) for t in want[0].times for lvl in range(len(want))
             ]
-            for lvl, t, snap, row in seen:
-                i = want[lvl].times.index(t)
-                assert np.array_equal(snap.coeffs, want[lvl].snapshots[i].coeffs)
-                assert row == want[lvl].diagnostics[i]
+            for lvl, t, row in seen:
+                assert row == want[lvl].diagnostics[want[lvl].times.index(t)]
+            # no recorded field outlives the run
+            assert all(ref() is None for ref in alive)
             for a, b in zip(got, want, strict=True):
-                assert a.snapshots == ()
                 assert (a.times, a.diagnostics, a.meta) == (b.times, b.diagnostics, b.meta)
 
     def test_blowup_with_a_sink_carries_the_records_it_saw(self):
@@ -594,18 +649,19 @@ class TestRecordSink:
             n=32, picard_depth=2, dt=0.5, t_end=50.0, record_every=1,
             initial_data=InitialData("random-band", amplitude=1e4, seed=7),
         )
-        for name, run in LEVEL_RUNS.items():
-            want, want_time = run_or_blowup(run, cfg)
-            seen = []
-            got, got_time = run_or_blowup(run, cfg, lambda *record: seen.append(record))
+        for name, (run, sources) in LEVEL_RUNS.items():
+            want, want_sink, want_time = run_or_blowup(march_full, cfg, sources)
+            got, got_sink, got_time = run_or_blowup(run, cfg)
             assert want_time is not None and got_time == want_time, name
             (a,), (b,) = got, want
-            assert a.snapshots == () and a.meta == b.meta
+            assert a.meta == b.meta
             assert (a.times, a.diagnostics) == (b.times, b.diagnostics)
-            mine = [(t, snap) for lvl, t, snap, _ in seen if lvl == b.meta["level"]]
-            assert [t for t, _ in mine] == list(b.times)
-            for (_, snap), kept in zip(mine, b.snapshots):
-                assert np.array_equal(snap.coeffs, kept.coeffs)
+            # the partial trajectory holds the times its level's sink saw
+            level = b.meta["level"]
+            assert got_sink.times[level] == list(a.times)
+            mine, kept = got_sink.snapshots[level], want_sink.snapshots[level]
+            for snap, ref in zip(mine, kept, strict=True):
+                assert np.array_equal(snap.coeffs, ref.coeffs)
 
 
 class TestRecordSteps:
@@ -614,11 +670,11 @@ class TestRecordSteps:
         cfg = cosine_config(n=16, dt=0.4, t_end=1.0)
         for run in (solve, picard_solve):
             with pytest.raises(ConfigError, match="whole number of steps"):
-                run(cfg)
+                run(cfg, ignore)
 
     def test_decimal_multiples_accepted(self):
         # 0.03 / 0.01 = 2.9999999999999996 in binary floating point
-        run = solve(cosine_config(n=16, dt=0.01, t_end=0.03, record_every=1))
+        run = solve(cosine_config(n=16, dt=0.01, t_end=0.03, record_every=1), ignore)
         assert len(run.times) == 4
         assert run.times[-1] == pytest.approx(0.03)
 
@@ -631,14 +687,16 @@ class TestPicard:
             n=32, picard_depth=2, record_every=1,
             initial_data=InitialData("random-band", amplitude=0.05, seed=3),
         )
-        levels = picard_solve(cfg)
+        sink = Collect()
+        picard_solve(cfg, sink)
+        snaps = sink.snapshots
         grid = cfg.grid
         n, h = grid.n, grid.n // 2 + 1
         efactor = _heat_factor(grid, cfg.dt, cfg.kappa)[:, :h]
         work = _Workspace(grid, cfg.dealias)
         for lvl in (1, 2):
-            below = [snap.coeffs[:, :h] for snap in levels[lvl - 1].snapshots]
-            theta = levels[lvl].snapshots[0].coeffs[:, :h].copy()
+            below = [snap.coeffs[:, :h] for snap in snaps[lvl - 1]]
+            theta = snaps[lvl][0].coeffs[:, :h].copy()
             for k in range(len(below) - 1):
                 _heun_step(
                     theta, work, cfg.dt, efactor,
@@ -646,7 +704,7 @@ class TestPicard:
                     frozen_next=work.velocity(below[k + 1], np.empty((2, n, n))),
                 )
                 new = _full_spectrum(theta, grid).coeffs
-                assert np.array_equal(new, levels[lvl].snapshots[k + 1].coeffs)
+                assert np.array_equal(new, snaps[lvl][k + 1].coeffs)
 
     def test_past_cfl_warns_and_blowup_carries_partial_trajectory(self):
         cfg = cosine_config(
@@ -655,7 +713,7 @@ class TestPicard:
         )
         with pytest.warns(StabilityWarning):
             with pytest.raises(BlowUpError) as err:
-                picard_solve(cfg)
+                picard_solve(cfg, ignore)
         partial = err.value.trajectory
         assert isinstance(partial, Trajectory)
         assert err.value.time > 0
@@ -669,12 +727,14 @@ class TestPicard:
             n=32, picard_depth=2, dt=0.5, t_end=50.0, record_every=1,
             initial_data=InitialData("random-band", amplitude=1e4, seed=7),
         )
+        sink = Collect()
         with pytest.warns(StabilityWarning):
             with pytest.raises(BlowUpError) as err:
-                picard_solve(cfg)
+                picard_solve(cfg, sink)
         partial = err.value.trajectory
         assert partial.times[-1] < err.value.time
-        assert len(partial.times) == len(partial.snapshots) == len(partial.diagnostics)
+        snaps = sink.snapshots[partial.meta["level"]]
+        assert len(partial.times) == len(snaps) == len(partial.diagnostics)
         for row in partial.diagnostics:
             assert all(np.isfinite(value) for value in row.values())
 
@@ -685,14 +745,15 @@ class TestPicard:
             n=32, picard_depth=1, dt=0.5, t_end=50.0, record_every=1,
             initial_data=InitialData("random-band", amplitude=1e5, seed=7),
         )
+        sink = Collect()
         with pytest.warns(StabilityWarning):
             with pytest.raises(BlowUpError) as err:
-                picard_solve(cfg)
+                picard_solve(cfg, sink)
         assert isinstance(err.value.__cause__, HermitianSymmetryError)
         partial = err.value.trajectory
         assert partial.meta["level"] == 1
         assert partial.times[-1] < err.value.time
-        assert len(partial.times) == len(partial.snapshots) == len(partial.diagnostics)
+        assert len(partial.times) == len(sink.snapshots[1]) == len(partial.diagnostics)
 
     @pytest.mark.parametrize("defect", [1e-3, 1e-11])
     def test_diagnostics_row_rejects_a_non_hermitian_field(self, defect):
@@ -714,8 +775,9 @@ class TestPicard:
             n=32, picard_depth=3, record_every=2,
             initial_data=InitialData("random-band", amplitude=0.05, seed=3),
         )
-        levels = picard_solve(cfg)
-        want = _diagnostics_row(0.0, levels[0].snapshots[0], cfg)
+        sink = Collect()
+        levels = picard_solve(cfg, sink)
+        want = _diagnostics_row(0.0, sink.snapshots[0][0], cfg)
         rows = [traj.diagnostics[0] for traj in levels]
         assert all(row == want for row in rows)
         # each level holds its own row
@@ -726,21 +788,24 @@ class TestPicard:
             n=16, picard_depth=2, record_every=1,
             initial_data=InitialData("random-band", amplitude=1e200, seed=1),
         )
+        sink = Collect()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(BlowUpError, match="t=0: non-finite l2, lp, besov") as err:
-                picard_solve(cfg)
+                picard_solve(cfg, sink)
         assert err.value.time == 0.0
         partial = err.value.trajectory
         assert partial.meta["level"] == 0
-        assert partial.times == partial.snapshots == partial.diagnostics == ()
+        assert partial.times == partial.diagnostics == ()
+        assert not sink.snapshots
 
     def test_depth_zero_is_heat_flow(self):
         cfg = cosine_config(n=32, picard_depth=0, record_every=2)
-        levels = picard_solve(cfg)
+        sink = Collect()
+        levels = picard_solve(cfg, sink)
         assert len(levels) == 1
         theta0 = initial_field(cfg)
-        for t, snap in zip(levels[0].times, levels[0].snapshots):
+        for t, snap in zip(levels[0].times, sink.snapshots[0]):
             exact = heat_semigroup(theta0, t, cfg.kappa)
             assert np.max(np.abs(snap.coeffs - exact.coeffs)) <= 1e-12
 
@@ -753,17 +818,15 @@ class TestPicard:
             t_end=0.3,
             record_every=5,
         )
-        bp = cfg.besov_params()
-        levels = picard_solve(cfg)
-        gaps = []
-        for lo, hi in zip(levels, levels[1:]):
-            gaps.append(
-                max(
-                    besov_norm(a - b, bp)
-                    for (_, a), (_, b) in zip(lo.samples(), hi.samples())
-                )
-            )
-        assert picard_gaps(levels) == gaps
+        sink, picard = Collect(), PicardGaps(cfg)
+
+        def both(*record):
+            sink(*record)
+            picard(*record)
+
+        picard_solve(cfg, both)
+        gaps = picard_gaps(sink, cfg)
+        assert picard.gaps == gaps
         ratios = [b / a for a, b in zip(gaps, gaps[1:])]
         assert all(r < 1.0 for r in ratios)
 
@@ -775,10 +838,12 @@ class TestPicard:
             initial_data=InitialData("random-band", amplitude=0.05, seed=4),
         )
         bp = cfg.besov_params()
-        for traj in [solve(cfg), *picard_solve(cfg)]:
-            assert len(traj.diagnostics) == len(traj.snapshots) == 6
-            for row, snap in zip(traj.diagnostics, traj.snapshots):
-                assert row["besov"] == besov_norm(snap, bp)
+        runs = [collected(solve_levels, cfg), collected(picard_solve, cfg)]
+        for levels, sink in runs:
+            for lvl, traj in enumerate(levels):
+                assert len(traj.diagnostics) == len(sink.snapshots[lvl]) == 6
+                for row, snap in zip(traj.diagnostics, sink.snapshots[lvl]):
+                    assert row["besov"] == besov_norm(snap, bp)
 
     def test_iterates_approach_full_solver(self):
         cfg = cosine_config(
@@ -789,10 +854,12 @@ class TestPicard:
             t_end=0.3,
             record_every=1000,
         )
-        levels = picard_solve(cfg)
-        reference = solve(cfg)
-        gap_prev = (levels[-1].snapshots[-1] - levels[-2].snapshots[-1]).l2_norm()
-        dist = (levels[-1].snapshots[-1] - reference.snapshots[-1]).l2_norm()
+        levels, reference = Collect(), Collect()
+        picard_solve(cfg, levels)
+        solve(cfg, reference)
+        last = [levels.snapshots[lvl][-1] for lvl in range(cfg.picard_depth + 1)]
+        gap_prev = (last[-1] - last[-2]).l2_norm()
+        dist = (last[-1] - reference.snapshots[0][-1]).l2_norm()
         assert dist <= 2.0 * gap_prev + 1e-12
 
 
@@ -803,8 +870,10 @@ class TestHalfPlaneMarch:
             n=32, dealias=dealias, picard_depth=3, record_every=2,
             initial_data=InitialData("random-band", amplitude=0.5, seed=2),
         )
-        assert_same_run([solve(cfg)], march_full(cfg, [0]))
-        assert_same_run(picard_solve(cfg), march_full(cfg, [None, 0, 1, 2]))
+        assert_same_run(collected(solve_levels, cfg), collected(march_full, cfg, [0]))
+        assert_same_run(
+            collected(picard_solve, cfg), collected(march_full, cfg, [None, 0, 1, 2])
+        )
 
     @pytest.mark.parametrize("dealias", ["two-thirds", "none"])
     @pytest.mark.parametrize("record_every", [1, 1000])
@@ -816,11 +885,11 @@ class TestHalfPlaneMarch:
             record_every=record_every,
             initial_data=InitialData("random-band", amplitude=1e4, seed=7),
         )
-        for run, sources in ((solve, [0]), (picard_solve, [None, 0, 1])):
-            got, got_time = run_or_blowup(run, cfg)
-            want, want_time = run_or_blowup(march_full, cfg, sources)
+        for run, sources in ((solve_levels, [0]), (picard_solve, [None, 0, 1])):
+            *got, got_time = run_or_blowup(run, cfg)
+            *want, want_time = run_or_blowup(march_full, cfg, sources)
             assert want_time is not None and got_time == want_time
-            assert got[0].meta["level"] == want[0].meta["level"]
+            assert got[0][0].meta["level"] == want[0][0].meta["level"]
             assert_same_run(got, want)
 
     def test_alternating_grids_match_runs_alone(self):
@@ -831,17 +900,17 @@ class TestHalfPlaneMarch:
                           initial_data=InitialData("random-band", amplitude=0.5, seed=n))
             for n in (32, 64)
         ]
-        alone = [(solve(cfg), picard_solve(cfg)) for cfg in configs]
+        alone = [(collected(solve_levels, cfg), collected(picard_solve, cfg)) for cfg in configs]
         for _ in range(2):
             for cfg, (run, levels) in zip(configs, alone):
-                assert_same_run([solve(cfg)], [run])
-                assert_same_run(picard_solve(cfg), levels)
+                assert_same_run(collected(solve_levels, cfg), run)
+                assert_same_run(collected(picard_solve, cfg), levels)
 
 
 class TestArtifacts:
     def test_diagnostics_csv_embeds_config(self, tmp_path):
         cfg = cosine_config(n=32, record_every=5)
-        traj = solve(cfg)
+        traj = solve(cfg, ignore)
         path = tmp_path / "diag.csv"
         write_diagnostics(traj, path)
         text = path.read_text()
