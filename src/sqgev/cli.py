@@ -124,9 +124,14 @@ def write_csv(path, echo: dict, columns, rows) -> None:
 
 
 def write_diagnostics(traj: Trajectory, path) -> None:
+    """The level's diagnostics rows under its config echo, which also
+    carries the level's CFL note (its first CFL excess), if it has one."""
     columns = ["t", "l2", "lp", "besov", "radius"]
     rows = ([row[c] for c in columns] for row in traj.diagnostics)
-    write_csv(path, config_echo(traj.config), columns, rows)
+    echo = config_echo(traj.config)
+    if traj.meta["warnings"]:
+        echo["cfl_note"] = traj.meta["warnings"][0]
+    write_csv(path, echo, columns, rows)
 
 
 def _field_echo(cfg: SolverConfig) -> dict:

@@ -11,13 +11,15 @@ with the quadratic term formed pseudo-spectrally (pointwise product in
 physical space) and dealiased by the two-thirds rule by default.
 
 Each level's state is its k2 >= 0 half spectrum, an (n, n//2+1) array
-that the Heun step updates in place, and the step allocates nothing: one
-workspace per march (_Workspace) holds the half-plane symbols and every
-buffer, and numpy's out= arguments write the velocity pair, the gradient
-pair and the product's transform into it.  The inverse transform of a
-(2, n, n//2+1) stack is ifft along axis 0 then irfft along axis 1, the
-forward transform rfft along axis 1 then fft along axis 0: the same numbers
-as irfft2 and rfft2.  The k2 < 0 columns are rebuilt from Hermitian
+that the Heun step updates in place, and the step allocates nothing: a
+workspace (_Workspace) holds the half-plane symbols and every buffer, and
+numpy's out= arguments write the velocity pair, the gradient pair and the
+product's transform into it.  A workspace lives for one stretch of steps
+between two records and is dropped before the record, whose transients
+then reuse its pages.  The inverse transform of a (2, n, n//2+1) stack
+is ifft along axis 0 then irfft along axis 1, the forward transform rfft
+along axis 1 then fft along axis 0: the same numbers as irfft2 and rfft2.
+The k2 < 0 columns are rebuilt from Hermitian
 symmetry (spectral._full_spectrum) only when a level is recorded, and when
 `step` or `nonlinear_term` returns its field; the initial data is recorded
 as given.  Nyquist convention: each odd symbol (i kx, i ky and the Riesz pair)
@@ -259,7 +261,8 @@ def _half_plane(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 class _Workspace:
     """Half-plane operators and preallocated buffers for the stepping kernel
-    on one grid; one per march, never shared between grids.
+    on one grid; a march builds one per stretch of steps between two
+    records, and none is shared between grids.
 
     spec holds two (n, n//2+1) half spectra and is the input of `inverse`
     and the output of `forward`; vel and grad hold (2, n, n) grid values;
@@ -433,11 +436,15 @@ def _march(config: SolverConfig, sources: list, sink) -> list[Trajectory]:
     start-time velocity.
 
     Each level's state is its k2 >= 0 half spectrum, updated in place; the
-    k2 < 0 columns are rebuilt when it is recorded.  Each record, once its
-    diagnostics row is finite, is handed to sink(level, t, snapshot, row),
-    levels in order at each recorded time, and the run keeps no recorded
-    field alive.  The returned trajectories (and the one a BlowUpError
-    carries) hold every time, row and note.
+    k2 < 0 columns are rebuilt when it is recorded.  Across records the run
+    keeps only what carries state: the half spectra, the heat factor and the
+    frozen velocities.  The stepping workspace and the Picard spare velocity
+    are built for each stretch of steps between two records and dropped
+    before the record, so that no record runs beside them.  Each record,
+    once its diagnostics row is finite, is handed to sink(level, t,
+    snapshot, row), levels in order at each recorded time, and the run keeps
+    no recorded field alive.  The returned trajectories (and the one a
+    BlowUpError carries) hold every time, row and note.
     """
     grid, dt = config.grid, config.dt
     h = grid.n // 2 + 1
@@ -485,32 +492,41 @@ def _march(config: SolverConfig, sources: list, sink) -> list[Trajectory]:
         record(lvl, 0.0, init, dict(init_row))
     half = [init.coeffs[:, :h].copy() for _ in levels]
     del init
-    work = _Workspace(grid, config.dealias)
     efactor = _heat_factor(grid, dt, config.kappa)
     kmax = float(grid.rings.radii[-1])
     frozen_sources = [src for lvl, src in enumerate(sources) if src not in (None, lvl)]
-    vel = {src: work.velocity(half[src], np.empty((2, grid.n, grid.n)))
-           for src in frozen_sources}
-    spare = np.empty((2, grid.n, grid.n)) if frozen_sources else None
 
-    for k in range(1, n_steps + 1):
-        for lvl, src in enumerate(sources):
-            if src is None:
-                np.multiply(efactor, half[lvl], out=half[lvl])
-                umax = 0.0
-            elif src == lvl:
-                umax = _heun_step(half[lvl], work, dt, efactor)
-            else:
-                spare = work.velocity(half[src], spare)
-                umax = _heun_step(half[lvl], work, dt, efactor, vel[src], spare)
-                vel[src], spare = spare, vel[src]
-            # the warning names the line that called solve or picard_solve
-            _guard(half[lvl], umax, dt, kmax, k * dt, work, metas[lvl]["warnings"],
-                   lambda: trajectory(lvl), 4)
-        if k in marks and k < n_steps:
-            record_step(k)
-    del work, vel, spare  # the last record needs no stepping buffer
-    record_step(n_steps)
+    start = 1
+    for end in sorted(marks)[1:]:
+        # one workspace (and Picard spare) per stretch of steps between two
+        # records; neither carries state from one step to the next
+        work = _Workspace(grid, config.dealias)
+        spare = np.empty((2, grid.n, grid.n)) if frozen_sources else None
+        if start == 1:
+            vel = {src: work.velocity(half[src], np.empty((2, grid.n, grid.n)))
+                   for src in frozen_sources}
+        for k in range(start, end + 1):
+            for lvl, src in enumerate(sources):
+                if src is None:
+                    np.multiply(efactor, half[lvl], out=half[lvl])
+                    umax = 0.0
+                elif src == lvl:
+                    umax = _heun_step(half[lvl], work, dt, efactor)
+                else:
+                    spare = work.velocity(half[src], spare)
+                    umax = _heun_step(half[lvl], work, dt, efactor, vel[src], spare)
+                    vel[src], spare = spare, vel[src]
+                # the warning names the line that called solve or picard_solve
+                _guard(half[lvl], umax, dt, kmax, k * dt, work, metas[lvl]["warnings"],
+                       lambda: trajectory(lvl), 4)
+        # the record's transients reuse the stepping buffers' pages; the
+        # frozen velocities carry on to the next stretch, and the last
+        # record needs none
+        del work, spare
+        if end == n_steps:
+            del vel
+        record_step(end)
+        start = end + 1
     return [trajectory(lvl) for lvl in levels]
 
 

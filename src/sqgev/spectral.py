@@ -212,6 +212,17 @@ class RealField:
         object.__setattr__(self, "values", _freeze(v.copy()))
 
 
+def _checked_coeffs(grid: Grid, coeffs) -> np.ndarray:
+    """coeffs as a complex128 array (itself when it is one), after the
+    shape and finiteness checks of a SpectralField."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    if c.shape != (grid.n, grid.n):
+        raise ConfigError(f"coefficient shape {c.shape} does not match grid {(grid.n, grid.n)}")
+    if not np.all(np.isfinite(c)):
+        raise ConfigError("spectral field contains non-finite coefficients")
+    return c
+
+
 @dataclass(frozen=True)
 class SpectralField:
     """Fourier coefficients of a scalar field, fft layout, shape (n, n)."""
@@ -220,28 +231,32 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.grid.n, self.grid.n):
-            raise ConfigError(
-                f"coefficient shape {c.shape} does not match grid {(self.grid.n, self.grid.n)}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ConfigError("spectral field contains non-finite coefficients")
+        c = _checked_coeffs(self.grid, self.coeffs)
         object.__setattr__(self, "coeffs", _freeze(c.copy()))
 
+    @classmethod
+    def _adopt(cls, grid: Grid, coeffs: np.ndarray) -> "SpectralField":
+        """The field of an array this module has just built and never
+        touches again: the constructor's checks, then the array frozen in
+        place of a copy."""
+        fld = object.__new__(cls)
+        object.__setattr__(fld, "grid", grid)
+        object.__setattr__(fld, "coeffs", _freeze(_checked_coeffs(grid, coeffs)))
+        return fld
+
     def __add__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
+        return SpectralField._adopt(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
+        return SpectralField._adopt(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, c: complex) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * c)
+        return SpectralField._adopt(self.grid, self.coeffs * c)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
+        return SpectralField._adopt(self.grid, -self.coeffs)
 
     @cached_property
     def ring_spectrum(self) -> RingSpectrum:
@@ -282,8 +297,8 @@ def _full_spectrum(half: np.ndarray, grid: Grid) -> SpectralField:
     h = grid.n // 2 + 1
     coeffs = np.empty((grid.n, grid.n), dtype=np.complex128)
     coeffs[:, :h] = half
-    coeffs[:, h:] = np.conj(half[grid._neg_index, h - 2 : 0 : -1])
-    return SpectralField(grid, coeffs)
+    np.conjugate(half[grid._neg_index, h - 2 : 0 : -1], out=coeffs[:, h:])
+    return SpectralField._adopt(grid, coeffs)
 
 
 def forward_transform(f: RealField) -> SpectralField:

@@ -25,6 +25,7 @@ from sqgev.gevrey import GevreyParams, heat_semigroup, xt_norm
 from sqgev.solver import (
     InitialData,
     SolverConfig,
+    StabilityWarning,
     config_echo,
     config_from_flat,
     picard_solve,
@@ -143,6 +144,23 @@ class TestSimulateVerb:
         assert code == 0
         assert "# kappa=0.9" in (out / "diagnostics.csv").read_text()
         assert "# kappa=0.9" in (out / "xt_trace.csv").read_text()
+
+    def test_cfl_note_reaches_the_diagnostics_echo(self, tmp_path):
+        # the run exits 0 far past the CFL limit; its diagnostics say so
+        out = tmp_path / "run"
+        with pytest.warns(StabilityWarning, match="= 7.65"):
+            code = main(
+                ["simulate", "-o", str(out), "--set", "n=64", "--set", "dt=0.05",
+                 "--set", "t_end=0.5", "--set", "amplitude=50"]
+            )
+        assert code == 0
+        assert echoed(out / "diagnostics.csv")["cfl_note"] == (
+            "advective CFL heuristic exceeded at t=0.05: dt*max|k|*max|u| = 7.65"
+        )
+        # a run within the limit writes no note
+        quiet = tmp_path / "quiet"
+        assert main(["simulate", "-o", str(quiet), "--set", "n=32", "--set", "t_end=0.1"]) == 0
+        assert "cfl_note" not in echoed(quiet / "diagnostics.csv")
 
     def test_blowup_exits_3_and_saves_snapshot(self, tmp_path):
         out = tmp_path / "boom"

@@ -617,6 +617,35 @@ LEVEL_RUNS = {
 
 
 class TestRecordSink:
+    def test_no_record_runs_beside_a_stepping_workspace(self, monkeypatch):
+        # every workspace goes into a weak set, so a live one shows while a
+        # record is diagnosed or handed to the sink
+        live, built, seen = weakref.WeakSet(), [], []
+        build = _Workspace.__init__
+
+        def tracked(self, *args):
+            build(self, *args)
+            live.add(self)
+            built.append(1)
+
+        def diagnosed(t, fld, config):
+            seen.append(("row", t, len(live)))
+            return _diagnostics_row(t, fld, config)
+
+        def sink(lvl, t, snap, row):
+            seen.append(("sink", t, len(live)))
+
+        monkeypatch.setattr(_Workspace, "__init__", tracked)
+        monkeypatch.setattr("sqgev.solver._diagnostics_row", diagnosed)
+        cfg = cosine_config(n=32, picard_depth=2, t_end=0.05, record_every=1)
+        for name, (run, _) in LEVEL_RUNS.items():
+            seen.clear(), built.clear()
+            run(cfg, sink)
+            assert built, name
+            # records between steps, not only at t = 0 and t_end
+            assert {t for _, t, _ in seen} == {k * cfg.dt for k in range(6)}, name
+            assert [alive for *_, alive in seen] == [0] * len(seen), name
+
     def test_sink_sees_every_record_and_the_run_keeps_none(self):
         cfg = cosine_config(
             n=32, picard_depth=2, record_every=3,
