@@ -37,7 +37,6 @@ from .solver import (
     nonlinear_term,
     picard_solve,
     solve,
-    step,
 )
 from .bilinear import (
     BilinearSymbol,

@@ -32,6 +32,7 @@ from .dyadic import build_system, phi0, phi0_prime
 from .gevrey import check_gevrey_weight
 from .spectral import (
     HERMITIAN_FLOOR,
+    TWO_PI,
     BandRangeError,
     ConfigError,
     Grid,
@@ -95,7 +96,6 @@ def apply_bilinear(m: BilinearSymbol, f: SpectralField, g: SpectralField) -> Spe
         )
     n = grid.n
     half = n // 2
-    kscale = grid.k_min
     out = np.zeros(n * n, dtype=np.complex128)
     if mf.shape[0] == 0 or mg.shape[0] == 0:
         return SpectralField(grid, out.reshape(n, n))
@@ -113,7 +113,7 @@ def apply_bilinear(m: BilinearSymbol, f: SpectralField, g: SpectralField) -> Spe
             & (sums[..., 1] > -half) & (sums[..., 1] < half)
         )
         vals = (
-            m(kscale * fi[:, None, :].astype(float), kscale * mg[None, :, :].astype(float))
+            m(fi[:, None, :].astype(float), mg[None, :, :].astype(float))
             * ci[:, None]
             * cg[None, :]
         )
@@ -123,9 +123,9 @@ def apply_bilinear(m: BilinearSymbol, f: SpectralField, g: SpectralField) -> Spe
 
 
 def bilinear_pairing(m: BilinearSymbol, f: SpectralField, g: SpectralField, h: SpectralField) -> complex:
-    """<T_m(f, g), h> = L^2 * sum_k T_hat(k) h_hat(-k)."""
+    """<T_m(f, g), h> = (2 pi)^2 * sum_k T_hat(k) h_hat(-k)."""
     T = apply_bilinear(m, f, g)
-    return h.grid.box_length**2 * complex(np.sum(T.coeffs * negated_modes(h.coeffs)))
+    return TWO_PI**2 * complex(np.sum(T.coeffs * negated_modes(h.coeffs)))
 
 
 def rotation_dual(m: BilinearSymbol) -> BilinearSymbol:
@@ -313,12 +313,11 @@ def _lr_norm_of_output(T: SpectralField, r: float) -> float:
 
 def _peak_pair(m: BilinearSymbol, grid: Grid, f_mask: np.ndarray, g_mask: np.ndarray):
     """Deterministic argmax of |m| over the admissible mode pairs."""
-    kscale = grid.k_min
     freqs = grid.freqs
     fi, fj = np.nonzero(f_mask)
     gi, gj = np.nonzero(g_mask)
-    xi = np.stack([freqs[fi], freqs[fj]], axis=-1).astype(float) * kscale
-    eta = np.stack([freqs[gi], freqs[gj]], axis=-1).astype(float) * kscale
+    xi = np.stack([freqs[fi], freqs[fj]], axis=-1).astype(float)
+    eta = np.stack([freqs[gi], freqs[gj]], axis=-1).astype(float)
     best_val, best = -1.0, None
     chunk = max(1, int(2_000_000 // max(eta.shape[0], 1)))
     for start in range(0, xi.shape[0], chunk):
@@ -330,11 +329,11 @@ def _peak_pair(m: BilinearSymbol, grid: Grid, f_mask: np.ndarray, g_mask: np.nda
     return best, best_val
 
 
-def _cosine_mode(grid: Grid, k_phys: np.ndarray) -> SpectralField:
+def _cosine_mode(grid: Grid, k: np.ndarray) -> SpectralField:
     """Unit-coefficient real plane-wave pair at +-k."""
     coeffs = np.zeros((grid.n, grid.n), dtype=complex)
-    mi = int(round(k_phys[0] / grid.k_min)) % grid.n
-    mj = int(round(k_phys[1] / grid.k_min)) % grid.n
+    mi = int(round(k[0])) % grid.n
+    mj = int(round(k[1])) % grid.n
     coeffs[mi, mj] = 0.5
     coeffs[(-mi) % grid.n, (-mj) % grid.n] += 0.5
     return SpectralField(grid, coeffs)

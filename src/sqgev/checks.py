@@ -41,6 +41,7 @@ from .gevrey import (
 from .solver import BlowUpError, InitialData, PicardGaps, SolverConfig, initial_field
 from .solver import picard_solve, solve
 from .spectral import (
+    TWO_PI,
     ConfigError,
     Grid,
     RealField,
@@ -559,7 +560,7 @@ def _prescribed_profile_field(grid, exponent, p, seed, extra_damping=0.0, alpha=
     real inverse transform reads; the k2 < 0 columns are rebuilt from
     Hermitian symmetry at the end.  At p = 2 a band's norm comes from
     Parseval instead of a transform: its coefficients have unit modulus,
-    so the norm is L times the square root of its mode count over the
+    so the norm is 2 pi times the square root of its mode count over the
     full plane, where an interior column of the half plane (0 < k2 < n/2)
     stands for itself and its mirror image.
     """
@@ -576,7 +577,7 @@ def _prescribed_profile_field(grid, exponent, p, seed, extra_damping=0.0, alpha=
             continue
         piece = phase * mask
         if p == 2.0:
-            norm = grid.box_length * math.sqrt(float(np.sum(mask * mirrored)))
+            norm = TWO_PI * math.sqrt(float(np.sum(mask * mirrored)))
         else:
             values = np.fft.irfft2(piece, s=(n, n), norm="forward")
             norm = _lp_quadrature(values, p, grid.cell_area)

@@ -22,12 +22,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import ClassVar
 
 import numpy as np
 
 from .spectral import (
     HERMITIAN_FLOOR,
     HERMITIAN_RTOL,
+    TWO_PI,
     BandRangeError,
     ConfigError,
     Grid,
@@ -117,12 +119,13 @@ class DyadicSystem:
     """Dyadic band system resolved on a particular grid.
 
     j_min..j_max is the range of band indices whose annuli both contain a
-    lattice point and fit under the Nyquist wavenumber (2^(j_max+1) <= k_ny).
+    lattice point and fit under the Nyquist wavenumber: band 0 holds the
+    unit ring, the innermost nonzero one, and 2^(j_max+1) = n/2.
     """
 
     grid: Grid
-    j_min: int
     j_max: int
+    j_min: ClassVar[int] = 0
 
     def js(self) -> range:
         return range(self.j_min, self.j_max + 1)
@@ -173,7 +176,7 @@ def _block_norms(f: SpectralField, ring_weight, p: float) -> np.ndarray:
     """||Delta_j (w f)||_{L^p} for every resolved j, from a _weighted pair.
 
     Any p but 2 takes the collocation quadrature of each transformed block.
-    p = 2 is Parseval, L sqrt(sum over rings of phi_j^2 w^2 E) with E the
+    p = 2 is Parseval, 2 pi sqrt(sum over rings of phi_j^2 w^2 E) with E the
     ring energies of f, and each block gets the Hermitian test that
     inverse_transform would apply to it: phi_j w is radial and nonnegative,
     so a block's defect and scale are the ring maxima of |c(k) - conj c(-k)|
@@ -190,10 +193,10 @@ def _block_norms(f: SpectralField, ring_weight, p: float) -> np.ndarray:
     if bad.any():
         i = int(np.argmax(bad))
         raise HermitianSymmetryError(
-            f"block j={system.j_min + i} is not Hermitian-symmetric "
+            f"block j={i} is not Hermitian-symmetric "
             f"(defect {defect[i]:.3e})"
         )
-    return f.grid.box_length * np.sqrt(phi**2 @ (ring_weight * (ring_weight * spec.energy)))
+    return TWO_PI * np.sqrt(phi**2 @ (ring_weight * (ring_weight * spec.energy)))
 
 
 def block_lp_norms(f: SpectralField, p: float, weight=None) -> np.ndarray:
@@ -250,18 +253,7 @@ def besov_report(f: SpectralField, bp: BesovParams):
 
 @lru_cache(maxsize=64)
 def build_system(grid: Grid) -> DyadicSystem:
-    """Resolve the dyadic range for a grid and freeze the bump profiles;
-    memoized, so equal grids share one system (profiles are pure functions)."""
-    radii = grid.rings.radii
-    radii = radii[(radii > 0) & (radii <= grid.k_nyquist)]
-    j_max = int(np.floor(np.log2(grid.k_nyquist))) - 1
-    j_min = None
-    for j in range(-40, j_max + 1):
-        if np.any((radii > 2.0 ** (j - 1)) & (radii < 2.0 ** (j + 1))):
-            j_min = j
-            break
-    if j_min is None or j_min > j_max:
-        raise ConfigError(
-            f"grid n={grid.n}, L={grid.box_length:g} cannot host a dyadic annulus"
-        )
-    return DyadicSystem(grid=grid, j_min=j_min, j_max=j_max)
+    """The dyadic system of a grid, bands 0..log2(n/2) - 1; memoized, so
+    equal grids share one system and its frozen bump profiles (profiles are
+    pure functions)."""
+    return DyadicSystem(grid=grid, j_max=int(np.log2(grid.n)) - 2)

@@ -21,10 +21,10 @@ is ifft along axis 0 then irfft along axis 1, the forward transform rfft
 along axis 1 then fft along axis 0: the same numbers as irfft2 and rfft2.
 The k2 < 0 columns are rebuilt from Hermitian
 symmetry (spectral._full_spectrum) only when a level is recorded, and when
-`step` or `nonlinear_term` returns its field; the initial data is recorded
-as given.  Nyquist convention: each odd symbol (i kx, i ky and the Riesz pair)
-is 0 where its own component is the Nyquist frequency n/2, the value the
-real part of a complex inverse transform gives it there.
+`nonlinear_term` returns its field; the initial data is recorded as given.
+Nyquist convention: each odd symbol (i kx, i ky and the Riesz pair) is 0
+where its own component is the Nyquist frequency n/2, the value the real
+part of a complex inverse transform gives it there.
 
 The solution and its Picard iterates obey the same equation and differ only
 in where the advecting velocity comes from, so one loop (_march) advances a
@@ -53,6 +53,7 @@ import numpy as np
 from .dyadic import BesovParams, besov_norm
 from .gevrey import fit_radius, spectral_decay_fit
 from .spectral import (
+    TWO_PI,
     ConfigError,
     Grid,
     HermitianSymmetryError,
@@ -176,7 +177,7 @@ def dealias_mask(grid: Grid, rule: str) -> np.ndarray:
 
 
 def _gaussian_pair_values(grid: Grid) -> np.ndarray:
-    L = grid.box_length
+    L = TWO_PI
     x1, x2 = grid.meshgrid()
     width = L / 16.0
     out = np.zeros((grid.n, grid.n))
@@ -219,21 +220,20 @@ def initial_field(config: SolverConfig) -> SpectralField:
     coeffs[0, 0] = 0.0
     if two_thirds:
         np.multiply(coeffs, dealias_mask(grid, "two-thirds"), out=coeffs)
-    fld = SpectralField(grid, coeffs)
-    del coeffs  # fld holds its own copy
+    fld = SpectralField._adopt(grid, coeffs)
     # a file's huge coefficients can overflow the norm; its first diagnostics
     # row then ends the run as a BlowUpError
     with np.errstate(over="ignore", invalid="ignore"):
         norm = besov_norm(fld, config.besov_params())
     if init.profile == "zero" or init.amplitude == 0.0 or norm == 0.0:
-        return SpectralField(grid, np.zeros_like(fld.coeffs))
+        return SpectralField._adopt(grid, np.zeros_like(fld.coeffs))
     if init.profile.startswith("file:"):
         return fld  # files are taken verbatim
     # one complex product, which also sets the signs of the masked modes'
     # zeros that the snapshot files hold
     scaled = fld.coeffs * (init.amplitude / norm)
     del fld
-    return SpectralField(grid, scaled)
+    return SpectralField._adopt(grid, scaled)
 
 
 # -- nonlinear term and stepping ------------------------------------------
@@ -371,31 +371,21 @@ def _heun_step(theta, work, dt, efactor, frozen=None, frozen_next=None):
     return umax
 
 
-def _guard(theta, umax, dt, kmax, t, work, notes, partial, stacklevel):
-    """Check a step ending at time t with half spectrum theta.  While
-    `notes` is empty, an advective CFL number dt * max|k| * max|u| above 1
-    is warned about and appended to it; a non-finite coefficient raises
-    BlowUpError carrying partial().  stacklevel counts the frames from the
-    warning to the line that called the solver, _guard's own frame being 1."""
+def _guard(theta, umax, dt, kmax, t, work, notes, partial):
+    """Check a step of _march ending at time t with half spectrum theta.
+    While `notes` is empty, an advective CFL number dt * max|k| * max|u|
+    above 1 is warned about and appended to it; a non-finite coefficient
+    raises BlowUpError carrying partial().  The warning names the line that
+    called solve or picard_solve, four frames up: _guard, _march, the
+    solver call, its caller."""
     if not notes and dt * kmax * umax > 1.0:
         notes.append(
             f"advective CFL heuristic exceeded at t={t:g}: "
             f"dt*max|k|*max|u| = {dt * kmax * umax:.2f}"
         )
-        warnings.warn(notes[-1], StabilityWarning, stacklevel=stacklevel)
+        warnings.warn(notes[-1], StabilityWarning, stacklevel=4)
     if not np.isfinite(theta, out=work.finite).all():
         raise BlowUpError(f"blow-up at t={t:g}", t, partial())
-
-
-def step(theta: SpectralField, dt: float, config: SolverConfig) -> SpectralField:
-    """Advance one step; exact heat flow when the advection term vanishes."""
-    grid = theta.grid
-    h = grid.n // 2 + 1
-    work = _Workspace(grid, config.dealias)
-    half = theta.coeffs[:, :h].copy()
-    umax = _heun_step(half, work, dt, _heat_factor(grid, dt, config.kappa))
-    _guard(half, umax, dt, float(grid.rings.radii[-1]), dt, work, [], lambda: None, 3)
-    return _full_spectrum(half, grid)
 
 
 def _diagnostics_row(t, fld, config):
@@ -516,9 +506,8 @@ def _march(config: SolverConfig, sources: list, sink) -> list[Trajectory]:
                     spare = work.velocity(half[src], spare)
                     umax = _heun_step(half[lvl], work, dt, efactor, vel[src], spare)
                     vel[src], spare = spare, vel[src]
-                # the warning names the line that called solve or picard_solve
                 _guard(half[lvl], umax, dt, kmax, k * dt, work, metas[lvl]["warnings"],
-                       lambda: trajectory(lvl), 4)
+                       lambda: trajectory(lvl))
         # the record's transients reuse the stepping buffers' pages; the
         # frozen velocities carry on to the next stretch, and the last
         # record needs none

@@ -5,7 +5,10 @@ are immutable after construction and all operations are pure functions, so
 they are safe to call from multiple threads.
 
 Conventions:
-  * the domain is the periodic box [0, L)^2 sampled on an n-by-n lattice,
+  * the domain is the periodic box [0, 2*pi)^2 sampled on an n-by-n lattice,
+    so the wavenumbers are the integer frequencies; SQG's scaling
+    lambda^(kappa-1) theta(lambda x, lambda^kappa t) carries a run on any
+    other box onto this one,
   * spectral coefficients use the Fourier-series normalization in which a
     plane wave cos(k.x) has exactly two coefficients of value 1/2,
   * coefficient arrays are laid out in numpy fft order along both axes.
@@ -51,20 +54,17 @@ class MultiplierOverflowError(FloatingPointError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform n-by-n lattice on the periodic box [0, box_length)^2.
+    """Uniform n-by-n lattice on the periodic box [0, 2*pi)^2.
 
-    The wavenumber lattice is k = (2*pi/box_length) * m with integer
-    frequencies m in [-n/2, n/2) along each axis.
+    The wavenumbers are the integer frequencies m in [-n/2, n/2) along each
+    axis.
     """
 
     n: int
-    box_length: float = TWO_PI
 
     def __post_init__(self):
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ConfigError(f"grid size must be a power of two >= 8, got n={self.n}")
-        if not (math.isfinite(self.box_length) and self.box_length > 0):
-            raise ConfigError(f"box_length must be positive, got {self.box_length}")
 
     @cached_property
     def freqs(self) -> np.ndarray:
@@ -76,17 +76,17 @@ class Grid:
 
     @cached_property
     def k_axis(self) -> np.ndarray:
-        """Physical wavenumbers (2*pi/box_length) * freqs, shape (n,)."""
-        return _freeze((TWO_PI / self.box_length) * self.freqs)
+        """Wavenumbers along one axis, the freqs as floats, shape (n,)."""
+        return _freeze(self.freqs.astype(np.float64))
 
     @cached_property
     def kx(self) -> np.ndarray:
-        """Physical wavenumber along axis 0, shape (n, n)."""
+        """Wavenumber along axis 0, shape (n, n)."""
         return _freeze(np.broadcast_to(self.k_axis[:, None], (self.n, self.n)).copy())
 
     @cached_property
     def ky(self) -> np.ndarray:
-        """Physical wavenumber along axis 1, shape (n, n)."""
+        """Wavenumber along axis 1, shape (n, n)."""
         return _freeze(np.broadcast_to(self.k_axis[None, :], (self.n, self.n)).copy())
 
     @cached_property
@@ -111,20 +111,15 @@ class Grid:
 
     @property
     def spacing(self) -> float:
-        return self.box_length / self.n
+        return TWO_PI / self.n
 
     @property
     def cell_area(self) -> float:
-        return (self.box_length / self.n) ** 2
-
-    @property
-    def k_min(self) -> float:
-        """Smallest nonzero wavenumber magnitude (lattice spacing in k)."""
-        return TWO_PI / self.box_length
+        return self.spacing**2
 
     @property
     def k_nyquist(self) -> float:
-        return (TWO_PI / self.box_length) * (self.n // 2)
+        return float(self.n // 2)
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -149,7 +144,7 @@ class RingIndex:
 
     ids: ring id of every mode, int32, shape (n, n), fft layout;
     m2: the integer |m|^2 of each ring, ascending;
-    radii: the physical radius k_min * sqrt(m2) of each ring;
+    radii: the radius sqrt(m2) of each ring;
     counts: the number of modes on each ring.
     """
 
@@ -189,7 +184,7 @@ def _ring_index(grid: Grid) -> RingIndex:
     return RingIndex(
         ids=_freeze(ids),
         m2=_freeze(ring_m2),
-        radii=_freeze(grid.k_min * np.sqrt(ring_m2)),
+        radii=_freeze(np.sqrt(ring_m2)),
         counts=_freeze(np.bincount(ids.ravel(), minlength=ring_m2.size)),
     )
 
@@ -285,8 +280,8 @@ class SpectralField:
         return complex(self.coeffs[0, 0])
 
     def l2_norm(self) -> float:
-        """L^2 norm via Parseval: ||f||^2 = L^2 * sum |f_hat(k)|^2."""
-        return self.grid.box_length * float(
+        """L^2 norm via Parseval: ||f||^2 = (2*pi)^2 * sum |f_hat(k)|^2."""
+        return TWO_PI * float(
             np.sqrt(np.sum(np.abs(self.coeffs) ** 2))
         )
 
@@ -305,7 +300,7 @@ def forward_transform(f: RealField) -> SpectralField:
     """DFT normalized so that the coefficient of e^{ik.x} is returned directly."""
     n = f.grid.n
     coeffs = np.fft.fft2(f.values) / (n * n)
-    return SpectralField(f.grid, coeffs)
+    return SpectralField._adopt(f.grid, coeffs)
 
 
 def inverse_transform(F: SpectralField, rtol: float = HERMITIAN_RTOL) -> RealField:
@@ -349,7 +344,7 @@ def apply_multiplier(F: SpectralField, symbol) -> SpectralField:
                 f"multiplier is not finite on occupied mode k={k}", wavenumber=k
             )
         sym = np.where(bad, 0.0, sym)
-    return SpectralField(grid, F.coeffs * sym)
+    return SpectralField._adopt(grid, F.coeffs * sym)
 
 
 def lp_norm(f: RealField, p: float) -> float:
@@ -425,14 +420,13 @@ def random_phases(grid: Grid, rng, half_plane: bool = False) -> np.ndarray:
 def random_band_limited(grid: Grid, j: int, seed: int) -> SpectralField:
     """Random Hermitian field with spectrum in the dyadic annulus of index j.
 
-    The annulus is 2^(j-1) <= |k| <= 2^(j+1) in physical wavenumber units,
-    intersected with the Nyquist disk.  Deterministic for a given seed.
+    The annulus is 2^(j-1) <= |k| <= 2^(j+1), intersected with the Nyquist disk.  Deterministic for a given seed.
     """
     mask = band_mask(grid, 2.0 ** (j - 1), 2.0 ** (j + 1))
     if not mask.any():
         raise BandRangeError(
             f"dyadic annulus j={j} contains no lattice point on an "
-            f"n={grid.n}, L={grid.box_length:g} grid"
+            f"n={grid.n} grid"
         )
     return hermitian_noise(grid, mask, np.random.default_rng(seed))
 
@@ -440,9 +434,9 @@ def random_band_limited(grid: Grid, j: int, seed: int) -> SpectralField:
 # --- field snapshot files ------------------------------------------------
 #
 # Format: a text header of key=value lines (required keys: n, box_length,
-# kind, time; extra keys are preserved), a blank line, then raw little-endian
-# float64 data in row-major order -- plain values for a real field,
-# interleaved re/im pairs for a spectral field.
+# which is always 2*pi, kind, time; extra keys are preserved), a blank line,
+# then raw little-endian float64 data in row-major order -- plain values for
+# a real field, interleaved re/im pairs for a spectral field.
 
 _HEADER_SEP = b"\n\n"
 
@@ -459,7 +453,7 @@ def save_field(path, field, time: float = 0.0, extra: dict | None = None) -> Non
         raise TypeError(f"cannot save object of type {type(field)}")
     lines = [
         f"n={field.grid.n}",
-        f"box_length={field.grid.box_length!r}",
+        f"box_length={TWO_PI!r}",
         f"kind={kind}",
         f"time={float(time)!r}",
     ]
@@ -473,7 +467,7 @@ def save_field(path, field, time: float = 0.0, extra: dict | None = None) -> Non
 
 def load_field(path):
     """Read a snapshot file; returns (field, header_dict).  An unreadable
-    path raises ConfigError."""
+    path, and a box_length other than 2*pi, raise ConfigError."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -497,7 +491,9 @@ def load_field(path):
         header["time"] = float(header.get("time", 0.0))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: bad header ({exc})") from exc
-    grid = Grid(n, box_length)
+    if box_length != TWO_PI:
+        raise ConfigError(f"{path}: box_length={box_length!r}, but every grid is the 2*pi box")
+    grid = Grid(n)
     payload = np.frombuffer(blob[sep + len(_HEADER_SEP):], dtype="<f8")
     if kind == "real":
         if payload.size != n * n:

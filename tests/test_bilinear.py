@@ -83,7 +83,6 @@ def naive_double_sum(m, f, g):
     grid = f.grid
     n, half = grid.n, grid.n // 2
     out = np.zeros((n, n), dtype=complex)
-    scale = grid.k_min
     for i1 in range(n):
         for j1 in range(n):
             c1 = f.coeffs[i1, j1]
@@ -101,8 +100,8 @@ def naive_double_sum(m, f, g):
                         continue
                     val = complex(
                         m(
-                            np.array([[scale * m1[0], scale * m1[1]]], float),
-                            np.array([[scale * m2[0], scale * m2[1]]], float),
+                            np.array([m1], float),
+                            np.array([m2], float),
                         )[0]
                     )
                     out[s[0] % n, s[1] % n] += val * c1 * c2

@@ -44,7 +44,6 @@ from sqgev.gevrey import fit_line as _fit_line
 from sqgev.gevrey import fractional_laplacian, gevrey_multiply, heat_semigroup
 from sqgev.solver import BlowUpError, InitialData, SolverConfig, solve
 from sqgev.spectral import (
-    TWO_PI,
     ConfigError,
     Grid,
     RealField,
@@ -436,12 +435,12 @@ def _lp_of(field, p):
 
 
 def bernstein_loop(
-    *, n=128, box_length=TWO_PI, j_lo=1, j_hi=5,
+    *, n=128, j_lo=1, j_hi=5,
     trials=500, seed=0, s_set=(0.25, 0.5, 1.0), p_set=(2.0, 4.0, 8.0),
 ):
     """Two-sided block norm equivalences: the fractional-derivative sandwich
     ratio and its |f|^(p/2) variant must be j-uniform within 2^(2|s|)*1.1."""
-    grid = Grid(n, box_length)
+    grid = Grid(n)
     system = build_system(grid)
     if j_hi > system.j_max:
         raise ConfigError(
@@ -488,12 +487,12 @@ def bernstein_loop(
 
 
 def positivity_loop(
-    *, n=64, box_length=TWO_PI, trials=200, seed=0,
+    *, n=64, trials=200, seed=0,
     s_set=(0.25, 0.5, 0.9), p_set=(2.0, 4.0, 6.0),
 ):
     """int Lambda^s f |f|^(p-2) f dx >= (2/p) || Lambda^(s/2) f^(p/2) ||_2^2
     with the signed power; exact equality at p = 2."""
-    grid = Grid(n, box_length)
+    grid = Grid(n)
     rows = []
     verdict = PASS
     worst = math.inf
@@ -524,13 +523,13 @@ def positivity_loop(
 
 
 def heat_kernel_loop(
-    *, n=128, box_length=TWO_PI, j_lo=1, j_hi=5,
+    *, n=128, j_lo=1, j_hi=5,
     trials=100, seed=0, kappa_set=(0.5, 0.8), p_set=(2.0, 4.0),
     t_grid=tuple(float(t) for t in np.logspace(-2, 0, 5)),
 ):
     """Measured block decay rates r = -log(norm ratio)/t must straddle
     2^(kappa j) with a j,t,p-uniform spread at most 2^kappa * 1.1."""
-    grid = Grid(n, box_length)
+    grid = Grid(n)
     js = list(range(j_lo, j_hi + 1))
     rows = []
     skipped = 0
@@ -566,7 +565,7 @@ def heat_kernel_loop(
 
 
 def lin_gevrey_loop(
-    *, n=128, box_length=TWO_PI, j_lo=0, j_hi=4,
+    *, n=128, j_lo=0, j_hi=4,
     trials=60, seed=0, alpha=0.3, kappa=0.8, gamma_set=(0.01, 0.1, 0.5),
     p_set=(2.0, 4.0), constant_cap=50.0,
 ):
@@ -574,7 +573,7 @@ def lin_gevrey_loop(
     over the (j, gamma) sweep; prefactor gamma^((kappa-alpha)/alpha)."""
     if not 0 < alpha < kappa:
         raise ConfigError(f"need 0 < alpha < kappa, got {alpha}, {kappa}")
-    grid = Grid(n, box_length)
+    grid = Grid(n)
     js = list(range(j_lo, j_hi + 1))
     exponent = (kappa - alpha) / alpha
     rows = []

@@ -95,7 +95,7 @@ def echoed(path):
 class TestRunKeys:
     def test_every_run_key_round_trips(self, tmp_path):
         values = dict(
-            n=32, box_length=3.0, kappa=0.9, dt=0.02, t_end=0.08, dealias="none",
+            n=32, kappa=0.9, dt=0.02, t_end=0.08, dealias="none",
             picard_depth=2, record_every=2, p=4.0, q=1.0, alpha=0.3,
             initial_data="gaussian-pair", amplitude=0.05, init_seed=3, ring_j=3,
             lam=0.7, beta=0.2,
@@ -449,13 +449,17 @@ class TestVerifyVerb:
 
     @pytest.mark.parametrize("check, item", [
         ("lin-gevrey", "constant_cap=1e9"), ("bernstein", "box_length=3"),
+        ("simulate", "box_length=3"), ("picard", "box_length=3"),
     ])
     def test_verdict_bounds_and_the_box_are_not_keys(self, tmp_path, capsys, check, item):
-        # a verdict bound is a constant of the checks, and every check runs
-        # on the 2*pi box
+        # a verdict bound is a constant of the checks, and every check and
+        # every run is on the 2*pi box
         out = tmp_path / "v"
-        assert main(["verify", "--check", check, "-o", str(out), "--set", item]) == 2
-        assert "no selected check takes" in capsys.readouterr().err
+        run = check in ("simulate", "picard")
+        verb = [check] if run else ["verify", "--check", check]
+        assert main([*verb, "-o", str(out), "--set", item]) == 2
+        err = capsys.readouterr().err
+        assert ("unknown key 'box_length'" if run else "no selected check takes") in err
         assert not out.exists()
 
     def test_gevrey_overflow_exits_3(self, tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Tests for the dyadic bump system, block projectors and Besov norms."""
 
-import math
 
 import numpy as np
 import pytest
@@ -31,8 +30,6 @@ from sqgev.spectral import (
     inverse_transform,
     random_band_limited,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 def block_l2_quadrature(f):
@@ -291,5 +288,4 @@ class TestDefaultSystem:
     def test_memoized(self):
         a = build_system(Grid(64))
         assert build_system(Grid(64)) is a
-        assert build_system(Grid(64, box_length=3.0)) is not a
         assert build_system(Grid(32)) is not a

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqgev.cli import write_diagnostics
-from sqgev.dyadic import besov_norm
+from sqgev.dyadic import BesovParams, besov_norm, build_system
 from sqgev.gevrey import heat_semigroup
 from sqgev.solver import (
     ADVECTION_CONVENTION,
@@ -34,14 +34,15 @@ from sqgev.solver import (
     PicardGaps,
     picard_solve,
     solve,
-    step,
 )
 from sqgev.spectral import (
+    TWO_PI,
     ConfigError,
     Grid,
     HermitianSymmetryError,
     RealField,
     SpectralField,
+    _ring_index,
     box_mask,
     forward_transform,
     hermitian_noise,
@@ -303,7 +304,7 @@ class TestNonlinearTerm:
         grid = Grid(64)
         theta = random_band_limited(grid, 2, seed=21)
         adv = nonlinear_term(theta, "two-thirds")
-        pairing = grid.box_length**2 * float(
+        pairing = TWO_PI**2 * float(
             np.real(np.sum(theta.coeffs * np.conj(adv.coeffs)))
         )
         grad_scale = float(np.max(grid.k_mag) * theta.l2_norm())
@@ -346,9 +347,8 @@ class TestRealKernels:
         assert np.shares_memory(adv, work.spec)
         assert np.array_equal(adv, np.fft.rfft2(values[1], norm="forward"))
 
-    @pytest.mark.parametrize("box_length", [2 * math.pi, 3.0])
-    def test_half_plane_symbols_equal_the_full_grid_slices(self, box_length):
-        grid = Grid(32, box_length)
+    def test_half_plane_symbols_equal_the_full_grid_slices(self):
+        grid = Grid(32)
         n, h = grid.n, grid.n // 2 + 1
         ikx = 1j * grid.kx[:, :1]
         iky = 1j * grid.ky[:1, :h]
@@ -407,27 +407,34 @@ class TestRealKernels:
         grid = Grid(n)
         theta = hermitian_noise(grid, dealias_mask(grid, "two-thirds"), np.random.default_rng(seed))
         adv = nonlinear_term(theta, "two-thirds")
-        pairing = grid.box_length**2 * np.sum(adv.coeffs * np.conj(theta.coeffs))
+        pairing = TWO_PI**2 * np.sum(adv.coeffs * np.conj(theta.coeffs))
         assert abs(pairing) <= 1e-13 * theta.l2_norm() * adv.l2_norm()
         assert adv.is_hermitian()
 
 
 class TestStep:
-    def test_reduces_to_heat_flow_on_plane_wave(self):
-        cfg = cosine_config()
-        grid = cfg.grid
+    def test_reduces_to_heat_flow_on_plane_wave(self, tmp_path):
+        grid = Grid(32)
         x1, _ = grid.meshgrid()
         theta = forward_transform(RealField(grid, np.cos(x1)))
-        out = step(theta, cfg.dt, cfg)
+        save_field(tmp_path / "wave.field", theta)
+        cfg = cosine_config(
+            t_end=0.01, initial_data=InitialData(f"file:{tmp_path / 'wave.field'}")
+        )
+        sink = Collect()
+        solve(cfg, sink)
         exact = heat_semigroup(theta, cfg.dt, cfg.kappa)
-        assert np.max(np.abs(out.coeffs - exact.coeffs)) <= 1e-12
+        assert np.max(np.abs(sink.snapshots[0][-1].coeffs - exact.coeffs)) <= 1e-12
 
     def test_mean_stays_zero(self):
-        cfg = cosine_config(n=64, initial_data=InitialData("random-band", 1.0, seed=4))
-        theta = initial_field(cfg)
-        for _ in range(5):
-            theta = step(theta, cfg.dt, cfg)
-        assert abs(theta.mean_value()) <= 1e-14
+        cfg = cosine_config(
+            n=64, t_end=0.05, record_every=1,
+            initial_data=InitialData("random-band", 1.0, seed=4),
+        )
+        sink = Collect()
+        solve(cfg, sink)
+        assert len(sink.snapshots[0]) == 6
+        assert all(abs(theta.mean_value()) <= 1e-14 for theta in sink.snapshots[0])
 
     def test_dt_refinement_is_second_order(self):
         cfg = cosine_config(
@@ -458,6 +465,48 @@ class TestStep:
         err2 = (finals[2] - finals[4]).l2_norm()
         order = math.log2(err1 / err2)
         assert 1.7 <= order <= 2.3
+
+
+class TestScaling:
+    @pytest.mark.parametrize("kappa", [0.5, 0.8])
+    @pytest.mark.parametrize("dealias", ["two-thirds", "none"])
+    def test_critical_scaling_is_exact_on_the_even_modes(self, tmp_path, kappa, dealias):
+        # theta_2(x, t) = 2^(kappa-1) theta(2x, 2^kappa t) solves the same
+        # equation.  On the 2*pi box theta(2x) lives on the even modes of
+        # the doubled grid, where both dealias rules and the Nyquist
+        # convention are the coarse grid's, so the scheme keeps the identity
+        # to round-off
+        coarse = cosine_config(
+            n=64, kappa=kappa, dealias=dealias, dt=0.01, t_end=0.2, record_every=100,
+            initial_data=InitialData("random-band", amplitude=5.0, seed=3),
+        )
+        scale = 2.0 ** (kappa - 1.0)
+        fine_grid = Grid(128)
+        even = np.ix_(2 * coarse.grid.freqs % 128, 2 * coarse.grid.freqs % 128)
+        coeffs = np.zeros((128, 128), dtype=complex)
+        coeffs[even] = scale * initial_field(coarse).coeffs
+        save_field(tmp_path / "even.field", SpectralField(fine_grid, coeffs))
+        fine = cosine_config(
+            n=128, kappa=kappa, dealias=dealias, dt=0.01 / 2.0**kappa,
+            t_end=0.2 / 2.0**kappa, record_every=100,
+            initial_data=InitialData(f"file:{tmp_path / 'even.field'}"),
+        )
+        runs = [Collect(), Collect()]
+        solve(coarse, runs[0])
+        solve(fine, runs[1])
+        assert len(runs[0].snapshots[0]) == len(runs[1].snapshots[0]) == 2
+        for theta, theta_2 in zip(runs[0].snapshots[0], runs[1].snapshots[0]):
+            want = scale * theta.coeffs
+            assert np.max(np.abs(theta_2.coeffs[even] - want)) <= 1e-12 * np.max(np.abs(want))
+            odd = np.ones((128, 128), dtype=bool)
+            odd[even] = False
+            assert np.all(theta_2.coeffs[odd] == 0.0)
+            # the blocks of theta(2x) are the blocks of theta one band down,
+            # with the same L^p norms on the 2*pi box
+            for p in (2.0, 4.0):
+                bp = BesovParams(1.0 + 2.0 / p - kappa, p, 2.0)
+                ratio = besov_norm(theta_2, bp) / besov_norm(theta, bp)
+                assert ratio == pytest.approx(2.0 ** (2.0 / p), rel=1e-12)
 
 
 class TestSolve:
@@ -539,7 +588,6 @@ class TestSolve:
         runs = {
             "solve": lambda: solve(cfg, ignore),
             "picard_solve": lambda: picard_solve(cfg, ignore),
-            "step": lambda: step(initial_field(cfg), cfg.dt, cfg),
         }
         for name, run in runs.items():
             with pytest.warns(StabilityWarning) as record:
@@ -575,9 +623,11 @@ class TestSolve:
 
 class TestMemory:
     def test_recorded_run_builds_no_full_grid_wavenumbers(self):
-        # a box length no other test uses, so that no cache holds this
-        # grid's ring index, dyadic system or half-plane symbols
-        grid = Grid(256, 2 * math.pi * 1.000123)
+        # no cache may hold this grid's ring index, dyadic system or
+        # half-plane symbols
+        for cache in (_ring_index, build_system, _half_plane):
+            cache.cache_clear()
+        grid = Grid(256)
         config = SolverConfig(grid=grid, t_end=0.03, record_every=1)
         tracemalloc.start()
         try:

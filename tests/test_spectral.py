@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqgev.spectral import (
+    TWO_PI,
     BandRangeError,
     ConfigError,
     Grid,
@@ -28,8 +29,6 @@ from sqgev.spectral import (
     save_field,
 )
 
-TWO_PI = 2.0 * math.pi
-
 
 def random_real_field(grid, seed):
     rng = np.random.default_rng(seed)
@@ -43,12 +42,6 @@ class TestGrid:
         assert grid.freqs[1] == 1
         assert grid.freqs[8] == -8  # Nyquist wraps negative
         assert grid.k_nyquist == pytest.approx(8.0)
-        assert grid.k_min == pytest.approx(1.0)
-
-    def test_box_length_scales_wavenumbers(self):
-        grid = Grid(16, box_length=2 * TWO_PI)
-        assert grid.k_min == pytest.approx(0.5)
-        assert grid.k_nyquist == pytest.approx(4.0)
 
     def test_negation_symmetry_except_nyquist(self):
         grid = Grid(16)
@@ -57,9 +50,8 @@ class TestGrid:
             if m != -grid.n // 2:
                 assert -m in f
 
-    @pytest.mark.parametrize("box_length", [TWO_PI, 3.0])
-    def test_ring_index(self, box_length):
-        grid = Grid(32, box_length)
+    def test_ring_index(self):
+        grid = Grid(32)
         rings = grid.rings
         assert rings.ids.dtype == np.int32 and rings.ids.shape == (32, 32)
         assert not rings.ids.flags.writeable
@@ -73,12 +65,11 @@ class TestGrid:
         assert np.array_equal(rings.max(grid.k_mag), np.max(
             [np.where(rings.ids == i, grid.k_mag, 0.0) for i in range(rings.m2.size)], axis=(1, 2)
         ))
-        assert Grid(32, box_length).rings is rings
+        assert Grid(32).rings is rings
 
-    @pytest.mark.parametrize("box_length", [TWO_PI, 3.0])
-    def test_wavenumbers_come_from_the_frequency_axis(self, box_length):
-        grid = Grid(32, box_length)
-        k = (TWO_PI / box_length) * grid.freqs
+    def test_wavenumbers_come_from_the_frequency_axis(self):
+        grid = Grid(32)
+        k = grid.freqs.astype(float)
         assert np.array_equal(grid.k_axis, k)
         assert np.array_equal(grid.kx, np.broadcast_to(k[:, None], (32, 32)))
         assert np.array_equal(grid.ky, np.broadcast_to(k[None, :], (32, 32)))
@@ -90,10 +81,6 @@ class TestGrid:
     def test_rejects_bad_sizes(self, n):
         with pytest.raises(ConfigError):
             Grid(n)
-
-    def test_rejects_bad_box(self):
-        with pytest.raises(ConfigError):
-            Grid(16, box_length=-1.0)
 
 
 class TestTransforms:
@@ -242,12 +229,12 @@ class TestApplyMultiplier:
         assert err.value.wavenumber is not None
 
     def test_overflow_names_the_physical_wavenumber(self):
-        grid = Grid(16, box_length=2 * TWO_PI)
+        grid = Grid(16)
         x1, _ = grid.meshgrid()
-        F = forward_transform(RealField(grid, np.cos(x1)))  # modes m = (+-2, 0)
+        F = forward_transform(RealField(grid, np.cos(2 * x1)))  # modes k = (+-2, 0)
         with pytest.raises(MultiplierOverflowError) as err:
-            apply_multiplier(F, np.where(grid.k_mag == 1.0, np.inf, 1.0))
-        assert err.value.wavenumber == (1.0, 0.0)
+            apply_multiplier(F, np.where(grid.k_mag == 2.0, np.inf, 1.0))
+        assert err.value.wavenumber == (2.0, 0.0)
 
     def test_nonfinite_symbol_on_empty_mode_is_zeroed(self):
         grid = Grid(16)
@@ -261,7 +248,7 @@ class TestApplyMultiplier:
 class TestLpNorm:
     @pytest.mark.parametrize("p", [1, 2, 4, np.inf])
     def test_constant_field(self, p):
-        grid = Grid(16, box_length=TWO_PI)
+        grid = Grid(16)
         f = RealField(grid, -3.0 * np.ones((16, 16)))
         expected = 3.0 if math.isinf(p) else 3.0 * TWO_PI ** (2.0 / p)
         assert lp_norm(f, p) == pytest.approx(expected, rel=1e-13)
@@ -355,7 +342,7 @@ class TestRingSpectrum:
     @pytest.mark.parametrize("n", [16, 32, 64])
     @pytest.mark.parametrize("hermitian", [True, False])
     def test_matches_per_ring_loop(self, n, hermitian):
-        grid = Grid(n, 3.0)
+        grid = Grid(n)
         rng = np.random.default_rng(n)
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         c = hermitian_symmetrize(grid, raw) if hermitian else raw
@@ -385,7 +372,7 @@ class TestRingSpectrum:
 
 class TestSnapshotFiles:
     def test_real_round_trip(self, tmp_path):
-        grid = Grid(16, box_length=3.5)
+        grid = Grid(16)
         f = random_real_field(grid, 9)
         path = tmp_path / "f.snap"
         save_field(path, f, time=1.25, extra={"note": "test"})
@@ -393,7 +380,7 @@ class TestSnapshotFiles:
         assert isinstance(loaded, RealField)
         np.testing.assert_array_equal(loaded.values, f.values)
         assert header["time"] == 1.25
-        assert loaded.grid.box_length == pytest.approx(3.5)
+        assert loaded.grid == grid
         assert header["note"] == "test"
 
     def test_spectral_round_trip(self, tmp_path):
@@ -408,21 +395,21 @@ class TestSnapshotFiles:
 
     def test_spectral_bytes_are_interleaved_f8(self, tmp_path):
         # the encoding of the (n, n, 2) staging array that save_field used to fill
-        grid = Grid(8, 2.5)
+        grid = Grid(8)
         F = SpectralField(grid, np.arange(64).reshape(8, 8) * (0.25 - 1.5j) + 1.0 / 3.0)
         path = tmp_path / "F.snap"
         save_field(path, F, time=0.75, extra={"level": 2})
         inter = np.empty((8, 8, 2), dtype="<f8")
         inter[..., 0] = F.coeffs.real
         inter[..., 1] = F.coeffs.imag
-        header = "n=8\nbox_length=2.5\nkind=spectral\ntime=0.75\nlevel=2\n\n"
+        header = "n=8\nbox_length=6.283185307179586\nkind=spectral\ntime=0.75\nlevel=2\n\n"
         assert path.read_bytes() == header.encode("ascii") + inter.tobytes()
 
     def test_data_are_the_little_endian_bytes_of_the_array(self, tmp_path):
         # written through the buffer protocol, the payload is exactly the
         # tobytes() of the '<f8' values or '<c16' coefficients, signed zeros
         # included
-        grid = Grid(16, 1.75)
+        grid = Grid(16)
         f = random_real_field(grid, 11)
         values = f.values.copy()
         values[0, :3] = (-0.0, 0.0, -1e-310)
@@ -438,6 +425,18 @@ class TestSnapshotFiles:
             blob = path.read_bytes()
             assert blob.endswith(b"\n\n" + data.tobytes())
             assert len(blob) == blob.index(b"\n\n") + 2 + data.nbytes
+
+    def test_only_the_two_pi_box_is_read(self, tmp_path):
+        # the header keeps its box_length line, which must name the 2*pi box
+        data = np.arange(64, dtype="<f8").tobytes()
+        path = tmp_path / "f.snap"
+        path.write_bytes(b"n=8\nbox_length=6.283185307179586\nkind=real\n\n" + data)
+        loaded, header = load_field(path)
+        assert loaded.grid == Grid(8) and header["box_length"] == repr(TWO_PI)
+        np.testing.assert_array_equal(loaded.values.ravel(), np.arange(64))
+        path.write_bytes(b"n=8\nbox_length=2.5\nkind=real\n\n" + data)
+        with pytest.raises(ConfigError, match="box_length=2.5"):
+            load_field(path)
 
     def test_corrupt_header_rejected(self, tmp_path):
         path = tmp_path / "bad.snap"
