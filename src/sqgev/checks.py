@@ -1,18 +1,19 @@
 """Inequality verification harness.
 
 One runnable check per quantitative estimate: each sweeps randomized trials,
-fits constants or log2 slopes, and issues a pass/fail verdict against
-fixed tolerances.  "Bounded up to a constant" is operationalized as:
-the fitted constant exists, is finite, and is uniform (within the stated
-spread) over the swept parameter that the estimate's constant must not
-depend on.  A regression with R^2 < MIN_R_SQUARED can never pass; it is
-flagged inconclusive instead.
+fits constants or log2 slopes, and states the estimate as clauses `value
+relation bound` with fixed tolerances.  "Bounded up to a constant" is
+operationalized as: the fitted constant exists, is finite, and is uniform
+(within the stated spread) over the swept parameter that the estimate's
+constant must not depend on.  A clause with no data, or whose regression
+has R^2 < MIN_R_SQUARED, can never pass; it is inconclusive instead.
 
 Each check_* takes its parameters as keyword arguments, whose defaults are
-the check's configuration, and returns (trials, fits, verdict, notes);
-run_check overlays the overrides on those defaults and builds the report.
-The tolerances are module constants, not parameters, so that no run can
-move a verdict by moving its bound.  Every check runs on the 2*pi box.
+the check's configuration, and returns (trials, fits, clauses, notes);
+run_check overlays the overrides on those defaults and builds the report,
+whose verdict is the fold of its clauses (_fold).  The tolerances are
+module constants, not parameters, so that no run can move a verdict by
+moving its bound.  Every check runs on the 2*pi box.
 """
 
 from __future__ import annotations
@@ -66,32 +67,47 @@ SLOPE_SLACK = 0.2
 MIN_R_SQUARED = 0.9
 
 
+def _clause(name, value, relation, bound, unresolved=False) -> dict:
+    """The clause `value relation bound`, relation one of <=, <, >=, >, as
+    judged: inconclusive if unresolved, else pass when its slack toward the
+    bound is positive (or 0 under <= and >=), so a NaN value fails.  The
+    margin is the slack as a fraction of |bound|, or the slack at bound 0."""
+    value, bound = float(value), float(bound)
+    slack = bound - value if relation[0] == "<" else value - bound
+    holds = slack > 0 or (slack == 0 and relation[-1] == "=")
+    return {"name": name, "value": value, "relation": relation, "bound": bound,
+            "verdict": INCONCLUSIVE if unresolved else PASS if holds else FAIL,
+            "margin": slack / abs(bound) if bound else slack}
+
+
+def _fold(clauses) -> str:
+    """fail if any clause fails, else pass if all pass (and one exists), else inconclusive."""
+    verdicts = {clause["verdict"] for clause in clauses}
+    return FAIL if FAIL in verdicts else PASS if verdicts == {PASS} else INCONCLUSIVE
+
+
 @dataclass
 class InequalityReport:
     check_id: str
     config: dict
     trials: list
     fits: dict
-    verdict: str
+    clauses: list
     notes: list = field(default_factory=list)
     environment: dict = field(default_factory=dict)
+
+    @property
+    def verdict(self) -> str:
+        return _fold(self.clauses)
 
     def to_json(self) -> str:
         def default(obj):
             if isinstance(obj, (np.floating, np.integer)):
                 return obj.item()
-            if isinstance(obj, tuple):
-                return list(obj)
             raise TypeError(f"not serializable: {type(obj)}")
 
-        header = {
-            "check_id": self.check_id,
-            "verdict": self.verdict,
-            "config": self.config,
-            "fits": self.fits,
-            "notes": self.notes,
-            "environment": self.environment,
-        }
+        keys = ("check_id", "verdict", "config", "fits", "clauses", "notes", "environment")
+        header = {key: getattr(self, key) for key in keys}
         # only the small header goes through the indenting encoder; the
         # trials follow it, one row per line
         head = json.dumps(header, indent=2, sort_keys=True, default=default)
@@ -104,25 +120,15 @@ class InequalityReport:
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
+            print(self.to_json(), file=fh)
 
-    def key_constant(self) -> float:
-        for name in ("spread", "max_ratio", "epsilon_min", "worst_slope", "max_xt_ratio"):
-            if name in self.fits:
-                return float(self.fits[name])
-        return float("nan")
-
-    def residual(self) -> float:
-        return float(self.fits.get("r_squared", float("nan")))
-
-
-def _environment() -> dict:
-    return {
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-    }
+    def worst_clause(self) -> tuple[str, float]:
+        """(name, margin) of the clause of least margin, a NaN margin first."""
+        worst = min(
+            self.clauses, key=lambda c: (not math.isnan(c["margin"]), c["margin"]),
+            default={"name": "", "margin": math.nan},
+        )
+        return worst["name"], worst["margin"]
 
 
 def _signed_power(values: np.ndarray, exponent: float) -> np.ndarray:
@@ -196,20 +202,20 @@ def check_bernstein(
                 rows.append({"j": j, "s": s, "p": p, "ratio": ratio, "gen_ratio": gen})
 
     fits = {}
-    verdict = PASS
+    clauses = []
     worst_spread = 0.0
     for s in s_set:
         cap = 2.0 ** (2.0 * abs(s)) * 1.1
         for p in p_set:
             for key in ("ratio", "gen_ratio"):
                 vals = [r[key] for r in rows if r["s"] == s and r["p"] == p]
-                spread = max(vals) / min(vals)
-                fits[f"{key}_spread_s{s:g}_p{p:g}"] = spread
+                spread = max(vals) / min(vals) if vals else math.nan
+                name = f"{key}_spread_s{s:g}_p{p:g}"
+                fits[name] = spread
                 worst_spread = max(worst_spread, spread / cap)
-                if spread > cap:
-                    verdict = FAIL
+                clauses.append(_clause(name, spread, "<=", cap, unresolved=not vals))
     fits["spread"] = worst_spread  # worst spread as a fraction of its cap
-    return rows, fits, verdict, []
+    return rows, fits, clauses, []
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +239,8 @@ def check_positivity(
         raise ConfigError(f"positivity needs 2 <= p < inf for every p, got p_set={p_set}")
     grid = Grid(n)
     rows = []
-    verdict = PASS
     worst = math.inf
+    equality = []  # the normalized |lhs - rhs| at p = 2
     for trial in range(trials):
         f = _smooth_noise(grid, seed + trial)
         phys = inverse_transform(f)
@@ -253,12 +259,13 @@ def check_positivity(
                     {"trial": trial, "s": s, "p": p, "lhs": lhs, "rhs": rhs, "diff": diff}
                 )
                 worst = min(worst, diff / scale)
-                if diff < -1e-10 * scale:
-                    verdict = FAIL
-                if p == 2.0 and abs(diff) > 1e-12 * scale:
-                    verdict = FAIL
+                if p == 2.0:
+                    equality.append(abs(diff) / scale)
     fits = {"max_ratio": worst}  # most negative normalized difference
-    return rows, fits, verdict, []
+    clauses = [_clause("normalized_difference", worst, ">=", -1e-10, unresolved=not rows)]
+    if equality:
+        clauses.append(_clause("p2_equality_defect", max(equality), "<=", 1e-12))
+    return rows, fits, clauses, []
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +296,9 @@ def check_heat_kernel(
             norms = {t: _lp_norms(heat_semigroup(f, t, kappa), live) for t in t_grid}
             for p in live:
                 for t in t_grid:
+                    if norms[t][p] == 0.0:  # underflowed: no rate to read
+                        skipped += 1
+                        continue
                     rate = -math.log(norms[t][p] / base[p]) / t
                     value = rate / 2.0 ** (kappa * j)
                     kappa_rows.append(
@@ -296,18 +306,20 @@ def check_heat_kernel(
                     )
     rows = [row for kappa_rows in per_kappa for row in kappa_rows]
     fits = {}
-    verdict = PASS
+    clauses = []
     for kappa, kappa_rows in zip(kappa_set, per_kappa):
         scaled = [row["rate_over_2kj"] for row in kappa_rows]
-        c1, c2 = max(scaled), min(scaled)
+        c1, c2 = (max(scaled), min(scaled)) if scaled else (math.nan, math.nan)
         fits[f"c1_kappa{kappa:g}"] = c1
         fits[f"c2_kappa{kappa:g}"] = c2
         fits[f"spread_kappa{kappa:g}"] = c1 / c2
-        if not (c2 > 0 and math.isfinite(c1) and c1 / c2 <= 2.0**kappa * 1.1):
-            verdict = FAIL
+        # an infinite c1 makes the spread infinite or NaN, which fails
+        cap, unresolved = 2.0**kappa * 1.1, not scaled
+        clauses.append(_clause(f"c2_kappa{kappa:g}", c2, ">", 0.0, unresolved))
+        clauses.append(_clause(f"spread_kappa{kappa:g}", c1 / c2, "<=", cap, unresolved))
     fits["spread"] = max(fits[f"spread_kappa{k:g}"] for k in kappa_set)
     notes = [f"{skipped} zero-norm trials skipped"] if skipped else []
-    return rows, fits, verdict, notes
+    return rows, fits, clauses, notes
 
 
 # ---------------------------------------------------------------------------
@@ -351,16 +363,16 @@ def check_lin_gevrey(
                     continue
                 ratio = left[p] / denom
                 rows.append({"j": j, "gamma": gamma, "p": p, "ratio": ratio})
-    ratios = [r["ratio"] for r in rows]
     per_gamma = {
         f"max_ratio_gamma{g:g}": max(r["ratio"] for r in rows if r["gamma"] == g)
         for g in gamma_set
         if any(r["gamma"] == g for r in rows)
     }
-    fits = {"max_ratio": max(ratios), "prefactor_exponent": exponent, **per_gamma}
-    verdict = PASS if max(ratios) <= CONSTANT_CAP else FAIL
+    worst = max((r["ratio"] for r in rows), default=math.nan)
+    fits = {"max_ratio": worst, "prefactor_exponent": exponent, **per_gamma}
+    clauses = [_clause("max_ratio", worst, "<=", CONSTANT_CAP, unresolved=not rows)]
     notes = [f"{skipped} overflow/degenerate trials skipped"] if skipped else []
-    return rows, fits, verdict, notes
+    return rows, fits, clauses, notes
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +397,6 @@ def check_concavity(*, seed=0, alpha_set=(0.3, 0.5, 0.9), c_set=(0.5, 1.0, 2.0))
     """Brute-force minimum of (|xi|^a + |eta|^a - |xi+eta|^a)/|eta|^a over
     |xi|/|eta| >= c, plus the 1D reduction g(x) = |x|^a + 1 - |x+1|^a."""
     fits = {}
-    verdict = PASS
     rng = np.random.default_rng(seed)
     angles = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
     cos, sin = np.cos(angles), np.sin(angles)
@@ -418,16 +429,11 @@ def check_concavity(*, seed=0, alpha_set=(0.3, 0.5, 0.9), c_set=(0.5, 1.0, 2.0))
                     "g_endpoint_min": g_end,
                 }
             )
-            if eps_2d <= 0 or eps_1d <= 0:
-                verdict = FAIL
     rows = [row for alpha_rows in zip(*per_c) for row in alpha_rows]
 
     # frozen closed-form anchor: g(1) at alpha = 1/2 equals 2 - sqrt(2)
     g1 = 1.0**0.5 + 1.0 - 2.0**0.5
-    anchor_err = abs(g1 - (2.0 - math.sqrt(2.0)))
     fits["g1_at_half"] = g1
-    if anchor_err > 1e-12:
-        verdict = FAIL
 
     # rotation invariance spot checks
     worst_rot = 0.0
@@ -446,11 +452,15 @@ def check_concavity(*, seed=0, alpha_set=(0.3, 0.5, 0.9), c_set=(0.5, 1.0, 2.0))
 
         worst_rot = max(worst_rot, abs(defect(rot @ xi, rot @ eta) - defect(xi, eta)))
     fits["rotation_defect"] = worst_rot
-    if worst_rot > 1e-12:
-        verdict = FAIL
 
     fits["epsilon_min"] = min(r["epsilon_2d"] for r in rows)
-    return rows, fits, verdict, []
+    clauses = [
+        _clause("epsilon_2d_min", fits["epsilon_min"], ">", 0.0),
+        _clause("epsilon_1d_min", min(r["epsilon_1d"] for r in rows), ">", 0.0),
+        _clause("g1_anchor_error", abs(g1 - (2.0 - math.sqrt(2.0))), "<=", 1e-12),
+        _clause("rotation_defect", worst_rot, "<=", 1e-12),
+    ]
+    return rows, fits, clauses, []
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +529,7 @@ def check_r_derivatives(
                     )
                     worst = max(worst, value)
     fits = {"max_ratio": worst}
-    verdict = PASS if worst <= CONSTANT_CAP and math.isfinite(worst) else FAIL
-    return rows, fits, verdict, []
+    return rows, fits, [_clause("max_ratio", worst, "<=", CONSTANT_CAP)], []
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +616,8 @@ def check_commutator_decay(
         )
     rows = []
     fits = {}
+    clauses = []
     notes = []
-    verdict = PASS
     modes = (("classical", 0.0), ("gevrey", gamma))
     bands = [(j, gma) for _, gma in modes for j in js]
     for s, t, p in st_sets:
@@ -636,23 +645,24 @@ def check_commutator_decay(
                         {"mode": mode, "s": s, "t": t, "p": p, "j": j,
                          "trial": trial, "log2_norm": logs[j][-1]}
                     )
-            if any(not logs[j] for j in js):
-                notes.append(f"{mode} s={s:g} t={t:g} p={p:g}: all-zero norms, fit skipped")
-                continue
-            means = [float(np.mean(logs[j])) for j in js]
-            slope, _, r2 = fit_line(js, means)
             cap = -decay_target + SLOPE_SLACK
             if mode == "gevrey":
                 cap += alpha - delta
             tag = f"{mode}_s{s:g}_t{t:g}_p{p:g}"
-            fits[f"slope_{tag}"] = slope
-            fits[f"cap_{tag}"] = cap
-            fits[f"r2_{tag}"] = r2
-            if r2 < MIN_R_SQUARED:
-                verdict = INCONCLUSIVE if verdict == PASS else verdict
-                notes.append(f"{tag}: regression R^2 = {r2:.3f} < {MIN_R_SQUARED}")
-            elif slope > cap:
-                verdict = FAIL
+            slope, r2 = math.nan, -math.inf  # a skipped fit is unresolved
+            if any(not logs[j] for j in js):
+                notes.append(f"{mode} s={s:g} t={t:g} p={p:g}: all-zero norms, fit skipped")
+            else:
+                means = [float(np.mean(logs[j])) for j in js]
+                slope, _, r2 = fit_line(js, means)
+                fits[f"slope_{tag}"] = slope
+                fits[f"cap_{tag}"] = cap
+                fits[f"r2_{tag}"] = r2
+                if r2 < MIN_R_SQUARED:
+                    notes.append(f"{tag}: regression R^2 = {r2:.3f} < {MIN_R_SQUARED}")
+            clauses.append(
+                _clause(f"slope_{tag}", slope, "<=", cap, unresolved=r2 < MIN_R_SQUARED)
+            )
 
         # continuity of the Gevrey weight at gamma -> 0
         f = _prescribed_profile_field(grid, s, p, seed + 1)
@@ -664,14 +674,13 @@ def check_commutator_decay(
         )
         drift = abs(n_eps - n0) / n0
         fits[f"gamma_continuity_s{s:g}_t{t:g}_p{p:g}"] = drift
-        if drift > 0.01:
-            verdict = FAIL
+        clauses.append(_clause(f"gamma_continuity_s{s:g}_t{t:g}_p{p:g}", drift, "<=", 0.01))
 
     slope_keys = [k for k in fits if k.startswith("slope_")]
     if slope_keys:
         fits["worst_slope"] = max(fits[k] - fits["cap_" + k[len("slope_"):]] for k in slope_keys)
         fits["r_squared"] = min(v for k, v in fits.items() if k.startswith("r2_"))
-    return rows, fits, verdict, notes
+    return rows, fits, clauses, notes
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +709,8 @@ def check_wellposedness(
     """Small-data bounds for the approximation scheme: uniform X_T control,
     vanishing heat-flow X_T as T -> 0, contraction of successive iterates,
     amplitude-linearity, and the Gevrey-radius growth exponent."""
+    if not all(amplitude > 0 for amplitude in amplitudes):
+        raise ConfigError(f"wellposedness needs every amplitude > 0, got amplitudes={amplitudes}")
     grid = Grid(n)
     gp = GevreyParams(alpha=alpha, kappa=kappa, lam=lam, beta=beta)
     rows = []
@@ -708,20 +719,12 @@ def check_wellposedness(
         "second uniform-bound clause tested with the t^(beta/kappa) weight "
         "(the unweighted print drops it)"
     ]
-    verdict = PASS
 
     def run_cfg(amplitude, depth=0):
         return SolverConfig(
-            grid=grid,
-            kappa=kappa,
-            dt=dt,
-            t_end=t_end,
-            picard_depth=depth,
+            grid=grid, kappa=kappa, dt=dt, t_end=t_end, picard_depth=depth,
             initial_data=InitialData("random-band", amplitude, seed=seed),
-            record_every=record_every,
-            p=p,
-            q=q,
-            alpha=gp.alpha,
+            record_every=record_every, p=p, q=q, alpha=gp.alpha,
         )
 
     base = run_cfg(amplitudes[1], picard_depth)
@@ -738,13 +741,10 @@ def check_wellposedness(
     levels = picard_solve(base, picard_sink)
     xt.raise_overflow()
     theta0_norm = levels[0].diagnostics[0]["besov"]
-    xt_ratios = []
-    for lvl in range(len(levels)):
-        xt_ratios.append(xt.sup(lvl) / theta0_norm)
-        rows.append({"kind": "xt_ratio", "level": lvl, "value": xt_ratios[-1]})
+    xt_ratios = [xt.sup(lvl) / theta0_norm for lvl in range(len(levels))]
+    rows.extend({"kind": "xt_ratio", "level": lvl, "value": r} for lvl, r in enumerate(xt_ratios))
     fits["max_xt_ratio"] = max(xt_ratios)
-    if not (math.isfinite(max(xt_ratios)) and max(xt_ratios) <= CONSTANT_CAP):
-        verdict = FAIL
+    clauses = [_clause("max_xt_ratio", max(xt_ratios), "<=", CONSTANT_CAP)]
 
     gaps = picard.gaps
     level_scale = max(row["besov"] for traj in levels for row in traj.diagnostics if row["t"] > 0)
@@ -752,16 +752,15 @@ def check_wellposedness(
     fits["resolved_gaps"] = len(resolved)
     for i, r in enumerate(ratios):
         rows.append({"kind": "contraction", "step": i, "value": r})
+    worst_ratio = max(ratios, default=math.nan)
     if ratios:
-        fits["max_contraction_ratio"] = max(ratios)
-    if len(resolved) < 2:
-        verdict = INCONCLUSIVE if verdict == PASS else verdict
+        fits["max_contraction_ratio"] = worst_ratio
+    else:
         notes.append(
             f"{len(resolved)} of {len(gaps)} Picard gaps above the round-off floor: "
             "no contraction ratio resolved"
         )
-    elif any(r >= 1.0 for r in ratios):
-        verdict = FAIL
+    clauses.append(_clause("max_contraction_ratio", worst_ratio, "<", 1.0, unresolved=not ratios))
 
     # (b) heat-flow X_T -> 0 on a shrinking horizon; the semigroup is exact,
     # so the trajectory is sampled on a geometric grid reaching down to
@@ -775,10 +774,8 @@ def check_wellposedness(
         rows.append({"kind": "heat_xt", "T": T, "value": sup})
     fits["heat_xt_first"] = sups[0]
     fits["heat_xt_last"] = sups[-1]
-    if not all(b <= a * (1 + 1e-12) for a, b in zip(sups, sups[1:])):
-        verdict = FAIL
-    if not sups[-1] < sups[0]:
-        verdict = FAIL
+    # sups are suffix maxima, nonincreasing by construction: the clause is their decay
+    clauses.append(_clause("heat_xt_last", sups[-1], "<", sups[0]))
 
     # (c) amplitude sweep: linear-regime ratio stability
     sweep_ratios = []
@@ -797,49 +794,44 @@ def check_wellposedness(
             small = traj
         sup = xt.sup()
         init = traj.diagnostics[0]["besov"]
-        sweep_ratios.append((amplitude, sup / init))
+        sweep_ratios.append(sup / init)
         rows.append({"kind": "sweep", "amplitude": amplitude, "value": sup / init})
+    change = math.nan  # the change of the first two ratios; NaN with fewer
     if len(sweep_ratios) >= 2:
-        (a0, r0), (a1, r1) = sweep_ratios[0], sweep_ratios[1]
-        fits["sweep_ratio_small"] = r0
-        fits["sweep_ratio_next"] = r1
-        if not (0.5 <= r1 / r0 <= 2.0):
-            verdict = FAIL
-    else:
-        verdict = FAIL
+        fits["sweep_ratio_small"], fits["sweep_ratio_next"] = sweep_ratios[:2]
+        change = sweep_ratios[1] / sweep_ratios[0]
+    clauses.append(_clause("sweep_ratio_change_floor", change, ">=", 0.5))
+    clauses.append(_clause("sweep_ratio_change_cap", change, "<=", 2.0))
 
     # Gevrey radius growth on the sweep's smallest-amplitude run; its blow-up
     # is a failure of the small-data estimate itself
+    target = 0.8 * gp.alpha / kappa
     if small is None:
         notes.append("radius clause skipped: the smallest-amplitude run blew up")
-        return rows, fits, FAIL, notes
+        return rows, fits, [*clauses, _clause("radius_slope", math.nan, ">=", target)], notes
     radii = [(row["t"], row["radius"]) for row in small.diagnostics if row["t"] > 0]
     first_decade = [(t, r) for t, r in radii if t <= radii[0][0] * 10.0 + 1e-12]
     usable = [(t, r) for t, r in first_decade if r > 0]
     for t, r in first_decade:
         rows.append({"kind": "radius", "t": t, "value": r})
-    nondecreasing = all(b >= a * (1 - 1e-9) for (_, a), (_, b) in zip(radii, radii[1:]))
-    fits["radius_nondecreasing"] = bool(nondecreasing)
+    # the largest relative fall between successive radii (radii are >= 0)
+    drop = max(((a - b) / a for (_, a), (_, b) in zip(radii, radii[1:]) if a > 0), default=0.0)
+    fits["radius_nondecreasing"] = bool(drop <= 1e-9)
+    slope, r2 = math.nan, math.nan
     if len(usable) >= 3:
         slope, _, r2 = fit_line(
             [math.log(t) for t, _ in usable], [math.log(r) for _, r in usable]
         )
         fits["radius_loglog_slope"] = slope
         fits["r_squared"] = r2
-        target = 0.8 * gp.alpha / kappa
         fits["radius_slope_target"] = target
         if r2 < MIN_R_SQUARED:
-            verdict = INCONCLUSIVE if verdict == PASS else verdict
             notes.append(f"radius regression R^2 = {r2:.3f} < {MIN_R_SQUARED}")
-        elif slope < target:
-            verdict = FAIL
     else:
-        verdict = FAIL
         notes.append("radius estimate had too little signal for a slope fit")
-    if not nondecreasing:
-        verdict = FAIL
-
-    return rows, fits, verdict, notes
+    clauses.append(_clause("radius_slope", slope, ">=", target, unresolved=r2 < MIN_R_SQUARED))
+    clauses.append(_clause("radius_relative_drop", drop, "<=", 1e-9))
+    return rows, fits, clauses, notes
 
 
 # ---------------------------------------------------------------------------
@@ -876,5 +868,10 @@ def run_check(check_id: str, **overrides) -> InequalityReport:
             f"check {check_id!r} takes no {', '.join(unknown)}; it takes {', '.join(config)}"
         )
     config.update(overrides)
-    trials, fits, verdict, notes = ALL_CHECKS[check_id](**config)
-    return InequalityReport(check_id, config, trials, fits, verdict, notes, _environment())
+    if config.get("trials", 1) < 1:
+        raise ConfigError(f"check {check_id!r} needs trials >= 1, got {config['trials']}")
+    trials, fits, clauses, notes = ALL_CHECKS[check_id](**config)
+    environment = {
+        "numpy": np.__version__, "python": platform.python_version(), "machine": platform.machine()
+    }
+    return InequalityReport(check_id, config, trials, fits, clauses, notes, environment)

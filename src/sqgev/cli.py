@@ -302,16 +302,17 @@ def _cmd_verify(args) -> int:
             message = _numerical_message(exc)
             print(message, file=sys.stderr)
             print(f"{cid:20s} {ERROR}")
-            summary.append((cid, ERROR, math.nan, math.nan, message))
+            summary.append((cid, ERROR, "", math.nan, math.nan, message))
             errored = True
             continue
         report.write(out / f"{cid}.json")
-        summary.append((cid, report.verdict, report.key_constant(), report.residual(), ""))
-        if report.verdict != checks_mod.PASS:
-            failed = True
-        print(f"{cid:20s} {report.verdict:12s} key={report.key_constant():.6g}")
+        worst, margin = report.worst_clause()
+        residual = report.fits.get("r_squared", math.nan)
+        summary.append((cid, report.verdict, worst, margin, residual, ""))
+        failed |= report.verdict != checks_mod.PASS
+        print(f"{cid:20s} {report.verdict:12s} {worst}={margin:.6g}")
     echo = {"checks": ",".join(ids), **dict(sorted(overrides.items()))}
-    columns = ["check_id", "verdict", "key_constant", "residual", "message"]
+    columns = ["check_id", "verdict", "worst_clause", "margin", "residual", "message"]
     write_csv(out / "summary.csv", echo, columns, summary)
     return 3 if errored else 4 if failed else 0
 

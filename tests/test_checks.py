@@ -18,15 +18,19 @@ from sqgev.bilinear import (
     _multi_indices,
     _norm,
     _r_alpha_sigma,
+    gevrey_commutators,
     marcinkiewicz_check,
     padded_product,
     registered_symbol,
 )
 from sqgev.checks import (
     FAIL,
+    INCONCLUSIVE,
     PASS,
     InequalityReport,
+    _clause,
     _contraction_ratios,
+    _fold,
     _prescribed_profile_field,
     _signed_power,
     _smooth_noise,
@@ -427,7 +431,8 @@ class TestVectorizedScans:
 
 # Reference forms of the transform-bound checks as first written: every L^p
 # norm from its own inverse transform and every signed power transformed once
-# per (s, p).  The checks must give the same rows, fits, verdicts and notes.
+# per (s, p).  The checks must give the same rows, fits and notes, and the
+# fold of their clauses must be the verdict that the loops decide themselves.
 
 
 def _lp_of(field, p):
@@ -660,13 +665,20 @@ HOISTED = [
 ]
 
 
+def folded(result):
+    """A check's (rows, fits, clauses, notes) as the loops' (rows, fits,
+    verdict, notes)."""
+    rows, fits, clauses, notes = result
+    return rows, fits, _fold(clauses), notes
+
+
 class TestHoistedTransforms:
     """Each transformed field made once and read at every exponent gives
     exactly the per-exponent loops' numbers."""
 
     @pytest.mark.parametrize("check, loop, params", HOISTED)
     def test_equals_the_per_exponent_loop(self, check, loop, params):
-        assert check(**params) == loop(**params)
+        assert folded(check(**params)) == loop(**params)
 
     # the checks that draw Littlewood-Paley blocks, at exponent sets
     # reaching p = 8
@@ -674,7 +686,7 @@ class TestHoistedTransforms:
     def test_zero_norm_skips_equal_the_per_exponent_loop(self, check, loop, params,
                                                          degenerate_blocks):
         got = check(**params)
-        assert got == loop(**params)
+        assert folded(got) == loop(**params)
         # the zero block's rows and the tiny block's L^8 rows are skipped
         per_p = [sum(row["p"] == p for row in got[0]) for p in params["p_set"]]
         assert 0 < per_p[-1] < per_p[0]
@@ -898,6 +910,140 @@ class TestWellposednessMemory:
         assert abs(peaks[0] - peaks[1]) < 0.5 * 2**20
 
 
+class TestClauses:
+    def test_fold(self):
+        ok = _clause("a", 1.0, "<=", 2.0)
+        over = _clause("b", 3.0, "<=", 2.0)
+        unresolved = _clause("c", 3.0, "<=", 2.0, unresolved=True)
+        nan = _clause("d", math.nan, ">=", 0.0)
+        assert [c["verdict"] for c in (ok, over, unresolved, nan)] == [
+            PASS, FAIL, INCONCLUSIVE, FAIL
+        ]
+        assert _fold([ok, ok]) == PASS
+        assert _fold([ok, unresolved]) == INCONCLUSIVE  # inconclusive beats pass
+        assert _fold([unresolved, over, ok]) == FAIL  # fail beats inconclusive
+        assert _fold([ok, nan]) == FAIL  # a NaN value fails
+        assert _fold([]) == INCONCLUSIVE  # no clause, no verdict
+
+    @pytest.mark.parametrize("value, relation, bound, margin, verdict", [
+        (1.0, "<=", 4.0, 0.75, PASS),  # slack over |bound|
+        (5.0, "<=", 4.0, -0.25, FAIL),
+        (-3.0, ">=", -2.0, -0.5, FAIL),
+        (0.25, ">", 0.0, 0.25, PASS),  # the slack itself at bound 0
+        (-0.5, ">", 0.0, -0.5, FAIL),
+        (1.0, "<=", 1.0, 0.0, PASS),
+        (1.0, "<", 1.0, 0.0, FAIL),  # a strict clause fails by equality
+    ])
+    def test_margin(self, value, relation, bound, margin, verdict):
+        clause = _clause("x", value, relation, bound)
+        assert (clause["margin"], clause["verdict"]) == (margin, verdict)
+
+    @pytest.mark.parametrize("check_id, params", [
+        ("lin-gevrey", dict(n=32, j_hi=3, trials=3)),
+        ("r-derivatives", dict(gap_set=(3,), sigma_set=(0.5,))),
+    ])
+    def test_constant_cap_flips_the_verdict(self, monkeypatch, check_id, params):
+        ratio = run_check(check_id, **params).fits["max_ratio"]
+        monkeypatch.setattr(checks, "CONSTANT_CAP", ratio)
+        assert run_check(check_id, **params).verdict == PASS
+        monkeypatch.setattr(checks, "CONSTANT_CAP", np.nextafter(ratio, 0.0))
+        rep = run_check(check_id, **params)
+        assert rep.verdict == FAIL
+        assert rep.worst_clause()[0] == "max_ratio" and rep.worst_clause()[1] < 0
+
+    COMMUTATOR = dict(n=32, trials=2, j_lo=1, j_hi=3)
+
+    def test_slope_slack_flips_the_verdict(self, monkeypatch):
+        # worst_slope is the largest slope - cap, and every cap moves with
+        # the slack
+        worst = run_check("commutator-decay", **self.COMMUTATOR).fits["worst_slope"]
+        monkeypatch.setattr(checks, "SLOPE_SLACK", checks.SLOPE_SLACK + worst + 1e-9)
+        assert run_check("commutator-decay", **self.COMMUTATOR).verdict == PASS
+        monkeypatch.setattr(checks, "SLOPE_SLACK", checks.SLOPE_SLACK - 2e-9)
+        rep = run_check("commutator-decay", **self.COMMUTATOR)
+        assert rep.verdict == FAIL
+        assert rep.worst_clause()[0].startswith("slope_")
+
+    def test_min_r_squared_makes_it_inconclusive(self, monkeypatch):
+        r2 = run_check("commutator-decay", **self.COMMUTATOR).fits["r_squared"]
+        monkeypatch.setattr(checks, "MIN_R_SQUARED", np.nextafter(r2, 2.0))
+        rep = run_check("commutator-decay", **self.COMMUTATOR)
+        assert rep.verdict == INCONCLUSIVE
+        assert [c["verdict"] for c in rep.clauses].count(INCONCLUSIVE) == 1
+        assert any("regression R^2" in note for note in rep.notes)
+
+    def test_report_carries_the_judged_clauses(self, tmp_path):
+        rep = run_check("wellposedness", kappa=0.5, alpha=0.45, beta=0.2)
+        assert rep.verdict == FAIL
+        name, margin = rep.worst_clause()
+        assert name == "radius_slope" and margin == pytest.approx(-0.292, abs=1e-3)
+        rep.write(tmp_path / "w.json")
+        clauses = json.loads((tmp_path / "w.json").read_text())["clauses"]
+        assert clauses == rep.clauses
+        assert set(clauses[0]) == {"name", "value", "relation", "bound", "verdict", "margin"}
+        assert [c["name"] for c in clauses if c["verdict"] == FAIL] == ["radius_slope"]
+
+
+@pytest.fixture
+def zero_blocks(monkeypatch):
+    """Every Littlewood-Paley block of the checks is zero."""
+    monkeypatch.setattr(checks, "_shaped_band_field", lambda grid, j, seed: SpectralField(
+        grid, np.zeros((grid.n, grid.n), dtype=complex)))
+
+
+class TestClausesWithoutData:
+    """A clause with no data is inconclusive, never a pass or a crash."""
+
+    def test_every_gamma_overflows(self):
+        rep = run_check("lin-gevrey", n=32, j_hi=3, trials=3, gamma_set=(1e4,))
+        assert rep.verdict == INCONCLUSIVE and not rep.trials
+        assert math.isnan(rep.fits["max_ratio"])
+        assert rep.notes == ["3 overflow/degenerate trials skipped"]
+
+    @pytest.mark.parametrize("check_id", ["bernstein", "heat-kernel"])
+    def test_every_block_is_skipped(self, zero_blocks, check_id):
+        rep = run_check(check_id, n=32, j_hi=3, trials=3)
+        assert rep.verdict == INCONCLUSIVE and not rep.trials
+        assert {c["verdict"] for c in rep.clauses} == {INCONCLUSIVE}
+
+    def test_one_bernstein_group_is_skipped(self, monkeypatch):
+        # blocks scaled to 1e-60: the L^8 norms underflow to zero, the L^2
+        # norms do not, so only the p = 8 groups have no rows
+        shaped = checks._shaped_band_field
+        monkeypatch.setattr(checks, "_shaped_band_field", lambda *a: shaped(*a) * 1e-60)
+        rep = run_check("bernstein", n=32, j_hi=3, trials=3, p_set=(2.0, 8.0))
+        assert rep.verdict == INCONCLUSIVE
+        unresolved = {c["name"] for c in rep.clauses if c["verdict"] == INCONCLUSIVE}
+        assert unresolved == {f"{key}_spread_s{s:g}_p8" for key in ("ratio", "gen_ratio")
+                              for s in (0.25, 0.5, 1.0)}
+
+    def test_skipped_commutator_fit(self, monkeypatch):
+        # the Gevrey-mode commutators of the decay fit vanish; the continuity
+        # probe, which asks for two bands, is left alone
+        def zero_gevrey(f, g, bands, alpha):
+            fields = gevrey_commutators(f, g, bands, alpha)
+            if len(bands) == 2:
+                return fields
+            return [RealField(c.grid, np.zeros_like(c.values)) if gamma else c
+                    for c, (_, gamma) in zip(fields, bands)]
+
+        monkeypatch.setattr(checks, "gevrey_commutators", zero_gevrey)
+        rep = run_check("commutator-decay", n=32, trials=2, j_lo=1, j_hi=3)
+        assert rep.verdict == INCONCLUSIVE
+        skipped = [c for c in rep.clauses if c["verdict"] == INCONCLUSIVE]
+        assert [c["name"] for c in skipped] == ["slope_gevrey_s1.2_t0.3_p2",
+                                                "slope_gevrey_s1.3_t0.5_p4"]
+        assert all(math.isnan(c["value"]) for c in skipped)
+        assert sum("fit skipped" in note for note in rep.notes) == 2
+
+    def test_decayed_norm_underflows(self):
+        # exp(-1e6 * 2^(kappa j)) is far below the smallest double: every
+        # rate is skipped and counted
+        rep = run_check("heat-kernel", n=32, j_hi=3, trials=3, t_grid=(1e6,))
+        assert rep.verdict == INCONCLUSIVE and not rep.trials
+        assert rep.notes == [f"{3 * 2 * 2} zero-norm trials skipped"]
+
+
 class TestReports:
     def test_json_round_trip_and_determinism(self, tmp_path):
         rep1 = run_check("concavity")
@@ -920,7 +1066,7 @@ class TestReports:
         reports = [
             run_check("r-derivatives", gap_set=(3,), sigma_set=(0.5,)),
             run_check("lin-gevrey", n=32, j_hi=3, trials=3, gamma_set=(0.1, 1e4)),
-            InequalityReport("empty", {"k": np.int64(3)}, [], {"x": np.float64(0.5)}, "pass"),
+            InequalityReport("empty", {"k": np.int64(3)}, [], {"x": np.float64(0.5)}, []),
         ]
         for rep in reports:
             payload = {
@@ -928,6 +1074,7 @@ class TestReports:
                 "verdict": rep.verdict,
                 "config": rep.config,
                 "fits": rep.fits,
+                "clauses": rep.clauses,
                 "notes": rep.notes,
                 "environment": rep.environment,
                 "trials": rep.trials,

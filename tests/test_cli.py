@@ -370,8 +370,8 @@ class TestVerifyVerb:
             l for l in (out / "summary.csv").read_text().splitlines()
             if l and not l.startswith("#")
         ]
-        assert rows[0] == "check_id,verdict,key_constant,residual,message"
-        assert rows[1].startswith("concavity,pass")
+        assert rows[0] == "check_id,verdict,worst_clause,margin,residual,message"
+        assert rows[1].startswith("concavity,pass,")
         assert rows[1].endswith(",")  # no message on a check that ran
         report = json.loads((out / "concavity.json").read_text())
         assert report["verdict"] == "pass"
@@ -486,9 +486,48 @@ class TestVerifyVerb:
             ("concavity", "pass"), ("wellposedness", "error")
         ]
         assert rows[1]["message"] == err[0]
-        assert math.isnan(float(rows[1]["key_constant"]))
+        assert rows[1]["worst_clause"] == "" and math.isnan(float(rows[1]["margin"]))
         assert (out / "concavity.json").exists()
         assert not (out / "wellposedness.json").exists()
+
+    @pytest.mark.parametrize("check, sets, code", [
+        # no trials at all: a configuration error, before any work
+        ("bernstein", ["n=32", "j_hi=3", "trials=0"], 2),
+        ("heat-kernel", ["n=32", "j_hi=3", "trials=0"], 2),
+        ("lin-gevrey", ["n=32", "j_hi=3", "trials=0"], 2),
+        ("positivity", ["n=16", "trials=0"], 2),
+        ("commutator-decay", ["n=32", "j_hi=3", "trials=0"], 2),
+        ("wellposedness", ["n=32", "t_end=0.2", "dt=0.02", "record_every=5", "picard_depth=1",
+                           "amplitudes=0.1,0"], 2),
+        # trials whose clauses have no data: inconclusive
+        ("lin-gevrey", ["n=32", "j_hi=3", "trials=3", "gamma_set=10000"], 4),
+        ("heat-kernel", ["n=32", "j_hi=3", "trials=3", "t_grid=1e6"], 4),
+    ])
+    def test_input_without_data_does_not_pass(self, tmp_path, capsys, check, sets, code):
+        out = tmp_path / "v"
+        sets = [a for s in sets for a in ("--set", s)]
+        assert main(["verify", "--check", check, "-o", str(out), *sets]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+            return
+        assert captured.out.split()[:2] == [check, "inconclusive"]
+        with open(out / "summary.csv", newline="") as fh:
+            (row,) = csv.DictReader(line for line in fh if not line.startswith("#"))
+        assert row["verdict"] == "inconclusive" and math.isnan(float(row["margin"]))
+
+    def test_worst_clause_is_printed_and_summarized(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        argv = ["verify", "--check", "wellposedness", "-o", str(out),
+                "--set", "kappa=0.5", "--set", "alpha=0.45", "--set", "beta=0.2"]
+        assert main(argv) == 4
+        printed = capsys.readouterr().out.split()
+        assert printed == ["wellposedness", "fail", "radius_slope=-0.292085"]
+        with open(out / "summary.csv", newline="") as fh:
+            (row,) = csv.DictReader(line for line in fh if not line.startswith("#"))
+        assert (row["worst_clause"], row["verdict"]) == ("radius_slope", "fail")
+        report = json.loads((out / "wellposedness.json").read_text())
+        assert float(row["margin"]) == min(c["margin"] for c in report["clauses"])
 
     def test_checks_after_a_raising_check_still_run(self, tmp_path):
         out = tmp_path / "v"
@@ -581,7 +620,7 @@ class TestRecordStreaming:
 
 # The text columns of summary.csv; every other cell of every table is a float
 # or an int.
-TEXT_COLUMNS = {"check_id", "verdict", "message"}
+TEXT_COLUMNS = {"check_id", "verdict", "worst_clause", "message"}
 
 
 class TestArtifactTables:
