@@ -32,18 +32,24 @@ list of levels through the same time steps.  Each level names its velocity
 source: none (pure heat flow), its own velocity (the solution), or the
 velocity of the level below, frozen at both ends of each step (the Picard
 iterates).  `solve` is the one-level call and `picard_solve` the call with
-heat flow at level 0 and level l advected by level l - 1.  The loop records
-diagnostics, hands each recorded snapshot to the caller's sink and keeps
-none, notes the first CFL excess of each level, and raises BlowUpError
-carrying the partial trajectory of the first level that turns non-finite,
-or whose recorded field fails the Hermitian check or has a non-finite norm.
+heat flow at level 0 and level l advected by level l - 1.  Level l at step
+k needs level l - 1 at steps k - 1 and k only, so a Picard chain with two
+advected levels or more steps its upper levels one step behind its lower
+ones, on a second thread, with the arithmetic of one loop.  The loop
+records diagnostics, hands each recorded snapshot to the caller's sink and
+keeps none, warns of the first CFL excess of each level, and raises
+BlowUpError carrying the partial trajectory of the first level, in (step,
+level) order, that turns non-finite, or whose recorded field fails the
+Hermitian check or has a non-finite norm.
 PicardGaps is the sink that reduces a Picard run to the gaps between its
 levels.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 import warnings
 from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
@@ -267,7 +273,7 @@ class _Workspace:
     spec holds two (n, n//2+1) half spectra and is the input of `inverse`
     and the output of `forward`; vel and grad hold (2, n, n) grid values;
     n1 and pred are the Heun stage-1 term and predictor; finite is the
-    guard's scratch.
+    non-finite test's scratch.
     """
 
     def __init__(self, grid: Grid, dealias: str):
@@ -371,23 +377,6 @@ def _heun_step(theta, work, dt, efactor, frozen=None, frozen_next=None):
     return umax
 
 
-def _guard(theta, umax, dt, kmax, t, work, notes, partial):
-    """Check a step of _march ending at time t with half spectrum theta.
-    While `notes` is empty, an advective CFL number dt * max|k| * max|u|
-    above 1 is warned about and appended to it; a non-finite coefficient
-    raises BlowUpError carrying partial().  The warning names the line that
-    called solve or picard_solve, four frames up: _guard, _march, the
-    solver call, its caller."""
-    if not notes and dt * kmax * umax > 1.0:
-        notes.append(
-            f"advective CFL heuristic exceeded at t={t:g}: "
-            f"dt*max|k|*max|u| = {dt * kmax * umax:.2f}"
-        )
-        warnings.warn(notes[-1], StabilityWarning, stacklevel=4)
-    if not np.isfinite(theta, out=work.finite).all():
-        raise BlowUpError(f"blow-up at t={t:g}", t, partial())
-
-
 def _diagnostics_row(t, fld, config):
     # the caller turns a non-finite norm into a BlowUpError, so an overflow
     # here needs no numpy warning
@@ -416,6 +405,34 @@ def _record_steps(config: SolverConfig) -> tuple[int, set[int]]:
     return n_steps, set(range(0, n_steps + 1, config.record_every)) | {n_steps}
 
 
+def _split(sources: list) -> int:
+    """First level s of the upper group of a march: (L + 2) // 2 for a
+    Picard chain of L >= 3 levels (two advected levels or more), whose
+    levels [0, s) and [s, L) then step on two threads; L, one group,
+    otherwise."""
+    chain = len(sources) >= 3 and sources == [None, *range(len(sources) - 1)]
+    return (len(sources) + 2) // 2 if chain else len(sources)
+
+
+class _Link:
+    """The handoff of level s - 1 between the two groups of a split march,
+    for one stretch of steps.  `ready` (lower to upper) counts the steps
+    to which the lower group has advanced level s - 1; `taken` (upper to
+    lower) lets the lower group advance it again once the upper group has
+    read it.  failed[g] is the (step, level) at which group g stopped on a
+    non-finite level, written by group g only and before it wakes the
+    other side; aborted is set when either side raised.  Each side
+    releases the other's semaphore once more when it returns, so that a
+    side that stops always wakes the other, and checks both flags after
+    every wait."""
+
+    def __init__(self, failed: list):
+        self.ready = threading.Semaphore(0)
+        self.taken = threading.Semaphore(0)
+        self.failed = failed
+        self.aborted = False
+
+
 def _march(config: SolverConfig, sources: list, sink) -> list[Trajectory]:
     """Advance levels 0..len(sources)-1 from the configured initial data.
 
@@ -428,13 +445,26 @@ def _march(config: SolverConfig, sources: list, sink) -> list[Trajectory]:
     Each level's state is its k2 >= 0 half spectrum, updated in place; the
     k2 < 0 columns are rebuilt when it is recorded.  Across records the run
     keeps only what carries state: the half spectra, the heat factor and the
-    frozen velocities.  The stepping workspace and the Picard spare velocity
-    are built for each stretch of steps between two records and dropped
-    before the record, so that no record runs beside them.  Each record,
-    once its diagnostics row is finite, is handed to sink(level, t,
-    snapshot, row), levels in order at each recorded time, and the run keeps
-    no recorded field alive.  The returned trajectories (and the one a
-    BlowUpError carries) hold every time, row and note.
+    frozen velocities.  The stepping workspaces and the Picard spare
+    velocities are built for each stretch of steps between two records and
+    dropped before the record, so that no record runs beside them.  Each
+    record, once its diagnostics row is finite, is handed to sink(level, t,
+    snapshot, row), levels in order at each recorded time, and the run
+    keeps no recorded field alive.  The returned trajectories (and the one
+    a BlowUpError carries) hold every time, row and note.
+
+    The levels step as groups (_split), each with its own workspace: one
+    group, inline, unless sources is a Picard chain with two advected
+    levels or more.  Then the lower group [0, s) steps on the calling
+    thread and the upper group [s, L) on a worker thread, one step behind:
+    level s at step k needs level s - 1 at steps k - 1 and k only, and
+    numpy releases the GIL in its transforms and ufuncs.  The worker starts
+    for each stretch and is joined before its record.  A group notes the
+    first CFL excess of each level and stops at its first non-finite level;
+    the calling thread then warns the notes in (step, level) order up to
+    the earliest stop and raises BlowUpError for that stop, so that every
+    level does the arithmetic, and the run ends with the error, of a
+    single loop over the levels in order.
     """
     grid, dt = config.grid, config.dt
     h = grid.n // 2 + 1
@@ -484,36 +514,114 @@ def _march(config: SolverConfig, sources: list, sink) -> list[Trajectory]:
     del init
     efactor = _heat_factor(grid, dt, config.kappa)
     kmax = float(grid.rings.radii[-1])
-    frozen_sources = [src for lvl, src in enumerate(sources) if src not in (None, lvl)]
+    split = _split(sources)
+    groups = [levels[:split], levels[split:]] if split < len(sources) else [levels]
+    vels = [{} for _ in groups]  # each group's frozen velocities
 
-    start = 1
-    for end in sorted(marks)[1:]:
-        # one workspace (and Picard spare) per stretch of steps between two
-        # records; neither carries state from one step to the next
-        work = _Workspace(grid, config.dealias)
-        spare = np.empty((2, grid.n, grid.n)) if frozen_sources else None
+    def advance(g, work, start, end, link, notes):
+        """Steps start..end of group g; returns the (step, level) of its
+        first non-finite level, or None.  With a link, the lower group
+        hands its last level over and the upper group takes it."""
+        lvls, vel = groups[g], vels[g]
+        handed = lvls[-1] if link and g == 0 else None
+        frozen = [src for lvl in lvls if (src := sources[lvl]) not in (None, lvl)]
+        # one spare per stretch; it carries no state from one step to the next
+        spare = np.empty((2, grid.n, grid.n)) if frozen else None
         if start == 1:
-            vel = {src: work.velocity(half[src], np.empty((2, grid.n, grid.n)))
-                   for src in frozen_sources}
+            vel.update({src: work.velocity(half[src], np.empty((2, grid.n, grid.n)))
+                        for src in frozen})
+        if link and g == 1:
+            link.taken.release()  # the lower group may now advance level s - 1
         for k in range(start, end + 1):
-            for lvl, src in enumerate(sources):
+            for lvl in lvls:
+                src = sources[lvl]
+                if lvl == handed:
+                    link.taken.acquire()
+                    # the upper group can only have stopped at a step that
+                    # this group has finished
+                    if link.aborted or link.failed[1]:
+                        return None
                 if src is None:
                     np.multiply(efactor, half[lvl], out=half[lvl])
                     umax = 0.0
                 elif src == lvl:
                     umax = _heun_step(half[lvl], work, dt, efactor)
                 else:
+                    taking = src not in lvls
+                    if taking:
+                        link.ready.acquire()
+                        # the lower group stopped at or before this step
+                        stop = link.failed[0]
+                        if link.aborted or (stop and stop[0] <= k):
+                            return None
                     spare = work.velocity(half[src], spare)
+                    if taking:
+                        link.taken.release()
                     umax = _heun_step(half[lvl], work, dt, efactor, vel[src], spare)
                     vel[src], spare = spare, vel[src]
-                _guard(half[lvl], umax, dt, kmax, k * dt, work, metas[lvl]["warnings"],
-                       lambda: trajectory(lvl))
-        # the record's transients reuse the stepping buffers' pages; the
-        # frozen velocities carry on to the next stretch, and the last
+                noted = metas[lvl]["warnings"] or any(note[1] == lvl for note in notes)
+                if dt * kmax * umax > 1.0 and not noted:
+                    notes.append((k, lvl, f"advective CFL heuristic exceeded at t={k * dt:g}: "
+                                          f"dt*max|k|*max|u| = {dt * kmax * umax:.2f}"))
+                if not np.isfinite(half[lvl], out=work.finite).all():
+                    return k, lvl
+                if lvl == handed:
+                    link.ready.release()
+        return None
+
+    def stretch(start, end):
+        """Steps start..end of every group, whose workspaces die with this
+        call, before the record.  The CFL notes are warned and a blow-up
+        raised here, on the calling thread: the warning names the line
+        that called solve or picard_solve, four frames up (stretch, _march,
+        the solver call, its caller)."""
+        works = [_Workspace(grid, config.dealias) for _ in groups]
+        failed, notes = [None] * len(groups), [[] for _ in groups]
+        if len(groups) == 1:
+            failed[0] = advance(0, works[0], start, end, None, notes[0])
+        else:
+            link, errors = _Link(failed), []
+
+            def upper():
+                try:
+                    failed[1] = advance(1, works[1], start, end, link, notes[1])
+                except BaseException as exc:  # raised again on the calling thread
+                    errors.append(exc)
+                    link.aborted = True
+                finally:
+                    link.taken.release()
+
+            # the copied context carries the caller's np.errstate
+            worker = threading.Thread(target=contextvars.copy_context().run, args=(upper,))
+            worker.start()
+            try:
+                failed[0] = advance(0, works[0], start, end, link, notes[0])
+            except BaseException:
+                link.aborted = True
+                raise
+            finally:
+                link.ready.release()
+                worker.join()
+            if errors:
+                raise errors[0]
+        del works
+        stop = min(filter(None, failed), default=None)
+        for k, lvl, note in sorted(note for group in notes for note in group):
+            if stop and (k, lvl) > stop:
+                break
+            metas[lvl]["warnings"].append(note)
+            warnings.warn(note, StabilityWarning, stacklevel=4)
+        if stop:
+            k, lvl = stop
+            raise BlowUpError(f"blow-up at t={k * dt:g}", k * dt, trajectory(lvl))
+
+    start = 1
+    for end in sorted(marks)[1:]:
+        stretch(start, end)
+        # the frozen velocities carry on to the next stretch, and the last
         # record needs none
-        del work, spare
         if end == n_steps:
-            del vel
+            vels.clear()
         record_step(end)
         start = end + 1
     return [trajectory(lvl) for lvl in levels]
@@ -532,8 +640,10 @@ def picard_solve(config: SolverConfig, sink) -> list[Trajectory]:
     and each theta^(n+1) solves linear advection-diffusion with the velocity
     frozen from theta^n, all from the same initial data.
 
-    All levels advance simultaneously in one sweep over time so no level
-    needs the full history of the previous one.  Each record goes to
+    All levels advance through the same time steps, level l one step
+    behind level l - 1 at most, so no level needs the full history of the
+    previous one; from two advected levels on, the upper half of the
+    levels steps on a second thread (see _march).  Each record goes to
     sink(level, t, snapshot, row), levels in order at each recorded time;
     PicardGaps is the sink that reduces them to the gaps between levels.
     Returns the trajectories of levels 0..picard_depth.

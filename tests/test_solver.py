@@ -1,6 +1,9 @@
 """Tests for the SQG time stepper and the Picard approximation sequence."""
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sqgev.solver
 from sqgev.cli import write_diagnostics
 from sqgev.dyadic import BesovParams, besov_norm, build_system
 from sqgev.gevrey import heat_semigroup
@@ -211,6 +215,54 @@ def collected(march, *args):
 def solve_levels(config, sink):
     """solve, as a list of levels."""
     return [solve(config, sink)]
+
+
+def bounded(run):
+    """run() in a helper thread joined with a 60 s timeout, so that a
+    deadlocked march fails the test instead of hanging the suite.  Returns
+    (result, BlowUpError or None, the StabilityWarnings it gave); any other
+    error is raised.  Every thread the run started has ended.  The helper
+    thread is named "march"."""
+    before, out = threading.active_count(), {}
+
+    def target():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", StabilityWarning)
+            try:
+                out["result"] = run()
+            except BlowUpError as exc:
+                out["blowup"] = exc
+            except BaseException as exc:
+                out["raised"] = exc
+        out["warned"] = [w for w in caught if w.category is StabilityWarning]
+
+    helper = threading.Thread(target=target, name="march", daemon=True)
+    helper.start()
+    helper.join(timeout=60)
+    assert not helper.is_alive(), "the march did not end within 60 s"
+    assert threading.active_count() == before
+    if "raised" in out:
+        raise out["raised"]
+    return out.get("result"), out.get("blowup"), out["warned"]
+
+
+def after_each_step(monkeypatch, change):
+    """Wrap the Heun step of every advected level: umax = change(k, lvl,
+    theta, umax) runs after level lvl's step k, with k and lvl read from
+    the march's stepping frame, and the march sees the umax it returns.
+    Returns a set that gains, at each step, whether the thread that stepped
+    is the one that called the march under `bounded`: {True} for one group
+    of levels, {True, False} for two."""
+    heun, threads = sqgev.solver._heun_step, set()
+
+    def step(theta, *args, **kwargs):
+        umax = heun(theta, *args, **kwargs)
+        threads.add(threading.current_thread().name == "march")
+        frame = sys._getframe(1)
+        return change(frame.f_locals["k"], frame.f_locals["lvl"], theta, umax)
+
+    monkeypatch.setattr("sqgev.solver._heun_step", step)
+    return threads
 
 
 def assert_same_run(got, want):
@@ -597,6 +649,22 @@ class TestSolve:
                     pass
             assert record[0].filename == __file__, name
 
+    def test_stability_warning_from_the_worker_names_the_calling_line(self, monkeypatch):
+        # a depth-6 run whose one CFL excess is level 5's, which steps on
+        # the worker thread
+        cfg = cosine_config(n=32, picard_depth=6, record_every=1000)
+        threads = after_each_step(
+            monkeypatch, lambda k, lvl, theta, umax: 1e6 if lvl == 5 and k >= 3 else umax
+        )
+        call = lambda: picard_solve(cfg, ignore)  # noqa: E731
+        levels, blowup, warned = bounded(call)
+        assert blowup is None and len(threads) == 2
+        assert len(warned) == 1
+        assert (warned[0].filename, warned[0].lineno) == (__file__, call.__code__.co_firstlineno)
+        notes = [traj.meta["warnings"] for traj in levels]
+        assert notes == [[]] * 5 + [[str(warned[0].message)]] + [[]]
+        assert notes[5][0].startswith("advective CFL heuristic exceeded at t=0.03:")
+
     def test_blowup_carries_partial_trajectory(self):
         cfg = cosine_config(
             n=32,
@@ -687,11 +755,17 @@ class TestRecordSink:
 
         monkeypatch.setattr(_Workspace, "__init__", tracked)
         monkeypatch.setattr("sqgev.solver._diagnostics_row", diagnosed)
-        cfg = cosine_config(n=32, picard_depth=2, t_end=0.05, record_every=1)
-        for name, (run, _) in LEVEL_RUNS.items():
+        # at depth 6 the upper levels step with a workspace of their own
+        shallow, deep = (
+            cosine_config(n=32, picard_depth=depth, t_end=0.05, record_every=1) for depth in (2, 6)
+        )
+        runs = [(name, run, shallow) for name, (run, _) in LEVEL_RUNS.items()]
+        runs.append(("picard_solve at depth 6", picard_solve, deep))
+        for name, run, cfg in runs:
             seen.clear(), built.clear()
-            run(cfg, sink)
-            assert built, name
+            bounded(lambda: run(cfg, sink))
+            # one workspace per group of levels and stretch of steps
+            assert len(built) == (1 if run is solve_levels else 2) * 5, name
             # records between steps, not only at t = 0 and t_end
             assert {t for _, t, _ in seen} == {k * cfg.dt for k in range(6)}, name
             assert [alive for *_, alive in seen] == [0] * len(seen), name
@@ -984,6 +1058,187 @@ class TestHalfPlaneMarch:
             for cfg, (run, levels) in zip(configs, alone):
                 assert_same_run(collected(solve_levels, cfg), run)
                 assert_same_run(collected(picard_solve, cfg), levels)
+
+
+class TestPicardWavefront:
+    """A Picard chain with two advected levels or more steps its levels as
+    two groups on two threads.  Forced into one group (_split = len), the
+    march is the single loop over the levels in order, which two groups
+    must equal bit for bit, blow-ups and warnings included."""
+
+    def march(self, monkeypatch, cfg, groups, change=None, sink=ignore):
+        """bounded(picard_solve(cfg, sink)) stepped as `groups` groups, with
+        change run after each level's step (see after_each_step)."""
+        with monkeypatch.context() as m:
+            threads = after_each_step(m, change or (lambda k, lvl, theta, umax: umax))
+            if groups == 1:
+                m.setattr("sqgev.solver._split", len)
+            out = bounded(lambda: picard_solve(cfg, sink))
+        assert len(threads) == groups
+        return out
+
+    def test_split(self):
+        split = sqgev.solver._split
+        assert [split([None, *range(depth)]) for depth in range(7)] == [1, 2, 2, 3, 3, 4, 4]
+        assert split([0]) == 1
+
+    @pytest.mark.parametrize("depth", [2, 3, 6])
+    @pytest.mark.parametrize("dealias", ["two-thirds", "none"])
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_two_groups_equal_one(self, monkeypatch, depth, dealias, record_every):
+        cfg = cosine_config(
+            n=32, dealias=dealias, picard_depth=depth, t_end=0.2, record_every=record_every,
+            initial_data=InitialData("random-band", amplitude=0.5, seed=depth),
+        )
+        runs = []
+        for groups in (1, 2):
+            sink, gaps = Collect(), PicardGaps(cfg)
+
+            def both(*record):
+                sink(*record)
+                gaps(*record)
+
+            levels, blowup, warned = self.march(monkeypatch, cfg, groups, sink=both)
+            assert blowup is None and not warned
+            runs.append(((levels, sink), gaps.gaps))
+        (one, one_gaps), (two, two_gaps) = runs
+        assert_same_run(two, one)
+        assert two_gaps == one_gaps
+
+    def assert_same_blowup(self, monkeypatch, cfg, change=None):
+        runs = []
+        for groups in (1, 2):
+            sink = Collect()
+            _, blowup, warned = self.march(monkeypatch, cfg, groups, change, sink)
+            assert blowup is not None
+            runs.append((blowup, sink, [str(w.message) for w in warned]))
+        (one, one_sink, one_warned), (two, two_sink, two_warned) = runs
+        assert (str(two), two.time) == (str(one), one.time)
+        assert two.trajectory.meta == one.trajectory.meta
+        assert_same_run(([two.trajectory], two_sink), ([one.trajectory], one_sink))
+        assert two_warned == one_warned
+        # every level's records, not only the failing level's
+        assert two_sink.times == one_sink.times
+        for lvl, snaps in one_sink.snapshots.items():
+            for x, y in zip(two_sink.snapshots[lvl], snaps, strict=True):
+                assert np.array_equal(x.coeffs, y.coeffs)
+
+    # (depth, the (step, level) pairs whose step turns non-finite); at
+    # depth 6 levels 0-3 step on the calling thread and 4-6 on the worker,
+    # at depth 2 levels 0-1 and 2
+    POISONS = {
+        "lower": (6, {(3, 2)}),
+        "handed-level": (6, {(3, 3)}),
+        "upper": (6, {(3, 5)}),
+        "upper-first-lower-ahead": (6, {(3, 5), (4, 1)}),
+        "lower-first": (6, {(3, 2), (3, 5)}),
+        "handed-level-first": (6, {(3, 3), (3, 4)}),
+        "depth-2-lower": (2, {(2, 1)}),
+        "depth-2-upper": (2, {(2, 2)}),
+    }
+
+    @pytest.mark.parametrize("record_every", [2, 1000])
+    @pytest.mark.parametrize("depth, poison", POISONS.values(), ids=POISONS)
+    def test_blowup_in_either_group_equals_one_group(
+        self, monkeypatch, depth, poison, record_every
+    ):
+        cfg = cosine_config(
+            n=32, picard_depth=depth, t_end=0.1, record_every=record_every,
+            initial_data=InitialData("random-band", amplitude=0.5, seed=2),
+        )
+        upper = sqgev.solver._split([None, *range(depth)])
+
+        def change(k, lvl, theta, umax):
+            if lvl >= upper:
+                time.sleep(0.002)  # so that the lower group runs ahead
+            if (k, lvl) not in poison:
+                return umax
+            # a CFL note too, which is warned only up to the first failure
+            theta[0, 1] = np.nan
+            return 1e6
+
+        self.assert_same_blowup(monkeypatch, cfg, change)
+
+    @pytest.mark.parametrize("depth", [2, 6])
+    @pytest.mark.parametrize("record_every", [1, 1000])
+    def test_cfl_excess_and_blowup_equal_one_group(self, monkeypatch, depth, record_every):
+        # every level notes a CFL excess; record_every=1 ends at non-finite
+        # diagnostics, 1000 at a non-finite coefficient
+        cfg = cosine_config(
+            n=32, picard_depth=depth, dt=0.5, t_end=50.0, record_every=record_every,
+            initial_data=InitialData("random-band", amplitude=1e4, seed=7),
+        )
+        self.assert_same_blowup(monkeypatch, cfg)
+
+    @pytest.mark.parametrize("level", [2, 5])
+    def test_an_error_in_either_group_ends_the_march(self, monkeypatch, level):
+        cfg = cosine_config(n=32, picard_depth=6, record_every=1000)
+
+        def change(k, lvl, theta, umax):
+            if (k, lvl) == (3, level):
+                raise RuntimeError(f"step {k} of level {lvl}")
+            return umax
+
+        with pytest.raises(RuntimeError, match=f"step 3 of level {level}"):
+            self.march(monkeypatch, cfg, 2, change)
+
+    def test_a_raising_sink_leaves_no_live_worker(self, monkeypatch):
+        cfg = cosine_config(n=32, picard_depth=6, record_every=2)
+
+        def sink(lvl, t, snap, row):
+            if t > 0:
+                raise RuntimeError("sink")
+
+        with pytest.raises(RuntimeError, match="sink"):
+            self.march(monkeypatch, cfg, 2, sink=sink)
+
+    def test_concurrent_marches_under_a_short_switch_interval(self, monkeypatch):
+        # three two-group marches at once, six threads on fewer cores, with
+        # the interpreter switching threads as often as it can: a handoff
+        # out of order changes the numbers
+        cfgs = [
+            cosine_config(n=32, picard_depth=6, record_every=3,
+                          initial_data=InitialData("random-band", amplitude=0.5, seed=seed))
+            for seed in range(3)
+        ]
+        with monkeypatch.context() as m:
+            m.setattr("sqgev.solver._split", len)
+            want = [collected(picard_solve, cfg) for cfg in cfgs]
+        got = [None] * len(cfgs)
+
+        def run(i):
+            got[i] = collected(picard_solve, cfgs[i])
+
+        helpers = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(len(cfgs))]
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for helper in helpers:
+                helper.start()
+            for helper in helpers:
+                helper.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(helper.is_alive() for helper in helpers)
+        assert threading.active_count() == before
+        for run_got, run_want in zip(got, want, strict=True):
+            assert_same_run(run_got, run_want)
+
+    def test_the_worker_keeps_the_callers_errstate(self, monkeypatch):
+        cfg = cosine_config(n=32, picard_depth=6, record_every=1000)
+        seen = set()
+
+        def change(k, lvl, theta, umax):
+            seen.add(np.geterr()["divide"])
+            return umax
+
+        def run():
+            with np.errstate(divide="raise"):
+                return picard_solve(cfg, ignore)
+
+        threads = after_each_step(monkeypatch, change)
+        bounded(run)
+        assert len(threads) == 2 and seen == {"raise"}
 
 
 class TestArtifacts:
