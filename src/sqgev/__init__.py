@@ -1,7 +1,8 @@
 """Pseudo-spectral toolkit for the 2D supercritical surface quasi-geostrophic
 equation: Littlewood-Paley/Besov/Gevrey machinery, a Picard approximation
-scheme, bilinear multiplier evaluation, and a verification harness for the
-underlying quantitative estimates."""
+scheme, the bilinear multiplier symbols of the commutator estimates with
+their Marcinkiewicz scan, and a verification harness for the underlying
+quantitative estimates."""
 
 from .spectral import (
     BandRangeError,
@@ -38,15 +39,7 @@ from .solver import (
     picard_solve,
     solve,
 )
-from .bilinear import (
-    BilinearSymbol,
-    apply_bilinear,
-    dilate,
-    estimate_operator_norm,
-    marcinkiewicz_check,
-    registered_symbol,
-    rotation_dual,
-)
+from .bilinear import BilinearSymbol, marcinkiewicz_check
 from .checks import ALL_CHECKS, InequalityReport, run_check
 
 __version__ = "0.1.0"

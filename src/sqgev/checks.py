@@ -581,9 +581,8 @@ def _prescribed_profile_field(grid, exponent, p, seed, extra_damping=0.0, alpha=
     j_top = int(math.floor(math.log2(grid.k_nyquist)))
     half = np.zeros((n, h), dtype=complex)
     for j in range(0, j_top + 1):
+        # never empty: 2^j <= n/2 puts the mode (2^j, 0) in the band
         mask = (kmag > 2.0 ** (j - 0.5)) & (kmag <= min(2.0 ** (j + 0.5), grid.k_nyquist))
-        if not mask.any():
-            continue
         piece = phase * mask
         if p == 2.0:
             norm = TWO_PI * math.sqrt(float(np.sum(mask * mirrored)))

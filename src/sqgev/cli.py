@@ -1,4 +1,4 @@
-"""Command-line harness: simulate, picard, analyze, verify, symbols.
+"""Command-line harness: simulate, picard, analyze, verify.
 
 Configuration is flat key=value text.  Precedence: defaults, then the
 --config file, then SQGEV_<KEY> environment variables, then --set overrides.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import math
 import os
 import shutil
@@ -20,7 +19,6 @@ import sys
 from pathlib import Path
 
 from . import checks as checks_mod
-from .bilinear import SYMBOL_REGISTRY
 from .checks import ALL_CHECKS, check_defaults, run_check
 from .dyadic import BesovParams, besov_report
 from .gevrey import GevreyOverflowError, GevreyParams, XTSink, fit_radius, spectral_decay_fit
@@ -317,17 +315,6 @@ def _cmd_verify(args) -> int:
     return 3 if errored else 4 if failed else 0
 
 
-def _cmd_symbols(_args) -> int:
-    for name in sorted(SYMBOL_REGISTRY):
-        factory = SYMBOL_REGISTRY[name]
-        sig = inspect.signature(factory)
-        params = ", ".join(
-            f"{p.name}={p.default!r}" for p in sig.parameters.values()
-        )
-        print(f"{name}({params})")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqgev",
@@ -359,9 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--check", action="append", metavar="CHECK_ID",
                        help=f"check to run (repeatable; default all): {', '.join(sorted(ALL_CHECKS))}")
     p_ver.set_defaults(func=_cmd_verify)
-
-    p_sym = sub.add_parser("symbols", help="list registered bilinear symbols")
-    p_sym.set_defaults(func=_cmd_symbols)
 
     return parser
 

@@ -218,10 +218,8 @@ def initial_field(config: SolverConfig) -> SpectralField:
         # dealiased run and the radius diagnostics see a flat baseline
         coeffs = random_phases(grid, np.random.default_rng(init.seed))
         two_thirds = True
-    elif init.profile == "single-ring":
+    else:  # single-ring; InitialData validates the profile
         coeffs = random_band_limited(grid, init.ring_j, init.seed).coeffs.copy()
-    else:  # unreachable; InitialData validates
-        raise ConfigError(init.profile)
 
     coeffs[0, 0] = 0.0
     if two_thirds:
@@ -395,8 +393,6 @@ def _record_steps(config: SolverConfig) -> tuple[int, set[int]]:
     always included)."""
     ratio = config.t_end / config.dt
     n_steps = int(round(ratio))
-    if n_steps < 1:
-        raise ConfigError("t_end shorter than one time step")
     if abs(ratio - n_steps) > 1e-9 * ratio:
         raise ConfigError(
             f"t_end={config.t_end:g} is not a whole number of steps dt={config.dt:g} "

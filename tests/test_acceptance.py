@@ -9,14 +9,7 @@ import time
 
 import numpy as np
 
-from sqgev.bilinear import (
-    bilinear_pairing,
-    dilate,
-    estimate_operator_norm,
-    make_riesz_pair,
-    registered_symbol,
-    rotation_dual,
-)
+from sqgev.bilinear import make_kgtrj, make_ksimj, make_mA, make_mB
 from sqgev.checks import run_check
 from sqgev.dyadic import build_system
 from sqgev.gevrey import heat_semigroup
@@ -32,7 +25,15 @@ from sqgev.spectral import (
     save_field,
 )
 
-from reference import Collect, ignore
+from reference import (
+    Collect,
+    bilinear_pairing,
+    dilate,
+    estimate_operator_norm,
+    ignore,
+    make_riesz_pair,
+    rotation_dual,
+)
 
 
 def _report(label: str, ok: bool, detail: str) -> None:
@@ -205,7 +206,7 @@ class TestAcceptance:
         # duality identity on 50 triples
         worst_duality = 0.0
         for seed in range(50):
-            m = make_riesz_pair() if seed % 2 == 0 else registered_symbol("kgtrj")
+            m = make_riesz_pair() if seed % 2 == 0 else make_kgtrj()
             dual = rotation_dual(m)
             f = box_noise(grid16, 3, 3 * seed)
             g = box_noise(grid16, 3, 3 * seed + 1)
@@ -226,10 +227,12 @@ class TestAcceptance:
             dilation_drift = max(dilation_drift, abs(other - base) / base)
         ok = ok and dilation_drift <= 0.10
 
-        # registered-symbol norm stability across grids
+        # norm stability of the paper symbols across grids
         stability = {}
-        for name in ("kgtrj", "ksimj", "mA", "mB"):
-            sym = registered_symbol(name)
+        for name, factory in (
+            ("kgtrj", make_kgtrj), ("ksimj", make_ksimj), ("mA", make_mA), ("mB", make_mB)
+        ):
+            sym = factory()
             est16 = estimate_operator_norm(sym, grid16, 2, 2, trials=8, seed=1)
             est32 = estimate_operator_norm(sym, grid32, 2, 2, trials=8, seed=1)
             ratio = est32 / est16 if est16 > 0 else math.inf

@@ -19,9 +19,11 @@ from sqgev.bilinear import (
     _norm,
     _r_alpha_sigma,
     gevrey_commutators,
+    make_kgtrj,
+    make_mA,
+    make_mB,
     marcinkiewicz_check,
     padded_product,
-    registered_symbol,
 )
 from sqgev.checks import (
     FAIL,
@@ -59,7 +61,7 @@ from sqgev.spectral import (
     random_phases,
 )
 
-from reference import ignore
+from reference import ignore, make_riesz_pair
 
 
 def _r_alpha_sigma_fn(alpha, sigma):
@@ -706,7 +708,7 @@ class TestDifferenceStencil:
     @pytest.mark.parametrize("max_order", [1, 3])
     def test_equals_the_recursive_differences(self, max_order):
         # signed, complex values: a derivative of any order, its sign included
-        m = registered_symbol("mA", i=2)
+        m = make_mA(i=2)
         xi, eta = ProbeSpec(n_angles=5).points()
         for b1, b2 in _multi_indices(max_order):
             xi_pts, eta_pts, tree = _fd_stencil(xi, eta, b1, b2, 1e-3)
@@ -730,7 +732,9 @@ class TestDifferenceStencil:
         "name, params", [("kgtrj", {}), ("mB", {}), ("riesz-pair", {}), ("mA", {"sigma": 1.0})]
     )
     def test_marcinkiewicz_scan_equals_the_recursive_scan(self, name, params):
-        m = registered_symbol(name, **params)
+        factory = {"kgtrj": make_kgtrj, "mB": make_mB, "riesz-pair": make_riesz_pair,
+                   "mA": make_mA}[name]
+        m = factory(**params)
         report = marcinkiewicz_check(m, max_order=2)
         entries, flagged = marcinkiewicz_loop(m, max_order=2)
         assert report.entries == entries

@@ -31,7 +31,14 @@ from sqgev.solver import (
     picard_solve,
     solve,
 )
-from sqgev.spectral import Grid, SpectralField, load_field, save_field
+from sqgev.spectral import (
+    Grid,
+    RealField,
+    SpectralField,
+    forward_transform,
+    load_field,
+    save_field,
+)
 
 from reference import Collect, picard_gaps
 
@@ -354,6 +361,19 @@ class TestAnalyzeVerb:
         assert main(["analyze", str(snap), "-o", str(out), "--set", f"{key}={RUN_DEFAULTS[key]}"]) == 2
         assert not (out / "analysis.csv").exists()
 
+    def test_real_snapshot_is_analyzed_as_its_transform(self, tmp_path):
+        grid = Grid(32)
+        x1, x2 = grid.meshgrid()
+        real = RealField(grid, np.cos(x1) * np.sin(2 * x2) + 0.5 * np.cos(3 * x1 + x2))
+        tables = []
+        for name, field in (("real", real), ("spectral", forward_transform(real))):
+            snap = tmp_path / f"{name}.field"
+            save_field(snap, field)
+            assert main(["analyze", str(snap), "-o", str(tmp_path / name)]) == 0
+            text = (tmp_path / name / "analysis.csv").read_text().splitlines()
+            tables.append([l for l in text if not l.startswith("# snapshot")])
+        assert tables[0] == tables[1]
+
     def test_missing_snapshot_exits_2(self, tmp_path, capsys):
         out = tmp_path / "ana"
         assert main(["analyze", str(tmp_path / "missing.field"), "-o", str(out)]) == 2
@@ -651,20 +671,17 @@ class TestArtifactTables:
                         float(cell)
 
 
-class TestSymbolsVerb:
-    def test_lists_registry(self, capsys):
-        assert main(["symbols"]) == 0
-        out = capsys.readouterr().out
-        for name in ("riesz-pair", "kgtrj", "ksimj", "mA", "mB"):
-            assert name in out
-
-
 class TestUsage:
     def test_bad_verb_exits_2(self):
         assert main(["frobnicate"]) == 2
 
     def test_bad_override_exits_2(self, tmp_path):
         assert main(["simulate", "-o", str(tmp_path), "--set", "nonsense=1"]) == 2
+
+    def test_override_without_equals_exits_2(self, tmp_path, capsys):
+        assert main(["simulate", "-o", str(tmp_path / "out"), "--set", "kappa"]) == 2
+        assert "override must be key=value, got 'kappa'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("verb", ["simulate", "analyze", "verify"])
     def test_sharpness_is_not_a_key(self, tmp_path, capsys, verb):

@@ -325,6 +325,24 @@ class TestInitialData:
         with pytest.raises(ConfigError, match="file:<path>"):
             InitialData(profile=profile)
 
+    def test_real_snapshot_is_forward_transformed(self, tmp_path):
+        grid = Grid(32)
+        x1, x2 = grid.meshgrid()
+        real = RealField(grid, np.cos(x1 + 2 * x2) - 0.25 * np.sin(3 * x2))
+        fields = []
+        for name, field in (("real", real), ("spectral", forward_transform(real))):
+            save_field(tmp_path / name, field)
+            cfg = cosine_config(initial_data=InitialData(profile=f"file:{tmp_path / name}"))
+            fields.append(initial_field(cfg))
+        assert np.array_equal(fields[0].coeffs, fields[1].coeffs)
+        assert np.any(fields[0].coeffs)
+
+    def test_snapshot_on_another_grid_raises(self, tmp_path):
+        save_field(tmp_path / "f", random_band_limited(Grid(16), 1, seed=2))
+        cfg = cosine_config(initial_data=InitialData(profile=f"file:{tmp_path / 'f'}"))
+        with pytest.raises(ConfigError, match=r"snapshot grid \(n=16\) does not match run grid"):
+            initial_field(cfg)
+
     def test_dealias_mask_kills_mean_and_high_modes(self):
         grid = Grid(32)
         mask = dealias_mask(grid, "two-thirds")
@@ -349,6 +367,11 @@ class TestNonlinearTerm:
         theta = forward_transform(RealField(grid, np.cos(x1)))
         out = nonlinear_term(theta)
         assert np.max(np.abs(out.coeffs)) <= 1e-15
+
+    def test_overflow_is_a_blowup(self):
+        theta = 1e200 * random_band_limited(Grid(32), 2, seed=5)
+        with pytest.raises(BlowUpError, match="overflow while forming the advection term"):
+            nonlinear_term(theta)
 
     def test_energy_conservation_pairing(self):
         # int theta * (u.grad theta) dx = 0 for divergence-free u; with theta

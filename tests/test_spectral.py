@@ -136,6 +136,12 @@ class TestTransforms:
         with pytest.raises(ConfigError):
             RealField(grid, v)
 
+    @pytest.mark.parametrize("kind", [RealField, SpectralField])
+    @pytest.mark.parametrize("shape", [(8, 16), (16,), (16, 16, 1)])
+    def test_rejects_wrong_shape(self, kind, shape):
+        with pytest.raises(ConfigError, match="does not match grid"):
+            kind(Grid(16), np.zeros(shape))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_spectral_field(self, bad):
         c = np.zeros((8, 8), dtype=complex)
@@ -437,6 +443,28 @@ class TestSnapshotFiles:
         path.write_bytes(b"n=8\nbox_length=2.5\nkind=real\n\n" + data)
         with pytest.raises(ConfigError, match="box_length=2.5"):
             load_field(path)
+
+    @pytest.mark.parametrize(
+        "header, floats, match",
+        [
+            ("n=8\nkind real", 64, "malformed header line 'kind real'"),
+            ("n=8.0\nkind=real", 64, "bad header"),
+            ("n=8\nkind=real", 63, "expected 64 floats, got 63"),
+            ("n=8\nkind=spectral", 64, "expected 128 floats, got 64"),
+            ("n=8\nkind=complex", 128, "unknown field kind 'complex'"),
+        ],
+    )
+    def test_malformed_file_is_a_config_error(self, tmp_path, header, floats, match):
+        path = tmp_path / "bad.snap"
+        head = f"box_length={TWO_PI!r}\n{header}\n\n".encode("ascii")
+        path.write_bytes(head + np.zeros(floats, dtype="<f8").tobytes())
+        with pytest.raises(ConfigError, match=match):
+            load_field(path)
+
+    def test_saving_a_non_field_is_a_type_error(self, tmp_path):
+        with pytest.raises(TypeError, match="cannot save object"):
+            save_field(tmp_path / "f.snap", np.zeros((8, 8)))
+        assert not (tmp_path / "f.snap").exists()
 
     def test_corrupt_header_rejected(self, tmp_path):
         path = tmp_path / "bad.snap"
