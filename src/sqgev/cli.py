@@ -42,6 +42,9 @@ ENV_PREFIX = "SQGEV_"
 RUN_DEFAULTS = flat_config(SolverConfig())
 RUN_DEFAULTS.update(flat_config(config_from_flat(GevreyParams, RUN_DEFAULTS)))
 RUN_KEYS = {key: type(value) for key, value in RUN_DEFAULTS.items()}
+# The run keys that `picard` reads: those of SolverConfig, since only
+# `simulate` writes the X_T trace.
+PICARD_KEYS = {key: RUN_KEYS[key] for key in flat_config(SolverConfig())}
 # The run keys that `analyze` reads; the grid comes from the snapshot.
 ANALYZE_KEYS = {key: RUN_KEYS[key] for key in ("p", "q", "kappa", "alpha")}
 
@@ -192,7 +195,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_picard(args) -> int:
-    params = parse_config(args.config, args.set, RUN_KEYS, RUN_DEFAULTS)
+    params = parse_config(
+        args.config, args.set, PICARD_KEYS, {key: RUN_DEFAULTS[key] for key in PICARD_KEYS}
+    )
     cfg = config_from_flat(SolverConfig, params)
     out = Path(args.output_dir)
     echo = _field_echo(cfg)

@@ -35,9 +35,10 @@ iterates).  `solve` is the one-level call and `picard_solve` the call with
 heat flow at level 0 and level l advected by level l - 1.  Level l at step
 k needs level l - 1 at steps k - 1 and k only, so a Picard chain with two
 advected levels or more steps its upper levels one step behind its lower
-ones, on a second thread, with the arithmetic of one loop.  The loop
-records diagnostics, hands each recorded snapshot to the caller's sink and
-keeps none, warns of the first CFL excess of each level, and raises
+ones, on a second thread, with the arithmetic of one loop; the two threads
+hand the boundary level over as one token per step in each direction.  The
+loop records diagnostics, hands each recorded snapshot to the caller's sink
+and keeps none, warns of the first CFL excess of each level, and raises
 BlowUpError carrying the partial trajectory of the first level, in (step,
 level) order, that turns non-finite, or whose recorded field fails the
 Hermitian check or has a non-finite norm.
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import queue
 import threading
 import warnings
 from dataclasses import dataclass, fields, is_dataclass
@@ -410,25 +412,6 @@ def _split(sources: list) -> int:
     return (len(sources) + 2) // 2 if chain else len(sources)
 
 
-class _Link:
-    """The handoff of level s - 1 between the two groups of a split march,
-    for one stretch of steps.  `ready` (lower to upper) counts the steps
-    to which the lower group has advanced level s - 1; `taken` (upper to
-    lower) lets the lower group advance it again once the upper group has
-    read it.  failed[g] is the (step, level) at which group g stopped on a
-    non-finite level, written by group g only and before it wakes the
-    other side; aborted is set when either side raised.  Each side
-    releases the other's semaphore once more when it returns, so that a
-    side that stops always wakes the other, and checks both flags after
-    every wait."""
-
-    def __init__(self, failed: list):
-        self.ready = threading.Semaphore(0)
-        self.taken = threading.Semaphore(0)
-        self.failed = failed
-        self.aborted = False
-
-
 def _march(config: SolverConfig, sources: list, sink) -> list[Trajectory]:
     """Advance levels 0..len(sources)-1 from the configured initial data.
 
@@ -455,7 +438,15 @@ def _march(config: SolverConfig, sources: list, sink) -> list[Trajectory]:
     thread and the upper group [s, L) on a worker thread, one step behind:
     level s at step k needs level s - 1 at steps k - 1 and k only, and
     numpy releases the GIL in its transforms and ufuncs.  The worker starts
-    for each stretch and is joined before its record.  A group notes the
+    for each stretch and is joined before its record.  During a stretch the
+    two threads share only level s - 1 and two queues: the lower group puts
+    a token in `ready` when it has advanced level s - 1 by a step, and the
+    upper group puts one in `taken` when it has read it, the first after
+    its step-0 velocities; each side waits for the other's token before it
+    reads or overwrites the level.  Each side puts the end marker None in
+    the other's queue when it returns, ended, stopped or raising, and a
+    side that takes None returns at once; the queues are first in, first
+    out, so every real token arrives before it.  A group notes the
     first CFL excess of each level and stops at its first non-finite level;
     the calling thread then warns the notes in (step, level) order up to
     the earliest stop and raises BlowUpError for that stop, so that every
@@ -514,29 +505,29 @@ def _march(config: SolverConfig, sources: list, sink) -> list[Trajectory]:
     groups = [levels[:split], levels[split:]] if split < len(sources) else [levels]
     vels = [{} for _ in groups]  # each group's frozen velocities
 
-    def advance(g, work, start, end, link, notes):
+    def advance(g, work, start, end, notes, inbox=None, outbox=None):
         """Steps start..end of group g; returns the (step, level) of its
-        first non-finite level, or None.  With a link, the lower group
-        hands its last level over and the upper group takes it."""
+        first non-finite level, or None.  In a split march group g takes
+        the other group's tokens from inbox, before it overwrites (lower)
+        or reads (upper) level s - 1, and puts its own in outbox after; it
+        returns None when it takes the end marker None."""
         lvls, vel = groups[g], vels[g]
-        handed = lvls[-1] if link and g == 0 else None
+        handed = lvls[-1] if g == 0 and inbox is not None else None
         frozen = [src for lvl in lvls if (src := sources[lvl]) not in (None, lvl)]
         # one spare per stretch; it carries no state from one step to the next
         spare = np.empty((2, grid.n, grid.n)) if frozen else None
         if start == 1:
             vel.update({src: work.velocity(half[src], np.empty((2, grid.n, grid.n)))
                         for src in frozen})
-        if link and g == 1:
-            link.taken.release()  # the lower group may now advance level s - 1
+        if g == 1:
+            # only now, after the step-0 velocities have read level s - 1,
+            # may the lower group advance it
+            outbox.put(start - 1)
         for k in range(start, end + 1):
             for lvl in lvls:
                 src = sources[lvl]
-                if lvl == handed:
-                    link.taken.acquire()
-                    # the upper group can only have stopped at a step that
-                    # this group has finished
-                    if link.aborted or link.failed[1]:
-                        return None
+                if lvl == handed and inbox.get() is None:
+                    return None
                 if src is None:
                     np.multiply(efactor, half[lvl], out=half[lvl])
                     umax = 0.0
@@ -544,15 +535,11 @@ def _march(config: SolverConfig, sources: list, sink) -> list[Trajectory]:
                     umax = _heun_step(half[lvl], work, dt, efactor)
                 else:
                     taking = src not in lvls
-                    if taking:
-                        link.ready.acquire()
-                        # the lower group stopped at or before this step
-                        stop = link.failed[0]
-                        if link.aborted or (stop and stop[0] <= k):
-                            return None
+                    if taking and inbox.get() is None:
+                        return None
                     spare = work.velocity(half[src], spare)
                     if taking:
-                        link.taken.release()
+                        outbox.put(k)
                     umax = _heun_step(half[lvl], work, dt, efactor, vel[src], spare)
                     vel[src], spare = spare, vel[src]
                 noted = metas[lvl]["warnings"] or any(note[1] == lvl for note in notes)
@@ -562,7 +549,7 @@ def _march(config: SolverConfig, sources: list, sink) -> list[Trajectory]:
                 if not np.isfinite(half[lvl], out=work.finite).all():
                     return k, lvl
                 if lvl == handed:
-                    link.ready.release()
+                    outbox.put(k)
         return None
 
     def stretch(start, end):
@@ -574,29 +561,25 @@ def _march(config: SolverConfig, sources: list, sink) -> list[Trajectory]:
         works = [_Workspace(grid, config.dealias) for _ in groups]
         failed, notes = [None] * len(groups), [[] for _ in groups]
         if len(groups) == 1:
-            failed[0] = advance(0, works[0], start, end, None, notes[0])
+            failed[0] = advance(0, works[0], start, end, notes[0])
         else:
-            link, errors = _Link(failed), []
+            ready, taken, errors = queue.SimpleQueue(), queue.SimpleQueue(), []
 
             def upper():
                 try:
-                    failed[1] = advance(1, works[1], start, end, link, notes[1])
+                    failed[1] = advance(1, works[1], start, end, notes[1], ready, taken)
                 except BaseException as exc:  # raised again on the calling thread
                     errors.append(exc)
-                    link.aborted = True
                 finally:
-                    link.taken.release()
+                    taken.put(None)
 
             # the copied context carries the caller's np.errstate
             worker = threading.Thread(target=contextvars.copy_context().run, args=(upper,))
             worker.start()
             try:
-                failed[0] = advance(0, works[0], start, end, link, notes[0])
-            except BaseException:
-                link.aborted = True
-                raise
+                failed[0] = advance(0, works[0], start, end, notes[0], taken, ready)
             finally:
-                link.ready.release()
+                ready.put(None)
                 worker.join()
             if errors:
                 raise errors[0]

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import sqgev.bilinear
 from sqgev.bilinear import (
     _multi_indices,
     BilinearSymbol,
@@ -314,13 +315,18 @@ class TestMarcinkiewicz:
         assert math.isfinite(report.worst())
 
     def test_nonfinite_entries_flagged_not_fatal(self):
+        probe = ProbeSpec(xi_radii=(1.0,), eta_radii=(1.0,), n_angles=4)
+        pole = probe.points()[0][0, 0]  # the first probe's xi_1
         m = BilinearSymbol(
-            eval=lambda xi, eta: 1.0 / (xi[..., 0] - 1.0),
+            eval=lambda xi, eta: 1.0 / (xi[..., 0] - pole),
             description="singular",
         )
-        probe = ProbeSpec(xi_radii=(1.0,), eta_radii=(1.0,), n_angles=4)
-        report = marcinkiewicz_check(m, max_order=1, probe=probe)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            report = marcinkiewicz_check(m, max_order=1, probe=probe)
         assert isinstance(report, MarcinkiewiczReport)
+        assert ((0, 0), (0, 0)) in report.flagged
+        # the other probes keep the entry finite
+        assert math.isfinite(report.entries[((0, 0), (0, 0))])
 
 
 class TestOperatorNormEstimate:
@@ -513,7 +519,7 @@ class TestBatchedCommutator:
         (one_band,) = gevrey_commutators(f, g, [(2, 0.05)], 0.5)
         assert np.array_equal(one_band.values, batched[1].values)
 
-    def test_guards(self):
+    def test_guards(self, monkeypatch):
         grid = Grid(16)
         f, g = white_noise(grid, 37), white_noise(grid, 38)
         rng = np.random.default_rng(39)
@@ -532,6 +538,18 @@ class TestBatchedCommutator:
             gevrey_commutators(f, g, [(1, 0.0)], 1.5)
         with pytest.raises(ConfigError):
             gevrey_commutators(f, white_noise(Grid(32), 40), [(1, 0.0)], 0.5)
+        # a defect that the half-plane arithmetic cannot make: an imaginary
+        # part on the k2 = 0 column, which band 2 leaves uncancelled at |k| = 1
+        truncate = sqgev.bilinear._truncate
+
+        def skewed(grid, values):
+            half = truncate(grid, values)
+            half[1, 0] += 1e-3j
+            return half
+
+        monkeypatch.setattr(sqgev.bilinear, "_truncate", skewed)
+        with pytest.raises(HermitianSymmetryError, match="band j=2"):
+            gevrey_commutators(f, g, [(2, 0.0)], 0.5)
 
 
 class TestRegistry:

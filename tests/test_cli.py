@@ -11,6 +11,7 @@ import pytest
 
 from sqgev.cli import (
     ANALYZE_KEYS,
+    PICARD_KEYS,
     RUN_DEFAULTS,
     RUN_KEYS,
     UsageError,
@@ -117,6 +118,13 @@ class TestRunKeys:
         for key, value in values.items():
             raw = trace[key] if key in ("lam", "beta") else config[key]
             assert RUN_KEYS[key](raw) == value
+        # picard takes, and echoes, only the keys it reads
+        sets = [arg for key in PICARD_KEYS for arg in ("--set", f"{key}={values[key]}")]
+        assert main(["picard", "-o", str(tmp_path / "pic"), *sets]) == 0
+        convergence = echoed(tmp_path / "pic" / "convergence.csv")
+        assert set(convergence) & set(RUN_KEYS) == set(PICARD_KEYS)
+        for key in PICARD_KEYS:
+            assert RUN_KEYS[key](convergence[key]) == values[key]
         # analyze takes, and echoes, only the keys it reads
         snapshot = next(run.glob("snapshot_*.field"))
         sets = [arg for key in ANALYZE_KEYS for arg in ("--set", f"{key}={values[key]}")]
@@ -300,6 +308,20 @@ class TestPicardVerb:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("key", ["lam", "beta"])
+    @pytest.mark.parametrize("source", ["--set", "--config"])
+    def test_a_trace_key_exits_2(self, tmp_path, capsys, key, source):
+        # picard writes no X_T trace, so it reads neither of its keys
+        assert set(RUN_KEYS) - set(PICARD_KEYS) == {"lam", "beta"}
+        item = f"{key}={RUN_DEFAULTS[key]}"
+        if source == "--config":
+            (tmp_path / "run.cfg").write_text(f"n=16\n{item}\n")
+            item = str(tmp_path / "run.cfg")
+        out = tmp_path / "pic"
+        assert main(["picard", "-o", str(out), source, item]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_blowup_exits_3_and_saves_the_failing_level(self, tmp_path):
         out = tmp_path / "boom"
         with pytest.warns(UserWarning):
@@ -425,6 +447,18 @@ class TestVerifyVerb:
         )
         assert code == 2
         assert "positivity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check, item, message", [
+        ("lin-gevrey", "alpha=0.9", "need 0 < alpha < kappa"),
+        ("commutator-decay", "delta=1.5", "need 0 < delta < 1"),
+        # not above commutator_gamma = 0.05
+        ("commutator-decay", "field_damping=0.01", "need damping gamma' > gamma"),
+    ])
+    def test_parameter_outside_the_estimate_exits_2(self, tmp_path, capsys, check, item, message):
+        code = main(["verify", "--check", check, "-o", str(tmp_path / "v"),
+                     "--set", item, "--set", "trials=1"])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("check, bands", [
         ("bernstein", ["j_hi=9"]), ("heat-kernel", ["j_hi=9"]), ("lin-gevrey", ["j_hi=9"]),

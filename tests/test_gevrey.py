@@ -309,6 +309,12 @@ class TestXTNorm:
         with pytest.raises(ValueError):
             xt_norm([], gp, BesovParams(0.5))
 
+    def test_sample_at_time_zero_rejected(self):
+        F = random_band_limited(Grid(16), 1, seed=11)
+        gp = GevreyParams(alpha=0.4, kappa=0.8)
+        with pytest.raises(ValueError, match="t > 0"):
+            xt_norm([(0.0, F)], gp, BesovParams(0.5))
+
     def test_overflow_carries_time(self):
         grid = Grid(64)
         F = random_band_limited(grid, 2, seed=13)

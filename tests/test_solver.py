@@ -294,6 +294,7 @@ class TestConfig:
             dict(dt=0.5, t_end=0.1),
             dict(dealias="half"),
             dict(record_every=0),
+            dict(picard_depth=-1),
         ],
     )
     def test_invalid(self, kw):
@@ -303,6 +304,10 @@ class TestConfig:
     def test_unknown_profile(self):
         with pytest.raises(ConfigError):
             InitialData(profile="vortex-soup")
+
+    def test_negative_amplitude(self):
+        with pytest.raises(ConfigError, match="amplitude"):
+            InitialData(amplitude=-1)
 
 
 class TestInitialData:
@@ -1113,6 +1118,29 @@ class TestPicardWavefront:
             n=32, dealias=dealias, picard_depth=depth, t_end=0.2, record_every=record_every,
             initial_data=InitialData("random-band", amplitude=0.5, seed=depth),
         )
+        self.assert_same_numbers(monkeypatch, cfg)
+
+    @pytest.mark.parametrize("depth", [2, 6])
+    def test_a_slow_worker_equals_one_group(self, monkeypatch, depth):
+        # each velocity the worker computes waits 5 ms first, so that the
+        # calling thread, were it given its first token early, would
+        # overwrite level s - 1 before the worker read it, on any number of
+        # CPUs
+        velocity = _Workspace.velocity
+
+        def slow(work, half, out):
+            if threading.current_thread().name != "march":
+                time.sleep(0.005)
+            return velocity(work, half, out)
+
+        monkeypatch.setattr(_Workspace, "velocity", slow)
+        cfg = cosine_config(
+            n=32, picard_depth=depth, t_end=0.2, record_every=7,
+            initial_data=InitialData("random-band", amplitude=0.5, seed=depth),
+        )
+        self.assert_same_numbers(monkeypatch, cfg)
+
+    def assert_same_numbers(self, monkeypatch, cfg):
         runs = []
         for groups in (1, 2):
             sink, gaps = Collect(), PicardGaps(cfg)
