@@ -1,8 +1,11 @@
 """Pseudo-spectral toolkit for the 2D supercritical surface quasi-geostrophic
-equation: Littlewood-Paley/Besov/Gevrey machinery, a Picard approximation
-scheme, the bilinear multiplier symbols of the commutator estimates with
-their Marcinkiewicz scan, and a verification harness for the underlying
-quantitative estimates."""
+equation: Littlewood-Paley/Besov/Gevrey machinery and a Picard approximation
+scheme.
+
+The verification harness of the underlying quantitative estimates lives in
+`sqgev.checks`, with the bilinear multiplier symbols of the commutator
+estimates in `sqgev.bilinear`.  Neither is imported here: they load with
+`sqgev verify`, so `simulate`, `picard` and `analyze` start without them."""
 
 from .spectral import (
     BandRangeError,
@@ -35,11 +38,8 @@ from .solver import (
     InitialData,
     SolverConfig,
     Trajectory,
-    nonlinear_term,
     picard_solve,
     solve,
 )
-from .bilinear import BilinearSymbol, marcinkiewicz_check
-from .checks import ALL_CHECKS, InequalityReport, run_check
 
 __version__ = "0.1.0"

@@ -111,9 +111,10 @@ class InequalityReport:
         # only the small header goes through the indenting encoder; the
         # trials follow it, one row per line
         head = json.dumps(header, indent=2, sort_keys=True, default=default)
-        rows = ",\n".join(
-            "    " + json.dumps(row, sort_keys=True, default=default) for row in self.trials
-        )
+        # one encoder for every row: json.dumps with these options would
+        # build a new one per row
+        encode = json.JSONEncoder(sort_keys=True, default=default).encode
+        rows = ",\n".join("    " + encode(row) for row in self.trials)
         trials = f"[\n{rows}\n  ]" if self.trials else "[]"
         # head ends in "\n}": reopen it for the trials
         return f'{head[:-2]},\n  "trials": {trials}\n}}'

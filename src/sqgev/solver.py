@@ -117,8 +117,10 @@ class InitialData:
                 f"unknown initial data profile {self.profile!r}; "
                 f"choose one of {PROFILES} or file:<path>"
             )
-        if self.amplitude < 0:
-            raise ConfigError("amplitude must be nonnegative")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise ConfigError(f"amplitude must be finite and nonnegative, got {self.amplitude}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +145,10 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.kappa <= 2.0):
             raise ConfigError(f"kappa must lie in (0, 2], got {self.kappa}")
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError(f"dt must be finite and positive, got {self.dt}")
+        if not math.isfinite(self.t_end):
+            raise ConfigError(f"t_end must be finite, got {self.t_end}")
         if self.t_end < self.dt:
             raise ConfigError(f"t_end={self.t_end} shorter than one step dt={self.dt}")
         if self.dealias not in ("two-thirds", "none"):
@@ -153,6 +157,10 @@ class SolverConfig:
             raise ConfigError("record_every must be >= 1")
         if self.picard_depth < 0:
             raise ConfigError("picard_depth must be >= 0")
+        if not (self.p >= 1 and self.q >= 1):
+            raise ConfigError(f"need p >= 1 and q >= 1, got p={self.p}, q={self.q}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ConfigError(f"alpha must be finite and positive, got {self.alpha}")
 
     @property
     def sigma(self) -> float:

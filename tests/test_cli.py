@@ -3,12 +3,18 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sqgev
+from sqgev.checks import ALL_CHECKS
 from sqgev.cli import (
     ANALYZE_KEYS,
     PICARD_KEYS,
@@ -418,9 +424,13 @@ class TestVerifyVerb:
         report = json.loads((out / "concavity.json").read_text())
         assert report["verdict"] == "pass"
 
-    def test_unknown_check_is_usage_error(self, tmp_path):
+    def test_unknown_check_is_usage_error(self, tmp_path, capsys):
         code = main(["verify", "--check", "nonsense", "-o", str(tmp_path / "x")])
         assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown check 'nonsense'" in err
+        assert all(cid in err for cid in ALL_CHECKS)
+        assert not (tmp_path / "x").exists()
 
     def test_override_flows_into_report(self, tmp_path):
         out = tmp_path / "ver2"
@@ -709,6 +719,20 @@ class TestUsage:
     def test_bad_verb_exits_2(self):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("verb", ["simulate", "picard"])
+    @pytest.mark.parametrize("item", [
+        "t_end=nan", "t_end=inf", "dt=nan", "p=0", "q=0.5", "init_seed=-1",
+        "alpha=nan", "alpha=-1", "amplitude=nan", "amplitude=inf",
+    ])
+    def test_bad_run_value_exits_2(self, tmp_path, capsys, verb, item):
+        # a value no run can use is a config error, not a traceback and not
+        # a run that ends with exit 0
+        argv = [verb, "-o", str(tmp_path / "out"),
+                "--set", "n=16", "--set", "t_end=0.04", "--set", item]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_bad_override_exits_2(self, tmp_path):
         assert main(["simulate", "-o", str(tmp_path), "--set", "nonsense=1"]) == 2
 
@@ -726,3 +750,21 @@ class TestUsage:
                 "-o", str(tmp_path / "out"), "--set", "sharpness=12.0"]
         assert main(argv) == 2
         assert "unknown key 'sharpness'" in capsys.readouterr().err
+
+
+class TestColdStart:
+    def test_cli_import_leaves_out_the_harness(self):
+        # simulate, picard and analyze start without compiling the checks or
+        # the bilinear symbols; only verify loads them
+        src = str(Path(sqgev.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import json, sys, sqgev.cli; print(json.dumps(sorted(sys.modules)))"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        loaded = json.loads(run.stdout)
+        assert "sqgev.cli" in loaded
+        assert "sqgev.checks" not in loaded and "sqgev.bilinear" not in loaded
+
+    def test_verify_help_exits_0(self, capsys):
+        assert main(["verify", "--help"]) == 0
+        assert "--check CHECK_ID" in capsys.readouterr().out
