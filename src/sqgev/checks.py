@@ -478,6 +478,8 @@ def check_r_derivatives(
     bound is stated for 0 < alpha < 1."""
     if not all(0 < a < 1 for a in alpha_set):
         raise ConfigError(f"R_alpha,sigma bounds need 0 < alpha < 1, got alpha_set={alpha_set}")
+    if max_order < 1:
+        raise ConfigError(f"r-derivatives needs max_order >= 1, got {max_order}")
     families = [(l, l + gap) for l in (0, 1) for gap in gap_set]
     angles = (np.arange(6) + 0.29) * 2.0 * math.pi / 6
 
@@ -870,6 +872,8 @@ def run_check(check_id: str, **overrides) -> InequalityReport:
     config.update(overrides)
     if config.get("trials", 1) < 1:
         raise ConfigError(f"check {check_id!r} needs trials >= 1, got {config['trials']}")
+    if config.get("seed", 0) < 0:
+        raise ConfigError(f"check {check_id!r} needs seed >= 0, got {config['seed']}")
     trials, fits, clauses, notes = ALL_CHECKS[check_id](**config)
     environment = {
         "numpy": np.__version__, "python": platform.python_version(), "machine": platform.machine()

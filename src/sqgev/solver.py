@@ -19,6 +19,14 @@ between two records and is dropped before the record, whose transients
 then reuse its pages.  The inverse transform of a (2, n, n//2+1) stack
 is ifft along axis 0 then irfft along axis 1, the forward transform rfft
 along axis 1 then fft along axis 0: the same numbers as irfft2 and rfft2.
+Under the two-thirds rule (Orszag 1971) a march's every state lies in the
+box of components at most c = n//3, since the initial data is masked and
+every update dealiased; so each axis-0 pass runs, in place, on the c + 1
+kept columns only, and the dealiasing writes zeros over the rows and
+columns outside the box instead of multiplying by a mask.  No transform
+output reaches the masked modes: from the first step on they hold +0 on
+an advected level and the heat factor times the initial zeros on a
+heat-flow level, whatever the round-off of the transforms.
 The k2 < 0 columns are rebuilt from Hermitian
 symmetry (spectral._full_spectrum) only when a level is recorded, and when
 `nonlinear_term` returns its field; the initial data is recorded as given.
@@ -183,10 +191,16 @@ class Trajectory:
     meta: dict
 
 
+def _kept_component(grid: Grid, rule: str) -> int:
+    """Largest integer frequency component that the dealias rule keeps:
+    n//3 under the two-thirds rule, n//2 (every mode) under none."""
+    return grid.n // 2 if rule == "none" else grid.n // 3
+
+
 def dealias_mask(grid: Grid, rule: str) -> np.ndarray:
     """Keep-mask for the quadratic term; always kills the mean mode.  The
     two-thirds rule keeps integer components below n/3."""
-    return box_mask(grid, grid.n // 2 if rule == "none" else grid.n // 3)
+    return box_mask(grid, _kept_component(grid, rule))
 
 
 # -- initial data --------------------------------------------------------
@@ -244,7 +258,8 @@ def initial_field(config: SolverConfig) -> SpectralField:
     if init.profile.startswith("file:"):
         return fld  # files are taken verbatim
     # one complex product, which also sets the signs of the masked modes'
-    # zeros that the snapshot files hold
+    # zeros in the t = 0 snapshot; the march's first step leaves them +0 on
+    # an advected level and keeps them on a heat-flow level
     scaled = fld.coeffs * (init.amplitude / norm)
     del fld
     return SpectralField._adopt(grid, scaled)
@@ -281,16 +296,24 @@ class _Workspace:
     spec holds two (n, n//2+1) half spectra and is the input of `inverse`
     and the output of `forward`; vel and grad hold (2, n, n) grid values;
     n1 and pred are the Heun stage-1 term and predictor; finite is the
-    non-finite test's scratch.
+    non-finite test's scratch.  `inverse` runs its axis-0 pass, in place,
+    over the first `columns` columns of spec only: all of them by default,
+    the dealias box's c + 1 in a march, whose states vanish beyond them.
+    `forward` runs it over the c + 1 columns that the dealias rule keeps,
+    and `advection` then writes +0 over the rows and columns outside the
+    box and at the mean mode, so the masked modes take no transform output.
     """
 
-    def __init__(self, grid: Grid, dealias: str):
+    def __init__(self, grid: Grid, dealias: str, columns: int | None = None):
         n, h = grid.n, grid.n // 2 + 1
         self.n = n
+        self.c = _kept_component(grid, dealias)
         self.ikx, self.iky, self.inv = _half_plane(grid)
         self.neg_ikx = -self.ikx
-        self.mask = np.ascontiguousarray(dealias_mask(grid, dealias)[:, :h])
         self.spec = np.empty((2, n, h), dtype=np.complex128)
+        # the columns that the axis-0 passes transform, in place
+        self.inverse_pass = self.spec[..., : columns or h]
+        self.forward_pass = self.spec[0, :, : self.c + 1]
         self.vel = np.empty((2, n, n))
         self.grad = np.empty((2, n, n))
         self.n1 = np.empty((n, h), dtype=np.complex128)
@@ -300,15 +323,17 @@ class _Workspace:
     def inverse(self, out: np.ndarray) -> np.ndarray:
         """Grid values of the two half spectra in spec, into the (2, n, n)
         array out; the same numbers as irfft2, and spec is overwritten."""
-        np.fft.ifft(self.spec, axis=-2, norm="forward", out=self.spec)
+        np.fft.ifft(self.inverse_pass, axis=-2, norm="forward", out=self.inverse_pass)
         return np.fft.irfft(self.spec, n=self.n, axis=-1, norm="forward", out=out)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Half spectrum of the (n, n) grid values, into spec[0]; the same
-        numbers as rfft2."""
+        numbers as rfft2 on the kept columns, the others transformed along
+        axis 1 only."""
         out = self.spec[0]
         np.fft.rfft(values, axis=-1, norm="forward", out=out)
-        return np.fft.fft(out, axis=-2, norm="forward", out=out)
+        np.fft.fft(self.forward_pass, axis=-2, norm="forward", out=self.forward_pass)
+        return out
 
     def velocity(self, half: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Values (u1, u2) = (-R2 theta, R1 theta) on the grid points of the
@@ -321,8 +346,9 @@ class _Workspace:
 
     def advection(self, half: np.ndarray, vel: np.ndarray) -> np.ndarray:
         """Dealiased half spectrum of u . grad theta for the collocation
-        velocity vel, into spec[0]."""
-        spec, grad = self.spec, self.grad
+        velocity vel, into spec[0]: +0 outside the kept box and at the mean
+        mode, whatever the transform gave there."""
+        spec, grad, c = self.spec, self.grad, self.c
         np.multiply(half, self.ikx, out=spec[0])
         np.multiply(half, self.iky, out=spec[1])
         self.inverse(grad)
@@ -330,12 +356,16 @@ class _Workspace:
         np.multiply(vel[1], grad[1], out=grad[1])
         np.add(grad[0], grad[1], out=grad[0])
         adv = self.forward(grad[0])
-        return np.multiply(adv, self.mask, out=adv)
+        adv[c + 1 : self.n - c] = 0
+        adv[:, c + 1 :] = 0
+        adv[0, 0] = 0
+        return adv
 
     def max_speed(self, vel: np.ndarray) -> float:
-        """max |u| over both components of the collocation velocity vel."""
-        speed = np.abs(vel, out=self.grad)
-        return max(np.max(speed[0]), np.max(speed[1]))
+        """max |u| over both components of the collocation velocity vel;
+        NaN when u1 holds a NaN, as max(max|u1|, max|u2|) is."""
+        u1, u2 = vel
+        return max(np.max(u1), -np.min(u1), np.max(u2), -np.min(u2))
 
 
 def nonlinear_term(theta: SpectralField, dealias: str = "two-thirds") -> SpectralField:
@@ -566,7 +596,10 @@ def _march(config: SolverConfig, sources: list, sink) -> list[Trajectory]:
         raised here, on the calling thread: the warning names the line
         that called solve or picard_solve, four frames up (stretch, _march,
         the solver call, its caller)."""
-        works = [_Workspace(grid, config.dealias) for _ in groups]
+        # every state lies in the dealias box, so the inverse transforms
+        # only its columns along axis 0
+        columns = _kept_component(grid, config.dealias) + 1
+        works = [_Workspace(grid, config.dealias, columns) for _ in groups]
         failed, notes = [None] * len(groups), [[] for _ in groups]
         if len(groups) == 1:
             failed[0] = advance(0, works[0], start, end, notes[0])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import sqgev
-from sqgev.checks import ALL_CHECKS
+from sqgev.checks import ALL_CHECKS, check_defaults
 from sqgev.cli import (
     ANALYZE_KEYS,
     PICARD_KEYS,
@@ -715,6 +715,19 @@ class TestArtifactTables:
                         float(cell)
 
 
+# Every scalar key of the checks that never call the solver, each with the
+# values of the run-key fuzz: nan, inf, -inf, 0 and -1 for a float, 0 and -1
+# for an int.
+BAD_VERIFY_VALUES = [
+    (cid, key, value)
+    for cid in ALL_CHECKS
+    if cid != "wellposedness"
+    for key, default in check_defaults(cid).items()
+    if isinstance(default, (int, float))
+    for value in (("0", "-1") if isinstance(default, int) else ("nan", "inf", "-inf", "0", "-1"))
+]
+
+
 class TestUsage:
     def test_bad_verb_exits_2(self):
         assert main(["frobnicate"]) == 2
@@ -732,6 +745,23 @@ class TestUsage:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("cid, key, value", BAD_VERIFY_VALUES)
+    def test_bad_verify_value_exits_0_or_2(self, tmp_path, capsys, cid, key, value):
+        # a value no check can use is a config error or a verdict, never a
+        # traceback; a negative seed, and a max_order that measures no
+        # derivative, are config errors
+        sizes = {"n": 16, "trials": 1}
+        argv = ["verify", "--check", cid, "-o", str(tmp_path / "out"), "--set", f"{key}={value}"]
+        for size, default in sizes.items():
+            if size in check_defaults(cid) and size != key:
+                argv += ["--set", f"{size}={default}"]
+        code = main(argv)
+        assert "Traceback" not in capsys.readouterr().err
+        if key == "max_order" or (key == "seed" and value == "-1"):
+            assert code == 2
+        else:
+            assert code in (0, 2)
 
     def test_bad_override_exits_2(self, tmp_path):
         assert main(["simulate", "-o", str(tmp_path), "--set", "nonsense=1"]) == 2

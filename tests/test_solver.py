@@ -427,6 +427,69 @@ class TestRealKernels:
         assert np.shares_memory(adv, work.spec)
         assert np.array_equal(adv, np.fft.rfft2(values[1], norm="forward"))
 
+    @pytest.mark.parametrize("n", [8, 16, 128, 256])
+    def test_kept_box_transforms_equal_numpy(self, n):
+        # a march's workspace transforms along axis 0 only the columns that
+        # the two-thirds rule keeps; on a field inside that box its inverse
+        # gives irfft2's numbers, and its forward rfft2's on the kept columns
+        rng = np.random.default_rng(n)
+        grid = Grid(n)
+        keep = n // 3 + 1
+        work = _Workspace(grid, "two-thirds", keep)
+        box = dealias_mask(grid, "two-thirds")[:, : n // 2 + 1]
+        half = np.fft.rfft2(rng.standard_normal((2, n, n)), norm="forward") * box
+        work.spec[...] = half
+        out = np.empty((2, n, n))
+        assert work.inverse(out) is out
+        assert np.array_equal(out, np.fft.irfft2(half, s=(n, n), norm="forward"))
+        adv = work.forward(out[1])
+        assert np.shares_memory(adv, work.spec)
+        want = np.fft.rfft2(out[1], norm="forward")
+        assert np.array_equal(adv[:, :keep], want[:, :keep])
+
+    @pytest.mark.parametrize("case", ["nan-u1", "nan-u2", "inf", "-inf", "negative-zero"])
+    def test_max_speed_equals_the_abs_form(self, case):
+        # max(max u, -min u) per component is max |u|, NaN in u1 included;
+        # a NaN in u2 alone is passed over, as Python's max passes it over
+        rng = np.random.default_rng(3)
+        vel = rng.standard_normal((2, 8, 8))
+        if case == "nan-u1":
+            vel[0, 2, 3] = np.nan
+        elif case == "nan-u2":
+            vel[1, 5, 1] = np.nan
+        elif case in ("inf", "-inf"):
+            vel[1, 0, 7] = float(case)
+        else:
+            vel[...] = -0.0
+        want = max(np.max(np.abs(vel[0])), np.max(np.abs(vel[1])))
+        got = _Workspace(Grid(8), "none").max_speed(vel)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert math.isnan(got) == (case == "nan-u1")
+
+    def test_masked_modes_hold_fixed_zeros_through_a_march(self):
+        # under the two-thirds rule no transform writes the masked modes: on
+        # an advected level they are +0 in the k2 >= 0 half from the first
+        # step on, and on the heat-flow level efactor times the initial
+        # zeros, so each level's sign pattern there stays as its first step
+        # left it
+        cfg = cosine_config(record_every=1, picard_depth=2,
+                            initial_data=InitialData("random-band", amplitude=0.5, seed=1))
+        h = cfg.grid.n // 2 + 1
+        masked = ~dealias_mask(cfg.grid, "two-thirds")
+        masked[0, 0] = False
+        for march, heat_levels in ((solve_levels, ()), (picard_solve, (0,))):
+            _, sink = collected(march, cfg)
+            for lvl, snaps in sink.snapshots.items():
+                signs = [np.signbit(np.stack([s.coeffs.real, s.coeffs.imag])[:, masked])
+                         for s in snaps[1:]]
+                assert len(signs) == 10
+                assert all(np.array_equal(sign, signs[0]) for sign in signs)
+                if lvl not in heat_levels:
+                    half = masked.copy()
+                    half[:, h:] = False
+                    assert not np.signbit(np.stack([snaps[-1].coeffs.real,
+                                                    snaps[-1].coeffs.imag])[:, half]).any()
+
     def test_half_plane_symbols_equal_the_full_grid_slices(self):
         grid = Grid(32)
         n, h = grid.n, grid.n // 2 + 1
