@@ -231,14 +231,15 @@ def _cmd_analyze(args) -> int:
     params = parse_config(
         args.config, args.set, ANALYZE_KEYS, {key: RUN_DEFAULTS[key] for key in ANALYZE_KEYS}
     )
+    cfg = config_from_flat(SolverConfig, params)
     field, header = load_field(args.snapshot)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     if not isinstance(field, SpectralField):
         field = forward_transform(field)
-    bp = BesovParams(1.0 + 2.0 / params["p"] - params["kappa"], params["p"], params["q"])
+    bp = cfg.besov_params()
     rows, discarded = besov_report(field, bp)
-    fit = spectral_decay_fit(field, params["alpha"])
+    fit = spectral_decay_fit(field, cfg.alpha)
     _, _, r2, n_rings, _ = fit
     radius = fit_radius(fit)
     report_path = out / "analysis.csv"

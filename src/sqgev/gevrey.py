@@ -48,8 +48,8 @@ class GevreyParams:
             )
         if not 0 <= self.beta < self.kappa / 2:
             raise ConfigError(f"need 0 <= beta < kappa/2, got beta={self.beta}, kappa={self.kappa}")
-        if self.lam < 0:
-            raise ConfigError(f"radius growth rate must be nonnegative, got {self.lam}")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"radius growth rate must be finite and nonnegative, got {self.lam}")
 
     def radius_at(self, t: float) -> float:
         return self.lam * t ** (self.alpha / self.kappa)

@@ -19,17 +19,18 @@ between two records and is dropped before the record, whose transients
 then reuse its pages.  The inverse transform of a (2, n, n//2+1) stack
 is ifft along axis 0 then irfft along axis 1, the forward transform rfft
 along axis 1 then fft along axis 0: the same numbers as irfft2 and rfft2.
-Under the two-thirds rule (Orszag 1971) a march's every state lies in the
-box of components at most c = n//3, since the initial data is masked and
-every update dealiased; so each axis-0 pass runs, in place, on the c + 1
-kept columns only, and the dealiasing writes zeros over the rows and
-columns outside the box instead of multiplying by a mask.  No transform
-output reaches the masked modes: from the first step on they hold +0 on
-an advected level and the heat factor times the initial zeros on a
-heat-flow level, whatever the round-off of the transforms.
-The k2 < 0 columns are rebuilt from Hermitian
-symmetry (spectral._full_spectrum) only when a level is recorded, and when
-`nonlinear_term` returns its field; the initial data is recorded as given.
+The kernel has one contract: every state it sees lies in the dealias box
+of components at most c, c = n//3 under the two-thirds rule (Orszag 1971)
+and n//2, every mode, under `none`.  A march keeps it, since the initial
+data is masked and every update dealiased; so each axis-0 pass runs, in
+place, on the c + 1 kept columns only, and the dealiasing writes zeros
+over the rows and columns outside the box instead of multiplying by a
+mask.  No transform output reaches the masked modes: from the first step
+on they hold +0 on an advected level and the heat factor times the
+initial zeros on a heat-flow level, whatever the round-off of the
+transforms.  The k2 < 0 columns are rebuilt from Hermitian symmetry
+(spectral._full_spectrum) only when a level is recorded; the initial data
+is recorded as given.
 Nyquist convention: each odd symbol (i kx, i ky and the Riesz pair) is 0
 where its own component is the Nyquist frequency n/2, the value the real
 part of a complex inverse transform gives it there.
@@ -94,7 +95,7 @@ PROFILES = ("gaussian-pair", "random-band", "single-ring", "zero")
 class BlowUpError(FloatingPointError):
     """Integration produced non-finite coefficients."""
 
-    def __init__(self, message: str, time: float, trajectory: "Trajectory | None"):
+    def __init__(self, message: str, time: float, trajectory: Trajectory):
         super().__init__(message)
         self.time = time
         self.trajectory = trajectory
@@ -265,7 +266,7 @@ def initial_field(config: SolverConfig) -> SpectralField:
     return SpectralField._adopt(grid, scaled)
 
 
-# -- nonlinear term and stepping ------------------------------------------
+# -- stepping ------------------------------------------------------------
 
 
 @lru_cache(maxsize=16)
@@ -293,27 +294,25 @@ class _Workspace:
     on one grid; a march builds one per stretch of steps between two
     records, and none is shared between grids.
 
-    spec holds two (n, n//2+1) half spectra and is the input of `inverse`
-    and the output of `forward`; vel and grad hold (2, n, n) grid values;
-    n1 and pred are the Heun stage-1 term and predictor; finite is the
-    non-finite test's scratch.  `inverse` runs its axis-0 pass, in place,
-    over the first `columns` columns of spec only: all of them by default,
-    the dealias box's c + 1 in a march, whose states vanish beyond them.
-    `forward` runs it over the c + 1 columns that the dealias rule keeps,
-    and `advection` then writes +0 over the rows and columns outside the
-    box and at the mean mode, so the masked modes take no transform output.
+    Its contract: every half spectrum it sees lies in the dealias box, the
+    components at most c (all of them under `none`).  spec holds two
+    (n, n//2+1) half spectra and is the input of `inverse` and the output
+    of `forward`; kept is its first c + 1 columns, on which both axis-0
+    passes run, in place.  `advection` then writes +0 over the rows and
+    columns outside the box and at the mean mode, so the masked modes take
+    no transform output.  vel and grad hold (2, n, n) grid values; n1 and
+    pred are the Heun stage-1 term and predictor; finite is the non-finite
+    test's scratch.
     """
 
-    def __init__(self, grid: Grid, dealias: str, columns: int | None = None):
+    def __init__(self, grid: Grid, dealias: str):
         n, h = grid.n, grid.n // 2 + 1
         self.n = n
         self.c = _kept_component(grid, dealias)
         self.ikx, self.iky, self.inv = _half_plane(grid)
         self.neg_ikx = -self.ikx
         self.spec = np.empty((2, n, h), dtype=np.complex128)
-        # the columns that the axis-0 passes transform, in place
-        self.inverse_pass = self.spec[..., : columns or h]
-        self.forward_pass = self.spec[0, :, : self.c + 1]
+        self.kept = self.spec[..., : self.c + 1]
         self.vel = np.empty((2, n, n))
         self.grad = np.empty((2, n, n))
         self.n1 = np.empty((n, h), dtype=np.complex128)
@@ -323,16 +322,16 @@ class _Workspace:
     def inverse(self, out: np.ndarray) -> np.ndarray:
         """Grid values of the two half spectra in spec, into the (2, n, n)
         array out; the same numbers as irfft2, and spec is overwritten."""
-        np.fft.ifft(self.inverse_pass, axis=-2, norm="forward", out=self.inverse_pass)
+        np.fft.ifft(self.kept, axis=-2, norm="forward", out=self.kept)
         return np.fft.irfft(self.spec, n=self.n, axis=-1, norm="forward", out=out)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Half spectrum of the (n, n) grid values, into spec[0]; the same
         numbers as rfft2 on the kept columns, the others transformed along
         axis 1 only."""
-        out = self.spec[0]
+        out, kept = self.spec[0], self.kept[0]
         np.fft.rfft(values, axis=-1, norm="forward", out=out)
-        np.fft.fft(self.forward_pass, axis=-2, norm="forward", out=self.forward_pass)
+        np.fft.fft(kept, axis=-2, norm="forward", out=kept)
         return out
 
     def velocity(self, half: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -366,18 +365,6 @@ class _Workspace:
         NaN when u1 holds a NaN, as max(max|u1|, max|u2|) is."""
         u1, u2 = vel
         return max(np.max(u1), -np.min(u1), np.max(u2), -np.min(u2))
-
-
-def nonlinear_term(theta: SpectralField, dealias: str = "two-thirds") -> SpectralField:
-    """u . grad theta for u the Riesz velocity of theta (advection form)."""
-    grid = theta.grid
-    work = _Workspace(grid, dealias)
-    half = theta.coeffs[:, : grid.n // 2 + 1]
-    with np.errstate(invalid="ignore", over="ignore"):
-        adv = work.advection(half, work.velocity(half, work.vel))
-    if not np.all(np.isfinite(adv)):
-        raise BlowUpError("overflow while forming the advection term", 0.0, None)
-    return _full_spectrum(adv, grid)
 
 
 def _heat_factor(grid: Grid, dt: float, kappa: float) -> np.ndarray:
@@ -596,10 +583,7 @@ def _march(config: SolverConfig, sources: list, sink) -> list[Trajectory]:
         raised here, on the calling thread: the warning names the line
         that called solve or picard_solve, four frames up (stretch, _march,
         the solver call, its caller)."""
-        # every state lies in the dealias box, so the inverse transforms
-        # only its columns along axis 0
-        columns = _kept_component(grid, config.dealias) + 1
-        works = [_Workspace(grid, config.dealias, columns) for _ in groups]
+        works = [_Workspace(grid, config.dealias) for _ in groups]
         failed, notes = [None] * len(groups), [[] for _ in groups]
         if len(groups) == 1:
             failed[0] = advance(0, works[0], start, end, notes[0])

@@ -40,8 +40,8 @@ class HermitianSymmetryError(ValueError):
     """Spectral data does not represent a real field."""
 
 
-class BandRangeError(ValueError):
-    """Requested dyadic band is not resolved on this grid."""
+class BandRangeError(ConfigError):
+    """Requested dyadic band is not resolved on this grid (a config error)."""
 
 
 class MultiplierOverflowError(FloatingPointError):

@@ -1,6 +1,7 @@
 """Reference code shared by the tests: the record sink that collects every
 snapshot of a run, the Picard gaps of a collected run, the Riesz transform
-on the full spectrum, and the bilinear double-sum oracle.
+on the full spectrum, the advection term through the solver's stepping
+workspace, and the bilinear double-sum oracle.
 
 The oracle evaluates T_m(f, g) for any symbol m of sqgev.bilinear by the
 direct double sum over occupied mode pairs, guarded by a cost cap.  Around
@@ -19,12 +20,14 @@ import numpy as np
 
 from sqgev.bilinear import BilinearSymbol, _norm
 from sqgev.dyadic import besov_norm
+from sqgev.solver import _Workspace
 from sqgev.spectral import (
     TWO_PI,
     BandRangeError,
     ConfigError,
     Grid,
     SpectralField,
+    _full_spectrum,
     _lp_quadrature,
     apply_multiplier,
     band_mask,
@@ -79,6 +82,16 @@ def riesz_transform(f: SpectralField, axis: int) -> SpectralField:
     kc = grid.kx if axis == 1 else grid.ky
     kmag = grid.k_mag
     return apply_multiplier(f, np.where(kmag > 0, -1j * kc / np.where(kmag > 0, kmag, 1.0), 0.0))
+
+
+def nonlinear_term(theta: SpectralField, dealias: str = "two-thirds") -> SpectralField:
+    """Dealiased u . grad theta for u the Riesz velocity of theta, through
+    the solver's stepping workspace, whose contract holds theta to the
+    dealias box, as it holds every state of a march."""
+    grid = theta.grid
+    work = _Workspace(grid, dealias)
+    half = theta.coeffs[:, : grid.n // 2 + 1]
+    return _full_spectrum(work.advection(half, work.velocity(half, work.vel)), grid)
 
 
 # -- the bilinear double-sum oracle -----------------------------------------

@@ -728,6 +728,35 @@ BAD_VERIFY_VALUES = [
 ]
 
 
+# Every int or float key of simulate, picard and analyze, and every scalar
+# key of wellposedness, with the fuzz values: nan, inf, -inf, 0 and -1 for a
+# float, 0, -1 and 99 for an int.
+FUZZ_KEYS = {
+    "simulate": RUN_KEYS,
+    "picard": PICARD_KEYS,
+    "analyze": ANALYZE_KEYS,
+    "wellposedness": {
+        key: type(default) for key, default in check_defaults("wellposedness").items()
+    },
+}
+FUZZ_CASES = [
+    (verb, key, value)
+    for verb, keys in FUZZ_KEYS.items()
+    for key, kind in keys.items()
+    if kind in (int, float)
+    for value in (("0", "-1", "99") if kind is int else ("nan", "inf", "-inf", "0", "-1"))
+]
+# Fuzz cases that once ended in a traceback or in an exit code other than 2.
+FUZZ_CONFIG_ERRORS = {
+    ("analyze", "p", "0"), ("analyze", "p", "nan"), ("analyze", "q", "nan"),
+    ("analyze", "kappa", "nan"), ("analyze", "kappa", "inf"),
+    ("analyze", "alpha", "nan"), ("analyze", "alpha", "-1"),
+    ("simulate", "lam", "nan"), ("simulate", "lam", "inf"),
+    ("wellposedness", "lam", "nan"), ("wellposedness", "lam", "inf"),
+    ("simulate", "ring_j", "99"), ("picard", "ring_j", "99"),
+}
+
+
 class TestUsage:
     def test_bad_verb_exits_2(self):
         assert main(["frobnicate"]) == 2
@@ -762,6 +791,32 @@ class TestUsage:
             assert code == 2
         else:
             assert code in (0, 2)
+
+    @pytest.mark.parametrize("verb, key, value", FUZZ_CASES)
+    def test_fuzzed_value_exits_with_a_code(self, tmp_path, capsys, verb, key, value):
+        # a run at n = 16 over four steps, or analyze on an n = 16 snapshot:
+        # every value ends in an exit code, never in a traceback, and a
+        # value that no run or report can use is a config error
+        sizes = {"n": 16, "t_end": 0.04}
+        if verb == "analyze":
+            snap = tmp_path / "flat.field"
+            save_field(snap, SpectralField(Grid(16), np.ones((16, 16), dtype=complex)))
+            argv, sizes = ["analyze", str(snap)], {}
+        elif verb == "wellposedness":
+            argv = ["verify", "--check", verb]
+            sizes.update(picard_depth=2, record_every=1)
+        else:
+            argv = [verb, *(["--set", "initial_data=single-ring"] if key == "ring_j" else [])]
+        for size, default in sizes.items():
+            if size != key:
+                argv += ["--set", f"{size}={default}"]
+        code = main([*argv, "-o", str(tmp_path / "out"), "--set", f"{key}={value}"])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if (verb, key, value) in FUZZ_CONFIG_ERRORS:
+            assert code == 2 and err.startswith("error: ")
+        else:
+            assert code in (0, 2, 3, 4)
 
     def test_bad_override_exits_2(self, tmp_path):
         assert main(["simulate", "-o", str(tmp_path), "--set", "nonsense=1"]) == 2
