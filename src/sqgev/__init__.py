@@ -12,7 +12,6 @@ from .spectral import (
     ConfigError,
     Grid,
     HermitianSymmetryError,
-    MultiplierOverflowError,
     RealField,
     SpectralField,
     apply_multiplier,

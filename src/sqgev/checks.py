@@ -281,6 +281,8 @@ def check_heat_kernel(
 ):
     """Measured block decay rates r = -log(norm ratio)/t must straddle
     2^(kappa j) with a j,t,p-uniform spread at most 2^kappa * 1.1."""
+    if not all(0 < t < math.inf for t in t_grid):
+        raise ConfigError(f"heat-kernel needs every t finite and > 0, got t_grid={t_grid}")
     grid = Grid(n)
     js = _resolved_bands(grid, j_lo, j_hi)
     # per_kappa[i] holds the rows of kappa_set[i]; each block serves every
@@ -337,6 +339,8 @@ def check_lin_gevrey(
     over the (j, gamma) sweep; prefactor gamma^((kappa-alpha)/alpha)."""
     if not 0 < alpha < kappa:
         raise ConfigError(f"need 0 < alpha < kappa, got {alpha}, {kappa}")
+    if not all(0 <= gamma < math.inf for gamma in gamma_set):
+        raise ConfigError(f"lin-gevrey needs every gamma finite and >= 0, got gamma_set={gamma_set}")
     grid = Grid(n)
     js = _resolved_bands(grid, j_lo, j_hi)
     exponent = (kappa - alpha) / alpha
@@ -397,6 +401,8 @@ def _defect_minima(R, cos, sin, alpha_set):
 def check_concavity(*, seed=0, alpha_set=(0.3, 0.5, 0.9), c_set=(0.5, 1.0, 2.0)):
     """Brute-force minimum of (|xi|^a + |eta|^a - |xi+eta|^a)/|eta|^a over
     |xi|/|eta| >= c, plus the 1D reduction g(x) = |x|^a + 1 - |x+1|^a."""
+    if not (all(0 < a < 1 for a in alpha_set) and all(0 < c < math.inf for c in c_set)):
+        raise ConfigError(f"concavity needs alpha in (0, 1) and finite c > 0: {alpha_set}, {c_set}")
     fits = {}
     rng = np.random.default_rng(seed)
     angles = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
@@ -478,8 +484,11 @@ def check_r_derivatives(
     bound is stated for 0 < alpha < 1."""
     if not all(0 < a < 1 for a in alpha_set):
         raise ConfigError(f"R_alpha,sigma bounds need 0 < alpha < 1, got alpha_set={alpha_set}")
-    if max_order < 1:
-        raise ConfigError(f"r-derivatives needs max_order >= 1, got {max_order}")
+    if not all(0 <= sigma <= 1 for sigma in sigma_set):
+        raise ConfigError(f"R_alpha,sigma bounds need 0 <= sigma <= 1, got sigma_set={sigma_set}")
+    # each order costs about 3.5 times the one below (0.72 s at 5, past the cap)
+    if not 1 <= max_order <= 4:
+        raise ConfigError(f"r-derivatives needs 1 <= max_order <= 4, got {max_order}")
     families = [(l, l + gap) for l in (0, 1) for gap in gap_set]
     angles = (np.arange(6) + 0.29) * 2.0 * math.pi / 6
 
@@ -711,8 +720,8 @@ def check_wellposedness(
     """Small-data bounds for the approximation scheme: uniform X_T control,
     vanishing heat-flow X_T as T -> 0, contraction of successive iterates,
     amplitude-linearity, and the Gevrey-radius growth exponent."""
-    if not all(amplitude > 0 for amplitude in amplitudes):
-        raise ConfigError(f"wellposedness needs every amplitude > 0, got amplitudes={amplitudes}")
+    if not all(0 < amplitude < math.inf for amplitude in amplitudes):
+        raise ConfigError(f"wellposedness needs finite amplitudes > 0, got amplitudes={amplitudes}")
     grid = Grid(n)
     gp = GevreyParams(alpha=alpha, kappa=kappa, lam=lam, beta=beta)
     rows = []

@@ -62,10 +62,12 @@ def max_admissible_gamma(grid: Grid, alpha: float) -> float:
 
 def check_gevrey_weight(grid: Grid, gamma: float, alpha: float) -> None:
     """Guard of the weight exp(gamma * |k|^alpha): ConfigError unless
-    0 < alpha <= 1, GevreyOverflowError when a positive gamma would overflow
-    on the grid.  Negative gamma (smoothing) is always safe."""
+    0 < alpha <= 1 and gamma is finite, GevreyOverflowError when a positive
+    gamma would overflow on the grid.  Negative gamma smooths."""
     if not 0 < alpha <= 1:
         raise ConfigError(f"Gevrey exponent must lie in (0, 1], got {alpha}")
+    if not np.isfinite(gamma):
+        raise ConfigError(f"Gevrey radius must be finite, got gamma={gamma}")
     if gamma > 0:
         cap = max_admissible_gamma(grid, alpha)
         if gamma > cap:
@@ -84,7 +86,9 @@ def gevrey_multiply(f: SpectralField, gamma: float, alpha: float) -> SpectralFie
 
 
 def fractional_laplacian(f: SpectralField, s: float) -> SpectralField:
-    """Lambda^s: scale by |k|^s, with the zero mode mapped to zero."""
+    """Lambda^s: scale by |k|^s (s finite), with the zero mode mapped to zero."""
+    if not np.isfinite(s):
+        raise ConfigError(f"fractional Laplacian needs a finite order, got s={s}")
     kmag = f.grid.k_mag
     with np.errstate(divide="ignore", invalid="ignore"):
         symbol = np.where(kmag > 0, kmag**s, 0.0)
@@ -92,9 +96,9 @@ def fractional_laplacian(f: SpectralField, s: float) -> SpectralField:
 
 
 def heat_semigroup(f: SpectralField, t: float, kappa: float) -> SpectralField:
-    """Fractional heat flow e^{-t Lambda^kappa}."""
-    if t < 0:
-        raise ValueError(f"heat semigroup requires t >= 0, got {t}")
+    """Fractional heat flow e^{-t Lambda^kappa}, t >= 0 and kappa finite."""
+    if not (np.isfinite(t) and t >= 0 and np.isfinite(kappa)):
+        raise ConfigError(f"heat semigroup needs finite t >= 0 and kappa, got t={t}, kappa={kappa}")
     return apply_multiplier(f, np.exp(-t * f.grid.k_mag**kappa))
 
 

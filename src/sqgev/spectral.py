@@ -44,14 +44,6 @@ class BandRangeError(ConfigError):
     """Requested dyadic band is not resolved on this grid (a config error)."""
 
 
-class MultiplierOverflowError(FloatingPointError):
-    """A multiplier symbol evaluated to NaN/Inf on an occupied mode."""
-
-    def __init__(self, message: str, wavenumber=None):
-        super().__init__(message)
-        self.wavenumber = wavenumber
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform n-by-n lattice on the periodic box [0, 2*pi)^2.
@@ -214,7 +206,11 @@ def _checked_coeffs(grid: Grid, coeffs) -> np.ndarray:
     if c.shape != (grid.n, grid.n):
         raise ConfigError(f"coefficient shape {c.shape} does not match grid {(grid.n, grid.n)}")
     if not np.all(np.isfinite(c)):
-        raise ConfigError("spectral field contains non-finite coefficients")
+        i, j = np.argwhere(~np.isfinite(c))[0]
+        raise ConfigError(
+            f"spectral field contains non-finite coefficients, first at "
+            f"k = ({grid.freqs[i]}, {grid.freqs[j]})"
+        )
     return c
 
 
@@ -320,37 +316,23 @@ def apply_multiplier(F: SpectralField, symbol) -> SpectralField:
     ``symbol`` is a real or complex array broadcastable to the (n, n) fft
     layout of the coefficients, typically built from the cached
     ``grid.k_mag``, ``grid.kx`` and ``grid.ky``.  Symbols that are singular
-    at k = 0 should define their own value there; a non-finite symbol value
-    on an unoccupied mode is silently replaced by zero, while one on an
-    occupied mode raises MultiplierOverflowError carrying the offending
-    wavenumber.
+    at k = 0 should define their own value there.  The product passes the
+    field's one finiteness check (ConfigError), so a non-finite symbol
+    value fails there, even on an empty mode; the multipliers check their
+    scalar parameters where they enter instead.
     """
-    grid = F.grid
     sym = np.asarray(symbol)
     try:
         np.broadcast_to(sym, F.coeffs.shape)
     except ValueError as exc:
         raise ConfigError(f"symbol shape {sym.shape} does not broadcast to {F.coeffs.shape}") from exc
-    bad = ~np.isfinite(sym)
-    if bad.any():
-        # modes at roundoff level relative to the field peak do not count as
-        # occupied; a singular symbol there is zeroed instead of fatal
-        floor = 1e-14 * float(np.max(np.abs(F.coeffs)))
-        hit = bad & (np.abs(F.coeffs) > floor)
-        if hit.any():
-            i, j = np.argwhere(hit)[0]
-            k = (grid.k_axis[i], grid.k_axis[j])
-            raise MultiplierOverflowError(
-                f"multiplier is not finite on occupied mode k={k}", wavenumber=k
-            )
-        sym = np.where(bad, 0.0, sym)
-    return SpectralField._adopt(grid, F.coeffs * sym)
+    return SpectralField._adopt(F.grid, F.coeffs * sym)
 
 
 def lp_norm(f: RealField, p: float) -> float:
     """L^p norm by collocation quadrature; p = inf gives the max norm."""
-    if p < 1:
-        raise ValueError(f"lp_norm requires p >= 1, got {p}")
+    if not p >= 1:
+        raise ConfigError(f"lp_norm requires p >= 1, got {p}")
     return _lp_quadrature(f.values, p, f.grid.cell_area)
 
 
@@ -467,7 +449,8 @@ def save_field(path, field, time: float = 0.0, extra: dict | None = None) -> Non
 
 def load_field(path):
     """Read a snapshot file; returns (field, header_dict).  An unreadable
-    path, and a box_length other than 2*pi, raise ConfigError."""
+    path, a box_length other than 2*pi, and a spectral payload that is not
+    Hermitian (not a real field) raise ConfigError."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -503,5 +486,9 @@ def load_field(path):
         if payload.size != 2 * n * n:
             raise ConfigError(f"{path}: expected {2 * n * n} floats, got {payload.size}")
         inter = payload.reshape(n, n, 2)
-        return SpectralField(grid, inter[..., 0] + 1j * inter[..., 1]), header
+        field = SpectralField(grid, inter[..., 0] + 1j * inter[..., 1])
+        if not field.is_hermitian():
+            raise ConfigError(f"{path}: spectral payload is not Hermitian "
+                              f"(defect {field.hermitian_defect():.3e}), not a real field")
+        return field, header
     raise ConfigError(f"{path}: unknown field kind {kind!r}")

@@ -341,6 +341,35 @@ class TestParameters:
         with pytest.raises(ConfigError, match="alpha"):
             run_check("r-derivatives", alpha_set=(1.5,))
 
+    @pytest.mark.parametrize("check_id, params, match", [
+        ("heat-kernel", {"t_grid": (0.1, 0.0)}, "every t finite and > 0"),
+        ("heat-kernel", {"t_grid": (math.nan,)}, "every t finite and > 0"),
+        ("lin-gevrey", {"gamma_set": (0.1, -1.0)}, "every gamma finite and >= 0"),
+        ("lin-gevrey", {"gamma_set": (math.inf,)}, "every gamma finite and >= 0"),
+        ("concavity", {"alpha_set": (1.0,)}, r"alpha in \(0, 1\)"),
+        ("concavity", {"alpha_set": (-1.0,)}, r"alpha in \(0, 1\)"),
+        ("concavity", {"c_set": (0.0,)}, "finite c > 0"),
+        ("concavity", {"c_set": (math.inf,)}, "finite c > 0"),
+        ("r-derivatives", {"sigma_set": (math.nan,)}, "0 <= sigma <= 1"),
+        ("r-derivatives", {"sigma_set": (-1.0,)}, "0 <= sigma <= 1"),
+        ("wellposedness", {"amplitudes": (0.1, math.inf)}, "finite amplitudes > 0"),
+    ])
+    def test_values_outside_the_hypotheses_are_rejected(self, check_id, params, match):
+        # each check states the hypotheses of its estimate before it measures
+        with pytest.raises(ConfigError, match=match):
+            run_check(check_id, **params)
+
+    def test_r_derivatives_bounds_the_order_before_any_stencil(self, monkeypatch):
+        # the cost grows about 3.5-fold per order, so the bound comes first;
+        # a large order is never run, here or anywhere
+        def no_stencil(*args):
+            raise AssertionError("a stencil was built")
+
+        monkeypatch.setattr(checks, "_multi_indices", no_stencil)
+        monkeypatch.setattr(checks, "_fd_stencil", no_stencil)
+        with pytest.raises(ConfigError, match="1 <= max_order <= 4"):
+            run_check("r-derivatives", max_order=5)
+
     def test_key_the_check_does_not_take(self):
         with pytest.raises(ConfigError, match="dt"):
             run_check("concavity", dt=99.0)

@@ -715,22 +715,41 @@ class TestArtifactTables:
                         float(cell)
 
 
-# Every scalar key of the checks that never call the solver, each with the
-# values of the run-key fuzz: nan, inf, -inf, 0 and -1 for a float, 0 and -1
-# for an int.
+# The fuzz values of an int or float key, or of a tuple of them.
+FUZZ_VALUES = {int: ("0", "-1", "99"), float: ("nan", "inf", "-inf", "0", "-1")}
+
+# Every scalar key of the checks that never call the solver, and every flat
+# tuple key of every check, with the fuzz values.  99 is left out for n,
+# trials and max_order: it is a size there, which costs time or memory and
+# tests no validation (max_order=99 once ran out of memory).
 BAD_VERIFY_VALUES = [
     (cid, key, value)
     for cid in ALL_CHECKS
-    if cid != "wellposedness"
     for key, default in check_defaults(cid).items()
-    if isinstance(default, (int, float))
-    for value in (("0", "-1") if isinstance(default, int) else ("nan", "inf", "-inf", "0", "-1"))
+    if isinstance(default, (int, float)) and cid != "wellposedness"
+    or isinstance(default, tuple) and not isinstance(default[0], tuple)
+    for value in FUZZ_VALUES[type(default[0] if isinstance(default, tuple) else default)]
+    if not (value == "99" and key in ("n", "trials", "max_order"))
 ]
+# Verify cases that once ended in a traceback, or in a pass on a value no
+# check can use.
+VERIFY_CONFIG_ERRORS = {
+    ("bernstein", "s_set", "nan"), ("bernstein", "s_set", "inf"),
+    ("positivity", "s_set", "nan"), ("positivity", "s_set", "inf"),
+    ("heat-kernel", "kappa_set", "nan"), ("heat-kernel", "t_grid", "nan"),
+    ("heat-kernel", "t_grid", "-inf"), ("heat-kernel", "t_grid", "0"),
+    ("heat-kernel", "t_grid", "-1"), ("heat-kernel", "p_set", "-inf"),
+    ("heat-kernel", "p_set", "0"), ("heat-kernel", "p_set", "-1"),
+    ("lin-gevrey", "kappa", "inf"), ("lin-gevrey", "gamma_set", "nan"),
+    ("lin-gevrey", "gamma_set", "-1"), ("lin-gevrey", "p_set", "-inf"),
+    ("lin-gevrey", "p_set", "0"), ("lin-gevrey", "p_set", "-1"),
+    ("concavity", "alpha_set", "-1"), ("concavity", "c_set", "0"),
+    ("wellposedness", "amplitudes", "inf"), ("r-derivatives", "sigma_set", "nan"),
+}
 
 
 # Every int or float key of simulate, picard and analyze, and every scalar
-# key of wellposedness, with the fuzz values: nan, inf, -inf, 0 and -1 for a
-# float, 0, -1 and 99 for an int.
+# key of wellposedness, with the fuzz values.
 FUZZ_KEYS = {
     "simulate": RUN_KEYS,
     "picard": PICARD_KEYS,
@@ -743,8 +762,8 @@ FUZZ_CASES = [
     (verb, key, value)
     for verb, keys in FUZZ_KEYS.items()
     for key, kind in keys.items()
-    if kind in (int, float)
-    for value in (("0", "-1", "99") if kind is int else ("nan", "inf", "-inf", "0", "-1"))
+    if kind in FUZZ_VALUES
+    for value in FUZZ_VALUES[kind]
 ]
 # Fuzz cases that once ended in a traceback or in an exit code other than 2.
 FUZZ_CONFIG_ERRORS = {
@@ -779,18 +798,41 @@ class TestUsage:
     def test_bad_verify_value_exits_0_or_2(self, tmp_path, capsys, cid, key, value):
         # a value no check can use is a config error or a verdict, never a
         # traceback; a negative seed, and a max_order that measures no
-        # derivative, are config errors
-        sizes = {"n": 16, "trials": 1}
+        # derivative, are config errors.  The sizes resolve each check's
+        # bands, so every value reaches the code that reads it
+        sizes = {"n": 16, "j_lo": 0, "j_hi": 2, "trials": 1,
+                 "t_end": 0.04, "picard_depth": 2, "record_every": 1}
+        if cid == "commutator-decay":  # its decay fit needs two bands from j = 1
+            sizes.update(n=32, j_lo=1)
         argv = ["verify", "--check", cid, "-o", str(tmp_path / "out"), "--set", f"{key}={value}"]
         for size, default in sizes.items():
             if size in check_defaults(cid) and size != key:
                 argv += ["--set", f"{size}={default}"]
         code = main(argv)
-        assert "Traceback" not in capsys.readouterr().err
-        if key == "max_order" or (key == "seed" and value == "-1"):
-            assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if (cid, key, value) in VERIFY_CONFIG_ERRORS or key == "max_order" or (
+            key == "seed" and value == "-1"
+        ):
+            assert code == 2 and err.startswith("error: ")
         else:
-            assert code in (0, 2)
+            assert code in (0, 2, 4)
+
+    @pytest.mark.parametrize("verb", ["analyze", "simulate"])
+    def test_non_hermitian_snapshot_exits_2(self, tmp_path, capsys, verb):
+        # a 16 x 16 spectrum with one unpaired mode is not a real field
+        c = np.zeros((16, 16), dtype=complex)
+        c[1, 2] = c[-1, -2] = 1.0
+        c[2, 3] = 0.5
+        snap = tmp_path / "bad.field"
+        save_field(snap, SpectralField(Grid(16), c))
+        argv = (["analyze", str(snap)] if verb == "analyze" else
+                ["simulate", "--set", "n=16", "--set", "t_end=0.04",
+                 "--set", f"initial_data=file:{snap}"])
+        assert main([*argv, "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not Hermitian" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("verb, key, value", FUZZ_CASES)
     def test_fuzzed_value_exits_with_a_code(self, tmp_path, capsys, verb, key, value):

@@ -168,6 +168,13 @@ class TestGevreyMultiplier:
         with pytest.raises(ConfigError):
             gevrey_multiply(F, 0.1, 1.5)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_gamma(self, gamma):
+        # before a weight is built: exp(nan) or inf * |0|^alpha would be NaN
+        F = random_band_limited(Grid(32), 2, seed=4)
+        with pytest.raises(ConfigError, match="finite"):
+            gevrey_multiply(F, gamma, 0.5)
+
 
 class TestFractionalLaplacian:
     def test_unit_mode_fixed_point(self):
@@ -203,6 +210,12 @@ class TestFractionalLaplacian:
         expected[0, 0] = 0.0
         assert np.max(np.abs(round_trip.coeffs - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_order(self, s):
+        F = random_band_limited(Grid(32), 2, seed=5)
+        with pytest.raises(ConfigError, match="finite order"):
+            fractional_laplacian(F, s)
+
 
 class TestHeatSemigroup:
     def test_t_zero_identity(self):
@@ -231,6 +244,12 @@ class TestHeatSemigroup:
         F = random_band_limited(grid, 2, seed=8)
         with pytest.raises(ValueError):
             heat_semigroup(F, -0.1, 0.5)
+
+    @pytest.mark.parametrize("t, kappa", [(np.nan, 0.5), (np.inf, 0.5), (0.1, np.nan), (0.1, np.inf)])
+    def test_nonfinite_time_or_order_is_a_config_error(self, t, kappa):
+        F = random_band_limited(Grid(32), 2, seed=8)
+        with pytest.raises(ConfigError, match="finite t >= 0"):
+            heat_semigroup(F, t, kappa)
 
 
 class TestRieszVelocity:

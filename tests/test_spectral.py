@@ -13,7 +13,6 @@ from sqgev.spectral import (
     ConfigError,
     Grid,
     HermitianSymmetryError,
-    MultiplierOverflowError,
     RealField,
     SpectralField,
     apply_multiplier,
@@ -224,31 +223,34 @@ class TestApplyMultiplier:
             apply_multiplier(F, np.ones((8, 8)))
 
     def test_nonfinite_symbol_on_occupied_mode_raises(self):
+        # a pole on |k| = 1 under cos(x1), and an infinity on |k| = 2 under
+        # cos(2 x1): the product fails the field's finiteness check
         grid = Grid(16)
         x1, _ = grid.meshgrid()
-        F = forward_transform(RealField(grid, np.cos(x1)))
         with np.errstate(divide="ignore"):
-            bad = 1.0 / (grid.k_mag - 1.0)  # infinite exactly on |k| = 1
-
-        with pytest.raises(MultiplierOverflowError) as err:
-            apply_multiplier(F, bad)
-        assert err.value.wavenumber is not None
+            pole = 1.0 / (grid.k_mag - 1.0)  # infinite exactly on |k| = 1
+        for mode, bad in ((1, pole), (2, np.where(grid.k_mag == 2.0, np.inf, 1.0))):
+            F = forward_transform(RealField(grid, np.cos(mode * x1)))
+            with pytest.raises(ConfigError, match="non-finite"):
+                apply_multiplier(F, bad)
 
     def test_overflow_names_the_physical_wavenumber(self):
+        # fft index (14, 0) of n = 16 is the mode k = (-2, 0) of cos(2 x1)
         grid = Grid(16)
         x1, _ = grid.meshgrid()
-        F = forward_transform(RealField(grid, np.cos(2 * x1)))  # modes k = (+-2, 0)
-        with pytest.raises(MultiplierOverflowError) as err:
-            apply_multiplier(F, np.where(grid.k_mag == 2.0, np.inf, 1.0))
-        assert err.value.wavenumber == (2.0, 0.0)
+        F = forward_transform(RealField(grid, np.cos(2 * x1)))
+        spike = np.where((grid.kx == -2.0) & (grid.ky == 0.0), np.inf, 1.0)
+        with pytest.raises(ConfigError, match=r"first at k = \(-2, 0\)"):
+            apply_multiplier(F, spike)
 
-    def test_nonfinite_symbol_on_empty_mode_is_zeroed(self):
+    def test_nonfinite_symbol_on_empty_mode_raises(self):
+        # inf times an empty mode's 0 is NaN: no mode is exempt
         grid = Grid(16)
         x1, _ = grid.meshgrid()
         F = forward_transform(RealField(grid, np.cos(2 * x1)))
         spiky = np.where(grid.k_mag == 1.0, np.inf, 1.0)
-        out = apply_multiplier(F, spiky)
-        assert np.max(np.abs(out.coeffs - F.coeffs)) < 1e-15
+        with pytest.raises(ConfigError, match="non-finite"):
+            apply_multiplier(F, spiky)
 
 
 class TestLpNorm:
@@ -278,8 +280,9 @@ class TestLpNorm:
     def test_rejects_p_below_one(self):
         grid = Grid(16)
         f = RealField(grid, np.ones((16, 16)))
-        with pytest.raises(ValueError):
-            lp_norm(f, 0.5)
+        for p in (0.5, -np.inf, np.nan):  # NaN is not >= 1 either
+            with pytest.raises(ConfigError, match="p >= 1"):
+                lp_norm(f, p)
 
 
 class TestRandomBandLimited:
@@ -459,6 +462,16 @@ class TestSnapshotFiles:
         head = f"box_length={TWO_PI!r}\n{header}\n\n".encode("ascii")
         path.write_bytes(head + np.zeros(floats, dtype="<f8").tobytes())
         with pytest.raises(ConfigError, match=match):
+            load_field(path)
+
+    def test_non_hermitian_spectral_payload_is_a_config_error(self, tmp_path):
+        # a spectrum with one unpaired mode is not a real field
+        grid = Grid(16)
+        c = forward_transform(random_real_field(grid, 12)).coeffs.copy()
+        c[2, 3] += 0.5
+        path = tmp_path / "F.snap"
+        save_field(path, SpectralField(grid, c))
+        with pytest.raises(ConfigError, match="not Hermitian"):
             load_field(path)
 
     def test_saving_a_non_field_is_a_type_error(self, tmp_path):
