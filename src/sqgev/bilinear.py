@@ -1,5 +1,5 @@
-"""Bilinear Fourier multipliers: the paper's symbols, their Marcinkiewicz
-weighted-derivative scan, and dealiased products of real fields.
+"""Bilinear Fourier multipliers: the paper's symbols, the difference
+stencil of weighted-derivative scans, and dealiased products of real fields.
 
 A symbol m(xi, eta) defines T_m(f, g), whose output coefficient at kappa' is
 
@@ -7,11 +7,12 @@ A symbol m(xi, eta) defines T_m(f, g), whose output coefficient at kappa' is
 
 an exact convolution in which pairs whose sum leaves the wavenumber lattice
 are dropped (never wrapped).  Here are the four symbols of the commutator
-estimates (make_kgtrj, make_ksimj, make_mA, make_mB), the Marcinkiewicz
-weighted-derivative scan, and the Gevrey commutator [G_gamma Delta_j, f] g.
-The direct double sum that evaluates T_m for any symbol, and the duality,
-dilation and randomized norm probes built on it, are the test oracle in
-tests/reference.py.
+estimates (make_kgtrj, make_ksimj, make_mA, make_mB), the nested central
+differences (_fd_stencil, _fd_combine) with which r-derivatives bounds
+Marcinkiewicz-type weighted derivatives, and the Gevrey commutator
+[G_gamma Delta_j, f] g.  The direct double sum that evaluates T_m for any
+symbol, and the duality, dilation and randomized norm probes built on it,
+are the test oracle in tests/reference.py.
 
 Products of real fields follow Orszag's 3/2 rule through one lift onto the
 3n/2 grid (_lift, which splits the Nyquist row and column) and one
@@ -22,7 +23,6 @@ lifting f and forming (f g)^ once for all of them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,48 +59,7 @@ class BilinearSymbol:
         return np.asarray(self.eval(np.asarray(xi, float), np.asarray(eta, float)))
 
 
-# -- Marcinkiewicz weighted-derivative scan ---------------------------------
-
-
-@dataclass(frozen=True)
-class ProbeSpec:
-    """Polar probe lattice for derivative scans; radii per argument, angles
-    per circle.  Never touches xi = 0 or eta = 0."""
-
-    xi_radii: tuple = tuple(2.0**e for e in range(-4, 5))
-    eta_radii: tuple = tuple(2.0**e for e in range(-4, 5))
-    n_angles: int = 6
-
-    def points(self):
-        def circle(radii):
-            ang = (np.arange(self.n_angles) + 0.37) * (2 * math.pi / self.n_angles)
-            pts = np.array([[r * math.cos(a), r * math.sin(a)] for r in radii for a in ang])
-            return pts
-
-        xi = circle(self.xi_radii)
-        eta = circle(self.eta_radii)
-        # all pairs
-        xi_full = np.repeat(xi, eta.shape[0], axis=0)
-        eta_full = np.tile(eta, (xi.shape[0], 1))
-        return xi_full, eta_full
-
-
-@dataclass(frozen=True)
-class MarcinkiewiczReport:
-    """max over probes of |d^b1_xi d^b2_eta m| * |xi|^|b1| * |eta|^|b2|,
-    for every multi-index pair with |b1| + |b2| <= max_order."""
-
-    max_order: int
-    entries: dict
-    flagged: tuple
-
-    def worst(self, order: int | None = None) -> float:
-        vals = [
-            v
-            for (b1, b2), v in self.entries.items()
-            if order is None or sum(b1) + sum(b2) == order
-        ]
-        return max(vals) if vals else 0.0
+# -- difference stencil of the weighted-derivative scans ---------------------
 
 
 def _multi_indices(max_order: int):
@@ -155,34 +114,6 @@ def _fd_combine(values, tree):
         return values[tree]
     h, hi, lo = tree
     return (_fd_combine(values, hi) - _fd_combine(values, lo)) / (2.0 * h)
-
-
-def marcinkiewicz_check(
-    m: BilinearSymbol,
-    max_order: int = 2,
-    probe: ProbeSpec | None = None,
-    rel_step: float = 1e-3,
-) -> MarcinkiewiczReport:
-    """Scan weighted mixed derivatives of m over a polar probe lattice.
-
-    Central finite differences with relative step 1e-3; a non-finite
-    derivative flags its entry instead of failing.
-    """
-    probe = probe or ProbeSpec()
-    xi, eta = probe.points()
-    xi_mag = np.linalg.norm(xi, axis=-1)
-    eta_mag = np.linalg.norm(eta, axis=-1)
-    entries = {}
-    flagged = []
-    for b1, b2 in _multi_indices(max_order):
-        xi_pts, eta_pts, tree = _fd_stencil(xi, eta, b1, b2, rel_step)
-        deriv = np.asarray(_fd_combine(m(xi_pts, eta_pts), tree))
-        weighted = np.abs(deriv) * xi_mag ** sum(b1) * eta_mag ** sum(b2)
-        finite = np.isfinite(weighted)
-        if not finite.all():
-            flagged.append((b1, b2))
-        entries[(b1, b2)] = float(weighted[finite].max()) if finite.any() else float("nan")
-    return MarcinkiewiczReport(max_order=max_order, entries=entries, flagged=tuple(flagged))
 
 
 # -- Gevrey commutator -------------------------------------------------------

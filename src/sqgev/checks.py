@@ -238,6 +238,8 @@ def check_positivity(
     with the signed power; exact equality at p = 2."""
     if not all(2.0 <= p < math.inf for p in p_set):
         raise ConfigError(f"positivity needs 2 <= p < inf for every p, got p_set={p_set}")
+    if not all(0.0 <= s <= 2.0 for s in s_set):
+        raise ConfigError(f"positivity needs 0 <= s <= 2 for every s, got s_set={s_set}")
     grid = Grid(n)
     rows = []
     worst = math.inf
@@ -281,6 +283,8 @@ def check_heat_kernel(
 ):
     """Measured block decay rates r = -log(norm ratio)/t must straddle
     2^(kappa j) with a j,t,p-uniform spread at most 2^kappa * 1.1."""
+    if not all(0 < kappa < math.inf for kappa in kappa_set):
+        raise ConfigError(f"heat-kernel needs every kappa finite and > 0, got kappa_set={kappa_set}")
     if not all(0 < t < math.inf for t in t_grid):
         raise ConfigError(f"heat-kernel needs every t finite and > 0, got t_grid={t_grid}")
     grid = Grid(n)

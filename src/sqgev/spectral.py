@@ -267,9 +267,9 @@ class SpectralField:
         """Max deviation from coeffs(-k) = conj(coeffs(k))."""
         return float(np.max(self._half_plane_defects()))
 
-    def is_hermitian(self, rtol: float = HERMITIAN_RTOL) -> bool:
+    def is_hermitian(self) -> bool:
         scale = float(np.max(np.abs(self.coeffs)))
-        return self.hermitian_defect() <= max(rtol * scale, HERMITIAN_FLOOR)
+        return self.hermitian_defect() <= max(HERMITIAN_RTOL * scale, HERMITIAN_FLOOR)
 
     def mean_value(self) -> complex:
         """Value of the zero mode (the mean of the underlying field)."""
@@ -299,9 +299,9 @@ def forward_transform(f: RealField) -> SpectralField:
     return SpectralField._adopt(f.grid, coeffs)
 
 
-def inverse_transform(F: SpectralField, rtol: float = HERMITIAN_RTOL) -> RealField:
+def inverse_transform(F: SpectralField) -> RealField:
     """Exact inverse of forward_transform; input must be Hermitian-symmetric."""
-    if not F.is_hermitian(rtol):
+    if not F.is_hermitian():
         raise HermitianSymmetryError(
             f"coefficients are not Hermitian-symmetric "
             f"(defect {F.hermitian_defect():.3e})"

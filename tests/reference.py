@@ -1,7 +1,8 @@
 """Reference code shared by the tests: the record sink that collects every
 snapshot of a run, the Picard gaps of a collected run, the Riesz transform
 on the full spectrum, the advection term through the solver's stepping
-workspace, and the bilinear double-sum oracle.
+workspace, the real values of a reference commutator, and the bilinear
+double-sum oracle.
 
 The oracle evaluates T_m(f, g) for any symbol m of sqgev.bilinear by the
 direct double sum over occupied mode pairs, guarded by a cost cap.  Around
@@ -22,10 +23,12 @@ from sqgev.bilinear import BilinearSymbol, _norm
 from sqgev.dyadic import besov_norm
 from sqgev.solver import _Workspace
 from sqgev.spectral import (
+    HERMITIAN_FLOOR,
     TWO_PI,
     BandRangeError,
     ConfigError,
     Grid,
+    RealField,
     SpectralField,
     _full_spectrum,
     _lp_quadrature,
@@ -92,6 +95,17 @@ def nonlinear_term(theta: SpectralField, dealias: str = "two-thirds") -> Spectra
     work = _Workspace(grid, dealias)
     half = theta.coeffs[:, : grid.n // 2 + 1]
     return _full_spectrum(work.advection(half, work.velocity(half, work.vel)), grid)
+
+
+def commutator_values(c: SpectralField) -> RealField:
+    """The real field of a reference commutator's spectrum c, whose Hermitian
+    defect must be at most 1e-7 of its largest coefficient (floor
+    HERMITIAN_FLOOR): the bound gevrey_commutators puts on its outputs, as
+    a commutator, the difference of two near-equal products, keeps their
+    round-off."""
+    scale = float(np.max(np.abs(c.coeffs)))
+    assert c.hermitian_defect() <= max(1e-7 * scale, HERMITIAN_FLOOR)
+    return RealField(c.grid, np.fft.ifft2(c.coeffs, norm="forward").real)
 
 
 # -- the bilinear double-sum oracle -----------------------------------------

@@ -736,7 +736,10 @@ BAD_VERIFY_VALUES = [
 VERIFY_CONFIG_ERRORS = {
     ("bernstein", "s_set", "nan"), ("bernstein", "s_set", "inf"),
     ("positivity", "s_set", "nan"), ("positivity", "s_set", "inf"),
-    ("heat-kernel", "kappa_set", "nan"), ("heat-kernel", "t_grid", "nan"),
+    ("positivity", "s_set", "-1"), ("positivity", "s_set", "-inf"),
+    ("heat-kernel", "kappa_set", "nan"), ("heat-kernel", "kappa_set", "inf"),
+    ("heat-kernel", "kappa_set", "0"), ("heat-kernel", "kappa_set", "-1"),
+    ("heat-kernel", "kappa_set", "-inf"), ("heat-kernel", "t_grid", "nan"),
     ("heat-kernel", "t_grid", "-inf"), ("heat-kernel", "t_grid", "0"),
     ("heat-kernel", "t_grid", "-1"), ("heat-kernel", "p_set", "-inf"),
     ("heat-kernel", "p_set", "0"), ("heat-kernel", "p_set", "-1"),
