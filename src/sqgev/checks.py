@@ -10,10 +10,11 @@ has R^2 < MIN_R_SQUARED, can never pass; it is inconclusive instead.
 
 Each check_* takes its parameters as keyword arguments, whose defaults are
 the check's configuration, and returns (trials, fits, clauses, notes);
-run_check overlays the overrides on those defaults and builds the report,
-whose verdict is the fold of its clauses (_fold).  The tolerances are
-module constants, not parameters, so that no run can move a verdict by
-moving its bound.  Every check runs on the 2*pi box.
+run_check overlays the overrides on those defaults, tests them against the
+hypotheses of the estimate (the table HYPOTHESES) before the check draws
+anything, and builds the report, whose verdict is the fold of its clauses
+(_fold).  The tolerances are module constants, not parameters, so that no
+run can move a verdict by moving its bound.  Every check runs on the 2*pi box.
 """
 
 from __future__ import annotations
@@ -181,8 +182,6 @@ def check_bernstein(
 ):
     """Two-sided block norm equivalences: the fractional-derivative sandwich
     ratio and its |f|^(p/2) variant must be j-uniform within 2^(2|s|)*1.1."""
-    if not all(1.0 <= p < math.inf for p in p_set):
-        raise ConfigError(f"bernstein needs 1 <= p < inf for every p, got p_set={p_set}")
     grid = Grid(n)
     js = _resolved_bands(grid, j_lo, j_hi)
     rows = []
@@ -236,10 +235,6 @@ def check_positivity(
 ):
     """int Lambda^s f |f|^(p-2) f dx >= (2/p) || Lambda^(s/2) f^(p/2) ||_2^2
     with the signed power; exact equality at p = 2."""
-    if not all(2.0 <= p < math.inf for p in p_set):
-        raise ConfigError(f"positivity needs 2 <= p < inf for every p, got p_set={p_set}")
-    if not all(0.0 <= s <= 2.0 for s in s_set):
-        raise ConfigError(f"positivity needs 0 <= s <= 2 for every s, got s_set={s_set}")
     grid = Grid(n)
     rows = []
     worst = math.inf
@@ -283,10 +278,6 @@ def check_heat_kernel(
 ):
     """Measured block decay rates r = -log(norm ratio)/t must straddle
     2^(kappa j) with a j,t,p-uniform spread at most 2^kappa * 1.1."""
-    if not all(0 < kappa < math.inf for kappa in kappa_set):
-        raise ConfigError(f"heat-kernel needs every kappa finite and > 0, got kappa_set={kappa_set}")
-    if not all(0 < t < math.inf for t in t_grid):
-        raise ConfigError(f"heat-kernel needs every t finite and > 0, got t_grid={t_grid}")
     grid = Grid(n)
     js = _resolved_bands(grid, j_lo, j_hi)
     # per_kappa[i] holds the rows of kappa_set[i]; each block serves every
@@ -341,10 +332,6 @@ def check_lin_gevrey(
 ):
     """||G Lambda^alpha block|| over its two-term majorant, uniformly capped
     over the (j, gamma) sweep; prefactor gamma^((kappa-alpha)/alpha)."""
-    if not 0 < alpha < kappa:
-        raise ConfigError(f"need 0 < alpha < kappa, got {alpha}, {kappa}")
-    if not all(0 <= gamma < math.inf for gamma in gamma_set):
-        raise ConfigError(f"lin-gevrey needs every gamma finite and >= 0, got gamma_set={gamma_set}")
     grid = Grid(n)
     js = _resolved_bands(grid, j_lo, j_hi)
     exponent = (kappa - alpha) / alpha
@@ -405,8 +392,6 @@ def _defect_minima(R, cos, sin, alpha_set):
 def check_concavity(*, seed=0, alpha_set=(0.3, 0.5, 0.9), c_set=(0.5, 1.0, 2.0)):
     """Brute-force minimum of (|xi|^a + |eta|^a - |xi+eta|^a)/|eta|^a over
     |xi|/|eta| >= c, plus the 1D reduction g(x) = |x|^a + 1 - |x+1|^a."""
-    if not (all(0 < a < 1 for a in alpha_set) and all(0 < c < math.inf for c in c_set)):
-        raise ConfigError(f"concavity needs alpha in (0, 1) and finite c > 0: {alpha_set}, {c_set}")
     fits = {}
     rng = np.random.default_rng(seed)
     angles = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
@@ -486,13 +471,6 @@ def check_r_derivatives(
     """Weighted maxima |d^b1_xi d^b2_eta R_{alpha,sigma}| |xi|^|b1| |eta|^|b2|
     / 2^(l alpha) uniform over the frequency-separated probe family; the
     bound is stated for 0 < alpha < 1."""
-    if not all(0 < a < 1 for a in alpha_set):
-        raise ConfigError(f"R_alpha,sigma bounds need 0 < alpha < 1, got alpha_set={alpha_set}")
-    if not all(0 <= sigma <= 1 for sigma in sigma_set):
-        raise ConfigError(f"R_alpha,sigma bounds need 0 <= sigma <= 1, got sigma_set={sigma_set}")
-    # each order costs about 3.5 times the one below (0.72 s at 5, past the cap)
-    if not 1 <= max_order <= 4:
-        raise ConfigError(f"r-derivatives needs 1 <= max_order <= 4, got {max_order}")
     families = [(l, l + gap) for l in (0, 1) for gap in gap_set]
     angles = (np.arange(6) + 0.29) * 2.0 * math.pi / 6
 
@@ -553,26 +531,6 @@ def check_r_derivatives(
 # ---------------------------------------------------------------------------
 
 
-def _hypotheses(s, t, p, delta):
-    """Commutator estimate hypotheses; equality t = 2/p is tolerated as a
-    boundary case and reported, anything worse is a configuration error."""
-    notes = []
-    if not 0 < delta < 1:
-        raise ConfigError("hypothesis (delta): need 0 < delta < 1")
-    if not (2.0 / p < s < 1.0 + 2.0 / p - delta):
-        raise ConfigError(
-            f"hypothesis (i) violated: need 2/p < s < 1 + 2/p - delta, "
-            f"got s={s}, p={p}, delta={delta}"
-        )
-    if t > 2.0 / p:
-        raise ConfigError(f"hypothesis (ii) violated: need t < 2/p, got t={t}, p={p}")
-    if t == 2.0 / p:
-        notes.append(f"hypothesis (ii) boundary case t = 2/p = {t:g} tolerated")
-    if not s + t > 2.0 / p:
-        raise ConfigError(f"hypothesis (iii) violated: need s + t > 2/p, got {s}+{t}, p={p}")
-    return notes
-
-
 def _prescribed_profile_field(grid, exponent, p, seed, extra_damping=0.0, alpha=0.6):
     """Random-phase field whose octave bands carry L^p norm 2^(-exponent*j).
 
@@ -622,13 +580,7 @@ def check_commutator_decay(
     gamma' of the G_{-gamma'} test-field smoothing."""
     grid = Grid(n)
     js = _resolved_bands(grid, j_lo, j_hi)
-    if len(js) < 2:
-        raise ConfigError(f"the decay fit needs at least two bands, got [{j_lo}, {j_hi}]")
     gamma, alpha = commutator_gamma, commutator_alpha
-    if not field_damping > gamma:
-        raise ConfigError(
-            f"test fields need damping gamma' > gamma: {field_damping} vs {gamma}"
-        )
     rows = []
     fits = {}
     clauses = []
@@ -636,7 +588,8 @@ def check_commutator_decay(
     modes = (("classical", 0.0), ("gevrey", gamma))
     bands = [(j, gma) for _, gma in modes for j in js]
     for s, t, p in st_sets:
-        notes.extend(_hypotheses(s, t, p, delta))
+        if t == 2.0 / p:  # hypothesis (ii) at its boundary, which the estimate tolerates
+            notes.append(f"hypothesis (ii) boundary case t = 2/p = {t:g} tolerated")
         decay_target = s + t - 2.0 / p
         # both modes see the same test fields, so one call per trial covers
         # every (mode, j) band; norms[trial] is laid out like bands
@@ -724,8 +677,6 @@ def check_wellposedness(
     """Small-data bounds for the approximation scheme: uniform X_T control,
     vanishing heat-flow X_T as T -> 0, contraction of successive iterates,
     amplitude-linearity, and the Gevrey-radius growth exponent."""
-    if not all(0 < amplitude < math.inf for amplitude in amplitudes):
-        raise ConfigError(f"wellposedness needs finite amplitudes > 0, got amplitudes={amplitudes}")
     grid = Grid(n)
     gp = GevreyParams(alpha=alpha, kappa=kappa, lam=lam, beta=beta)
     rows = []
@@ -865,6 +816,64 @@ ALL_CHECKS = {
 }
 
 
+def _every(holds):
+    """The predicate of a tuple key: holds for each of its entries."""
+    return lambda values: all(map(holds, values))
+
+
+# The hypotheses of each estimate, rows (keys, predicate of their values, statement);
+# run_check tests those of "*" whose keys a check takes, then the check's own, in order.
+HYPOTHESES = {
+    "*": [(("trials",), lambda trials: trials >= 1, "trials >= 1"),
+          (("seed",), lambda seed: seed >= 0, "seed >= 0")],
+    "bernstein": [
+        (("p_set",), _every(lambda p: 1 <= p < math.inf), "1 <= p < inf for every p"),
+        (("s_set",), _every(math.isfinite), "every s finite"),
+    ],
+    "positivity": [
+        (("p_set",), _every(lambda p: 2 <= p < math.inf), "2 <= p < inf for every p"),
+        (("s_set",), _every(lambda s: 0 <= s <= 2), "0 <= s <= 2 for every s"),
+    ],
+    "heat-kernel": [
+        (("kappa_set",), _every(lambda k: 0 < k < math.inf), "every kappa finite and > 0"),
+        (("t_grid",), _every(lambda t: 0 < t < math.inf), "every t finite and > 0"),
+        (("p_set",), _every(lambda p: p >= 1), "every p >= 1"),
+    ],
+    "lin-gevrey": [
+        (("alpha", "kappa"), lambda a, k: 0 < a < k < math.inf, "0 < alpha < kappa < inf"),
+        (("gamma_set",), _every(lambda g: 0 <= g < math.inf), "every gamma finite and >= 0"),
+        (("p_set",), _every(lambda p: p >= 1), "every p >= 1"),
+    ],
+    "concavity": [
+        (("alpha_set",), _every(lambda a: 0 < a < 1), "alpha in (0, 1) for every alpha"),
+        (("c_set",), _every(lambda c: 0 < c < math.inf), "finite c > 0 for every c"),
+    ],
+    "r-derivatives": [
+        (("alpha_set",), _every(lambda a: 0 < a < 1), "0 < alpha < 1 for every alpha"),
+        (("sigma_set",), _every(lambda s: 0 <= s <= 1), "0 <= sigma <= 1 for every sigma"),
+        # each order costs about 3.5 times the one below (0.72 s at 5, past the cap)
+        (("max_order",), lambda order: 1 <= order <= 4, "1 <= max_order <= 4"),
+    ],
+    "commutator-decay": [
+        (("j_lo", "j_hi"), lambda j_lo, j_hi: j_lo < j_hi, "at least two bands, j_lo < j_hi"),
+        (("field_damping", "commutator_gamma"), lambda d, g: -math.inf < g < d < math.inf,
+         "damping gamma' > gamma, both finite"),
+        (("commutator_alpha",), lambda a: 0 < a <= 1, "a Gevrey exponent 0 < alpha <= 1"),
+        (("delta",), lambda delta: 0 < delta < 1, "0 < delta < 1"),
+        (("st_sets",), _every(lambda stp: stp[2] >= 1), "p >= 1 in every (s, t, p)"),
+        (("st_sets", "delta"), lambda st, d: all(2 / p < s < 1 + 2 / p - d for s, _, p in st),
+         "(i) 2/p < s < 1 + 2/p - delta in every (s, t, p)"),
+        (("st_sets",), _every(lambda stp: stp[1] <= 2 / stp[2]),
+         "(ii) t < 2/p, or the boundary t = 2/p, in every (s, t, p)"),
+        (("st_sets",), _every(lambda stp: stp[0] + stp[1] > 2 / stp[2]),
+         "(iii) s + t > 2/p in every (s, t, p)"),
+    ],
+    "wellposedness": [
+        (("amplitudes",), _every(lambda a: 0 < a < math.inf), "finite amplitudes > 0"),
+    ],
+}
+
+
 def check_defaults(check_id: str) -> dict:
     """The parameters a check takes, with their defaults."""
     if check_id not in ALL_CHECKS:
@@ -883,10 +892,10 @@ def run_check(check_id: str, **overrides) -> InequalityReport:
             f"check {check_id!r} takes no {', '.join(unknown)}; it takes {', '.join(config)}"
         )
     config.update(overrides)
-    if config.get("trials", 1) < 1:
-        raise ConfigError(f"check {check_id!r} needs trials >= 1, got {config['trials']}")
-    if config.get("seed", 0) < 0:
-        raise ConfigError(f"check {check_id!r} needs seed >= 0, got {config['seed']}")
+    for keys, holds, statement in HYPOTHESES["*"] + HYPOTHESES.get(check_id, []):
+        if set(keys) <= set(config) and not holds(*(config[key] for key in keys)):
+            got = ", ".join(f"{key}={config[key]}" for key in keys)
+            raise ConfigError(f"{check_id} hypothesis violated: need {statement}, got {got}")
     trials, fits, clauses, notes = ALL_CHECKS[check_id](**config)
     environment = {
         "numpy": np.__version__, "python": platform.python_version(), "machine": platform.machine()

@@ -22,7 +22,9 @@ from sqgev.bilinear import (
     padded_product,
 )
 from sqgev.checks import (
+    ALL_CHECKS,
     FAIL,
+    HYPOTHESES,
     INCONCLUSIVE,
     PASS,
     InequalityReport,
@@ -38,6 +40,7 @@ from sqgev.checks import (
     check_lin_gevrey,
     check_positivity,
     check_r_derivatives,
+    check_defaults,
     run_check,
 )
 from sqgev.dyadic import build_system, delta_j
@@ -310,6 +313,20 @@ class TestHypothesisGate:
         with pytest.raises(ConfigError):
             run_check("nonsense")
 
+    def test_the_table_is_well_formed(self):
+        # a row whose key its check does not take would never be tested, and
+        # a default outside a hypothesis would make the default run exit 2
+        assert set(HYPOTHESES) - {"*"} <= set(ALL_CHECKS)
+        for keys, _, _ in HYPOTHESES["*"]:
+            assert any(set(keys) <= set(check_defaults(cid)) for cid in ALL_CHECKS), keys
+        for cid in ALL_CHECKS:
+            defaults = check_defaults(cid)
+            for keys, _, _ in HYPOTHESES.get(cid, []):
+                assert set(keys) <= set(defaults), (cid, keys)
+            for keys, holds, statement in HYPOTHESES["*"] + HYPOTHESES.get(cid, []):
+                if set(keys) <= set(defaults):
+                    assert holds(*(defaults[key] for key in keys)), (cid, statement)
+
 
 class TestParameters:
     def test_positivity_runs_the_given_exponents(self):
@@ -353,6 +370,7 @@ class TestParameters:
         ("heat-kernel", {"kappa_set": (-1.0,)}, "every kappa finite and > 0"),
         ("positivity", {"s_set": (-1.0,)}, "0 <= s <= 2"),
         ("positivity", {"s_set": (0.5, 3.0)}, "0 <= s <= 2"),
+        ("commutator-decay", {"st_sets": ((1.2, 0.3, 2.0), (1.2, 0.3, 0.0))}, "p >= 1"),
     ])
     def test_values_outside_the_hypotheses_are_rejected(self, check_id, params, match):
         # each check states the hypotheses of its estimate before it measures

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import sqgev
+from sqgev import checks
 from sqgev.checks import ALL_CHECKS, check_defaults
 from sqgev.cli import (
     ANALYZE_KEYS,
@@ -748,7 +749,42 @@ VERIFY_CONFIG_ERRORS = {
     ("lin-gevrey", "p_set", "0"), ("lin-gevrey", "p_set", "-1"),
     ("concavity", "alpha_set", "-1"), ("concavity", "c_set", "0"),
     ("wellposedness", "amplitudes", "inf"), ("r-derivatives", "sigma_set", "nan"),
+    # these ten, and the s_set, p_set and kappa cases of bernstein, heat-kernel
+    # and lin-gevrey above, were once rejected only after fields were drawn
+    ("bernstein", "s_set", "-inf"), ("heat-kernel", "p_set", "nan"),
+    ("commutator-decay", "commutator_alpha", "-1"),
+    ("commutator-decay", "commutator_alpha", "-inf"),
+    ("commutator-decay", "commutator_alpha", "0"),
+    ("commutator-decay", "commutator_alpha", "inf"),
+    ("commutator-decay", "commutator_alpha", "nan"),
+    ("commutator-decay", "commutator_gamma", "-inf"),
+    ("commutator-decay", "field_damping", "inf"), ("lin-gevrey", "p_set", "nan"),
 }
+# The check functions that draw a field, run the solver or build a stencil.
+DRAWS = ("_shaped_band_field", "_smooth_noise", "_prescribed_profile_field", "initial_field",
+         "solve", "picard_solve", "_multi_indices", "_fd_stencil")
+
+
+def verify_argv(cid, key, value, out):
+    """verify of one check with key=value, at sizes that resolve the check's
+    bands, so that every value reaches the code that reads it."""
+    sizes = {"n": 16, "j_lo": 0, "j_hi": 2, "trials": 1,
+             "t_end": 0.04, "picard_depth": 2, "record_every": 1}
+    if cid == "commutator-decay":  # its decay fit needs two bands from j = 1
+        sizes.update(n=32, j_lo=1)
+    argv = ["verify", "--check", cid, "-o", str(out), "--set", f"{key}={value}"]
+    for size, default in sizes.items():
+        if size in check_defaults(cid) and size != key:
+            argv += ["--set", f"{size}={default}"]
+    return argv
+
+
+def verify_exits_2(cid, key, value):
+    """Whether a BAD_VERIFY_VALUES case is a config error: a hand-listed one,
+    no trials, a negative seed, or a max_order that measures no derivative."""
+    return (cid, key, value) in VERIFY_CONFIG_ERRORS or key in ("trials", "max_order") or (
+        key == "seed" and value == "-1"
+    )
 
 
 # Every int or float key of simulate, picard and analyze, and every scalar
@@ -797,29 +833,36 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    # a RuntimeWarning (a division by zero, an inf times 0) is an error here:
+    # a value outside a check's hypotheses is rejected before it is computed with
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("cid, key, value", BAD_VERIFY_VALUES)
     def test_bad_verify_value_exits_0_or_2(self, tmp_path, capsys, cid, key, value):
         # a value no check can use is a config error or a verdict, never a
-        # traceback; a negative seed, and a max_order that measures no
-        # derivative, are config errors.  The sizes resolve each check's
-        # bands, so every value reaches the code that reads it
-        sizes = {"n": 16, "j_lo": 0, "j_hi": 2, "trials": 1,
-                 "t_end": 0.04, "picard_depth": 2, "record_every": 1}
-        if cid == "commutator-decay":  # its decay fit needs two bands from j = 1
-            sizes.update(n=32, j_lo=1)
-        argv = ["verify", "--check", cid, "-o", str(tmp_path / "out"), "--set", f"{key}={value}"]
-        for size, default in sizes.items():
-            if size in check_defaults(cid) and size != key:
-                argv += ["--set", f"{size}={default}"]
-        code = main(argv)
+        # traceback; no trials, a negative seed, and a max_order that
+        # measures no derivative, are config errors
+        code = main(verify_argv(cid, key, value, tmp_path / "out"))
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        if (cid, key, value) in VERIFY_CONFIG_ERRORS or key == "max_order" or (
-            key == "seed" and value == "-1"
-        ):
+        if verify_exits_2(cid, key, value):
             assert code == 2 and err.startswith("error: ")
         else:
             assert code in (0, 2, 4)
+
+    @pytest.mark.parametrize(
+        "cid, key, value", [case for case in BAD_VERIFY_VALUES if verify_exits_2(*case)]
+    )
+    def test_config_error_comes_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                cid, key, value):
+        # run_check tests every hypothesis before the check draws a field,
+        # runs the solver or builds a stencil
+        def no_field(*args, **kwargs):
+            raise AssertionError("a field was drawn")
+
+        for name in DRAWS:
+            monkeypatch.setattr(checks, name, no_field)
+        assert main(verify_argv(cid, key, value, tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("verb", ["analyze", "simulate"])
     def test_non_hermitian_snapshot_exits_2(self, tmp_path, capsys, verb):
@@ -837,6 +880,7 @@ class TestUsage:
         assert err.startswith("error: ") and "not Hermitian" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("verb, key, value", FUZZ_CASES)
     def test_fuzzed_value_exits_with_a_code(self, tmp_path, capsys, verb, key, value):
         # a run at n = 16 over four steps, or analyze on an n = 16 snapshot:
