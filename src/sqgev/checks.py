@@ -734,7 +734,7 @@ def check_wellposedness(
     # of the samples at t <= T, and theta0 is the march's t = 0 record
     theta0 = initial_field(base)
     heat_ts = [t_end * 2.0**-i for i in range(12)]
-    weighted = [xt_norm([(t, heat_semigroup(theta0, t, kappa))], gp, bp_lift)[0] for t in heat_ts]
+    weighted = [xt_norm(t, heat_semigroup(theta0, t, kappa), gp, bp_lift).weighted for t in heat_ts]
     sups = list(itertools.accumulate(reversed(weighted), max))[::-1]
     for T, sup in zip(heat_ts, sups):
         rows.append({"kind": "heat_xt", "T": T, "value": sup})
@@ -853,6 +853,8 @@ HYPOTHESES = {
         (("sigma_set",), _every(lambda s: 0 <= s <= 1), "0 <= sigma <= 1 for every sigma"),
         # each order costs about 3.5 times the one below (0.72 s at 5, past the cap)
         (("max_order",), lambda order: 1 <= order <= 4, "1 <= max_order <= 4"),
+        # |xi| >= 2|eta| on every probe pair; at gap 1 the shells touch at 2^(l + 1/2)
+        (("gap_set",), _every(lambda gap: gap >= 2), "separated shells, gap >= 2 for every gap"),
     ],
     "commutator-decay": [
         (("j_lo", "j_hi"), lambda j_lo, j_hi: j_lo < j_hi, "at least two bands, j_lo < j_hi"),

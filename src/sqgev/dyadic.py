@@ -110,8 +110,8 @@ class BesovParams:
     q: float = 2.0
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ConfigError(f"Besov indices require p, q >= 1, got p={self.p}, q={self.q}")
+        if not (np.isfinite(self.s) and self.p >= 1 and self.q >= 1):  # NaN fails too
+            raise ConfigError(f"Besov indices require finite s and p, q >= 1, got {self}")
 
 
 @dataclass(frozen=True)

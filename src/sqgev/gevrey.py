@@ -1,10 +1,9 @@
-"""Gevrey multiplier, fractional Laplacian, heat semigroup,
-time-weighted Gevrey-Besov norms and analyticity-radius estimation."""
+"""Gevrey multiplier, fractional Laplacian, heat semigroup, one-sample X_T norms
+(xt_norm, the record sink XTSink) and analyticity-radius estimation."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -18,13 +17,7 @@ OVERFLOW_EXPONENT = 700.0
 
 class GevreyOverflowError(FloatingPointError):
     """exp(gamma * |k|^alpha) would overflow on this grid, or a Gevrey-weighted
-    norm is not finite; max_gamma is the guard's cap (None when the guard
-    held but the norm overflowed)."""
-
-    def __init__(self, message: str, max_gamma: float | None = None, time: float | None = None):
-        super().__init__(message)
-        self.max_gamma = max_gamma
-        self.time = time
+    norm is not finite; the message names the guard's cap or the sample time."""
 
 
 @dataclass(frozen=True)
@@ -73,8 +66,7 @@ def check_gevrey_weight(grid: Grid, gamma: float, alpha: float) -> None:
         if gamma > cap:
             raise GevreyOverflowError(
                 f"gamma={gamma:g} exceeds the overflow guard; "
-                f"max admissible gamma on this grid is {cap:g}",
-                max_gamma=cap,
+                f"max admissible gamma on this grid is {cap:g}"
             )
 
 
@@ -111,61 +103,35 @@ class XTNormSample:
     besov: float
     weighted: float
 
-    def __post_init__(self):
-        if self.t <= 0:
-            raise ConfigError(f"X_T samples require t > 0, got t={self.t}")
 
-
-def xt_norm(
-    trajectory: Sequence[tuple[float, SpectralField]],
-    gp: GevreyParams,
-    bp: BesovParams,
-) -> tuple[float, list[XTNormSample]]:
-    """sup over samples of t^(beta/kappa) * ||G_{gamma(t)} v(t)||_Besov.
-
-    The Besov parameters are used as given, so callers working at base
-    regularity sigma should pass s = sigma + beta.  Each sample is one
-    besov_norm call with the radial weight exp(gamma(t) r^alpha).  Returns the
-    sup and the per-sample records; a weight past the overflow guard, or a
-    weighted norm that is not finite, raises GevreyOverflowError carrying the
-    sample time.
-    """
-    if len(trajectory) == 0:
-        raise ValueError("xt_norm needs at least one trajectory sample")
-    samples = []
-    for t, field in trajectory:
-        if t <= 0:
-            raise ValueError(f"xt_norm samples require t > 0, got t={t}")
-        gamma_t = gp.radius_at(t)
+def xt_norm(t: float, field: SpectralField, gp: GevreyParams, bp: BesovParams) -> XTNormSample:
+    """The X_T sample t^(beta/kappa) * ||G_{gamma(t)} v(t)||_Besov at t > 0, from
+    one besov_norm call with the radial weight exp(gamma(t) r^alpha); the X_T
+    norm of a trajectory is the max of its samples' weighted norms.  The Besov
+    parameters are used as given, so callers at base regularity sigma pass
+    s = sigma + beta.  A weight past the overflow guard, or a weighted norm
+    that is not finite, raises GevreyOverflowError naming t."""
+    if not t > 0:
+        raise ConfigError(f"X_T samples require t > 0, got t={t}")
+    gamma_t = gp.radius_at(t)
+    try:
+        check_gevrey_weight(field.grid, gamma_t, gp.alpha)
+    except GevreyOverflowError as exc:
+        raise GevreyOverflowError(
+            f"Gevrey weight overflow at t={t:g} (gamma(t)={gamma_t:g}): {exc}"
+        ) from exc
+    # inside the guard the weight is finite, but the weighted field or its
+    # norm can still overflow (|G v|^p in the quadrature, say)
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            check_gevrey_weight(field.grid, gamma_t, gp.alpha)
-        except GevreyOverflowError as exc:
-            raise GevreyOverflowError(
-                f"Gevrey weight overflow at t={t:g} (gamma(t)={gamma_t:g}): {exc}",
-                max_gamma=exc.max_gamma,
-                time=t,
-            ) from exc
-        # inside the guard the weight is finite, but the weighted field or
-        # its norm can still overflow (|G v|^p in the quadrature, say)
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                besov = besov_norm(field, bp, lambda r: np.exp(gamma_t * r**gp.alpha))
-            except ConfigError:  # non-finite weighted coefficients
-                besov = np.inf
-        if not np.isfinite(besov):
-            raise GevreyOverflowError(
-                f"Gevrey-weighted Besov norm overflows at t={t:g} (gamma(t)={gamma_t:g})",
-                time=t,
-            )
-        samples.append(
-            XTNormSample(
-                t=t,
-                gamma=gamma_t,
-                besov=besov,
-                weighted=t ** (gp.beta / gp.kappa) * besov,
-            )
+            besov = besov_norm(field, bp, lambda r: np.exp(gamma_t * r**gp.alpha))
+        except ConfigError:  # non-finite weighted coefficients
+            besov = np.inf
+    if not np.isfinite(besov):
+        raise GevreyOverflowError(
+            f"Gevrey-weighted Besov norm overflows at t={t:g} (gamma(t)={gamma_t:g})"
         )
-    return max(s.weighted for s in samples), samples
+    return XTNormSample(t, gamma_t, besov, t ** (gp.beta / gp.kappa) * besov)
 
 
 class XTSink:
@@ -183,7 +149,7 @@ class XTSink:
     def __call__(self, level, t, snap, row):
         if t > 0 and self.overflow[level] is None:
             try:
-                self.samples[level] += xt_norm([(t, snap)], self.gp, self.bp)[1]
+                self.samples[level].append(xt_norm(t, snap, self.gp, self.bp))
             except GevreyOverflowError as exc:
                 self.overflow[level] = exc
 

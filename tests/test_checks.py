@@ -371,6 +371,11 @@ class TestParameters:
         ("positivity", {"s_set": (-1.0,)}, "0 <= s <= 2"),
         ("positivity", {"s_set": (0.5, 3.0)}, "0 <= s <= 2"),
         ("commutator-decay", {"st_sets": ((1.2, 0.3, 2.0), (1.2, 0.3, 0.0))}, "p >= 1"),
+        # |xi| >= 2|eta| on the probe shells of l and l + gap from gap 2 on;
+        # at gap 1 they touch at radius 2^(l + 1/2)
+        ("r-derivatives", {"gap_set": (3, 1)}, r"gap >= 2 .*, got gap_set=\(3, 1\)"),
+        ("r-derivatives", {"gap_set": (0,)}, "gap >= 2"),
+        ("r-derivatives", {"gap_set": (-1,)}, "gap >= 2"),
     ])
     def test_values_outside_the_hypotheses_are_rejected(self, check_id, params, match):
         # each check states the hypotheses of its estimate before it measures

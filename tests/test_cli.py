@@ -607,7 +607,7 @@ class TestVerifyVerb:
 def collected_simulate(argv: list[str], out) -> None:
     """The artifacts of `simulate` with argv's --set overrides, written from
     a run collected by the tests' sink: its diagnostics, every snapshot, and
-    the X_T trace of all samples from one xt_norm call."""
+    the X_T trace, one xt_norm call per sample at t > 0."""
     params = parse_config(None, argv[1::2], RUN_KEYS, RUN_DEFAULTS)
     cfg = config_from_flat(SolverConfig, params)
     gp = config_from_flat(GevreyParams, params)
@@ -618,7 +618,8 @@ def collected_simulate(argv: list[str], out) -> None:
     echo = {f"config_{key}": val for key, val in config_echo(cfg).items()}
     for t, snap in zip(traj.times, sink.snapshots[0]):
         save_field(out / f"snapshot_t{t:.6f}.field", snap, time=t, extra=echo)
-    _, samples = xt_norm(sink.samples(), gp, BesovParams(cfg.sigma + gp.beta, cfg.p, cfg.q))
+    bp = BesovParams(cfg.sigma + gp.beta, cfg.p, cfg.q)
+    samples = [xt_norm(t, snap, gp, bp) for t, snap in sink.samples()]
     radii = {row["t"]: row["radius"] for row in traj.diagnostics}
     write_csv(
         out / "xt_trace.csv",
@@ -731,7 +732,7 @@ BAD_VERIFY_VALUES = [
     or isinstance(default, tuple) and not isinstance(default[0], tuple)
     for value in FUZZ_VALUES[type(default[0] if isinstance(default, tuple) else default)]
     if not (value == "99" and key in ("n", "trials", "max_order"))
-]
+] + [("r-derivatives", "gap_set", "1")]  # the least gap whose probe shells touch
 # Verify cases that once ended in a traceback, or in a pass on a value no
 # check can use.
 VERIFY_CONFIG_ERRORS = {
@@ -759,6 +760,9 @@ VERIFY_CONFIG_ERRORS = {
     ("commutator-decay", "commutator_alpha", "nan"),
     ("commutator-decay", "commutator_gamma", "-inf"),
     ("commutator-decay", "field_damping", "inf"), ("lin-gevrey", "p_set", "nan"),
+    # these three once ran the stencils and failed the bound (exit 4)
+    ("r-derivatives", "gap_set", "0"), ("r-derivatives", "gap_set", "1"),
+    ("r-derivatives", "gap_set", "-1"),
 }
 # The check functions that draw a field, run the solver or build a stencil.
 DRAWS = ("_shaped_band_field", "_smooth_noise", "_prescribed_profile_field", "initial_field",

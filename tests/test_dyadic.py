@@ -281,6 +281,13 @@ class TestBesovNorm:
         with pytest.raises(ConfigError):
             BesovParams(0.0, p=0.5)
 
+    @pytest.mark.parametrize("s, p, q", [(0.5, 2.0, np.nan), (np.nan, 2.0, 2.0),
+                                         (0.5, np.nan, 2.0), (np.inf, 2.0, 2.0)])
+    def test_rejects_nonfinite_s_and_nan_indices(self, s, p, q):
+        # besov_norm of a field would be NaN at any of these
+        with pytest.raises(ConfigError, match="finite s and p, q >= 1"):
+            BesovParams(s, p, q)
+
 
 class TestDefaultSystem:
     """build_system is the one memoized dyadic system of a grid."""

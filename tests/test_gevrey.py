@@ -2,6 +2,7 @@
 X_T norms and radius estimation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from sqgev.gevrey import (
     GevreyOverflowError,
     GevreyParams,
     XTNormSample,
+    XTSink,
     fit_line,
     fit_radius,
     fractional_laplacian,
@@ -79,35 +81,13 @@ def decay_fit_loop(theta, alpha):
     return float(slope), float(intercept), r_squared, int(keep.sum()), False
 
 
-def xt_norm_loop(trajectory, gp, bp):
+def xt_norm_loop(t, field, gp, bp):
     """xt_norm as it was before the p = 2 path read the ring spectrum: the
-    weighted field is formed on the full grid, then normed.  Kept verbatim
-    as the reference of the ring-weight path."""
-    if len(trajectory) == 0:
-        raise ValueError("xt_norm needs at least one trajectory sample")
-    samples = []
-    for t, field in trajectory:
-        if t <= 0:
-            raise ValueError(f"xt_norm samples require t > 0, got t={t}")
-        gamma_t = gp.radius_at(t)
-        try:
-            lifted = gevrey_multiply(field, gamma_t, gp.alpha)
-        except GevreyOverflowError as exc:
-            raise GevreyOverflowError(
-                f"Gevrey weight overflow at t={t:g} (gamma(t)={gamma_t:g}): {exc}",
-                max_gamma=exc.max_gamma,
-                time=t,
-            ) from exc
-        besov = besov_norm(lifted, bp)
-        samples.append(
-            XTNormSample(
-                t=t,
-                gamma=gamma_t,
-                besov=besov,
-                weighted=t ** (gp.beta / gp.kappa) * besov,
-            )
-        )
-    return max(s.weighted for s in samples), samples
+    weighted field is formed on the full grid, then normed.  Kept as the
+    reference of the ring-weight path."""
+    gamma_t = gp.radius_at(t)
+    besov = besov_norm(gevrey_multiply(field, gamma_t, gp.alpha), bp)
+    return XTNormSample(t, gamma_t, besov, t ** (gp.beta / gp.kappa) * besov)
 
 
 def one_mode_pair(grid, amplitude, defect):
@@ -152,9 +132,8 @@ class TestGevreyMultiplier:
         grid = Grid(64)
         F = random_band_limited(grid, 3, seed=2)
         cap = max_admissible_gamma(grid, 0.5)
-        with pytest.raises(GevreyOverflowError) as err:
+        with pytest.raises(GevreyOverflowError, match=re.escape(f"on this grid is {cap:g}")):
             gevrey_multiply(F, cap * 1.01, 0.5)
-        assert err.value.max_gamma == pytest.approx(cap)
 
     def test_negative_gamma_never_guarded(self):
         grid = Grid(64)
@@ -306,10 +285,9 @@ class TestXTNorm:
         F = random_band_limited(grid, 2, seed=11)
         gp = GevreyParams(alpha=0.4, kappa=0.8, lam=0.0, beta=0.0)
         bp = BesovParams(0.5, 2.0, 2.0)
-        sup, samples = xt_norm([(0.7, F)], gp, bp)
-        assert sup == pytest.approx(besov_norm(F, bp), rel=1e-12)
-        assert len(samples) == 1
-        assert samples[0].gamma == 0.0
+        sample = xt_norm(0.7, F, gp, bp)
+        assert sample.weighted == pytest.approx(besov_norm(F, bp), rel=1e-12)
+        assert sample.gamma == 0.0
 
     def test_heat_flow_sup_is_finite_and_attained(self):
         grid = Grid(64)
@@ -317,30 +295,23 @@ class TestXTNorm:
         gp = GevreyParams(alpha=0.4, kappa=0.8, lam=0.1, beta=0.3)
         bp = BesovParams(0.5, 2.0, 2.0)
         times = np.linspace(0.05, 2.0, 20)
-        traj = [(t, heat_semigroup(F0, t, gp.kappa)) for t in times]
-        sup, samples = xt_norm(traj, gp, bp)
-        weights = [s.weighted for s in samples]
+        samples = [xt_norm(t, heat_semigroup(F0, t, gp.kappa), gp, bp) for t in times]
+        sup = max(s.weighted for s in samples)
         assert math.isfinite(sup) and sup > 0
-        assert sup == max(weights)
-
-    def test_empty_trajectory_rejected(self):
-        gp = GevreyParams(alpha=0.4, kappa=0.8)
-        with pytest.raises(ValueError):
-            xt_norm([], gp, BesovParams(0.5))
 
     def test_sample_at_time_zero_rejected(self):
         F = random_band_limited(Grid(16), 1, seed=11)
         gp = GevreyParams(alpha=0.4, kappa=0.8)
-        with pytest.raises(ValueError, match="t > 0"):
-            xt_norm([(0.0, F)], gp, BesovParams(0.5))
+        for t in (0.0, math.nan):
+            with pytest.raises(ConfigError, match="t > 0"):
+                xt_norm(t, F, gp, BesovParams(0.5))
 
     def test_overflow_carries_time(self):
         grid = Grid(64)
         F = random_band_limited(grid, 2, seed=13)
         gp = GevreyParams(alpha=0.4, kappa=0.8, lam=1e4, beta=0.0)
-        with pytest.raises(GevreyOverflowError) as err:
-            xt_norm([(5.0, F)], gp, BesovParams(0.5))
-        assert err.value.time == 5.0
+        with pytest.raises(GevreyOverflowError, match=r"at t=5 \("):
+            xt_norm(5.0, F, gp, BesovParams(0.5))
 
     @pytest.mark.parametrize("p", [2.0, 4.0])
     def test_overflow_names_the_first_sample_past_the_guard(self, p):
@@ -350,10 +321,12 @@ class TestXTNorm:
         cap = max_admissible_gamma(grid, 0.4)
         times = [0.1, 5.0, 8.0]
         assert gp.radius_at(0.1) < cap < gp.radius_at(5.0)
-        with pytest.raises(GevreyOverflowError) as err:
-            xt_norm([(t, F) for t in times], gp, BesovParams(0.5, p))
-        assert err.value.time == 5.0
-        assert err.value.max_gamma == cap
+        sink = XTSink(1, gp, BesovParams(0.5, p))
+        for t in times:
+            sink(0, t, F, None)
+        assert [s.t for s in sink.samples[0]] == [0.1]
+        with pytest.raises(GevreyOverflowError, match=rf"at t=5 .* is {re.escape(f'{cap:g}')}$"):
+            sink.raise_overflow()
 
     def test_weighted_norm_overflow_inside_the_guard_raises(self):
         # gamma(2) = 100 * 2^0.5 = 141.4 is under the guard's 152.3 on
@@ -363,20 +336,17 @@ class TestXTNorm:
         F = random_band_limited(grid, 2, seed=13)
         gp = GevreyParams(alpha=0.4, kappa=0.8, lam=100.0)
         assert gp.radius_at(2.0) < max_admissible_gamma(grid, 0.4)
-        sup, _ = xt_norm([(2.0, F)], gp, BesovParams(0.5, 2.0))
-        assert math.isfinite(sup)
-        with pytest.raises(GevreyOverflowError) as err:
-            xt_norm([(2.0, F)], gp, BesovParams(0.5, 4.0))
-        assert err.value.time == 2.0
+        assert math.isfinite(xt_norm(2.0, F, gp, BesovParams(0.5, 2.0)).weighted)
+        with pytest.raises(GevreyOverflowError, match=r"at t=2 \("):
+            xt_norm(2.0, F, gp, BesovParams(0.5, 4.0))
 
     def test_weighted_coefficient_overflow_inside_the_guard_raises(self):
         # a broadband field: G v itself is not finite at the top modes
         grid = Grid(64)
         F = 1e30 * hermitian_noise(grid, box_mask(grid, 31), np.random.default_rng(0))
         gp = GevreyParams(alpha=0.4, kappa=0.8, lam=100.0)
-        with pytest.raises(GevreyOverflowError) as err:
-            xt_norm([(2.0, F)], gp, BesovParams(0.5, 4.0))
-        assert err.value.time == 2.0
+        with pytest.raises(GevreyOverflowError, match=r"at t=2 \("):
+            xt_norm(2.0, F, gp, BesovParams(0.5, 4.0))
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("profile", ["random-band", "gaussian-pair", "single-ring"])
@@ -391,9 +361,10 @@ class TestXTNorm:
                    GevreyParams(alpha=0.7, kappa=0.8, lam=2.0, beta=0.1)):
             for bp in (BesovParams(0.5, 2.0, 2.0), BesovParams(-0.2, 2.0, 1.0),
                        BesovParams(1.0, 2.0, np.inf)):
-                sup, samples = xt_norm(traj, gp, bp)
-                want_sup, want = xt_norm_loop(traj, gp, bp)
-                assert sup == pytest.approx(want_sup, rel=1e-14, abs=0.0)
+                samples = [xt_norm(t, f, gp, bp) for t, f in traj]
+                want = [xt_norm_loop(t, f, gp, bp) for t, f in traj]
+                assert max(s.weighted for s in samples) == pytest.approx(
+                    max(s.weighted for s in want), rel=1e-14, abs=0.0)
                 for got, ref in zip(samples, want):
                     assert (got.t, got.gamma) == (ref.t, ref.gamma)
                     assert got.besov == pytest.approx(ref.besov, rel=1e-14, abs=0.0)
@@ -409,7 +380,7 @@ class TestXTNorm:
         besov_norm(f, bp)
         for norm in (xt_norm, xt_norm_loop):
             with pytest.raises(HermitianSymmetryError):
-                norm([(1.0, f)], gp, bp)
+                norm(1.0, f, gp, bp)
 
     def test_weighted_block_defect_below_the_floor_passes(self):
         # weight 100 keeps the defect under the floor; weight 100^2 would not
@@ -417,8 +388,8 @@ class TestXTNorm:
         f = one_mode_pair(grid, 1e-9, 5e-16)
         gp = GevreyParams(alpha=0.5, kappa=1.0, lam=math.log(100.0) / 2.0, beta=0.0)
         bp = BesovParams(0.5)
-        sup, _ = xt_norm([(1.0, f)], gp, bp)
-        assert sup == pytest.approx(xt_norm_loop([(1.0, f)], gp, bp)[0], rel=1e-14)
+        got = xt_norm(1.0, f, gp, bp).weighted
+        assert got == pytest.approx(xt_norm_loop(1.0, f, gp, bp).weighted, rel=1e-14)
 
     @pytest.mark.parametrize("p", [2.0, 4.0])
     @pytest.mark.parametrize("grid", [Grid(16), Grid(64)])
@@ -430,7 +401,7 @@ class TestXTNorm:
         assert (system.j_min, system.j_max) != (other.j_min, other.j_max)
         F = random_band_limited(grid, 2, seed=13)
         gp = GevreyParams(alpha=0.4, kappa=0.8, lam=0.5, beta=0.3)
-        _, (sample,) = xt_norm([(0.5, F)], gp, BesovParams(0.5, p))
+        sample = xt_norm(0.5, F, gp, BesovParams(0.5, p))
         blocks = block_lp_norms(gevrey_multiply(F, sample.gamma, gp.alpha), p)
         terms = 2.0 ** (0.5 * np.arange(system.j_min, system.j_max + 1)) * blocks
         assert sample.besov == pytest.approx(np.sqrt(np.sum(terms**2)), rel=1e-13)
@@ -443,12 +414,11 @@ class TestXTNorm:
         gp = GevreyParams(alpha=0.4, kappa=0.8, lam=0.5, beta=0.3)
         F0 = random_band_limited(Grid(64), 3, seed=12)
         traj = [(t, heat_semigroup(F0, t, gp.kappa)) for t in (0.05, 0.5, 2.0)]
-        sup, samples = xt_norm(traj, gp, bp)
-        for (t, f), sample in zip(traj, samples):
+        for t, f in traj:
+            sample = xt_norm(t, f, gp, bp)
             besov = besov_norm(gevrey_multiply(f, sample.gamma, gp.alpha), bp)
             assert sample.besov == besov
             assert sample.weighted == t ** (gp.beta / gp.kappa) * besov
-        assert sup == max(sample.weighted for sample in samples)
 
     def test_weighted_nonzero_mean_warns(self):
         grid = Grid(64)
@@ -456,11 +426,7 @@ class TestXTNorm:
         c[0, 0] = 1.0
         gp = GevreyParams(alpha=0.4, kappa=0.8, lam=0.5, beta=0.3)
         with pytest.warns(HomogeneityWarning):
-            xt_norm([(0.5, SpectralField(grid, c))], gp, BesovParams(0.5))
-
-    def test_sample_validation(self):
-        with pytest.raises(ConfigError):
-            XTNormSample(t=0.0, gamma=0.0, besov=1.0, weighted=1.0)
+            xt_norm(0.5, SpectralField(grid, c), gp, BesovParams(0.5))
 
 
 class TestRadiusEstimate:
