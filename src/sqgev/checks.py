@@ -872,6 +872,7 @@ HYPOTHESES = {
     ],
     "wellposedness": [
         (("amplitudes",), _every(lambda a: 0 < a < math.inf), "finite amplitudes > 0"),
+        (("amplitudes",), lambda a: len(a) >= 2, "at least two amplitudes"),
     ],
 }
 

@@ -12,9 +12,10 @@ Analysis and Nonlinear PDEs, 2011, ch. 2), so the sharpness is a
 construction constant of the norms, not a constant of any estimate.
 
 The block operators and norms are functions of the field alone: each reads
-its band range from the memoized build_system(f.grid).  At p = 2 the norms
-read phi_j on the ring radii against the field's ring spectrum, which an
-optional radial weight (the X_T Gevrey weight) scales.
+its band range from the memoized build_system(f.grid).  Every p reads phi_j
+on the ring radii against the field's ring spectrum, which an optional radial
+weight (the X_T Gevrey weight) scales, for the Hermitian test and at p = 2
+for Parseval; other p transform each block on the k2 >= 0 half plane.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from .spectral import (
     Grid,
     HermitianSymmetryError,
     SpectralField,
+    _lp_quadrature,
     apply_multiplier,
-    inverse_transform,
-    lp_norm,
 )
 
 # Sharpness of the smooth step.  Larger values narrow the transition zone,
@@ -162,29 +162,13 @@ def delta_j(f: SpectralField, j: int) -> SpectralField:
     return apply_multiplier(f, system.phi(j, f.grid.k_mag))
 
 
-def _weighted(f: SpectralField, p: float, weight):
-    """(field, ring weight) standing for w f, for a radial weight w(r) with
-    w(0) = 1: at p = 2, f and w on the ring radii; at other p, w f and 1."""
-    if weight is None:
-        return f, 1.0
-    if p == 2:
-        return f, weight(f.grid.rings.radii)
-    return apply_multiplier(f, weight(f.grid.k_mag)), 1.0
-
-
-def _block_norms(f: SpectralField, ring_weight, p: float) -> np.ndarray:
-    """||Delta_j (w f)||_{L^p} for every resolved j, from a _weighted pair.
-
-    Any p but 2 takes the collocation quadrature of each transformed block.
-    p = 2 is Parseval, 2 pi sqrt(sum over rings of phi_j^2 w^2 E) with E the
-    ring energies of f, and each block gets the Hermitian test that
-    inverse_transform would apply to it: phi_j w is radial and nonnegative,
-    so a block's defect and scale are the ring maxima of |c(k) - conj c(-k)|
-    and of |c|, times phi_j w.
-    """
+def _block_norms(f: SpectralField, p: float, weight, ring_weight) -> np.ndarray:
+    """||Delta_j (w f)||_{L^p} for every resolved j, w a radial weight (None
+    for 1) read as ring_weight on the ring radii.  phi_j w is radial and
+    nonnegative, so inverse_transform's test of a block reads the ring maxima
+    of |c(k) - conj c(-k)| and of |c|, times phi_j w.  p = 2 is Parseval over
+    the rings; other p, the quadrature of irfft2((c w) phi_j) on k2 >= 0."""
     system = build_system(f.grid)
-    if p != 2:
-        return np.array([lp_norm(inverse_transform(delta_j(f, j)), p) for j in system.js()])
     spec = f.ring_spectrum
     phi = system._ring_profiles
     defect = (phi * (ring_weight * spec.defect)).max(axis=1)
@@ -196,24 +180,37 @@ def _block_norms(f: SpectralField, ring_weight, p: float) -> np.ndarray:
             f"block j={i} is not Hermitian-symmetric "
             f"(defect {defect[i]:.3e})"
         )
-    return TWO_PI * np.sqrt(phi**2 @ (ring_weight * (ring_weight * spec.energy)))
+    if p == 2:
+        return TWO_PI * np.sqrt(phi**2 @ (ring_weight * (ring_weight * spec.energy)))
+    half = f.grid.n // 2 + 1
+    c = f.coeffs[:, :half]
+    if weight is not None:
+        c = c * weight(f.grid.half_k_mag(half))
+    ids = f.grid.rings.ids[:, :half]
+    blocks = (np.fft.irfft2(c * phi_j[ids], s=f.coeffs.shape, norm="forward") for phi_j in phi)
+    return np.array([_lp_quadrature(block, p, f.grid.cell_area) for block in blocks])
 
 
 def block_lp_norms(f: SpectralField, p: float, weight=None) -> np.ndarray:
     """||Delta_j (w f)||_{L^p} for every resolved j, in order (w = 1 by default)."""
-    return _block_norms(*_weighted(f, p, weight), p)
+    return _block_norms(f, p, weight, 1.0 if weight is None else weight(f.grid.rings.radii))
+
+
+def _terms(grid: Grid, bp: BesovParams, blocks) -> np.ndarray:
+    """2^(j s) times the block norms, j over the resolved range."""
+    return 2.0 ** (bp.s * np.asarray(build_system(grid).js(), dtype=np.float64)) * blocks
 
 
 def besov_norm(f: SpectralField, bp: BesovParams, weight=None) -> float:
     """Homogeneous Besov norm of w f (w = 1 by default), truncated to the
     resolved dyadic range.
 
-    A non-Hermitian block raises HermitianSymmetryError, and non-finite
-    weighted coefficients ConfigError.  Modes outside the resolved annuli
+    A non-Hermitian block raises HermitianSymmetryError, and an overflowing
+    weight a non-finite norm.  Modes outside the resolved annuli
     (the mean and the corner modes beyond Nyquist) do not contribute; a
     nonzero mean triggers a HomogeneityWarning since the norm ignores it.
     """
-    f, ring_weight = _weighted(f, bp.p, weight)
+    ring_weight = 1.0 if weight is None else weight(f.grid.rings.radii)
     peak = float((ring_weight * f.ring_spectrum.peak).max())
     if abs(f.mean_value()) > 1e-12 * max(peak, 1e-300):
         warnings.warn(
@@ -222,9 +219,7 @@ def besov_norm(f: SpectralField, bp: BesovParams, weight=None) -> float:
             HomogeneityWarning,
             stacklevel=2,
         )
-    blocks = _block_norms(f, ring_weight, bp.p)
-    weights = 2.0 ** (bp.s * np.asarray(build_system(f.grid).js(), dtype=np.float64))
-    terms = weights * blocks
+    terms = _terms(f.grid, bp, _block_norms(f, bp.p, weight, ring_weight))
     if np.isinf(bp.q):
         return float(np.max(terms)) if terms.size else 0.0
     return float(np.sum(terms**bp.q) ** (1.0 / bp.q))
@@ -234,16 +229,13 @@ def besov_report(f: SpectralField, bp: BesovParams):
     """Per-block rows (j, weighted block norm, cumulative q-sum) plus the
     fraction of spectral energy invisible to the truncated norm."""
     system = build_system(f.grid)
-    blocks = block_lp_norms(f, bp.p)
-    rows = []
-    cumulative = 0.0
-    for j, block in zip(system.js(), blocks):
-        term = 2.0 ** (bp.s * j) * block
-        if np.isinf(bp.q):
-            cumulative = max(cumulative, term)
-        else:
-            cumulative = (cumulative**bp.q + term**bp.q) ** (1.0 / bp.q)
-        rows.append({"j": j, "weighted_block_norm": term, "cumulative": cumulative})
+    terms = _terms(f.grid, bp, block_lp_norms(f, bp.p))
+    if np.isinf(bp.q):
+        cumulative = np.maximum.accumulate(terms)
+    else:
+        cumulative = np.cumsum(terms**bp.q) ** (1.0 / bp.q)
+    rows = [{"j": j, "weighted_block_norm": term, "cumulative": total}
+            for j, term, total in zip(system.js(), terms, cumulative)]
     coverage = system.partition_sum(f.grid.rings.radii)
     energy = f.ring_spectrum.energy
     total = float(energy.sum())

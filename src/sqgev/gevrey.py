@@ -106,11 +106,12 @@ class XTNormSample:
 
 def xt_norm(t: float, field: SpectralField, gp: GevreyParams, bp: BesovParams) -> XTNormSample:
     """The X_T sample t^(beta/kappa) * ||G_{gamma(t)} v(t)||_Besov at t > 0, from
-    one besov_norm call with the radial weight exp(gamma(t) r^alpha); the X_T
-    norm of a trajectory is the max of its samples' weighted norms.  The Besov
-    parameters are used as given, so callers at base regularity sigma pass
-    s = sigma + beta.  A weight past the overflow guard, or a weighted norm
-    that is not finite, raises GevreyOverflowError naming t."""
+    one besov_norm call with the radial weight exp(gamma(t) r^alpha), at any
+    p; the X_T norm of a trajectory is the max of its samples' weighted norms.
+    The Besov parameters are used as given, so callers at base regularity
+    sigma pass s = sigma + beta.  A weight past the overflow guard, or a
+    weighted field or norm that is not finite, raises GevreyOverflowError
+    naming t."""
     if not t > 0:
         raise ConfigError(f"X_T samples require t > 0, got t={t}")
     gamma_t = gp.radius_at(t)
@@ -123,10 +124,7 @@ def xt_norm(t: float, field: SpectralField, gp: GevreyParams, bp: BesovParams) -
     # inside the guard the weight is finite, but the weighted field or its
     # norm can still overflow (|G v|^p in the quadrature, say)
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            besov = besov_norm(field, bp, lambda r: np.exp(gamma_t * r**gp.alpha))
-        except ConfigError:  # non-finite weighted coefficients
-            besov = np.inf
+        besov = besov_norm(field, bp, lambda r: np.exp(gamma_t * r**gp.alpha))
     if not np.isfinite(besov):
         raise GevreyOverflowError(
             f"Gevrey-weighted Besov norm overflows at t={t:g} (gamma(t)={gamma_t:g})"

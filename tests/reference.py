@@ -1,5 +1,6 @@
 """Reference code shared by the tests: the record sink that collects every
-snapshot of a run, the Picard gaps of a collected run, the Riesz transform
+snapshot of a run, the Picard gaps of a collected run, the block norms of
+transformed full-plane blocks, the Riesz transform
 on the full spectrum, the advection term through the solver's stepping
 workspace, the real values of a reference commutator, and the bilinear
 double-sum oracle.
@@ -20,7 +21,7 @@ from collections import defaultdict
 import numpy as np
 
 from sqgev.bilinear import BilinearSymbol, _norm
-from sqgev.dyadic import besov_norm
+from sqgev.dyadic import besov_norm, build_system, delta_j
 from sqgev.solver import _Workspace
 from sqgev.spectral import (
     HERMITIAN_FLOOR,
@@ -36,6 +37,8 @@ from sqgev.spectral import (
     band_mask,
     box_mask,
     hermitian_noise,
+    inverse_transform,
+    lp_norm,
     negated_modes,
 )
 
@@ -70,6 +73,16 @@ def picard_gaps(sink: Collect, config) -> list[float]:
         )
         for lvl in range(config.picard_depth)
     ]
+
+
+def transformed_block_norms(f: SpectralField, p: float, weight=None) -> np.ndarray:
+    """||Delta_j (w f)||_{L^p} for every resolved j the long way: the radial
+    weight w multiplies the lattice, then each full-plane block goes through
+    inverse_transform (and its Hermitian test) to the collocation quadrature.
+    The reference of dyadic.block_lp_norms at every p."""
+    if weight is not None:
+        f = apply_multiplier(f, weight(f.grid.k_mag))
+    return np.array([lp_norm(inverse_transform(delta_j(f, j)), p) for j in build_system(f.grid).js()])
 
 
 def ignore(level, t, snap, row):

@@ -291,6 +291,12 @@ class TestSmallScaleVerdicts:
         assert rep.fits["max_contraction_ratio"] < 1.0
         assert rep.fits["heat_xt_last"] < rep.fits["heat_xt_first"]
 
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    def test_wellposedness_in_critical_lp_spaces(self, p):
+        # the critical L^p-based Besov spaces off p = 2, at its other defaults
+        rep = run_check("wellposedness", n=64, p=p)
+        assert rep.verdict == "pass"
+
 
 class TestHypothesisGate:
     def test_violated_items_named(self):
@@ -366,6 +372,7 @@ class TestParameters:
         ("r-derivatives", {"sigma_set": (math.nan,)}, "0 <= sigma <= 1"),
         ("r-derivatives", {"sigma_set": (-1.0,)}, "0 <= sigma <= 1"),
         ("wellposedness", {"amplitudes": (0.1, math.inf)}, "finite amplitudes > 0"),
+        ("wellposedness", {"amplitudes": (0.5,)}, "at least two amplitudes"),
         ("heat-kernel", {"kappa_set": (0.5, 0.0)}, "every kappa finite and > 0"),
         ("heat-kernel", {"kappa_set": (-1.0,)}, "every kappa finite and > 0"),
         ("positivity", {"s_set": (-1.0,)}, "0 <= s <= 2"),

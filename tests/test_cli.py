@@ -732,7 +732,8 @@ BAD_VERIFY_VALUES = [
     or isinstance(default, tuple) and not isinstance(default[0], tuple)
     for value in FUZZ_VALUES[type(default[0] if isinstance(default, tuple) else default)]
     if not (value == "99" and key in ("n", "trials", "max_order"))
-] + [("r-derivatives", "gap_set", "1")]  # the least gap whose probe shells touch
+] + [("r-derivatives", "gap_set", "1"),  # the least gap whose probe shells touch
+       ("wellposedness", "amplitudes", "0.5")]  # one finite amplitude, where two are read
 # Verify cases that once ended in a traceback, or in a pass on a value no
 # check can use.
 VERIFY_CONFIG_ERRORS = {
@@ -763,6 +764,8 @@ VERIFY_CONFIG_ERRORS = {
     # these three once ran the stencils and failed the bound (exit 4)
     ("r-derivatives", "gap_set", "0"), ("r-derivatives", "gap_set", "1"),
     ("r-derivatives", "gap_set", "-1"),
+    # this one ended in an IndexError traceback at amplitudes[1]
+    ("wellposedness", "amplitudes", "0.5"),
 }
 # The check functions that draw a field, run the solver or build a stencil.
 DRAWS = ("_shaped_band_field", "_smooth_noise", "_prescribed_profile_field", "initial_field",

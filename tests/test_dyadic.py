@@ -23,7 +23,6 @@ from sqgev.spectral import (
     HermitianSymmetryError,
     RealField,
     SpectralField,
-    apply_multiplier,
     forward_transform,
     hermitian_symmetrize,
     lp_norm,
@@ -31,11 +30,7 @@ from sqgev.spectral import (
     random_band_limited,
 )
 
-
-def block_l2_quadrature(f):
-    """Block norms the long way: transform each block, collocation L^2."""
-    js = build_system(f.grid).js()
-    return np.array([lp_norm(inverse_transform(delta_j(f, j)), 2.0) for j in js])
+from reference import transformed_block_norms
 
 
 def hermitian_noise(grid, seed):
@@ -220,7 +215,7 @@ class TestBesovNorm:
             return np.exp(0.3 * r**0.5)
 
         for f in parseval_fields(grid):
-            want = block_l2_quadrature(f)
+            want = transformed_block_norms(f, 2.0)
             # a block at the roundoff floor of the field (the far tail of the
             # gaussian pair) is junk whose imaginary part the quadrature
             # drops, so blocks are held to 1e-12 of the largest one
@@ -228,7 +223,7 @@ class TestBesovNorm:
             np.testing.assert_allclose(block_lp_norms(f, 2.0), want, rtol=1e-12, atol=floor)
             # a radial weight read on the ring radii against the blocks of
             # the lattice-weighted field
-            weighted = block_l2_quadrature(apply_multiplier(f, gevrey_weight(grid.k_mag)))
+            weighted = transformed_block_norms(f, 2.0, gevrey_weight)
             np.testing.assert_allclose(block_lp_norms(f, 2.0, gevrey_weight), weighted,
                                        rtol=1e-12, atol=1e-12 * weighted.max())
             for bp in (BesovParams(0.7, 2.0, 2.0), BesovParams(-0.3, 2.0, 1.0),
@@ -241,10 +236,25 @@ class TestBesovNorm:
                 np.testing.assert_allclose(got, terms, rtol=1e-12, atol=1e-12 * terms.max())
                 assert rows[-1]["cumulative"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("p", [1.0, 3.0, 4.0, np.inf])
+    @pytest.mark.parametrize("profile", ["random-band", "gaussian-pair", "single-ring"])
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_half_plane_blocks_match_transformed_blocks(self, n, profile, p):
+        # off p = 2 a block is one irfft2 of (c w) phi_j on the k2 >= 0 half
+        # plane; the reference transforms the full-plane block of the
+        # lattice-weighted field.  The gaussian pair's far tail blocks are
+        # round-off junk, so blocks are held to 1e-12 of the largest one
+        grid = Grid(n)
+        f = initial_field(SolverConfig(grid=grid, initial_data=InitialData(profile, 0.3, seed=23)))
+        for weight in (None, lambda r: np.exp(0.3 * r**0.5)):
+            want = transformed_block_norms(f, p, weight)
+            np.testing.assert_allclose(block_lp_norms(f, p, weight), want,
+                                       rtol=1e-12, atol=1e-12 * want.max())
+
     @pytest.mark.parametrize("size", [1e-6, 1e-8, 1e-10, 1e-12, 1e-16])
     @pytest.mark.parametrize("mode", [(3, 1), (9, 2), (0, 20)])
     def test_hermitian_rule_matches_transformed_blocks(self, size, mode):
-        # the p = 2 path raises exactly when inverse_transform would reject
+        # p = 2 and p = 4 raise exactly when inverse_transform would reject
         # some block of the quadrature path
         grid = Grid(64)
         system = build_system(grid)
@@ -253,11 +263,12 @@ class TestBesovNorm:
         c[mode] += size * np.max(np.abs(c)) * (1.0 + 1.0j)
         g = SpectralField(grid, c)
         slow_rejects = any(not delta_j(g, j).is_hermitian() for j in system.js())
-        if slow_rejects:
-            with pytest.raises(HermitianSymmetryError):
-                besov_norm(g, BesovParams(0.5))
-        else:
-            besov_norm(g, BesovParams(0.5))
+        for p in (2.0, 4.0):
+            if slow_rejects:
+                with pytest.raises(HermitianSymmetryError):
+                    besov_norm(g, BesovParams(0.5, p))
+            else:
+                besov_norm(g, BesovParams(0.5, p))
         assert slow_rejects == (size >= 1e-8)
 
     def test_non_hermitian_field_raises(self):
