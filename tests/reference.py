@@ -1,9 +1,8 @@
 """Reference code shared by the tests: the record sink that collects every
-snapshot of a run, the Picard gaps of a collected run, the block norms of
-transformed full-plane blocks, the Riesz transform
-on the full spectrum, the advection term through the solver's stepping
-workspace, the real values of a reference commutator, and the bilinear
-double-sum oracle.
+snapshot of a run, the Picard gaps of a collected run, the norms of
+transformed full-plane Besov blocks, the Riesz transform on the full
+spectrum, the advection term through the solver's stepping workspace, the
+real values of a reference commutator, and the bilinear double-sum oracle.
 
 The oracle evaluates T_m(f, g) for any symbol m of sqgev.bilinear by the
 direct double sum over occupied mode pairs, guarded by a cost cap.  Around
@@ -82,7 +81,8 @@ def transformed_block_norms(f: SpectralField, p: float, weight=None) -> np.ndarr
     The reference of dyadic.block_lp_norms at every p."""
     if weight is not None:
         f = apply_multiplier(f, weight(f.grid.k_mag))
-    return np.array([lp_norm(inverse_transform(delta_j(f, j)), p) for j in build_system(f.grid).js()])
+    js = build_system(f.grid).js()
+    return np.array([lp_norm(inverse_transform(delta_j(f, j)), p) for j in js])
 
 
 def ignore(level, t, snap, row):
