@@ -52,11 +52,10 @@ from .spectral import (
     _lp_quadrature,
     box_mask,
     forward_transform,
-    hermitian_noise,
     inverse_transform,
     lp_norm,
     random_band_limited,
-    random_phases,
+    random_field,
 )
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
@@ -226,7 +225,7 @@ def check_bernstein(
 def _smooth_noise(grid, seed):
     """Band-limited random field with mildly decaying spectrum, no Nyquist."""
     shape = np.exp(-0.5 * (grid.k_mag / (0.5 * grid.k_nyquist)) ** 2)
-    return hermitian_noise(grid, box_mask(grid, grid.n // 3), np.random.default_rng(seed), shape)
+    return random_field(grid, seed, box_mask(grid, grid.n // 3), profile=shape)
 
 
 def check_positivity(
@@ -548,7 +547,7 @@ def _prescribed_profile_field(grid, exponent, p, seed, extra_damping=0.0, alpha=
     stands for itself and its mirror image.
     """
     n, h = grid.n, grid.n // 2 + 1
-    phase = random_phases(grid, np.random.default_rng(seed), half_plane=True)
+    phase = random_field(grid, seed, True, law="phase").coeffs[:, :h]
     kmag = grid.half_k_mag(h)
     mirrored = np.full(h, 2.0)
     mirrored[[0, -1]] = 1.0

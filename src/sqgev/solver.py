@@ -7,7 +7,9 @@ advanced explicitly at second order.  The convention is
     d theta/dt + u . grad theta + Lambda^kappa theta = 0,
     u = (-R2 theta, R1 theta),
 
-with the quadratic term formed pseudo-spectrally (pointwise product in
+R_j of symbol -i k_j/|k|, so u = -grad^perp Lambda^-1 theta: the sign
+opposite to Constantin-Majda-Tabak's, on which no checked estimate depends.
+The quadratic term is formed pseudo-spectrally (pointwise product in
 physical space) and dealiased by the two-thirds rule by default.
 
 Each level's state is its k2 >= 0 half spectrum, an (n, n//2+1) array
@@ -84,7 +86,7 @@ from .spectral import (
     load_field,
     lp_norm,
     random_band_limited,
-    random_phases,
+    random_field,
 )
 
 ADVECTION_CONVENTION = "dtheta/dt + u.grad(theta) + Lambda^kappa theta = 0"
@@ -224,32 +226,30 @@ def initial_field(config: SolverConfig) -> SpectralField:
     """Construct the configured initial data, normalized in the critical norm."""
     grid = config.grid
     init = config.initial_data
-    two_thirds = config.dealias == "two-thirds"
-    if init.profile.startswith("file:"):
-        loaded, _ = load_field(init.profile.partition(":")[2])
-        if isinstance(loaded, RealField):
-            loaded = forward_transform(loaded)
-        if loaded.grid != grid:
-            raise ConfigError(
-                f"snapshot grid (n={loaded.grid.n}) does not match run grid (n={grid.n})"
-            )
-        coeffs = loaded.coeffs.copy()
-    elif init.profile == "zero":
-        coeffs = np.zeros((grid.n, grid.n), dtype=complex)
-    elif init.profile == "gaussian-pair":
-        coeffs = forward_transform(RealField(grid, _gaussian_pair_values(grid))).coeffs.copy()
-    elif init.profile == "random-band":
-        # unit modulus filling the two-thirds box, so the spectrum survives a
-        # dealiased run and the radius diagnostics see a flat baseline
-        coeffs = random_phases(grid, np.random.default_rng(init.seed))
-        two_thirds = True
-    else:  # single-ring; InitialData validates the profile
-        coeffs = random_band_limited(grid, init.ring_j, init.seed).coeffs.copy()
-
-    coeffs[0, 0] = 0.0
-    if two_thirds:
-        np.multiply(coeffs, dealias_mask(grid, "two-thirds"), out=coeffs)
-    fld = SpectralField._adopt(grid, coeffs)
+    if init.profile == "random-band":
+        # unit modulus filling the two-thirds box under either rule, so the spectrum
+        # survives a dealiased run and the radius diagnostics see a flat baseline
+        fld = random_field(grid, init.seed, dealias_mask(grid, "two-thirds"), law="phase")
+    else:
+        if init.profile.startswith("file:"):
+            loaded, _ = load_field(init.profile.partition(":")[2])
+            if isinstance(loaded, RealField):
+                loaded = forward_transform(loaded)
+            if loaded.grid != grid:
+                raise ConfigError(
+                    f"snapshot grid (n={loaded.grid.n}) does not match run grid (n={grid.n})"
+                )
+            coeffs = loaded.coeffs.copy()
+        elif init.profile == "zero":
+            coeffs = np.zeros((grid.n, grid.n), dtype=complex)
+        elif init.profile == "gaussian-pair":
+            coeffs = forward_transform(RealField(grid, _gaussian_pair_values(grid))).coeffs.copy()
+        else:  # single-ring; InitialData validates the profile
+            coeffs = random_band_limited(grid, init.ring_j, init.seed).coeffs.copy()
+        coeffs[0, 0] = 0.0
+        if config.dealias == "two-thirds":
+            np.multiply(coeffs, dealias_mask(grid, "two-thirds"), out=coeffs)
+        fld = SpectralField._adopt(grid, coeffs)
     # a file's huge coefficients can overflow the norm; its first diagnostics
     # row then ends the run as a BlowUpError
     with np.errstate(over="ignore", invalid="ignore"):

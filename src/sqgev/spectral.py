@@ -367,36 +367,36 @@ def negated_modes(c: np.ndarray) -> np.ndarray:
     return np.roll(c[::-1, ::-1], 1, axis=(0, 1))
 
 
-def hermitian_symmetrize(grid: Grid, raw: np.ndarray) -> np.ndarray:
-    """Project a complex array onto the Hermitian-symmetric subspace."""
-    return 0.5 * (raw + np.conj(negated_modes(raw)))
+def random_field(grid: Grid, seed, mask, law: str = "gaussian", profile=1.0) -> SpectralField:
+    """Random Hermitian field: coefficients of the given law times a radial
+    ``profile`` (an array or a scalar), on the modes of ``mask`` (True: all).
 
-
-def hermitian_noise(grid: Grid, mask: np.ndarray, rng, profile=1.0) -> SpectralField:
-    """Random Hermitian field: complex Gaussian coefficients times a radial
-    ``profile`` (an array or a scalar), symmetrized and restricted to ``mask``.
-
-    Draws the real parts, then the imaginary parts, of a full n-by-n array.
+    ``seed`` is an int or a numpy Generator, whose stream the draw continues.
+    Both laws draw a full n-by-n array.  "gaussian": the real parts, then the
+    imaginary parts, of complex coefficients c, made (c(k) + conj c(-k)) / 2.
+    "phase": exp(i phase), the phase the antisymmetric part of a uniform draw
+    on [-pi, pi), exponentiated on the k2 >= 0 columns only; the phase is odd
+    in k, so the k2 < 0 columns are their conjugates.
     """
-    raw = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
-    return SpectralField(grid, hermitian_symmetrize(grid, raw * mask * profile) * mask)
-
-
-def random_phases(grid: Grid, rng, half_plane: bool = False) -> np.ndarray:
-    """Hermitian unit-modulus coefficients exp(i phase), with the phase the
-    antisymmetric part of a uniform draw on [-pi, pi).
-
-    With half_plane, only the k2 >= 0 columns are returned (and
-    exponentiated); the draw is full-size either way, since the phase at k
-    pairs with the one at -k, so both forms agree on those columns.
-    """
-    raw = rng.uniform(-math.pi, math.pi, (grid.n, grid.n))
-    phase = 0.5 * (raw - negated_modes(raw))
+    rng = np.random.default_rng(seed)
+    n, h = grid.n, grid.n // 2 + 1
+    if law == "gaussian":
+        raw = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * mask * profile
+        return SpectralField._adopt(grid, 0.5 * (raw + np.conj(negated_modes(raw))) * mask)
+    if law != "phase":
+        raise ConfigError(f"unknown random field law {law!r}")
+    raw = rng.uniform(-math.pi, math.pi, (n, n))
+    phase = 0.5 * (raw - negated_modes(raw))[:, :h]
     del raw
-    if half_plane:
-        phase = phase[:, : grid.n // 2 + 1]
-    coeffs = 1j * phase
-    return np.exp(coeffs, out=coeffs)
+    coeffs = np.empty((n, n), dtype=np.complex128)
+    half = coeffs[:, :h]
+    np.multiply(1j, phase, out=half)
+    del phase
+    np.exp(half, out=half)
+    np.conjugate(half[grid._neg_index, h - 2 : 0 : -1], out=coeffs[:, h:])
+    # after the mirror: a masked zero's sign follows its own coefficient's signs
+    np.multiply(coeffs, mask * profile, out=coeffs)
+    return SpectralField._adopt(grid, coeffs)
 
 
 def random_band_limited(grid: Grid, j: int, seed: int) -> SpectralField:
@@ -410,7 +410,7 @@ def random_band_limited(grid: Grid, j: int, seed: int) -> SpectralField:
             f"dyadic annulus j={j} contains no lattice point on an "
             f"n={grid.n} grid"
         )
-    return hermitian_noise(grid, mask, np.random.default_rng(seed))
+    return random_field(grid, seed, mask)
 
 
 # --- field snapshot files ------------------------------------------------

@@ -35,10 +35,10 @@ from sqgev.spectral import (
     apply_multiplier,
     band_mask,
     box_mask,
-    hermitian_noise,
     inverse_transform,
     lp_norm,
     negated_modes,
+    random_field,
 )
 
 
@@ -227,7 +227,7 @@ def dilate(m: BilinearSymbol, lam: float) -> BilinearSymbol:
 def _masked_noise(grid: Grid, mask: np.ndarray, rng) -> SpectralField | None:
     if not mask.any():
         return None
-    noise = hermitian_noise(grid, mask, rng)
+    noise = random_field(grid, rng, mask)
     return noise if np.any(noise.coeffs) else None
 
 

@@ -19,9 +19,9 @@ from sqgev.spectral import (
     RealField,
     box_mask,
     forward_transform,
-    hermitian_noise,
     inverse_transform,
     lp_norm,
+    random_field,
     save_field,
 )
 
@@ -42,7 +42,7 @@ def _report(label: str, ok: bool, detail: str) -> None:
 
 
 def box_noise(grid, max_component, seed):
-    return hermitian_noise(grid, box_mask(grid, max_component), np.random.default_rng(seed))
+    return random_field(grid, seed, box_mask(grid, max_component))
 
 
 class TestAcceptance:

@@ -39,10 +39,9 @@ from sqgev.spectral import (
     SpectralField,
     box_mask,
     forward_transform,
-    hermitian_noise,
-    hermitian_symmetrize,
     inverse_transform,
     random_band_limited,
+    random_field,
 )
 
 from reference import (
@@ -81,7 +80,7 @@ CONSTANT = BilinearSymbol(
 
 def box_limited_noise(grid, max_component, seed):
     """Hermitian noise with |integer frequency components| <= max_component."""
-    return hermitian_noise(grid, box_mask(grid, max_component), np.random.default_rng(seed))
+    return random_field(grid, seed, box_mask(grid, max_component))
 
 
 def naive_double_sum(m, f, g):
@@ -165,13 +164,7 @@ class TestApplyBilinear:
 
     def test_cost_guard(self):
         grid = Grid(128)
-        rng = np.random.default_rng(11)
-        full = SpectralField(
-            grid,
-            hermitian_symmetrize(
-                grid, rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
-            ),
-        )
+        full = random_field(grid, 11, True)
         with pytest.raises(CostGuardError):
             apply_bilinear(CONSTANT, full, full)
 

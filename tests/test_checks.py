@@ -57,7 +57,7 @@ from sqgev.spectral import (
     forward_transform,
     inverse_transform,
     lp_norm,
-    random_phases,
+    random_field,
 )
 
 from reference import commutator_values, ignore
@@ -361,29 +361,44 @@ class TestParameters:
             run_check("r-derivatives", alpha_set=(1.5,))
 
     @pytest.mark.parametrize("check_id, params, match", [
-        ("heat-kernel", {"t_grid": (0.1, 0.0)}, "every t finite and > 0"),
-        ("heat-kernel", {"t_grid": (math.nan,)}, "every t finite and > 0"),
-        ("lin-gevrey", {"gamma_set": (0.1, -1.0)}, "every gamma finite and >= 0"),
-        ("lin-gevrey", {"gamma_set": (math.inf,)}, "every gamma finite and >= 0"),
-        ("concavity", {"alpha_set": (1.0,)}, r"alpha in \(0, 1\)"),
-        ("concavity", {"alpha_set": (-1.0,)}, r"alpha in \(0, 1\)"),
-        ("concavity", {"c_set": (0.0,)}, "finite c > 0"),
-        ("concavity", {"c_set": (math.inf,)}, "finite c > 0"),
-        ("r-derivatives", {"sigma_set": (math.nan,)}, "0 <= sigma <= 1"),
-        ("r-derivatives", {"sigma_set": (-1.0,)}, "0 <= sigma <= 1"),
-        ("wellposedness", {"amplitudes": (0.1, math.inf)}, "finite amplitudes > 0"),
-        ("heat-kernel", {"kappa_set": (0.5, 0.0)}, "every kappa finite and > 0"),
-        ("heat-kernel", {"kappa_set": (-1.0,)}, "every kappa finite and > 0"),
-        ("positivity", {"s_set": (-1.0,)}, "0 <= s <= 2"),
-        ("positivity", {"s_set": (0.5, 3.0)}, "0 <= s <= 2"),
-        ("commutator-decay", {"st_sets": ((1.2, 0.3, 2.0), (1.2, 0.3, 0.0))}, "p >= 1"),
+        pytest.param("heat-kernel", {"t_grid": (0.1, 0.0)}, "every t finite and > 0",
+                     id="heat-kernel-t_grid-zero"),
+        pytest.param("heat-kernel", {"t_grid": (math.nan,)}, "every t finite and > 0",
+                     id="heat-kernel-t_grid-nan"),
+        pytest.param("lin-gevrey", {"gamma_set": (0.1, -1.0)}, "every gamma finite and >= 0",
+                     id="lin-gevrey-gamma_set-negative"),
+        pytest.param("lin-gevrey", {"gamma_set": (math.inf,)}, "every gamma finite and >= 0",
+                     id="lin-gevrey-gamma_set-inf"),
+        pytest.param("concavity", {"alpha_set": (1.0,)}, r"alpha in \(0, 1\)",
+                     id="concavity-alpha_set-one"),
+        pytest.param("concavity", {"alpha_set": (-1.0,)}, r"alpha in \(0, 1\)",
+                     id="concavity-alpha_set-negative"),
+        pytest.param("concavity", {"c_set": (0.0,)}, "finite c > 0", id="concavity-c_set-zero"),
+        pytest.param("concavity", {"c_set": (math.inf,)}, "finite c > 0", id="concavity-c_set-inf"),
+        pytest.param("r-derivatives", {"sigma_set": (math.nan,)}, "0 <= sigma <= 1",
+                     id="r-derivatives-sigma_set-nan"),
+        pytest.param("r-derivatives", {"sigma_set": (-1.0,)}, "0 <= sigma <= 1",
+                     id="r-derivatives-sigma_set-negative"),
+        pytest.param("wellposedness", {"amplitudes": (0.1, math.inf)}, "finite amplitudes > 0",
+                     id="wellposedness-amplitudes-inf"),
+        pytest.param("heat-kernel", {"kappa_set": (0.5, 0.0)}, "every kappa finite and > 0",
+                     id="heat-kernel-kappa_set-zero"),
+        pytest.param("heat-kernel", {"kappa_set": (-1.0,)}, "every kappa finite and > 0",
+                     id="heat-kernel-kappa_set-negative"),
+        pytest.param("positivity", {"s_set": (-1.0,)}, "0 <= s <= 2", id="positivity-s_set-negative"),
+        pytest.param("positivity", {"s_set": (0.5, 3.0)}, "0 <= s <= 2", id="positivity-s_set-above-2"),
+        pytest.param("commutator-decay", {"st_sets": ((1.2, 0.3, 2.0), (1.2, 0.3, 0.0))}, "p >= 1",
+                     id="commutator-decay-st_sets-p-zero"),
         # |xi| >= 2|eta| on the probe shells of l and l + gap from gap 2 on;
         # at gap 1 they touch at radius 2^(l + 1/2)
-        ("r-derivatives", {"gap_set": (3, 1)}, r"gap >= 2 .*, got gap_set=\(3, 1\)"),
-        ("r-derivatives", {"gap_set": (0,)}, "gap >= 2"),
-        ("r-derivatives", {"gap_set": (-1,)}, "gap >= 2"),
+        pytest.param("r-derivatives", {"gap_set": (3, 1)}, r"gap >= 2 .*, got gap_set=\(3, 1\)",
+                     id="r-derivatives-gap_set-one"),
+        pytest.param("r-derivatives", {"gap_set": (0,)}, "gap >= 2", id="r-derivatives-gap_set-zero"),
+        pytest.param("r-derivatives", {"gap_set": (-1,)}, "gap >= 2",
+                     id="r-derivatives-gap_set-negative"),
         # the Picard run takes the second amplitude, the sweep compares the first two
-        ("wellposedness", {"amplitudes": (0.5,)}, "at least two amplitudes"),
+        pytest.param("wellposedness", {"amplitudes": (0.5,)}, "at least two amplitudes",
+                     id="wellposedness-amplitudes-one"),
     ])
     def test_values_outside_the_hypotheses_are_rejected(self, check_id, params, match):
         # each check states the hypotheses of its estimate before it measures
@@ -784,7 +799,7 @@ class TestDifferenceStencil:
 def prescribed_profile_field_complex(grid, exponent, p, seed, extra_damping=0.0, alpha=0.6):
     """Reference test field: each band norm from the full complex inverse
     transform of the band."""
-    phase = random_phases(grid, np.random.default_rng(seed))
+    phase = random_field(grid, seed, True, law="phase").coeffs
     kmag = grid.k_mag
     j_top = int(math.floor(math.log2(grid.k_nyquist)))
     coeffs = np.zeros((grid.n, grid.n), dtype=complex)

@@ -24,25 +24,17 @@ from sqgev.spectral import (
     RealField,
     SpectralField,
     forward_transform,
-    hermitian_symmetrize,
     lp_norm,
     inverse_transform,
     random_band_limited,
+    random_field,
 )
 
 from reference import transformed_block_norms
 
 
-def hermitian_noise(grid, seed):
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
-    c = hermitian_symmetrize(grid, raw)
-    c[0, 0] = 0.0
-    return SpectralField(grid, c)
-
-
 def parseval_fields(grid):
-    yield hermitian_noise(grid, 21)
+    yield random_field(grid, 21, grid.k_mag > 0)
     yield random_band_limited(grid, 2, seed=22)
     for profile in ("random-band", "gaussian-pair", "single-ring"):
         config = SolverConfig(grid=grid, initial_data=InitialData(profile, amplitude=0.3, seed=23))
@@ -157,10 +149,8 @@ class TestBesovNorm:
     def test_l2_equivalence_at_s0_p2_q2(self):
         grid = Grid(128)
         system = build_system(grid)
-        rng = np.random.default_rng(11)
-        raw = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
         mask = (grid.k_mag >= 2.0**system.j_min) & (grid.k_mag <= 2.0**system.j_max)
-        F = SpectralField(grid, hermitian_symmetrize(grid, raw * mask) * mask)
+        F = random_field(grid, 11, mask)
         besov = besov_norm(F, BesovParams(0.0, 2.0, 2.0))
         l2 = F.l2_norm()
         assert abs(besov - l2) / l2 <= 0.02
@@ -175,10 +165,7 @@ class TestBesovNorm:
 
     def test_q_monotonicity(self):
         grid = Grid(128)
-        rng = np.random.default_rng(13)
-        raw = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
-        mask = grid.k_mag > 0.5
-        F = SpectralField(grid, hermitian_symmetrize(grid, raw * mask) * mask)
+        F = random_field(grid, 13, grid.k_mag > 0.5)
         bp_inf = BesovParams(0.3, 2.0, np.inf)
         bp_one = BesovParams(0.3, 2.0, 1.0)
         assert besov_norm(F, bp_inf) <= besov_norm(F, bp_one)
@@ -258,7 +245,7 @@ class TestBesovNorm:
         # some block of the quadrature path
         grid = Grid(64)
         system = build_system(grid)
-        f = hermitian_noise(grid, 24)
+        f = random_field(grid, 24, grid.k_mag > 0)
         c = f.coeffs.copy()
         c[mode] += size * np.max(np.abs(c)) * (1.0 + 1.0j)
         g = SpectralField(grid, c)

@@ -48,8 +48,8 @@ from sqgev.spectral import (
     _ring_index,
     box_mask,
     forward_transform,
-    hermitian_noise,
     random_band_limited,
+    random_field,
     save_field,
 )
 
@@ -395,7 +395,7 @@ class TestRealKernels:
         grid = Grid(n)
         h = n // 2 + 1
         work = _Workspace(grid, dealias)
-        theta = hermitian_noise(grid, box_mask(grid, work.c), np.random.default_rng(n)).coeffs
+        theta = random_field(grid, n, box_mask(grid, work.c)).coeffs
         mask = dealias_mask(grid, dealias)
         ref_vel = np.array(collocation_velocity_complex(theta, grid))
         vel = work.velocity(theta[:, :h], np.empty((2, n, n)))
@@ -546,7 +546,7 @@ class TestRealKernels:
         # inside the two-thirds box the masked product is exact, so
         # <P(u . grad theta), theta> = 0 up to round-off
         grid = Grid(n)
-        theta = hermitian_noise(grid, dealias_mask(grid, "two-thirds"), np.random.default_rng(seed))
+        theta = random_field(grid, seed, dealias_mask(grid, "two-thirds"))
         adv = nonlinear_term(theta, "two-thirds")
         pairing = TWO_PI**2 * np.sum(adv.coeffs * np.conj(theta.coeffs))
         assert abs(pairing) <= 1e-13 * theta.l2_norm() * adv.l2_norm()
@@ -648,6 +648,45 @@ class TestScaling:
                 bp = BesovParams(1.0 + 2.0 / p - kappa, p, 2.0)
                 ratio = besov_norm(theta_2, bp) / besov_norm(theta, bp)
                 assert ratio == pytest.approx(2.0 ** (2.0 / p), rel=1e-12)
+
+
+def ring_step_error(tmp_path, n, dealias, rings, peak):
+    """Relative max-coefficient distance, after one solve step, between the
+    run from Hermitian Gaussian modes on the circles |k|^2 in rings (max
+    coefficient peak) and the heat flow of those data."""
+    grid = Grid(n)
+    m2 = grid.freqs[:, None] ** 2 + grid.freqs[None, :] ** 2
+    theta = random_field(grid, sum(rings), np.isin(m2, rings))
+    theta = theta * (peak / np.max(np.abs(theta.coeffs)))
+    save_field(tmp_path / "ring.field", theta)
+    config = cosine_config(n=n, dealias=dealias, dt=0.002, t_end=0.002,
+                           initial_data=InitialData(f"file:{tmp_path / 'ring.field'}"))
+    sink = Collect()
+    solve(config, sink)
+    want = heat_semigroup(theta, 0.002, config.kappa).coeffs
+    return np.max(np.abs(sink.snapshots[0][-1].coeffs - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.filterwarnings("ignore::sqgev.solver.StabilityWarning")
+class TestRingData:
+    # If every mode of theta lies on one circle |k| = r, then
+    # u = (-R2 theta, R1 theta) = -grad^perp Lambda^-1 theta = -grad^perp theta / r
+    # is parallel to grad^perp theta, so u . grad theta = 0 pointwise and the
+    # exact solution is the heat flow e^{-t r^kappa} theta0 at any amplitude.
+    # The identity sees a lost perp in the velocity, not the sign of u or
+    # the power of Lambda
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("dealias", ["two-thirds", "none"])
+    @pytest.mark.parametrize("ring", [25, 65, 85])
+    @pytest.mark.parametrize("peak", [1.0, 100.0])
+    def test_one_ring_steps_as_the_heat_flow(self, tmp_path, n, dealias, ring, peak):
+        assert ring_step_error(tmp_path, n, dealias, (ring,), peak) <= 1e-14
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("dealias", ["two-thirds", "none"])
+    def test_two_rings_do_not(self, tmp_path, n, dealias):
+        # the advection of two rings is not zero: the control of the identity
+        assert ring_step_error(tmp_path, n, dealias, (25, 65), 100.0) > 1e-2
 
 
 class TestSolve:

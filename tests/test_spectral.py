@@ -18,13 +18,12 @@ from sqgev.spectral import (
     apply_multiplier,
     band_mask,
     forward_transform,
-    hermitian_symmetrize,
     inverse_transform,
     load_field,
     lp_norm,
     negated_modes,
     random_band_limited,
-    random_phases,
+    random_field,
     save_field,
 )
 
@@ -319,7 +318,9 @@ class TestRandomBandLimited:
         rng = np.random.default_rng(5)
         raw = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
         mask = band_mask(grid, 2.0, 8.0)
-        expected = hermitian_symmetrize(grid, raw * mask) * mask
+        idx = (-np.arange(32)) % 32
+        expected = 0.5 * (raw * mask + np.conj((raw * mask)[np.ix_(idx, idx)])) * mask
+        assert np.array_equal(random_field(grid, 5, mask).coeffs, expected)
         assert np.array_equal(random_band_limited(grid, 2, seed=5).coeffs, expected)
 
     def test_random_phases_draw_order(self):
@@ -327,9 +328,13 @@ class TestRandomBandLimited:
         raw = np.random.default_rng(5).uniform(-math.pi, math.pi, (32, 32))
         idx = (-np.arange(32)) % 32
         expected = np.exp(1j * 0.5 * (raw - raw[np.ix_(idx, idx)]))
-        phases = random_phases(grid, np.random.default_rng(5))
-        assert np.array_equal(phases, expected)
-        assert SpectralField(grid, phases).hermitian_defect() == 0.0
+        phases = random_field(grid, np.random.default_rng(5), True, law="phase")
+        assert np.array_equal(phases.coeffs, expected)
+        assert phases.hermitian_defect() == 0.0
+
+    def test_unknown_law_raises(self):
+        with pytest.raises(ConfigError, match="unknown random field law 'hashed'"):
+            random_field(Grid(16), 0, True, law="hashed")
 
 
 def ring_spectrum_loop(f):
@@ -353,8 +358,10 @@ class TestRingSpectrum:
     def test_matches_per_ring_loop(self, n, hermitian):
         grid = Grid(n)
         rng = np.random.default_rng(n)
-        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        c = hermitian_symmetrize(grid, raw) if hermitian else raw
+        if hermitian:
+            c = random_field(grid, rng, True).coeffs.copy()
+        else:
+            c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         empty = rng.random((n, n)) < 0.2  # empty modes, and some empty rings
         c[empty | negated_modes(empty)] = 0.0
         f = SpectralField(grid, c)
