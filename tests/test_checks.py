@@ -366,36 +366,36 @@ class TestParameters:
         pytest.param("heat-kernel", {"t_grid": (math.nan,)}, "every t finite and > 0",
                      id="heat-kernel-t_grid-nan"),
         pytest.param("lin-gevrey", {"gamma_set": (0.1, -1.0)}, "every gamma finite and >= 0",
-                     id="lin-gevrey-gamma_set-negative"),
+                     id="lin-gevrey-gamma-negative"),
         pytest.param("lin-gevrey", {"gamma_set": (math.inf,)}, "every gamma finite and >= 0",
-                     id="lin-gevrey-gamma_set-inf"),
+                     id="lin-gevrey-gamma-inf"),
         pytest.param("concavity", {"alpha_set": (1.0,)}, r"alpha in \(0, 1\)",
-                     id="concavity-alpha_set-one"),
+                     id="concavity-alpha-one"),
         pytest.param("concavity", {"alpha_set": (-1.0,)}, r"alpha in \(0, 1\)",
-                     id="concavity-alpha_set-negative"),
-        pytest.param("concavity", {"c_set": (0.0,)}, "finite c > 0", id="concavity-c_set-zero"),
-        pytest.param("concavity", {"c_set": (math.inf,)}, "finite c > 0", id="concavity-c_set-inf"),
+                     id="concavity-alpha-negative"),
+        pytest.param("concavity", {"c_set": (0.0,)}, "finite c > 0", id="concavity-c-zero"),
+        pytest.param("concavity", {"c_set": (math.inf,)}, "finite c > 0", id="concavity-c-inf"),
         pytest.param("r-derivatives", {"sigma_set": (math.nan,)}, "0 <= sigma <= 1",
-                     id="r-derivatives-sigma_set-nan"),
+                     id="r-derivatives-sigma-nan"),
         pytest.param("r-derivatives", {"sigma_set": (-1.0,)}, "0 <= sigma <= 1",
-                     id="r-derivatives-sigma_set-negative"),
+                     id="r-derivatives-sigma-negative"),
         pytest.param("wellposedness", {"amplitudes": (0.1, math.inf)}, "finite amplitudes > 0",
                      id="wellposedness-amplitudes-inf"),
         pytest.param("heat-kernel", {"kappa_set": (0.5, 0.0)}, "every kappa finite and > 0",
-                     id="heat-kernel-kappa_set-zero"),
+                     id="heat-kernel-kappa-zero"),
         pytest.param("heat-kernel", {"kappa_set": (-1.0,)}, "every kappa finite and > 0",
-                     id="heat-kernel-kappa_set-negative"),
-        pytest.param("positivity", {"s_set": (-1.0,)}, "0 <= s <= 2", id="positivity-s_set-negative"),
-        pytest.param("positivity", {"s_set": (0.5, 3.0)}, "0 <= s <= 2", id="positivity-s_set-above-2"),
+                     id="heat-kernel-kappa-negative"),
+        pytest.param("positivity", {"s_set": (-1.0,)}, "0 <= s <= 2", id="positivity-s-negative"),
+        pytest.param("positivity", {"s_set": (0.5, 3.0)}, "0 <= s <= 2", id="positivity-s-above-2"),
         pytest.param("commutator-decay", {"st_sets": ((1.2, 0.3, 2.0), (1.2, 0.3, 0.0))}, "p >= 1",
-                     id="commutator-decay-st_sets-p-zero"),
+                     id="commutator-decay-st-p-zero"),
         # |xi| >= 2|eta| on the probe shells of l and l + gap from gap 2 on;
         # at gap 1 they touch at radius 2^(l + 1/2)
         pytest.param("r-derivatives", {"gap_set": (3, 1)}, r"gap >= 2 .*, got gap_set=\(3, 1\)",
-                     id="r-derivatives-gap_set-one"),
-        pytest.param("r-derivatives", {"gap_set": (0,)}, "gap >= 2", id="r-derivatives-gap_set-zero"),
+                     id="r-derivatives-gap-one"),
+        pytest.param("r-derivatives", {"gap_set": (0,)}, "gap >= 2", id="r-derivatives-gap-zero"),
         pytest.param("r-derivatives", {"gap_set": (-1,)}, "gap >= 2",
-                     id="r-derivatives-gap_set-negative"),
+                     id="r-derivatives-gap-negative"),
         # the Picard run takes the second amplitude, the sweep compares the first two
         pytest.param("wellposedness", {"amplitudes": (0.5,)}, "at least two amplitudes",
                      id="wellposedness-amplitudes-one"),
