@@ -285,11 +285,17 @@ class SpectralField:
 def _full_spectrum(half: np.ndarray, grid: Grid) -> SpectralField:
     """The field with k2 >= 0 half spectrum half, its k2 < 0 columns rebuilt
     from Hermitian symmetry, f_hat(k1, -k2) = conj f_hat(-k1, k2)."""
-    h = grid.n // 2 + 1
     coeffs = np.empty((grid.n, grid.n), dtype=np.complex128)
-    coeffs[:, :h] = half
-    np.conjugate(half[grid._neg_index, h - 2 : 0 : -1], out=coeffs[:, h:])
+    coeffs[:, : grid.n // 2 + 1] = half
+    _mirror_half_plane(coeffs, grid)
     return SpectralField._adopt(grid, coeffs)
+
+
+def _mirror_half_plane(coeffs: np.ndarray, grid: Grid) -> None:
+    """Fill the k2 < 0 columns of coeffs in place from its k2 >= 0 columns,
+    f_hat(k1, -k2) = conj f_hat(-k1, k2)."""
+    h = grid.n // 2 + 1
+    np.conjugate(coeffs[grid._neg_index, h - 2 : 0 : -1], out=coeffs[:, h:])
 
 
 def forward_transform(f: RealField) -> SpectralField:
@@ -383,8 +389,6 @@ def random_field(grid: Grid, seed, mask, law: str = "gaussian", profile=1.0) -> 
     if law == "gaussian":
         raw = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * mask * profile
         return SpectralField._adopt(grid, 0.5 * (raw + np.conj(negated_modes(raw))) * mask)
-    if law != "phase":
-        raise ConfigError(f"unknown random field law {law!r}")
     raw = rng.uniform(-math.pi, math.pi, (n, n))
     phase = 0.5 * (raw - negated_modes(raw))[:, :h]
     del raw
@@ -393,7 +397,7 @@ def random_field(grid: Grid, seed, mask, law: str = "gaussian", profile=1.0) -> 
     np.multiply(1j, phase, out=half)
     del phase
     np.exp(half, out=half)
-    np.conjugate(half[grid._neg_index, h - 2 : 0 : -1], out=coeffs[:, h:])
+    _mirror_half_plane(coeffs, grid)
     # after the mirror: a masked zero's sign follows its own coefficient's signs
     np.multiply(coeffs, mask * profile, out=coeffs)
     return SpectralField._adopt(grid, coeffs)

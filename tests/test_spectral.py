@@ -332,10 +332,6 @@ class TestRandomBandLimited:
         assert np.array_equal(phases.coeffs, expected)
         assert phases.hermitian_defect() == 0.0
 
-    def test_unknown_law_raises(self):
-        with pytest.raises(ConfigError, match="unknown random field law 'hashed'"):
-            random_field(Grid(16), 0, True, law="hashed")
-
 
 def ring_spectrum_loop(f):
     """Per-ring loop form of SpectralField.ring_spectrum: a full-grid mask per
