@@ -283,8 +283,7 @@ class SpectralField:
 
 
 def _full_spectrum(half: np.ndarray, grid: Grid) -> SpectralField:
-    """The field with k2 >= 0 half spectrum half, its k2 < 0 columns rebuilt
-    from Hermitian symmetry, f_hat(k1, -k2) = conj f_hat(-k1, k2)."""
+    """The field with k2 >= 0 half spectrum half and Hermitian k2 < 0 columns."""
     coeffs = np.empty((grid.n, grid.n), dtype=np.complex128)
     coeffs[:, : grid.n // 2 + 1] = half
     _mirror_half_plane(coeffs, grid)
@@ -292,8 +291,7 @@ def _full_spectrum(half: np.ndarray, grid: Grid) -> SpectralField:
 
 
 def _mirror_half_plane(coeffs: np.ndarray, grid: Grid) -> None:
-    """Fill the k2 < 0 columns of coeffs in place from its k2 >= 0 columns,
-    f_hat(k1, -k2) = conj f_hat(-k1, k2)."""
+    """Rebuild coeffs' k2 < 0 columns in place: f_hat(k1, -k2) = conj f_hat(-k1, k2)."""
     h = grid.n // 2 + 1
     np.conjugate(coeffs[grid._neg_index, h - 2 : 0 : -1], out=coeffs[:, h:])
 
@@ -380,9 +378,8 @@ def random_field(grid: Grid, seed, mask, law: str = "gaussian", profile=1.0) -> 
     ``seed`` is an int or a numpy Generator, whose stream the draw continues.
     Both laws draw a full n-by-n array.  "gaussian": the real parts, then the
     imaginary parts, of complex coefficients c, made (c(k) + conj c(-k)) / 2.
-    "phase": exp(i phase), the phase the antisymmetric part of a uniform draw
-    on [-pi, pi), exponentiated on the k2 >= 0 columns only; the phase is odd
-    in k, so the k2 < 0 columns are their conjugates.
+    "phase": exp(i phase), the phase the antisymmetric part of a uniform draw on
+    [-pi, pi), exponentiated on the k2 >= 0 columns and mirrored (it is odd in k).
     """
     rng = np.random.default_rng(seed)
     n, h = grid.n, grid.n // 2 + 1
@@ -393,8 +390,7 @@ def random_field(grid: Grid, seed, mask, law: str = "gaussian", profile=1.0) -> 
     phase = 0.5 * (raw - negated_modes(raw))[:, :h]
     del raw
     coeffs = np.empty((n, n), dtype=np.complex128)
-    half = coeffs[:, :h]
-    np.multiply(1j, phase, out=half)
+    half = np.multiply(1j, phase, out=coeffs[:, :h])
     del phase
     np.exp(half, out=half)
     _mirror_half_plane(coeffs, grid)
